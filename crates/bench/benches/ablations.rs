@@ -277,7 +277,7 @@ fn ablation_training_features(c: &mut Criterion) {
         ),
         (
             "interleaved_v2",
-            TrainingOptions::new().with_interleaving(2),
+            TrainingOptions::new().with_schedule(PipelineSchedule::Interleaved { chunks: 2 }),
         ),
         (
             "selective_recompute",

@@ -42,7 +42,7 @@ fn main() {
             render_gantt(&events, pp, 72).expect("traced schedule is non-empty")
         );
         for stage in 0..pp {
-            let peak = schedule.peak_inflight(pp, stage, n_mb);
+            let peak = schedule.inflight_peak(pp, stage, n_mb, &[1]);
             print!("stage {stage}: {peak} in flight  ");
         }
         println!("\n    {note}\n");

@@ -10,7 +10,7 @@
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::latency::PipetteLatencyModel;
 use pipette_bench::context::ClusterKind;
-use pipette_sim::{ClusterRun, ComputeProfiler, IterationSim, TrainingOptions};
+use pipette_sim::{ClusterRun, ComputeProfiler, IterationSim, PipelineSchedule, TrainingOptions};
 
 fn main() {
     for kind in ClusterKind::both() {
@@ -41,12 +41,20 @@ fn main() {
         let gpu = cluster.gpu().clone();
         let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 11);
         let model = PipetteLatencyModel::new(&profiled, &gpt);
-        for v in [1usize, 2, 4] {
-            if cfg.pp * v > gpt.n_layers || !plan.n_microbatches.is_multiple_of(cfg.pp as u64) {
+        for schedule in [
+            PipelineSchedule::OneFOneB,
+            PipelineSchedule::Interleaved { chunks: 2 },
+            PipelineSchedule::Interleaved { chunks: 4 },
+        ] {
+            let v = schedule.chunks();
+            if schedule
+                .check(cfg.pp, plan.n_microbatches, gpt.n_layers)
+                .is_err()
+            {
                 println!("{v:<6} {:>12}", "(invalid)");
                 continue;
             }
-            let options = TrainingOptions::new().with_interleaving(v);
+            let options = TrainingOptions::new().with_schedule(schedule);
             let runner = ClusterRun::new(&cluster, &gpt).with_options(options);
             let mem = runner.peak_memory(cfg, plan).peak_bytes;
             let fits = mem <= cluster.gpu().memory_bytes;

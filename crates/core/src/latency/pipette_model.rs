@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn interleaved_estimate_tracks_interleaved_simulation() {
-        use pipette_sim::TrainingOptions;
+        use pipette_sim::PipelineSchedule;
         let cluster = presets::mid_range(4).build(27);
         let gpt = GptConfig::new(16, 2048, 16, 2048, 51200);
         let gpu = cluster.gpu().clone();
@@ -408,7 +408,7 @@ mod tests {
             );
             let est = model.estimate_interleaved(cfg, &mapping, plan, v, &compute);
             let truth = IterationSim::new(cluster.bandwidth(), &gpu, &gpt)
-                .with_options(TrainingOptions::new().with_interleaving(v))
+                .with_schedule(PipelineSchedule::Interleaved { chunks: v })
                 .simulate(cfg, &mapping, plan)
                 .total_seconds;
             let err = (est - truth).abs() / truth;

@@ -56,10 +56,11 @@ fn every_waiver_carries_a_justification() {
     }
 }
 
-/// The PR-10 burn-down dropped the waiver count from 45 to 33. This is
-/// a ratchet: new waivers need either a removed one elsewhere or a
+/// The lint burn-down dropped the waiver count from 45 to 33, and merging
+/// the two pipeline engines into one removed a deadlock-guard waiver. This
+/// is a ratchet: new waivers need either a removed one elsewhere or a
 /// deliberate bump here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 33;
+const WAIVER_CEILING: usize = 32;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

@@ -1,5 +1,6 @@
 //! Error types for the simulator crate.
 
+use crate::schedule::PipelineSchedule;
 use std::error::Error;
 use std::fmt;
 
@@ -17,6 +18,14 @@ pub enum SimError {
     },
     /// The configuration is structurally invalid for this cluster/model.
     InvalidConfig(pipette_model::ModelError),
+    /// The pipeline schedule cannot run this configuration (see
+    /// [`PipelineSchedule::check`]).
+    InvalidSchedule {
+        /// The schedule that was asked for.
+        schedule: PipelineSchedule,
+        /// Which requirement it fails.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -32,6 +41,9 @@ impl fmt::Display for SimError {
                 *limit_bytes as f64 / (1u64 << 30) as f64,
             ),
             SimError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
+            SimError::InvalidSchedule { schedule, reason } => {
+                write!(f, "invalid schedule {schedule:?}: {reason}")
+            }
         }
     }
 }
@@ -40,7 +52,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::InvalidConfig(e) => Some(e),
-            SimError::OutOfMemory { .. } => None,
+            SimError::OutOfMemory { .. } | SimError::InvalidSchedule { .. } => None,
         }
     }
 }

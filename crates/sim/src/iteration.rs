@@ -15,7 +15,7 @@ use crate::mapping::Mapping;
 use crate::options::{ActivationMode, TrainingOptions};
 use crate::schedule::PipelineSchedule;
 use pipette_cluster::{BandwidthMatrix, GpuSpec};
-use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
 use serde::{Deserialize, Serialize};
 
 /// Fixed optimizer-step time appended to every iteration (seconds).
@@ -118,10 +118,17 @@ impl<'a> IterationSim<'a> {
     /// Simulates one training iteration for `cfg` under `mapping` with the
     /// given microbatch plan.
     ///
+    /// The chain runs at virtual-stage granularity: under interleaving the
+    /// model is split into `pp · chunks` chunks, device `d` hosting chunks
+    /// `{c·pp + d}`. Per-virtual-stage durations come from the chunk's
+    /// layer count; hop `s → s+1` crosses devices `s % pp → (s+1) % pp`
+    /// (a wrap-around link at chunk boundaries).
+    ///
     /// # Panics
     ///
-    /// Panics if `mapping` was built for a different configuration or the
-    /// configuration does not match the matrix's GPU count.
+    /// Panics if `mapping` was built for a different configuration, the
+    /// configuration does not match the matrix's GPU count, or the
+    /// schedule cannot run it (see [`PipelineSchedule::check`]).
     pub fn simulate(
         &self,
         cfg: ParallelConfig,
@@ -138,37 +145,35 @@ impl<'a> IterationSim<'a> {
             self.matrix.topology().num_gpus(),
             "configuration does not cover the cluster"
         );
-        if self.options.virtual_stages > 1 {
-            debug_assert_eq!(
-                self.options.schedule,
-                PipelineSchedule::OneFOneB,
-                "interleaving requires the 1F1B schedule"
-            );
-            return self.simulate_interleaved(cfg, mapping, plan);
-        }
+        let schedule = self.options.schedule;
+        debug_assert_eq!(
+            schedule.check(cfg.pp, plan.n_microbatches, self.gpt.n_layers),
+            Ok(())
+        );
         let mut comm = CommModel::new(self.matrix);
         if self.options.nic_contention {
             comm = comm.with_inter_flows(cfg.tp);
         }
         let pp = cfg.pp;
+        let stages = pp * schedule.chunks();
         let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
         let tp_bytes = messages::tp_allreduce_bytes(self.gpt, plan.micro_batch);
+        let fwd_compute =
+            |s| stage_fwd_time_s(self.gpt, self.gpu, stages, cfg.tp, s, plan.micro_batch);
 
         let mut chain_results: Vec<ChainResult> = Vec::with_capacity(cfg.dp);
         for z in 0..cfg.dp {
-            let mut fwd_time = Vec::with_capacity(pp);
-            let mut bwd_time = Vec::with_capacity(pp);
-            for s in 0..pp {
-                let group = mapping.tensor_group(s, z);
-                let layers = self.gpt.layers_of_stage(pp, s) as f64;
+            let mut fwd_time = Vec::with_capacity(stages);
+            let mut bwd_time = Vec::with_capacity(stages);
+            for s in 0..stages {
+                let group = mapping.tensor_group(s % pp, z);
+                let layers = self.gpt.layers_of_stage(stages, s) as f64;
                 // Two all-reduces per layer in each direction.
                 let ar = comm.ring_allreduce(&group, tp_bytes);
-                fwd_time.push(
-                    stage_fwd_time_s(self.gpt, self.gpu, pp, cfg.tp, s, plan.micro_batch)
-                        + 2.0 * layers * ar,
-                );
-                let mut bwd = stage_bwd_time_s(self.gpt, self.gpu, pp, cfg.tp, s, plan.micro_batch)
-                    + 2.0 * layers * ar;
+                fwd_time.push(fwd_compute(s) + 2.0 * layers * ar);
+                let mut bwd =
+                    stage_bwd_time_s(self.gpt, self.gpu, stages, cfg.tp, s, plan.micro_batch)
+                        + 2.0 * layers * ar;
                 match self.options.activation {
                     ActivationMode::Full => {}
                     ActivationMode::Selective => {
@@ -177,31 +182,31 @@ impl<'a> IterationSim<'a> {
                         let h = self.gpt.hidden as f64;
                         let seq = self.gpt.seq_len as f64;
                         let attn_share = 4.0 * seq * h / (24.0 * h * h + 4.0 * seq * h);
-                        bwd += attn_share
-                            * stage_fwd_time_s(self.gpt, self.gpu, pp, cfg.tp, s, plan.micro_batch);
+                        bwd += attn_share * fwd_compute(s);
                     }
                     ActivationMode::FullRecompute => {
                         // Replay the forward before the backward.
-                        bwd +=
-                            stage_fwd_time_s(self.gpt, self.gpu, pp, cfg.tp, s, plan.micro_batch)
-                                + 2.0 * layers * ar;
+                        bwd += fwd_compute(s) + 2.0 * layers * ar;
                     }
                 }
                 bwd_time.push(bwd);
             }
-            let mut fwd_comm = Vec::with_capacity(pp.saturating_sub(1));
-            let mut bwd_comm = Vec::with_capacity(pp.saturating_sub(1));
-            for s in 0..pp.saturating_sub(1) {
+            let mut fwd_comm = Vec::with_capacity(stages.saturating_sub(1));
+            let mut bwd_comm = Vec::with_capacity(stages.saturating_sub(1));
+            for s in 0..stages.saturating_sub(1) {
+                let (da, db) = (s % pp, (s + 1) % pp);
                 let mut down: f64 = 0.0;
                 let mut up: f64 = 0.0;
-                for y in 0..cfg.tp {
-                    let a = mapping.gpu_of(pipette_model::WorkerId {
-                        stage: s,
+                // With one device, consecutive chunks share it: no hop.
+                let ranks = if da == db { 0 } else { cfg.tp };
+                for y in 0..ranks {
+                    let a = mapping.gpu_of(WorkerId {
+                        stage: da,
                         tensor: y,
                         data: z,
                     });
-                    let b = mapping.gpu_of(pipette_model::WorkerId {
-                        stage: s + 1,
+                    let b = mapping.gpu_of(WorkerId {
+                        stage: db,
                         tensor: y,
                         data: z,
                     });
@@ -214,7 +219,7 @@ impl<'a> IterationSim<'a> {
             let spec = ChainSpec {
                 pp,
                 n_mb: plan.n_microbatches,
-                schedule: self.options.schedule,
+                schedule,
                 fwd_time,
                 bwd_time,
                 fwd_comm,
@@ -223,14 +228,17 @@ impl<'a> IterationSim<'a> {
             chain_results.push(spec.simulate());
         }
 
-        // Data-parallel all-reduce per stage, gated on the slowest replica.
+        // Data-parallel all-reduce per device, gated on the slowest
+        // replica: every chunk's gradients sync together.
         let mut stage_dp = Vec::with_capacity(pp);
         let mut total: f64 = 0.0;
-        for s in 0..pp {
-            let bytes = messages::dp_gradient_bytes(self.gpt, pp, cfg.tp, s);
+        for d in 0..pp {
+            let bytes: u64 = (0..schedule.chunks())
+                .map(|c| messages::dp_gradient_bytes(self.gpt, stages, cfg.tp, c * pp + d))
+                .sum();
             let mut dp_time: f64 = 0.0;
             for y in 0..cfg.tp {
-                let group = mapping.data_group(s, y);
+                let group = mapping.data_group(d, y);
                 dp_time = dp_time.max(comm.hierarchical_allreduce(&group, bytes));
             }
             if self.options.zero1 {
@@ -240,7 +248,7 @@ impl<'a> IterationSim<'a> {
             }
             let start = chain_results
                 .iter()
-                .map(|c| c.stage_finish[s])
+                .map(|c| c.stage_finish[d])
                 .fold(0.0, f64::max);
             total = total.max(start + dp_time);
             stage_dp.push(dp_time);
@@ -251,170 +259,6 @@ impl<'a> IterationSim<'a> {
             .iter()
             .max_by(|a, b| a.makespan.total_cmp(&b.makespan))
             .map(|slowest| slowest.stage_busy.iter().cloned().fold(0.0, f64::max))
-            .unwrap_or(0.0);
-
-        IterationReport {
-            total_seconds: total + OPTIMIZER_STEP_S,
-            pipeline_seconds,
-            dp_exposed_seconds: total - pipeline_seconds,
-            stage_dp_seconds: stage_dp,
-            chain_makespans: chain_results.iter().map(|c| c.makespan).collect(),
-            critical_busy_seconds: critical_busy,
-        }
-    }
-
-    /// Interleaved 1F1B: the model is split into `pp · v` chunks, device
-    /// `d` hosting chunks `{c·pp + d}`. Per-virtual-stage durations come
-    /// from the chunk's layer count; hop `s → s+1` crosses devices
-    /// `s % pp → (s+1) % pp` (a wrap-around link at chunk boundaries).
-    fn simulate_interleaved(
-        &self,
-        cfg: ParallelConfig,
-        mapping: &Mapping,
-        plan: MicrobatchPlan,
-    ) -> IterationReport {
-        use crate::interleaved::{VirtualChainResult, VirtualChainSpec};
-        let v = self.options.virtual_stages;
-        let pp = cfg.pp;
-        let s_total = pp * v;
-        debug_assert!(
-            s_total <= self.gpt.n_layers,
-            "pp * virtual_stages must not exceed the layer count"
-        );
-        debug_assert!(
-            plan.n_microbatches.is_multiple_of(pp as u64),
-            "interleaved 1F1B requires pp | n_mb"
-        );
-        let mut comm = CommModel::new(self.matrix);
-        if self.options.nic_contention {
-            comm = comm.with_inter_flows(cfg.tp);
-        }
-        let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
-        let tp_bytes = messages::tp_allreduce_bytes(self.gpt, plan.micro_batch);
-
-        let mut chain_results: Vec<VirtualChainResult> = Vec::with_capacity(cfg.dp);
-        for z in 0..cfg.dp {
-            let mut fwd_time = Vec::with_capacity(s_total);
-            let mut bwd_time = Vec::with_capacity(s_total);
-            for s in 0..s_total {
-                let device = s % pp;
-                let group = mapping.tensor_group(device, z);
-                let layers = self.gpt.layers_of_stage(s_total, s) as f64;
-                let ar = comm.ring_allreduce(&group, tp_bytes);
-                let fwd = crate::compute::stage_fwd_time_s(
-                    self.gpt,
-                    self.gpu,
-                    s_total,
-                    cfg.tp,
-                    s,
-                    plan.micro_batch,
-                ) + 2.0 * layers * ar;
-                let mut bwd = crate::compute::stage_bwd_time_s(
-                    self.gpt,
-                    self.gpu,
-                    s_total,
-                    cfg.tp,
-                    s,
-                    plan.micro_batch,
-                ) + 2.0 * layers * ar;
-                match self.options.activation {
-                    ActivationMode::Full => {}
-                    ActivationMode::Selective => {
-                        let h = self.gpt.hidden as f64;
-                        let seq = self.gpt.seq_len as f64;
-                        let attn_share = 4.0 * seq * h / (24.0 * h * h + 4.0 * seq * h);
-                        bwd += attn_share
-                            * crate::compute::stage_fwd_time_s(
-                                self.gpt,
-                                self.gpu,
-                                s_total,
-                                cfg.tp,
-                                s,
-                                plan.micro_batch,
-                            );
-                    }
-                    ActivationMode::FullRecompute => {
-                        bwd += crate::compute::stage_fwd_time_s(
-                            self.gpt,
-                            self.gpu,
-                            s_total,
-                            cfg.tp,
-                            s,
-                            plan.micro_batch,
-                        ) + 2.0 * layers * ar;
-                    }
-                }
-                fwd_time.push(fwd);
-                bwd_time.push(bwd);
-            }
-            let mut fwd_comm = Vec::with_capacity(s_total - 1);
-            let mut bwd_comm = Vec::with_capacity(s_total - 1);
-            for s in 0..(s_total - 1) {
-                let (da, db) = (s % pp, (s + 1) % pp);
-                if da == db {
-                    fwd_comm.push(0.0);
-                    bwd_comm.push(0.0);
-                    continue;
-                }
-                let mut down: f64 = 0.0;
-                let mut up: f64 = 0.0;
-                for y in 0..cfg.tp {
-                    let a = mapping.gpu_of(pipette_model::WorkerId {
-                        stage: da,
-                        tensor: y,
-                        data: z,
-                    });
-                    let b = mapping.gpu_of(pipette_model::WorkerId {
-                        stage: db,
-                        tensor: y,
-                        data: z,
-                    });
-                    down = down.max(comm.p2p(a, b, msg_pp));
-                    up = up.max(comm.p2p(b, a, msg_pp));
-                }
-                fwd_comm.push(down);
-                bwd_comm.push(up);
-            }
-            let spec = VirtualChainSpec {
-                pp,
-                chunks: v,
-                n_mb: plan.n_microbatches,
-                fwd_time,
-                bwd_time,
-                fwd_comm,
-                bwd_comm,
-            };
-            chain_results.push(spec.simulate());
-        }
-
-        // DP all-reduce per device: every chunk's gradients sync together.
-        let mut stage_dp = Vec::with_capacity(pp);
-        let mut total: f64 = 0.0;
-        for d in 0..pp {
-            let bytes: u64 = (0..v)
-                .map(|c| messages::dp_gradient_bytes(self.gpt, s_total, cfg.tp, c * pp + d))
-                .sum();
-            let mut dp_time: f64 = 0.0;
-            for y in 0..cfg.tp {
-                let group = mapping.data_group(d, y);
-                dp_time = dp_time.max(comm.hierarchical_allreduce(&group, bytes));
-            }
-            if self.options.zero1 {
-                dp_time *= 0.75;
-            }
-            let start = chain_results
-                .iter()
-                .map(|c| c.device_finish[d])
-                .fold(0.0, f64::max);
-            total = total.max(start + dp_time);
-            stage_dp.push(dp_time);
-        }
-
-        let pipeline_seconds = chain_results.iter().map(|c| c.makespan).fold(0.0, f64::max);
-        let critical_busy = chain_results
-            .iter()
-            .max_by(|a, b| a.makespan.total_cmp(&b.makespan))
-            .map(|slowest| slowest.device_busy.iter().cloned().fold(0.0, f64::max))
             .unwrap_or(0.0);
 
         IterationReport {
@@ -564,7 +408,6 @@ mod tests {
 
     #[test]
     fn interleaving_beats_plain_in_bubble_dominated_regimes() {
-        use crate::options::TrainingOptions;
         let (cluster, gpt) = small_setup();
         // Deep pipeline, few microbatches: bubble-dominated.
         let cfg = ParallelConfig::new(4, 4, 1);
@@ -575,7 +418,7 @@ mod tests {
             .simulate(cfg, &mapping, plan)
             .total_seconds;
         let inter = IterationSim::new(cluster.bandwidth(), &gpu, &gpt)
-            .with_options(TrainingOptions::new().with_interleaving(2))
+            .with_schedule(PipelineSchedule::Interleaved { chunks: 2 })
             .simulate(cfg, &mapping, plan)
             .total_seconds;
         assert!(
@@ -586,7 +429,6 @@ mod tests {
 
     #[test]
     fn interleaving_costs_communication_in_steady_state() {
-        use crate::options::TrainingOptions;
         let (cluster, gpt) = small_setup();
         // Many microbatches: the bubble is amortized, the extra hops are not.
         let cfg = ParallelConfig::new(2, 8, 1);
@@ -597,7 +439,7 @@ mod tests {
             .simulate(cfg, &mapping, plan)
             .total_seconds;
         let inter = IterationSim::new(cluster.bandwidth(), &gpu, &gpt)
-            .with_options(TrainingOptions::new().with_interleaving(4))
+            .with_schedule(PipelineSchedule::Interleaved { chunks: 4 })
             .simulate(cfg, &mapping, plan)
             .total_seconds;
         // Total compute is identical; interleaving must not be wildly
@@ -608,14 +450,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "pp | n_mb")]
     fn interleaving_rejects_indivisible_microbatches() {
-        use crate::options::TrainingOptions;
         let (cluster, gpt) = small_setup();
         let cfg = ParallelConfig::new(4, 4, 1);
         let mapping = Mapping::identity(cfg, *cluster.topology());
         let plan = MicrobatchPlan::new(6, 1).unwrap();
         let gpu = cluster.gpu().clone();
         IterationSim::new(cluster.bandwidth(), &gpu, &gpt)
-            .with_options(TrainingOptions::new().with_interleaving(2))
+            .with_schedule(PipelineSchedule::Interleaved { chunks: 2 })
             .simulate(cfg, &mapping, plan);
     }
 

@@ -6,8 +6,9 @@
 //!
 //! * per-link point-to-point and ring/hierarchical all-reduce models
 //!   ([`comm`]) over the heterogeneous bandwidth matrix,
-//! * the memory-efficient 1F1B and the GPipe pipeline schedules
-//!   ([`schedule`]) evaluated as task dependency graphs ([`engine`]),
+//! * the GPipe, memory-efficient 1F1B and interleaved 1F1B pipeline
+//!   schedules, each a table of per-device work items ([`schedule`]),
+//!   evaluated as one task dependency graph ([`engine`]),
 //! * per-stage compute times from FLOP counts ([`compute`]),
 //! * a peak-memory model including the framework overheads that analytic
 //!   estimators miss ([`memsim`]), and
@@ -45,7 +46,6 @@ pub mod comm;
 pub mod compute;
 pub mod engine;
 pub mod error;
-pub mod interleaved;
 pub mod iteration;
 pub mod mapping;
 pub mod memsim;

@@ -112,23 +112,19 @@ impl MemorySim {
         plan: MicrobatchPlan,
         stage: usize,
     ) -> MemoryBreakdown {
-        let vs = self.options.virtual_stages;
-        let model_state = if vs > 1 {
-            (0..vs)
-                .map(|c| {
-                    let s = c * cfg.pp + stage;
-                    if self.options.zero1 {
-                        memory::model_state_bytes_zero1(gpt, cfg.pp * vs, cfg.tp, cfg.dp, s)
-                    } else {
-                        memory::model_state_bytes(gpt, cfg.pp * vs, cfg.tp, s)
-                    }
-                })
-                .sum()
-        } else if self.options.zero1 {
-            memory::model_state_bytes_zero1(gpt, cfg.pp, cfg.tp, cfg.dp, stage)
-        } else {
-            memory::model_state_bytes(gpt, cfg.pp, cfg.tp, stage)
-        };
+        // Device `stage` hosts virtual stages {c·pp + stage}, one per chunk.
+        let chunks = self.options.schedule.chunks();
+        let stages = cfg.pp * chunks;
+        let virtual_stage = |c: usize| c * cfg.pp + stage;
+        let model_state = (0..chunks)
+            .map(|c| {
+                if self.options.zero1 {
+                    memory::model_state_bytes_zero1(gpt, stages, cfg.tp, cfg.dp, virtual_stage(c))
+                } else {
+                    memory::model_state_bytes(gpt, stages, cfg.tp, virtual_stage(c))
+                }
+            })
+            .sum::<u64>();
         let per_layer_stored = match self.options.activation {
             ActivationMode::Full => {
                 memory::activation_bytes_per_layer(gpt, plan.micro_batch, cfg.tp)
@@ -147,32 +143,16 @@ impl MemorySim {
                 memory::activation_bytes_per_layer(gpt, plan.micro_batch, cfg.tp)
             }
         };
-        let v = self.options.virtual_stages;
-        let activations = if v > 1 {
-            // Interleaved 1F1B: device `stage` hosts chunks {c·pp + stage};
-            // scan the actual device order for the peak in-flight load.
-            let weights: Vec<u64> = (0..v)
-                .map(|c| {
-                    gpt.layers_of_stage(cfg.pp * v, c * cfg.pp + stage) as u64 * per_layer_stored
-                })
-                .collect();
-            crate::interleaved::peak_inflight_weighted(
-                cfg.pp,
-                v,
-                stage,
-                plan.n_microbatches,
-                &weights,
-            ) + recompute_transient
-        } else {
-            let inflight = match self.options.schedule {
-                PipelineSchedule::OneFOneB => {
-                    memory::one_f_one_b_inflight(cfg.pp, stage, plan.n_microbatches)
-                }
-                PipelineSchedule::GPipe => plan.n_microbatches.max(1),
-            };
-            let layers = gpt.layers_of_stage(cfg.pp, stage) as u64;
-            layers * per_layer_stored * inflight + recompute_transient
-        };
+        // Scan the schedule table for the peak in-flight activation load,
+        // each chunk weighing its stored layers.
+        let weights: Vec<u64> = (0..chunks)
+            .map(|c| gpt.layers_of_stage(stages, virtual_stage(c)) as u64 * per_layer_stored)
+            .collect();
+        let activations =
+            self.options
+                .schedule
+                .inflight_peak(cfg.pp, stage, plan.n_microbatches, &weights)
+                + recompute_transient;
         let communicators =
             u64::from(cfg.tp > 1) + u64::from(cfg.dp > 1) + 2 * u64::from(cfg.pp > 1);
         // Transient workspace for the largest matmul (the 4h MLP
@@ -364,13 +344,12 @@ mod tests {
 
     #[test]
     fn interleaving_raises_activation_pressure_on_early_devices() {
-        use crate::options::TrainingOptions;
         let g = GptConfig::gpt_3_1b();
         let cfg = ParallelConfig::new(4, 8, 4);
         let p = plan(32, 1);
         let plain = MemorySim::new(1).report(&g, cfg, p);
         let inter = MemorySim::new(1)
-            .with_options(TrainingOptions::new().with_interleaving(2))
+            .with_schedule(PipelineSchedule::Interleaved { chunks: 2 })
             .report(&g, cfg, p);
         assert_eq!(inter.per_stage.len(), 4);
         // Device 0 warms up with more in-flight chunks under interleaving.

@@ -19,9 +19,9 @@ pub enum ActivationMode {
 }
 
 /// The feature set a training job runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct TrainingOptions {
-    /// Pipeline schedule family.
+    /// Pipeline schedule (GPipe, 1F1B, or interleaved 1F1B).
     pub schedule: PipelineSchedule,
     /// Activation storage policy.
     pub activation: ActivationMode,
@@ -29,25 +29,10 @@ pub struct TrainingOptions {
     /// across the data-parallel group (gradient sync becomes
     /// reduce-scatter + all-gather, slightly cheaper than an all-reduce).
     pub zero1: bool,
-    /// Virtual pipeline stages per device (interleaved 1F1B when > 1).
-    /// Requires the 1F1B schedule and `pp | n_mb`.
-    pub virtual_stages: usize,
     /// Model NIC sharing: the `tp` concurrent communicators of a node
     /// divide its inter-node bandwidth. Off by default (the estimator does
     /// not model it — enabling this is a robustness ablation).
     pub nic_contention: bool,
-}
-
-impl Default for TrainingOptions {
-    fn default() -> Self {
-        Self {
-            schedule: PipelineSchedule::OneFOneB,
-            activation: ActivationMode::Full,
-            zero1: false,
-            virtual_stages: 1,
-            nic_contention: false,
-        }
-    }
 }
 
 impl TrainingOptions {
@@ -80,18 +65,6 @@ impl TrainingOptions {
         self.nic_contention = on;
         self
     }
-
-    /// Sets the number of virtual pipeline stages per device
-    /// (interleaved 1F1B when `v > 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v == 0`.
-    pub fn with_interleaving(mut self, v: usize) -> Self {
-        debug_assert!(v >= 1, "need at least one virtual stage");
-        self.virtual_stages = v;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +77,7 @@ mod tests {
         assert_eq!(o.schedule, PipelineSchedule::OneFOneB);
         assert_eq!(o.activation, ActivationMode::Full);
         assert!(!o.zero1);
-        assert_eq!(o.virtual_stages, 1);
+        assert!(!o.nic_contention);
     }
 
     #[test]
@@ -113,10 +86,10 @@ mod tests {
             .with_schedule(PipelineSchedule::GPipe)
             .with_activation(ActivationMode::Selective)
             .with_zero1(true)
-            .with_interleaving(2);
+            .with_nic_contention(true);
         assert_eq!(o.schedule, PipelineSchedule::GPipe);
         assert_eq!(o.activation, ActivationMode::Selective);
         assert!(o.zero1);
-        assert_eq!(o.virtual_stages, 2);
+        assert!(o.nic_contention);
     }
 }

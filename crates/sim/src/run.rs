@@ -96,7 +96,8 @@ impl<'a> ClusterRun<'a> {
     ///
     /// [`SimError::OutOfMemory`] if the worst GPU exceeds its memory;
     /// [`SimError::InvalidConfig`] if the configuration does not match the
-    /// cluster or model.
+    /// cluster or model; [`SimError::InvalidSchedule`] if the schedule
+    /// cannot run it.
     pub fn execute(
         &self,
         cfg: ParallelConfig,
@@ -108,6 +109,9 @@ impl<'a> ClusterRun<'a> {
             self.cluster.topology().gpus_per_node(),
             self.gpt.n_layers,
         )?;
+        self.options
+            .schedule
+            .check(cfg.pp, plan.n_microbatches, self.gpt.n_layers)?;
         let memory = self.memsim.report(self.gpt, cfg, plan);
         let limit = self.cluster.gpu().memory_bytes;
         if memory.peak_bytes > limit {
@@ -172,6 +176,35 @@ mod tests {
             run.execute(cfg, &mapping, MicrobatchPlan::new(16, 1).unwrap()),
             Err(SimError::InvalidConfig(_))
         ));
+    }
+
+    /// Runs interleaved 1F1B with `chunks` per device over 8 layers at
+    /// pp = 4 and returns the schedule error's reason.
+    fn interleaving_error(chunks: usize, n_mb: u64) -> &'static str {
+        let cluster = presets::mid_range(2).build(1);
+        let gpt = GptConfig::new(8, 1024, 16, 2048, 51200);
+        let cfg = ParallelConfig::new(4, 4, 1);
+        let mapping = Mapping::identity(cfg, *cluster.topology());
+        let options = crate::TrainingOptions::new()
+            .with_schedule(crate::PipelineSchedule::Interleaved { chunks });
+        let result = ClusterRun::new(&cluster, &gpt)
+            .with_options(options)
+            .execute(cfg, &mapping, MicrobatchPlan::new(n_mb, 1).unwrap());
+        match result {
+            Err(SimError::InvalidSchedule { reason, .. }) => reason,
+            other => panic!("expected a schedule error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn interleaving_with_indivisible_microbatches_is_a_typed_error() {
+        assert!(interleaving_error(2, 6).contains("pp | n_mb"));
+    }
+
+    #[test]
+    fn interleaving_with_more_chunks_than_layers_is_a_typed_error() {
+        // 4 chunks on each of 4 devices would need 16 layers.
+        assert!(interleaving_error(4, 8).contains("layer count"));
     }
 
     #[test]

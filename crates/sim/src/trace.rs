@@ -13,6 +13,8 @@ use std::fmt::Write as _;
 pub struct TaskEvent {
     /// Pipeline stage (device) the task ran on.
     pub stage: usize,
+    /// Model chunk of that device (always 0 without interleaving).
+    pub chunk: usize,
     /// The task (pass + microbatch).
     pub task: Task,
     /// Start time, seconds.
@@ -150,31 +152,42 @@ mod tests {
     use crate::engine::ChainSpec;
     use crate::schedule::PipelineSchedule;
 
-    fn traced() -> (crate::engine::ChainResult, Vec<TaskEvent>) {
+    fn spec(schedule: PipelineSchedule) -> ChainSpec {
+        let stages = 3 * schedule.chunks();
         ChainSpec {
             pp: 3,
             n_mb: 6,
-            schedule: PipelineSchedule::OneFOneB,
-            fwd_time: vec![1.0; 3],
-            bwd_time: vec![2.0; 3],
-            fwd_comm: vec![0.1; 2],
-            bwd_comm: vec![0.1; 2],
+            schedule,
+            fwd_time: vec![1.0; stages],
+            bwd_time: vec![2.0; stages],
+            fwd_comm: vec![0.1; stages - 1],
+            bwd_comm: vec![0.1; stages - 1],
         }
-        .trace()
+    }
+
+    fn traced() -> (crate::engine::ChainResult, Vec<TaskEvent>) {
+        spec(PipelineSchedule::OneFOneB).trace()
     }
 
     #[test]
     fn trace_is_consistent_with_simulate() {
-        let (result, events) = traced();
-        assert_eq!(events.len(), 3 * 2 * 6);
-        let max_finish = events.iter().map(|e| e.finish).fold(0.0, f64::max);
-        assert!((max_finish - result.makespan).abs() < 1e-12);
-        // Tasks on one stage never overlap.
-        for s in 0..3 {
-            let mut mine: Vec<_> = events.iter().filter(|e| e.stage == s).collect();
-            mine.sort_by(|a, b| a.start.total_cmp(&b.start));
-            for w in mine.windows(2) {
-                assert!(w[1].start >= w[0].finish - 1e-12);
+        for schedule in [
+            PipelineSchedule::OneFOneB,
+            PipelineSchedule::Interleaved { chunks: 2 },
+        ] {
+            let spec = spec(schedule);
+            let (result, events) = spec.trace();
+            assert_eq!(result, spec.simulate());
+            assert_eq!(events.len(), 3 * 2 * 6 * schedule.chunks());
+            let max_finish = events.iter().map(|e| e.finish).fold(0.0, f64::max);
+            assert!((max_finish - result.makespan).abs() < 1e-12);
+            // Tasks on one stage never overlap.
+            for s in 0..3 {
+                let mut mine: Vec<_> = events.iter().filter(|e| e.stage == s).collect();
+                mine.sort_by(|a, b| a.start.total_cmp(&b.start));
+                for w in mine.windows(2) {
+                    assert!(w[1].start >= w[0].finish - 1e-12);
+                }
             }
         }
     }
@@ -208,6 +221,7 @@ mod tests {
     fn gantt_survives_a_zero_makespan_trace() {
         let events = [TaskEvent {
             stage: 0,
+            chunk: 0,
             task: Task {
                 kind: TaskKind::Forward,
                 microbatch: 0,

@@ -65,7 +65,9 @@ fn option_grid(pp: usize, n_mb: u64, layers: usize) -> Vec<TrainingOptions> {
     ];
     for v in [2usize, 4] {
         if pp * v <= layers && n_mb.is_multiple_of(pp as u64) {
-            schedules.push(TrainingOptions::new().with_interleaving(v));
+            schedules.push(
+                TrainingOptions::new().with_schedule(PipelineSchedule::Interleaved { chunks: v }),
+            );
         }
     }
     let mut grid = Vec::new();

@@ -4,7 +4,6 @@
 use pipette_cluster::presets;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::engine::ChainSpec;
-use pipette_sim::interleaved::{device_order, VirtualChainSpec};
 use pipette_sim::schedule::TaskKind;
 use pipette_sim::trace::idle_fractions;
 use pipette_sim::{
@@ -82,10 +81,10 @@ fn interleaved_chain_agrees_with_plain_engine_at_v_boundary() {
         bwd_comm: vec![0.0; pp - 1],
     }
     .simulate();
-    let inter = VirtualChainSpec {
+    let inter = ChainSpec {
         pp,
-        chunks: 2,
         n_mb,
+        schedule: PipelineSchedule::Interleaved { chunks: 2 },
         fwd_time: vec![0.5; pp * 2],
         bwd_time: vec![1.0; pp * 2],
         fwd_comm: vec![0.0; pp * 2 - 1],
@@ -93,7 +92,7 @@ fn interleaved_chain_agrees_with_plain_engine_at_v_boundary() {
     }
     .simulate();
     for d in 0..pp {
-        assert!((plain.stage_busy[d] - inter.device_busy[d]).abs() < 1e-9);
+        assert!((plain.stage_busy[d] - inter.stage_busy[d]).abs() < 1e-9);
     }
     // Comm-free, the interleaved fill is shorter.
     assert!(inter.makespan <= plain.makespan + 1e-9);
@@ -104,7 +103,7 @@ fn interleaved_order_interleaves_chunks_in_steady_state() {
     // After warm-up, consecutive forwards on a device rotate through
     // chunks in groups of pp microbatches.
     let (pp, v, n_mb) = (2usize, 2usize, 8u64);
-    let order = device_order(pp, v, 0, n_mb);
+    let order = PipelineSchedule::Interleaved { chunks: v }.device_order(pp, 0, n_mb);
     let fwd_chunks: Vec<usize> = order
         .iter()
         .filter(|t| t.task.kind == TaskKind::Forward)
@@ -127,7 +126,7 @@ fn feature_combinations_compose() {
     let everything = TrainingOptions::new()
         .with_activation(ActivationMode::Selective)
         .with_zero1(true)
-        .with_interleaving(2);
+        .with_schedule(PipelineSchedule::Interleaved { chunks: 2 });
 
     let base_run = ClusterRun::new(&cluster, &gpt);
     let combo_run = ClusterRun::new(&cluster, &gpt).with_options(everything);

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         (
             "1F1B + interleave v=2",
-            TrainingOptions::new().with_interleaving(2),
+            TrainingOptions::new().with_schedule(PipelineSchedule::Interleaved { chunks: 2 }),
         ),
         (
             "1F1B + selective recompute",
