@@ -374,6 +374,23 @@ mod tests {
         }
 
         #[test]
+        fn interleaved_makespan_respects_bounds(
+            pp in 2usize..6,
+            v in 2usize..4,
+            groups in 1u64..4,
+            c in 0.1f64..1.0,
+            d in 0.0f64..0.3,
+        ) {
+            let n_mb = pp as u64 * groups;
+            let r = uniform_spec(pp, n_mb, c, d, interleaved(v)).simulate();
+            let busy = n_mb as f64 * v as f64 * 3.0 * c;
+            let s = (pp * v) as f64;
+            let serial = s * busy + 2.0 * n_mb as f64 * (s - 1.0) * d;
+            prop_assert!(r.makespan >= busy - 1e-9);
+            prop_assert!(r.makespan <= serial + 1e-9);
+        }
+
+        #[test]
         fn comm_only_slows_things_down(
             pp in 2usize..6,
             n_mb in 1u64..16,

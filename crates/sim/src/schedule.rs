@@ -281,6 +281,27 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_device_order_covers_every_chunk_microbatch_once() {
+        for (pp, v, n_mb) in [(2usize, 2usize, 4u64), (4, 2, 8), (4, 3, 12), (8, 2, 16)] {
+            let schedule = PipelineSchedule::Interleaved { chunks: v };
+            for d in 0..pp {
+                let order = schedule.device_order(pp, d, n_mb);
+                assert_eq!(order.len() as u64, 2 * n_mb * v as u64);
+                let mut fwd = vec![vec![0u32; n_mb as usize]; v];
+                let mut bwd = vec![vec![0u32; n_mb as usize]; v];
+                for item in &order {
+                    match item.task.kind {
+                        TaskKind::Forward => fwd[item.chunk][item.task.microbatch as usize] += 1,
+                        TaskKind::Backward => bwd[item.chunk][item.task.microbatch as usize] += 1,
+                    }
+                }
+                assert!(fwd.iter().flatten().all(|&c| c == 1), "pp={pp} v={v} d={d}");
+                assert!(bwd.iter().flatten().all(|&c| c == 1));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "multiple of pp")]
     fn indivisible_microbatches_rejected() {
         PipelineSchedule::Interleaved { chunks: 2 }.device_order(4, 0, 6);
