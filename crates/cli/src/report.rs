@@ -7,6 +7,7 @@ use pipette::degraded::{run_under_faults, DegradedOutcome};
 use pipette::mapping::AnnealerConfig;
 use pipette::memory::CacheCounters;
 use pipette_cluster::{FaultPlan, RobustProfilingPolicy};
+use pipette_obs::json::Obj;
 use pipette_obs::{EventKind, Trace};
 use pipette_sim::ClusterRun;
 use serde::{Deserialize, Serialize};
@@ -154,6 +155,75 @@ pub struct DrillReport {
     /// responses mid-timeline.
     #[serde(default)]
     pub degraded_requests: u64,
+}
+
+/// Renders a [`CliReport`] as one deterministic JSON object — the
+/// `result` payload of serve responses and the `recommendation` member
+/// of the drill report.
+pub fn cli_report_json(rec: &CliReport) -> String {
+    let mut rec_json = String::new();
+    let mut o = Obj::open(&mut rec_json);
+    o.uint("pp", rec.pp as u64);
+    o.uint("tp", rec.tp as u64);
+    o.uint("dp", rec.dp as u64);
+    o.uint("micro_batch", rec.micro_batch);
+    o.uint("n_microbatches", rec.n_microbatches);
+    o.float("estimated_seconds", rec.estimated_seconds);
+    o.float("measured_seconds", rec.measured_seconds);
+    o.float("peak_memory_gib", rec.peak_memory_gib);
+    o.uint("examined", rec.examined as u64);
+    o.uint("memory_rejected", rec.memory_rejected as u64);
+    o.raw("mapping", &uint_array(&rec.mapping));
+    o.uint("replicas", rec.replicas as u64);
+    match &rec.estimator_cache {
+        Some(c) => {
+            let mut cache = String::new();
+            let mut co = Obj::open(&mut cache);
+            co.uint("hits", c.hits);
+            co.uint("misses", c.misses);
+            co.uint("corrupt", c.corrupt);
+            co.close();
+            o.raw("estimator_cache", &cache);
+        }
+        None => o.raw("estimator_cache", "null"),
+    }
+    o.close();
+    rec_json
+}
+
+/// Renders a [`DrillReport`] as one deterministic JSON line — the
+/// machine-readable `pipette drill --json` output CI parses.
+pub fn drill_report_json(report: &DrillReport) -> String {
+    let mut out = String::new();
+    let mut o = Obj::open(&mut out);
+    o.raw("recommendation", &cli_report_json(&report.recommendation));
+    o.uint("healthy_gpus", report.healthy_gpus as u64);
+    o.uint("surviving_gpus", report.surviving_gpus as u64);
+    o.raw("excluded_gpus", &uint_array(&report.excluded_gpus));
+    o.uint("profiler_retries", report.profiler_retries as u64);
+    o.uint("imputed_pairs", report.imputed_pairs as u64);
+    o.uint("corrupt_samples", report.corrupt_samples as u64);
+    o.boolean("analytic_memory_fallback", report.analytic_memory_fallback);
+    match report.slowdown_factor {
+        Some(f) => o.float("slowdown_factor", f),
+        None => o.raw("slowdown_factor", "null"),
+    }
+    o.uint("degraded_requests", report.degraded_requests);
+    o.close();
+    out
+}
+
+/// `[a,b,…]` with no whitespace.
+fn uint_array(items: &[usize]) -> String {
+    let mut out = String::from("[");
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{v}");
+    }
+    out.push(']');
+    out
 }
 
 /// Runs the spec's job under a fault plan: robust profiling, exclusion
@@ -634,5 +704,51 @@ mod tests {
         assert!(json.contains("\"pp\""));
         let back: CliReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.pp, report.pp);
+    }
+
+    #[test]
+    fn drill_report_renders_every_ci_field() {
+        let report = DrillReport {
+            recommendation: CliReport {
+                pp: 2,
+                tp: 2,
+                dp: 3,
+                micro_batch: 4,
+                n_microbatches: 8,
+                estimated_seconds: 1.25,
+                measured_seconds: 1.5,
+                peak_memory_gib: 10.0,
+                examined: 30,
+                memory_rejected: 5,
+                mapping: vec![0, 2, 1],
+                replicas: 1,
+                estimator_cache: None,
+            },
+            healthy_gpus: 16,
+            surviving_gpus: 12,
+            excluded_gpus: vec![3, 7, 11, 15],
+            profiler_retries: 2,
+            imputed_pairs: 4,
+            corrupt_samples: 9,
+            analytic_memory_fallback: true,
+            slowdown_factor: Some(1.4),
+            degraded_requests: 0,
+        };
+        let json = drill_report_json(&report);
+        for needle in [
+            r#""recommendation":{"pp":2,"tp":2,"dp":3"#,
+            r#""mapping":[0,2,1]"#,
+            r#""estimator_cache":null"#,
+            r#""healthy_gpus":16"#,
+            r#""surviving_gpus":12"#,
+            r#""excluded_gpus":[3,7,11,15]"#,
+            r#""analytic_memory_fallback":true"#,
+            r#""slowdown_factor":1.4"#,
+            r#""degraded_requests":0"#,
+        ] {
+            assert!(json.contains(needle), "missing {needle} in {json}");
+        }
+        // The writer's output parses back under the strict scanner.
+        assert!(pipette_obs::json::parse(&json).is_ok());
     }
 }

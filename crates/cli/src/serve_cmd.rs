@@ -25,13 +25,12 @@
 //! shortest-round-trip floats): identical request lines yield
 //! byte-identical responses at any worker count.
 
-use crate::jsonscan::{self, JsonValue};
-use crate::jsonwrite::{self, push_json_string, Obj};
-use crate::report::{self, CliReport};
+use crate::report::{self, cli_report_json, drill_report_json, CliReport};
 use crate::spec::{parse_fault_plan_strict, JobSpec};
 use pipette::memory::{SweepReport, TrainedEstimatorCache};
 use pipette::{ConfigureError, DeadlineReport, Pipette};
 use pipette_cluster::{FaultPlan, ProfiledBandwidth, ProfilingCost};
+use pipette_obs::json::{self, push_json_string, render_value, JsonValue, Obj};
 use pipette_obs::{CostUnit, Trace, TraceConfig};
 use pipette_serve::{
     run_pipe, Control, ExecContext, Execution, ParseOutcome, RequestHandler, ServeSummary,
@@ -196,7 +195,7 @@ impl PipetteHandler {
                     job,
                     ctx,
                     status,
-                    Some(&jsonwrite::cli_report_json(&result)),
+                    Some(&cli_report_json(&result)),
                     rec.deadline.as_ref(),
                     None,
                     Some(&trace),
@@ -241,7 +240,7 @@ impl PipetteHandler {
                     job,
                     ctx,
                     "ok",
-                    Some(&jsonwrite::drill_report_json(&drill)),
+                    Some(&drill_report_json(&drill)),
                     None,
                     None,
                     Some(&trace),
@@ -348,13 +347,13 @@ fn exec_error(job: &ServeJob, ctx: &ExecContext, message: &str) -> Execution {
     }
 }
 
-const ENVELOPE_FIELDS: &str = "id, op, job, faults, deadline_units, trace";
+const ENVELOPE_FIELDS: [&str; 6] = ["id", "op", "job", "faults", "deadline_units", "trace"];
 
 impl RequestHandler for PipetteHandler {
     type Job = ServeJob;
 
     fn parse(&self, line: &str) -> ParseOutcome<ServeJob> {
-        let doc = match jsonscan::parse(line) {
+        let doc = match json::parse(line) {
             Ok(d) => d,
             Err(e) => return ParseOutcome::Error(format!("invalid JSON: {e}")),
         };
@@ -364,12 +363,11 @@ impl RequestHandler for PipetteHandler {
                 doc.type_name()
             ));
         }
-        for key in doc.keys() {
-            if !["id", "op", "job", "faults", "deadline_units", "trace"].contains(&key) {
-                return ParseOutcome::Error(format!(
-                    "unknown field {key:?} (allowed: {ENVELOPE_FIELDS})"
-                ));
-            }
+        if let Some(key) = json::first_unknown_key(&doc, &ENVELOPE_FIELDS) {
+            return ParseOutcome::Error(format!(
+                "unknown field {key:?} (allowed: {})",
+                ENVELOPE_FIELDS.join(", ")
+            ));
         }
         let op = match doc.get("op") {
             Some(JsonValue::String(s)) => s.clone(),
@@ -406,17 +404,15 @@ impl RequestHandler for PipetteHandler {
         let Some(job_doc) = doc.get("job") else {
             return ParseOutcome::Error(format!("op {op:?} requires a \"job\" spec"));
         };
-        let spec = match JobSpec::parse_strict(&jsonwrite::render_value(job_doc)) {
+        let spec = match JobSpec::parse_strict(&render_value(job_doc)) {
             Ok(s) => s,
             Err(e) => return ParseOutcome::Error(format!("job: {e}")),
         };
         let faults = match (kind, doc.get("faults")) {
-            (OpKind::Drill, Some(f)) => {
-                match parse_fault_plan_strict(&jsonwrite::render_value(f)) {
-                    Ok(p) => Some(p),
-                    Err(e) => return ParseOutcome::Error(format!("faults: {e}")),
-                }
-            }
+            (OpKind::Drill, Some(f)) => match parse_fault_plan_strict(&render_value(f)) {
+                Ok(p) => Some(p),
+                Err(e) => return ParseOutcome::Error(format!("faults: {e}")),
+            },
             (OpKind::Drill, None) => {
                 return ParseOutcome::Error("op \"drill\" requires a \"faults\" plan".to_string())
             }
@@ -499,39 +495,20 @@ impl RequestHandler for PipetteHandler {
     }
 }
 
-/// Deep-copies a parsed fault plan document with `drift.day` set to
-/// `day`, leaving everything else byte-identical when re-rendered.
+/// Copies a parsed fault plan document with `drift.day` set to `day`,
+/// leaving everything else byte-identical when re-rendered.
 fn with_drift_day(doc: &JsonValue, day: usize) -> JsonValue {
-    match doc {
-        JsonValue::Object(members) => JsonValue::Object(
-            members
-                .iter()
-                .map(|(k, v)| {
-                    if k == "drift" {
-                        let drift = match v {
-                            JsonValue::Object(fields) => JsonValue::Object(
-                                fields
-                                    .iter()
-                                    .map(|(dk, dv)| {
-                                        if dk == "day" {
-                                            (dk.clone(), JsonValue::Number(day as f64))
-                                        } else {
-                                            (dk.clone(), dv.clone())
-                                        }
-                                    })
-                                    .collect(),
-                            ),
-                            other => other.clone(),
-                        };
-                        (k.clone(), drift)
-                    } else {
-                        (k.clone(), v.clone())
-                    }
-                })
-                .collect(),
-        ),
-        other => other.clone(),
+    let mut doc = doc.clone();
+    if let JsonValue::Object(members) = &mut doc {
+        for (_, drift) in members.iter_mut().filter(|(k, _)| k == "drift") {
+            if let JsonValue::Object(fields) = drift {
+                for (_, value) in fields.iter_mut().filter(|(k, _)| k == "day") {
+                    *value = JsonValue::Number(day as f64);
+                }
+            }
+        }
     }
+    doc
 }
 
 /// `pipette drill --serve`: replays the fault plan's drift timeline
@@ -553,17 +530,17 @@ pub fn run_drill_serve(
     // per-request failure for every day of the timeline.
     JobSpec::parse_strict(spec_text)?;
     let plan = parse_fault_plan_strict(fault_text)?;
-    let job_doc = jsonscan::parse(spec_text)?;
-    let fault_doc = jsonscan::parse(fault_text)?;
-    let job_json = jsonwrite::render_value(&job_doc);
+    let job_doc = json::parse(spec_text)?;
+    let fault_doc = json::parse(fault_text)?;
+    let job_json = render_value(&job_doc);
 
     let days = plan.drift.as_ref().map_or(0, |d| d.day);
     let mut input = String::new();
     for day in 0..=days {
         let faults_json = if plan.drift.is_some() {
-            jsonwrite::render_value(&with_drift_day(&fault_doc, day))
+            render_value(&with_drift_day(&fault_doc, day))
         } else {
-            jsonwrite::render_value(&fault_doc)
+            render_value(&fault_doc)
         };
         let mut line = String::new();
         let mut o = Obj::open(&mut line);
@@ -605,7 +582,7 @@ mod tests {
         "memory_training_iterations": 200}"#;
 
     fn envelope(op: &str, extra: &str) -> String {
-        let job = jsonwrite::render_value(&jsonscan::parse(JOB).unwrap());
+        let job = render_value(&json::parse(JOB).unwrap());
         format!("{{\"op\":\"{op}\",\"job\":{job}{extra}}}")
     }
 
@@ -669,19 +646,16 @@ mod tests {
 
     #[test]
     fn with_drift_day_rewrites_only_the_day() {
-        let doc = jsonscan::parse(
+        let doc = json::parse(
             r#"{"seed": 9, "drift": {"day": 7, "daily_sigma": 0.05}, "sample_loss_rate": 0.5}"#,
         )
         .unwrap();
         let rewritten = with_drift_day(&doc, 3);
         assert_eq!(
-            jsonwrite::render_value(&rewritten),
+            render_value(&rewritten),
             r#"{"seed":9,"drift":{"day":3,"daily_sigma":0.05},"sample_loss_rate":0.5}"#
         );
         // Day 7 stays byte-identical when rewritten to itself.
-        assert_eq!(
-            jsonwrite::render_value(&with_drift_day(&doc, 7)),
-            jsonwrite::render_value(&doc)
-        );
+        assert_eq!(render_value(&with_drift_day(&doc, 7)), render_value(&doc));
     }
 }

@@ -16,9 +16,9 @@
 //! `{ "layers": 24, "hidden": 1920, "heads": 24, "seq_len": 2048,
 //!    "vocab": 51200 }`.
 
-use crate::jsonscan::{self, JsonValue};
 use pipette_cluster::{presets, Cluster, FaultPlan};
 use pipette_model::GptConfig;
+use pipette_obs::json::{self, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -222,14 +222,12 @@ fn check_fields(
             value.type_name()
         )));
     }
-    for key in value.keys() {
-        if !allowed.contains(&key) {
-            return Err(SpecError::UnknownField {
-                context: context.to_owned(),
-                field: key.to_owned(),
-                allowed: allowed_msg,
-            });
-        }
+    if let Some(key) = json::first_unknown_key(value, allowed) {
+        return Err(SpecError::UnknownField {
+            context: context.to_owned(),
+            field: key.to_owned(),
+            allowed: allowed_msg,
+        });
     }
     for &field in required {
         if value.get(field).is_none() {
@@ -311,7 +309,7 @@ impl JobSpec {
     /// [`SpecError::MissingField`], or [`SpecError::OutOfRange`] naming
     /// the first problem.
     pub fn parse_strict(text: &str) -> Result<Self, SpecError> {
-        let doc = jsonscan::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
+        let doc = json::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
         check_job_shape(&doc)?;
         let spec: JobSpec =
             serde_json::from_str(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
@@ -442,7 +440,7 @@ impl JobSpec {
 ///
 /// [`SpecError::Malformed`] or [`SpecError::UnknownField`].
 pub fn parse_fault_plan_strict(text: &str) -> Result<FaultPlan, SpecError> {
-    let doc = jsonscan::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
+    let doc = json::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
     check_fields(
         &doc,
         "fault plan",
@@ -633,6 +631,27 @@ mod tests {
         ));
         assert!(matches!(
             JobSpec::parse_strict("[1, 2]").unwrap_err(),
+            SpecError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn strict_parse_rejects_deep_nesting() {
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let err = JobSpec::parse_strict(&deep).unwrap_err();
+        assert!(matches!(err, SpecError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
+        let in_field = format!(
+            r#"{{"cluster": {{"preset": "mid-range", "nodes": 4}},
+                "model": {{"preset": "gpt-1.1b"}}, "global_batch": 256,
+                "seed": {deep}}}"#
+        );
+        assert!(matches!(
+            JobSpec::parse_strict(&in_field).unwrap_err(),
+            SpecError::Malformed(_)
+        ));
+        assert!(matches!(
+            parse_fault_plan_strict(&deep).unwrap_err(),
             SpecError::Malformed(_)
         ));
     }

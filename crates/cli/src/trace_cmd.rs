@@ -14,11 +14,11 @@
 //!   (`trace_budgets.json`) against a trace; exits nonzero on any
 //!   violated ceiling, which is the CI perf gate.
 
-use crate::jsonscan::{self, JsonValue};
 use pipette_obs::analysis::{
     diff_jsonl, render_budget_report, render_diff, render_flame, render_summary,
-    span_tree_from_jsonl, BudgetManifest,
+    span_tree_from_jsonl, BudgetManifest, ParsedTrace,
 };
+use pipette_obs::json::JsonValue;
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -42,10 +42,9 @@ fn read(path: &str) -> Result<String, Box<dyn Error>> {
 ///
 /// I/O, JSON, or span-balance errors from the trace file.
 pub fn trace_summarize(path: &str, top: usize) -> Result<TraceCmdOutput, Box<dyn Error>> {
-    let text = read(path)?;
-    let tree = span_tree_from_jsonl(&text)?;
-    let mut rendered = render_summary(&tree, top);
-    rendered.push_str(&render_counters(&text));
+    let parsed = ParsedTrace::from_jsonl(&read(path)?)?;
+    let mut rendered = render_summary(&parsed.span_tree()?, top);
+    rendered.push_str(&render_counters(&parsed));
     Ok(TraceCmdOutput {
         text: rendered,
         ok: true,
@@ -56,17 +55,11 @@ pub fn trace_summarize(path: &str, top: usize) -> Result<TraceCmdOutput, Box<dyn
 /// how serve-loop accounting (`serve_degraded_requests`,
 /// `serve_breaker_trips`, …) surfaces in `trace summarize`. Counters are
 /// sorted by name; empty when the trace carries none.
-fn render_counters(text: &str) -> String {
+fn render_counters(trace: &ParsedTrace) -> String {
     let mut counters: Vec<(String, u64)> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(doc) = jsonscan::parse(line) else {
-            continue;
-        };
-        if !matches!(doc.get("kind"), Some(JsonValue::String(k)) if k == "counter") {
-            continue;
-        }
+    for event in trace.events().iter().filter(|e| e.kind == "counter") {
         if let (Some(JsonValue::String(name)), Some(JsonValue::Number(value))) =
-            (doc.get("name"), doc.get("value"))
+            (event.field("name"), event.field("value"))
         {
             counters.push((name.clone(), *value as u64));
         }

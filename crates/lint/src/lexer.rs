@@ -1,6 +1,6 @@
 //! A minimal Rust lexer for *invariant scanning*.
 //!
-//! Like `pipette-cli`'s `jsonscan`, this is a hand-rolled scanner, not a
+//! Like `pipette_obs::json`, this is a hand-rolled scanner, not a
 //! real frontend: it splits Rust source into identifiers, punctuation,
 //! literals, and comments, tracking line numbers, so the rule engine can
 //! pattern-match token runs (`Instant :: now`, `. unwrap (`) without ever

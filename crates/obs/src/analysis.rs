@@ -1,11 +1,10 @@
 //! Trace analytics: parse canonical JSONL back into structure.
 //!
 //! Everything here is offline and deterministic — same input text, same
-//! output — so analyses are themselves regression-testable. The module
+//! output — so analyses are themselves regression-testable. Lines and
+//! manifests are read with the strict [`crate::json`] parser. The module
 //! provides:
 //!
-//! - a minimal zero-dependency JSON parser ([`parse_json`]) sufficient
-//!   for the canonical writer's output and the budget manifest,
 //! - [`ParsedTrace`]: a JSONL trace re-read as typed lines, lowered to
 //!   a [`SpanTree`] for rollups and hot-span ranking,
 //! - [`diff_jsonl`]: structural two-trace comparison (per-span and
@@ -15,324 +14,10 @@
 //! - deterministic plain-text renderers for the `pipette trace`
 //!   subcommands.
 
+use crate::json::{self, JsonError, JsonValue};
 use crate::span::{SpanError, SpanTree, TraceLine};
 use std::fmt;
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are kept as `f64` (every number the
-/// canonical writer emits round-trips exactly; logical costs stay far
-/// below 2^53).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, preserving field order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n)
-                if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 =>
-            {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Looks up a field, if the value is an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON syntax error with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset where parsing failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one JSON document. Trailing whitespace is allowed; trailing
-/// garbage is an error.
-pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(value)
-}
-
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(message))
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't' | b'f') => {
-                if self.literal("true") {
-                    Ok(JsonValue::Bool(true))
-                } else if self.literal("false") {
-                    Ok(JsonValue::Bool(false))
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            Some(b'n') => {
-                if self.literal("null") {
-                    Ok(JsonValue::Null)
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect_byte(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':', "expected ':'")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect_byte(b'}', "expected ',' or '}'")?;
-            return Ok(JsonValue::Obj(fields));
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect_byte(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect_byte(b']', "expected ',' or ']'")?;
-            return Ok(JsonValue::Arr(items));
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect_byte(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex4()?;
-                            // Unpaired surrogates degrade to the
-                            // replacement character; the canonical
-                            // writer never emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    match std::str::from_utf8(&rest[..len]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid utf-8")),
-                    }
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        // self.pos is on the 'u'.
-        let start = self.pos + 1;
-        let end = start + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let mut code = 0u32;
-        for &b in &self.bytes[start..end] {
-            let digit = match b {
-                b'0'..=b'9' => (b - b'0') as u32,
-                b'a'..=b'f' => (b - b'a' + 10) as u32,
-                b'A'..=b'F' => (b - b'A' + 10) as u32,
-                _ => return Err(self.err("invalid \\u escape")),
-            };
-            code = code * 16 + digit;
-        }
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Parsed traces
@@ -440,8 +125,8 @@ impl ParsedTrace {
             if raw.trim().is_empty() {
                 continue;
             }
-            let value = parse_json(raw).map_err(|error| AnalysisError::Json { line, error })?;
-            if !matches!(value, JsonValue::Obj(_)) {
+            let value = json::parse(raw).map_err(|error| AnalysisError::Json { line, error })?;
+            if !matches!(value, JsonValue::Object(_)) {
                 return Err(AnalysisError::NotAnObject { line });
             }
             let kind = value
@@ -746,11 +431,66 @@ pub struct BudgetManifest {
     pub events: Vec<EventBudget>,
 }
 
+/// The keys each manifest level accepts. Anything else is an error, so a
+/// misspelled ceiling fails the gate instead of silently switching its
+/// check off.
+const MANIFEST_FIELDS: [&str; 5] = ["schema", "comment", "max_total_lines", "spans", "events"];
+const SPAN_FIELDS: [&str; 6] = [
+    "span",
+    "unit",
+    "max_count",
+    "max_cost",
+    "max_total_events",
+    "require",
+];
+const EVENT_FIELDS: [&str; 2] = ["kind", "max_count"];
+
+/// Rejects a manifest level that is not an object or has a key outside
+/// `allowed`.
+fn check_manifest_keys(
+    value: &JsonValue,
+    context: &str,
+    allowed: &[&str],
+) -> Result<(), AnalysisError> {
+    if !matches!(value, JsonValue::Object(_)) {
+        return Err(AnalysisError::Manifest(format!(
+            "{context} must be an object, got {}",
+            value.type_name()
+        )));
+    }
+    match json::first_unknown_key(value, allowed) {
+        Some(key) => Err(AnalysisError::Manifest(format!(
+            "{context}: unknown field {key:?} (allowed: {})",
+            allowed.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// An optional manifest field: `None` when absent, an error naming
+/// `what` it must be when `read` rejects its type.
+fn optional<'v, T>(
+    item: &'v JsonValue,
+    field: &str,
+    context: &str,
+    what: &str,
+    read: impl Fn(&'v JsonValue) -> Option<T>,
+) -> Result<Option<T>, AnalysisError> {
+    item.get(field)
+        .map(|v| {
+            read(v)
+                .ok_or_else(|| AnalysisError::Manifest(format!("{context}{field} must be {what}")))
+        })
+        .transpose()
+}
+
 impl BudgetManifest {
-    /// Parses the manifest JSON, validating the schema tag.
+    /// Parses the manifest JSON, validating the schema tag and rejecting
+    /// unknown or mistyped fields at every level.
     pub fn parse(text: &str) -> Result<Self, AnalysisError> {
-        let value = parse_json(text)
+        let value = json::parse(text)
             .map_err(|error| AnalysisError::Manifest(format!("invalid JSON: {error}")))?;
+        check_manifest_keys(&value, "top level", &MANIFEST_FIELDS)?;
         let schema = value
             .get("schema")
             .and_then(JsonValue::as_str)
@@ -760,71 +500,54 @@ impl BudgetManifest {
                 "unsupported schema '{schema}' (expected '{BUDGET_SCHEMA}')"
             )));
         }
-        let max_total_lines = match value.get("max_total_lines") {
-            None => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                AnalysisError::Manifest("'max_total_lines' must be a non-negative integer".into())
-            })?),
+        let uint = "a non-negative integer";
+        let max_total_lines = optional(&value, "max_total_lines", "", uint, JsonValue::as_u64)?;
+        let list = |key: &str| -> Result<&[JsonValue], AnalysisError> {
+            Ok(optional(&value, key, "", "an array", JsonValue::as_array)?.unwrap_or_default())
         };
         let mut spans = Vec::new();
-        if let Some(items) = value.get("spans").and_then(JsonValue::as_array) {
-            for (i, item) in items.iter().enumerate() {
-                let span = item
-                    .get("span")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| {
-                        AnalysisError::Manifest(format!("spans[{i}]: missing string field 'span'"))
-                    })?
-                    .to_string();
-                let uint = |field: &str| -> Result<Option<u64>, AnalysisError> {
-                    match item.get(field) {
-                        None => Ok(None),
-                        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                            AnalysisError::Manifest(format!(
-                                "spans[{i}].{field} must be a non-negative integer"
-                            ))
-                        }),
-                    }
-                };
-                spans.push(SpanBudget {
-                    span,
-                    unit: item
-                        .get("unit")
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string),
-                    max_count: uint("max_count")?,
-                    max_cost: uint("max_cost")?,
-                    max_total_events: uint("max_total_events")?,
-                    require: item
-                        .get("require")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false),
-                });
-            }
+        for (i, item) in list("spans")?.iter().enumerate() {
+            check_manifest_keys(item, &format!("spans[{i}]"), &SPAN_FIELDS)?;
+            let span = item
+                .get("span")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| {
+                    AnalysisError::Manifest(format!("spans[{i}]: missing string field 'span'"))
+                })?
+                .to_string();
+            let context = format!("spans[{i}].");
+            let ceiling = |field| optional(item, field, &context, uint, JsonValue::as_u64);
+            spans.push(SpanBudget {
+                span,
+                unit: optional(item, "unit", &context, "a string", JsonValue::as_str)?
+                    .map(str::to_string),
+                max_count: ceiling("max_count")?,
+                max_cost: ceiling("max_cost")?,
+                max_total_events: ceiling("max_total_events")?,
+                require: optional(item, "require", &context, "a boolean", JsonValue::as_bool)?
+                    .unwrap_or(false),
+            });
         }
         let mut events = Vec::new();
-        if let Some(items) = value.get("events").and_then(JsonValue::as_array) {
-            for (i, item) in items.iter().enumerate() {
-                events.push(EventBudget {
-                    kind: item
-                        .get("kind")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| {
-                            AnalysisError::Manifest(format!(
-                                "events[{i}]: missing string field 'kind'"
-                            ))
-                        })?
-                        .to_string(),
-                    max_count: item
-                        .get("max_count")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| {
-                            AnalysisError::Manifest(format!(
-                                "events[{i}]: missing integer field 'max_count'"
-                            ))
-                        })?,
-                });
-            }
+        for (i, item) in list("events")?.iter().enumerate() {
+            check_manifest_keys(item, &format!("events[{i}]"), &EVENT_FIELDS)?;
+            events.push(EventBudget {
+                kind: item
+                    .get("kind")
+                    .and_then(JsonValue::as_str)
+                    .ok_or_else(|| {
+                        AnalysisError::Manifest(format!("events[{i}]: missing string field 'kind'"))
+                    })?
+                    .to_string(),
+                max_count: item
+                    .get("max_count")
+                    .and_then(JsonValue::as_u64)
+                    .ok_or_else(|| {
+                        AnalysisError::Manifest(format!(
+                            "events[{i}]: missing integer field 'max_count'"
+                        ))
+                    })?,
+            });
         }
         Ok(Self {
             max_total_lines,
@@ -1155,43 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_scalars_arrays_and_objects() {
-        let v = parse_json(r#"{"a":1,"b":-2.5,"c":"x\"y","d":[true,false,null],"e":{"f":3}}"#)
-            .expect("valid json");
-        assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(1));
-        assert_eq!(v.get("b").and_then(JsonValue::as_f64), Some(-2.5));
-        assert_eq!(v.get("c").and_then(JsonValue::as_str), Some("x\"y"));
-        assert_eq!(
-            v.get("d")
-                .and_then(JsonValue::as_array)
-                .map(<[JsonValue]>::len),
-            Some(3)
-        );
-        assert_eq!(
-            v.get("e")
-                .and_then(|e| e.get("f"))
-                .and_then(JsonValue::as_u64),
-            Some(3)
-        );
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{}x").is_err());
-        assert!(parse_json(r#"{"a"}"#).is_err());
-        assert!(parse_json("nulls").is_err());
-        assert!(parse_json("[1,]").is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes() {
-        let v = parse_json(r#""a\n\tA\\""#).expect("valid");
-        assert_eq!(v.as_str(), Some("a\n\tA\\"));
-    }
-
-    #[test]
     fn canonical_jsonl_round_trips() {
         let t = sample_trace(0);
         let parsed = ParsedTrace::from_jsonl(&t.to_jsonl()).expect("canonical output parses");
@@ -1313,6 +999,41 @@ mod tests {
             Err(AnalysisError::Manifest(_))
         ));
         assert!(BudgetManifest::parse("not json").is_err());
+    }
+
+    #[test]
+    fn budget_manifest_rejects_unknown_fields() {
+        let manifest = |body: &str| {
+            BudgetManifest::parse(&format!(
+                r#"{{"schema":"pipette-trace-budgets/v1",{body}}}"#
+            ))
+        };
+        assert!(manifest(r#""comment":"why these ceilings","max_total_lines":9"#).is_ok());
+        for (body, key) in [
+            (r#""max_totl_lines":1"#, "max_totl_lines"),
+            (r#""spans":[{"span":"anneal","max_csot":1}]"#, "max_csot"),
+            (
+                r#""events":[{"kind":"sa_move","max_count":1,"limit":2}]"#,
+                "limit",
+            ),
+        ] {
+            let err = manifest(body).unwrap_err();
+            assert!(matches!(err, AnalysisError::Manifest(_)), "{body}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown field \"{key}\"")),
+                "{body}: {err}"
+            );
+        }
+        // Mistyped fields and levels are errors too, not skipped checks.
+        for body in [
+            r#""spans":{"span":"anneal"}"#,
+            r#""spans":[{"span":"anneal","require":"yes"}]"#,
+            r#""spans":[{"span":"anneal","unit":3}]"#,
+            r#""spans":[7]"#,
+        ] {
+            assert!(manifest(body).is_err(), "{body}");
+        }
     }
 
     #[test]

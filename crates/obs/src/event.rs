@@ -1,11 +1,13 @@
 //! The telemetry event vocabulary and its JSONL encoding.
 //!
-//! One [`Event`] becomes one JSON object on one line. Field order is
-//! fixed (`seq`, `kind`, payload fields in declaration order, then the
-//! optional `wall_ms` annotation), floats use Rust's shortest
-//! round-trip formatting, and non-finite floats serialize as `null` —
-//! so byte-equality of two trace files is exactly event-equality.
+//! One [`Event`] becomes one JSON object on one line, written with the
+//! canonical [`crate::json`] writer. Field order is fixed (`seq`,
+//! `kind`, payload fields in declaration order, then the optional
+//! `wall_ms` annotation), floats use Rust's shortest round-trip
+//! formatting, and non-finite floats serialize as `null` — so
+//! byte-equality of two trace files is exactly event-equality.
 
+use crate::json::Obj;
 use std::fmt::Write as _;
 
 /// Version stamp recorded in the `run_start` event; bump when the event
@@ -569,81 +571,6 @@ impl EventKind {
     }
 }
 
-/// Minimal JSON object writer with a fixed field order.
-struct Obj<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> Obj<'a> {
-    fn open(out: &'a mut String) -> Self {
-        out.push('{');
-        Self { out }
-    }
-
-    fn key(&mut self, name: &str) {
-        if !self.out.ends_with('{') {
-            self.out.push(',');
-        }
-        push_json_string(self.out, name);
-        self.out.push(':');
-    }
-
-    fn uint(&mut self, name: &str, v: u64) {
-        self.key(name);
-        let _ = write!(self.out, "{v}");
-    }
-
-    fn float(&mut self, name: &str, v: f64) {
-        self.key(name);
-        push_f64(self.out, v);
-    }
-
-    fn boolean(&mut self, name: &str, v: bool) {
-        self.key(name);
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    fn string(&mut self, name: &str, v: &str) {
-        self.key(name);
-        push_json_string(self.out, v);
-    }
-
-    fn close(self) {
-        self.out.push('}');
-    }
-}
-
-/// Shortest-round-trip float; non-finite values become `null` (JSON has
-/// no NaN/Inf).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's `Display` for f64 is the shortest decimal string that
-        // parses back to the same bits — a valid JSON number (it never
-        // emits exponent notation for finite values in this range).
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl Event {
     /// Appends this event as one JSON line (no trailing newline) with the
     /// given sequence number. With `strip_wall`, the wall-clock annotation
@@ -838,24 +765,15 @@ impl Event {
                 o.uint("straggler_stage", *straggler_stage as u64);
                 match slow_link_from {
                     Some(g) => o.uint("slow_link_from", *g as u64),
-                    None => {
-                        o.key("slow_link_from");
-                        o.out.push_str("null");
-                    }
+                    None => o.raw("slow_link_from", "null"),
                 }
                 match slow_link_to {
                     Some(g) => o.uint("slow_link_to", *g as u64),
-                    None => {
-                        o.key("slow_link_to");
-                        o.out.push_str("null");
-                    }
+                    None => o.raw("slow_link_to", "null"),
                 }
                 match slow_link_seconds {
                     Some(s) => o.float("slow_link_seconds", *s),
-                    None => {
-                        o.key("slow_link_seconds");
-                        o.out.push_str("null");
-                    }
+                    None => o.raw("slow_link_seconds", "null"),
                 }
             }
             EventKind::Alternative {
@@ -1030,15 +948,15 @@ impl Event {
                 o.float("sum", *sum);
                 o.float("min", *min);
                 o.float("max", *max);
-                o.key("buckets");
-                o.out.push('[');
+                let mut pairs = String::from("[");
                 for (i, (exp, n)) in buckets.iter().enumerate() {
                     if i > 0 {
-                        o.out.push(',');
+                        pairs.push(',');
                     }
-                    let _ = write!(o.out, "[{exp},{n}]");
+                    let _ = write!(pairs, "[{exp},{n}]");
                 }
-                o.out.push(']');
+                pairs.push(']');
+                o.raw("buckets", &pairs);
             }
             EventKind::SpanOpen { name } => {
                 o.string("name", name);
@@ -1114,13 +1032,6 @@ mod tests {
         let mut out = String::new();
         e.write_json(0, false, &mut out);
         assert!(out.contains(r#""loss":null"#));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]
@@ -1322,15 +1233,5 @@ mod tests {
             e.write_json(0, false, &mut out);
             assert_eq!(out, expect);
         }
-    }
-
-    #[test]
-    fn floats_round_trip_shortest() {
-        let mut out = String::new();
-        push_f64(&mut out, 0.1 + 0.2);
-        assert_eq!(out, "0.30000000000000004");
-        let mut out = String::new();
-        push_f64(&mut out, 3.0);
-        assert_eq!(out, "3");
     }
 }

@@ -28,12 +28,17 @@
 //! (logical cost units, structural nesting, no ids), and [`analysis`]
 //! parses JSONL back into a [`span::SpanTree`] for rollups, two-trace
 //! diffs, and the committed `trace_budgets.json` CI gate.
+//!
+//! [`json`] is the workspace's one JSON reader and canonical writer: the
+//! event encoder, the trace analytics and the CLI's specs and serve
+//! envelopes all go through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod trace;

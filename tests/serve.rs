@@ -3,8 +3,8 @@
 //! expiry with best-so-far results, deterministic load-shedding, and the
 //! circuit breaker's trip/degrade/recover cycle.
 
-use pipette_cli::jsonscan::{self, JsonValue};
 use pipette_cli::{run_drill_serve, PipetteHandler};
+use pipette_obs::json::{self as jsonscan, JsonValue};
 use pipette_serve::{
     run_pipe, BreakerConfig, ExecContext, ParseOutcome, RequestHandler, ServerConfig,
 };
@@ -309,5 +309,54 @@ fn drill_serve_replays_the_drift_timeline() {
     assert_eq!(
         get(&day0, "result").get("analytic_memory_fallback"),
         Some(&JsonValue::Bool(true))
+    );
+}
+
+#[test]
+fn deeply_nested_request_gets_a_typed_error_and_the_stream_continues() {
+    // 100,000 levels would overflow the stack of a parser without a depth
+    // limit and abort the daemon before it wrote a response.
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let input = format!(
+        "{deep}\n{}\n{{\"op\":\"shutdown\"}}\n",
+        configure_line("after", "")
+    );
+    let (lines, summary) = run_server(&input, ServerConfig::default());
+    assert_eq!(lines.len(), 2);
+    let err = jsonscan::parse(&lines[0]).expect("valid JSON");
+    assert_eq!(get(&err, "status"), &JsonValue::String("error".into()));
+    let JsonValue::String(message) = get(&err, "message") else {
+        panic!("error message is a string: {}", lines[0]);
+    };
+    assert!(
+        message.starts_with("invalid JSON: nesting too deep"),
+        "{message}"
+    );
+    let ok = jsonscan::parse(&lines[1]).expect("valid JSON");
+    assert_eq!(get(&ok, "id"), &JsonValue::String("after".into()));
+    assert_eq!(get(&ok, "status"), &JsonValue::String("ok".into()));
+    assert!(summary.shutdown);
+}
+
+#[test]
+fn escaped_surrogate_pairs_decode_and_lone_surrogates_are_errors() {
+    // Python's `json.dumps` spells the id "run-😀" with an escaped
+    // UTF-16 surrogate pair; the response echoes the decoded character.
+    let input = format!(
+        "{}\n{}\n{{\"op\":\"shutdown\"}}\n",
+        configure_line("run-\\ud83d\\ude00", ""),
+        configure_line("lone-\\ud800", "")
+    );
+    let (lines, _) = run_server(&input, ServerConfig::default());
+    assert_eq!(lines.len(), 2);
+    assert!(
+        lines[0].starts_with("{\"id\":\"run-😀\",\"seq\":0,\"status\":\"ok\""),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].starts_with("{\"seq\":1,\"status\":\"error\",\"message\":\"invalid JSON: invalid \\\\u escape at byte"),
+        "{}",
+        lines[1]
     );
 }

@@ -7,8 +7,9 @@ use pipette::configurator::{Pipette, PipetteOptions};
 use pipette_cluster::presets;
 use pipette_model::GptConfig;
 use pipette_obs::analysis::{
-    diff_jsonl, render_diff, span_tree_from_jsonl, BudgetManifest, JsonValue, ParsedTrace,
+    diff_jsonl, render_diff, span_tree_from_jsonl, BudgetManifest, ParsedTrace,
 };
+use pipette_obs::json::JsonValue;
 use pipette_obs::{Trace, TraceConfig};
 
 /// The perf-baseline reference job: fixed shape, identical to
