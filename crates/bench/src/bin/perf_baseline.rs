@@ -31,11 +31,11 @@ use pipette::telemetry::SaTraceObserver;
 use pipette_cluster::presets;
 use pipette_mlp::{Matrix, Mlp, TrainConfig};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_obs::json::{self, JsonValue};
 use pipette_obs::{SpanTree, Trace, TraceConfig};
 use pipette_sim::{ComputeProfiler, Mapping, MemorySim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -88,204 +88,263 @@ fn alloc_snapshot() -> (u64, u64) {
     )
 }
 
-#[derive(Serialize)]
-struct Report {
-    smoke: bool,
-    cluster: ClusterShape,
-    objective: ObjectiveThroughput,
-    hot_path_allocs: HotPathAllocs,
-    end_to_end: EndToEnd,
-    sa_budgeted: SaBudgeted,
-    pt: ParallelTempering,
-    memory_estimator: MemoryEstimatorPerf,
-    telemetry: TelemetryOverhead,
-    reference_trace: ReferenceTrace,
+/// The JSON form of a report field.
+trait ToJson {
+    fn to_json(&self) -> JsonValue;
 }
 
-#[derive(Serialize)]
-struct ClusterShape {
-    nodes: usize,
-    gpus_per_node: usize,
-    pp: usize,
-    tp: usize,
-    dp: usize,
+macro_rules! scalar_to_json {
+    ($($t:ty),*) => {
+        $(impl ToJson for $t {
+            fn to_json(&self) -> JsonValue {
+                (*self).into()
+            }
+        })*
+    };
 }
 
-#[derive(Serialize)]
-struct ObjectiveThroughput {
-    evaluations: usize,
-    /// Moves driven through the incremental path. Far more than
-    /// `evaluations`: one incremental eval is ~100× cheaper than a full
-    /// one, and a run long enough to amortize the one-time memo warmup
-    /// (the working set is ~2k keys) is what "steady-state throughput"
-    /// means — any real SA run is millions of moves.
-    incremental_evaluations: usize,
-    full_evals_per_sec: f64,
-    incremental_evals_per_sec: f64,
-    speedup: f64,
+scalar_to_json!(bool, usize, u64, f64);
+
+impl ToJson for String {
+    fn to_json(&self) -> JsonValue {
+        self.as_str().into()
+    }
 }
 
-#[derive(Serialize)]
-struct EndToEnd {
-    wall_clock_seconds: f64,
-    examined: usize,
-    memory_rejected: usize,
-    estimated_iteration_seconds: f64,
+impl ToJson for Vec<String> {
+    fn to_json(&self) -> JsonValue {
+        self.iter().map(String::as_str).collect()
+    }
 }
 
-/// Steady-state allocator activity of the incremental SA loop, measured
-/// with [`CountingAlloc`]: after warmup, `measured_moves` full
-/// propose + commit/rollback cycles must allocate **nothing** — the
-/// undo logs, touched-sets, and DP memo are all arena-backed and sized
-/// at construction. The binary aborts if the count is nonzero, so a
-/// regression can never write a green-looking report.
-#[derive(Serialize)]
-struct HotPathAllocs {
-    warmup_moves: usize,
-    measured_moves: usize,
-    allocations: u64,
-    allocated_bytes: u64,
+/// Declares one report section: the struct, and its JSON object with a
+/// member per field, in declaration order.
+macro_rules! section {
+    ($(#[$meta:meta])* struct $name:ident {
+        $($(#[$field_meta:meta])* $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        struct $name {
+            $($(#[$field_meta])* $field: $ty,)*
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::object([$((stringify!($field), self.$field.to_json()),)*])
+            }
+        }
+    };
 }
 
-/// Fixed-iteration SA through the incremental objective. Earlier
-/// baselines annealed against a wall-clock budget, which made
-/// `evaluations` and `improvement` machine-speed-dependent — useless to
-/// diff across runs. With the iteration count pinned, both are
-/// deterministic (seeded SA, bit-stable objective) and only the
-/// wall-clock field varies between machines.
-#[derive(Serialize)]
-struct SaBudgeted {
-    iterations: usize,
-    wall_clock_seconds: f64,
-    evals_per_sec: f64,
-    evaluations: usize,
-    improvement: f64,
+section! {
+    struct Report {
+        smoke: bool,
+        cluster: ClusterShape,
+        objective: ObjectiveThroughput,
+        hot_path_allocs: HotPathAllocs,
+        end_to_end: EndToEnd,
+        sa_budgeted: SaBudgeted,
+        pt: ParallelTempering,
+        memory_estimator: MemoryEstimatorPerf,
+        telemetry: TelemetryOverhead,
+        reference_trace: ReferenceTrace,
+    }
 }
 
-/// Parallel tempering (PR 7): K-chain search throughput, steady-state
-/// allocation proof, and equal-per-chain-budget quality vs. the single
-/// chain.
-///
-/// The throughput headline is `aggregate_evals_per_sec` =
-/// `total_evaluations / max_chain_busy_seconds`: every chain's busy time
-/// is metered inside its own segments, so the metric is what a box with
-/// one dedicated core per replica sustains — independent of how many
-/// cores *this* machine has (recorded in `host_cpus`; CI runs on shared
-/// 1–2-core runners, where wall-clock aggregate throughput would be
-/// meaningless and machine-dependent).
-#[derive(Serialize)]
-struct ParallelTempering {
-    replicas: usize,
-    exchange_interval: usize,
-    /// SA iterations per chain (same budget as `sa_budgeted`, so the
-    /// quality comparison below is equal wall clock on >= `replicas`
-    /// cores).
-    chain_iterations: usize,
-    total_evaluations: usize,
-    wall_clock_seconds: f64,
-    max_chain_busy_seconds: f64,
-    /// `total_evaluations / max_chain_busy_seconds` — see struct docs.
-    aggregate_evals_per_sec: f64,
-    host_cpus: usize,
-    /// `sa_budgeted.evals_per_sec`, repeated here so the speedup is
-    /// self-contained.
-    single_chain_evals_per_sec: f64,
-    /// `aggregate_evals_per_sec / single_chain_evals_per_sec`; the full
-    /// run asserts >= 3 at 4 replicas.
-    speedup_vs_single_chain: f64,
-    exchanges_attempted: usize,
-    exchanges_accepted: usize,
-    steady_state: PtSteadyState,
-    /// `sa_budgeted.improvement` — the single chain at the same
-    /// per-chain budget and seed.
-    equal_budget_single_improvement: f64,
-    /// The ladder's merged improvement at that budget; asserted >= the
-    /// single chain's (the cold rung replays it until the first accepted
-    /// exchange, and the ladder keeps the best of all rungs).
-    equal_budget_tempering_improvement: f64,
+section! {
+    struct ClusterShape {
+        nodes: usize,
+        gpus_per_node: usize,
+        pp: usize,
+        tp: usize,
+        dp: usize,
+    }
 }
 
-/// K-chain steady-state allocation proof. Measuring "allocations during
-/// the hot loop" directly would catch the ladder's setup (K objectives,
-/// K mapping clones), so instead two *identical* runs that differ only
-/// in per-chain budget are compared: same seed, same ladder, same setup
-/// allocations — any difference in allocator totals is, exactly, what
-/// the extra `measured_moves` steady-state moves and their exchange
-/// rounds allocated. The binary aborts unless that difference is zero.
-#[derive(Serialize)]
-struct PtSteadyState {
-    short_chain_iterations: usize,
-    long_chain_iterations: usize,
-    /// `(long - short) * replicas` — the move count the zero-alloc claim
-    /// is measured over.
-    measured_moves: usize,
-    allocations: u64,
-    allocated_bytes: u64,
+section! {
+    struct ObjectiveThroughput {
+        evaluations: usize,
+        /// Moves driven through the incremental path. Far more than
+        /// `evaluations`: one incremental eval is ~100× cheaper than a full
+        /// one, and a run long enough to amortize the one-time memo warmup
+        /// (the working set is ~2k keys) is what "steady-state throughput"
+        /// means — any real SA run is millions of moves.
+        incremental_evaluations: usize,
+        full_evals_per_sec: f64,
+        incremental_evals_per_sec: f64,
+        speedup: f64,
+    }
 }
 
-/// Memory-estimator fast path (PR 2): training kernel speedup, batch
-/// screening throughput, and the trained-estimator cache. The paper
-/// protocol (50k iterations, five layers × 200 hidden) is extrapolated
-/// from a measured slice — per-iteration cost is constant across the run.
-#[derive(Serialize)]
-struct MemoryEstimatorPerf {
-    corpus_samples: usize,
-    measured_train_iterations: usize,
-    fast_train_seconds: f64,
-    reference_train_seconds: f64,
-    /// Blocked kernels + allocation-free loop vs. the pre-PR naive loop,
-    /// identical arithmetic (the bench asserts bit-equal losses).
-    kernel_train_speedup: f64,
-    paper_protocol_iterations: usize,
-    paper_train_seconds_fast: f64,
-    paper_train_seconds_reference: f64,
-    single_predictions_per_sec: f64,
-    batch_predictions_per_sec: f64,
-    batch_screen_speedup: f64,
-    /// `configure()` wall clock with an estimator cache, cold (trains)
-    /// then warm (fingerprint hit, training skipped entirely).
-    cold_configure_seconds: f64,
-    warm_configure_seconds: f64,
-    warm_cache_hits: u64,
-    warm_vs_cold_speedup: f64,
-    /// Effective paper-protocol speedup for repeated `configure()` calls:
-    /// reference 50k-iteration training vs. a warm cache hit.
-    paper_train_vs_cache_hit_speedup: f64,
+section! {
+    struct EndToEnd {
+        wall_clock_seconds: f64,
+        examined: usize,
+        memory_rejected: usize,
+        estimated_iteration_seconds: f64,
+    }
 }
 
-/// Cost of the observability layer on the SA hot path (PR 3): the same
-/// annealing run with the no-op observer vs. a recording
-/// [`SaTraceObserver`] at the default sampling cadence. The observed run
-/// must stay bit-identical and within a few percent of the plain one.
-#[derive(Serialize)]
-struct TelemetryOverhead {
-    sa_iterations: usize,
-    plain_evals_per_sec: f64,
-    traced_evals_per_sec: f64,
-    /// `(plain - traced) / plain` throughput loss; target < 0.05.
-    overhead_fraction: f64,
-    trace_events: usize,
+section! {
+    /// Steady-state allocator activity of the incremental SA loop, measured
+    /// with [`CountingAlloc`]: after warmup, `measured_moves` full
+    /// propose + commit/rollback cycles must allocate **nothing** — the
+    /// undo logs, touched-sets, and DP memo are all arena-backed and sized
+    /// at construction. The binary aborts if the count is nonzero, so a
+    /// regression can never write a green-looking report.
+    struct HotPathAllocs {
+        warmup_moves: usize,
+        measured_moves: usize,
+        allocations: u64,
+        allocated_bytes: u64,
+    }
 }
 
-/// The committed reference trace (PR 8): a fixed small job — identical
-/// in smoke and full runs, and identical to the `tests/telemetry.rs`
-/// reference shape — traced at the default cadence and written to
-/// `BENCH_trace.jsonl`. CI uploads the file and gates it with
-/// `pipette-cli trace check` against the committed `trace_budgets.json`,
-/// so the ceilings are on *logical* work (span costs, event counts) and
-/// are machine-independent. The binary itself asserts the span stream is
-/// balanced and bit-stable across two back-to-back runs.
-#[derive(Serialize)]
-struct ReferenceTrace {
-    path: String,
-    seed: u64,
-    total_lines: usize,
-    span_instances: usize,
-    span_names: Vec<String>,
-    /// Total SA objective evaluations (the `anneal` span's cost).
-    anneal_evals: u64,
-    /// Screened-in candidates (the `estimates` span's cost).
-    estimated_candidates: u64,
+section! {
+    /// Fixed-iteration SA through the incremental objective. Earlier
+    /// baselines annealed against a wall-clock budget, which made
+    /// `evaluations` and `improvement` machine-speed-dependent — useless to
+    /// diff across runs. With the iteration count pinned, both are
+    /// deterministic (seeded SA, bit-stable objective) and only the
+    /// wall-clock field varies between machines.
+    struct SaBudgeted {
+        iterations: usize,
+        wall_clock_seconds: f64,
+        evals_per_sec: f64,
+        evaluations: usize,
+        improvement: f64,
+    }
+}
+
+section! {
+    /// Parallel tempering: K-chain search throughput, steady-state
+    /// allocation proof, and equal-per-chain-budget quality vs. the single
+    /// chain.
+    ///
+    /// The throughput headline is `aggregate_evals_per_sec` =
+    /// `total_evaluations / max_chain_busy_seconds`: every chain's busy time
+    /// is metered inside its own segments, so the metric is what a box with
+    /// one dedicated core per replica sustains — independent of how many
+    /// cores *this* machine has (recorded in `host_cpus`; CI runs on shared
+    /// 1–2-core runners, where wall-clock aggregate throughput would be
+    /// meaningless and machine-dependent).
+    struct ParallelTempering {
+        replicas: usize,
+        exchange_interval: usize,
+        /// SA iterations per chain (same budget as `sa_budgeted`, so the
+        /// quality comparison below is equal wall clock on >= `replicas`
+        /// cores).
+        chain_iterations: usize,
+        total_evaluations: usize,
+        wall_clock_seconds: f64,
+        max_chain_busy_seconds: f64,
+        /// `total_evaluations / max_chain_busy_seconds` — see struct docs.
+        aggregate_evals_per_sec: f64,
+        host_cpus: usize,
+        /// `sa_budgeted.evals_per_sec`, repeated here so the speedup is
+        /// self-contained.
+        single_chain_evals_per_sec: f64,
+        /// `aggregate_evals_per_sec / single_chain_evals_per_sec`; the full
+        /// run asserts >= 3 at 4 replicas.
+        speedup_vs_single_chain: f64,
+        exchanges_attempted: usize,
+        exchanges_accepted: usize,
+        steady_state: PtSteadyState,
+        /// `sa_budgeted.improvement` — the single chain at the same
+        /// per-chain budget and seed.
+        equal_budget_single_improvement: f64,
+        /// The ladder's merged improvement at that budget; asserted >= the
+        /// single chain's (the cold rung replays it until the first accepted
+        /// exchange, and the ladder keeps the best of all rungs).
+        equal_budget_tempering_improvement: f64,
+    }
+}
+
+section! {
+    /// K-chain steady-state allocation proof. Measuring "allocations during
+    /// the hot loop" directly would catch the ladder's setup (K objectives,
+    /// K mapping clones), so instead two *identical* runs that differ only
+    /// in per-chain budget are compared: same seed, same ladder, same setup
+    /// allocations — any difference in allocator totals is, exactly, what
+    /// the extra `measured_moves` steady-state moves and their exchange
+    /// rounds allocated. The binary aborts unless that difference is zero.
+    struct PtSteadyState {
+        short_chain_iterations: usize,
+        long_chain_iterations: usize,
+        /// `(long - short) * replicas` — the move count the zero-alloc claim
+        /// is measured over.
+        measured_moves: usize,
+        allocations: u64,
+        allocated_bytes: u64,
+    }
+}
+
+section! {
+    /// Memory-estimator fast path: training kernel speedup, batch
+    /// screening throughput, and the trained-estimator cache. The paper
+    /// protocol (50k iterations, five layers × 200 hidden) is extrapolated
+    /// from a measured slice — per-iteration cost is constant across the run.
+    struct MemoryEstimatorPerf {
+        corpus_samples: usize,
+        measured_train_iterations: usize,
+        fast_train_seconds: f64,
+        reference_train_seconds: f64,
+        /// Blocked kernels + allocation-free loop vs. the naive reference loop,
+        /// identical arithmetic (the bench asserts bit-equal losses).
+        kernel_train_speedup: f64,
+        paper_protocol_iterations: usize,
+        paper_train_seconds_fast: f64,
+        paper_train_seconds_reference: f64,
+        single_predictions_per_sec: f64,
+        batch_predictions_per_sec: f64,
+        batch_screen_speedup: f64,
+        /// `configure()` wall clock with an estimator cache, cold (trains)
+        /// then warm (fingerprint hit, training skipped entirely).
+        cold_configure_seconds: f64,
+        warm_configure_seconds: f64,
+        warm_cache_hits: u64,
+        warm_vs_cold_speedup: f64,
+        /// Effective paper-protocol speedup for repeated `configure()` calls:
+        /// reference 50k-iteration training vs. a warm cache hit.
+        paper_train_vs_cache_hit_speedup: f64,
+    }
+}
+
+section! {
+    /// Cost of the observability layer on the SA hot path: the same
+    /// annealing run with the no-op observer vs. a recording
+    /// [`SaTraceObserver`] at the default sampling cadence. The observed run
+    /// must stay bit-identical and within a few percent of the plain one.
+    struct TelemetryOverhead {
+        sa_iterations: usize,
+        plain_evals_per_sec: f64,
+        traced_evals_per_sec: f64,
+        /// `(plain - traced) / plain` throughput loss; target < 0.05.
+        overhead_fraction: f64,
+        trace_events: usize,
+    }
+}
+
+section! {
+    /// The committed reference trace: a fixed small job — identical
+    /// in smoke and full runs, and identical to the `tests/telemetry.rs`
+    /// reference shape — traced at the default cadence and written to
+    /// `BENCH_trace.jsonl`. CI uploads the file and gates it with
+    /// `pipette-cli trace check` against the committed `trace_budgets.json`,
+    /// so the ceilings are on *logical* work (span costs, event counts) and
+    /// are machine-independent. The binary itself asserts the span stream is
+    /// balanced and bit-stable across two back-to-back runs.
+    struct ReferenceTrace {
+        path: String,
+        seed: u64,
+        total_lines: usize,
+        span_instances: usize,
+        span_names: Vec<String>,
+        /// Total SA objective evaluations (the `anneal` span's cost).
+        anneal_evals: u64,
+        /// Screened-in candidates (the `estimates` span's cost).
+        estimated_candidates: u64,
+    }
 }
 
 fn main() {
@@ -785,7 +844,7 @@ fn main() {
         reference_trace,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    let json = json::render_pretty(&report.to_json());
     std::fs::write("BENCH_configurator.json", &json).expect("write BENCH_configurator.json");
     println!("{json}");
     eprintln!(

@@ -9,10 +9,9 @@
 use crate::context::ClusterKind;
 use crate::util;
 use pipette_cluster::{NodeId, TemporalDrift};
-use serde::{Deserialize, Serialize};
 
 /// Latency trace of one ordered node pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairTrace {
     /// Source node.
     pub from: usize,
@@ -23,7 +22,7 @@ pub struct PairTrace {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// Days profiled.
     pub days: usize,

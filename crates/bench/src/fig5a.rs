@@ -10,10 +10,9 @@ use crate::util;
 use pipette::latency::{AmpLatencyModel, Eq1Flavor, PipetteLatencyModel};
 use pipette_model::{BatchConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::{ClusterRun, ComputeProfiler, IterationSim, Mapping};
-use serde::{Deserialize, Serialize};
 
 /// One estimated configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EstimatePoint {
     /// The configuration.
     pub config: ParallelConfig,
@@ -28,7 +27,7 @@ pub struct EstimatePoint {
 }
 
 /// Full experiment result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5aResult {
     /// Cluster label.
     pub cluster: String,

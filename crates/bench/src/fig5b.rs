@@ -11,10 +11,9 @@ use pipette::baselines::{count_oom_in_top_k, AmpConfigurator, VarunaConfigurator
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette_model::{MicrobatchPlan, ParallelConfig};
 use pipette_sim::ClusterRun;
-use serde::{Deserialize, Serialize};
 
 /// Top-k OOM counts per method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5bResult {
     /// Cluster label.
     pub cluster: String,

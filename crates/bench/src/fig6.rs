@@ -16,10 +16,9 @@ use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::mapping::AnnealerConfig;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::ClusterRun;
-use serde::{Deserialize, Serialize};
 
 /// One method's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MethodResult {
     /// Method label (MLM/VR/AMP/PPT-L/PPT-LF).
     pub method: String,
@@ -35,7 +34,7 @@ pub struct MethodResult {
 }
 
 /// Full Fig. 6 panel for one cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// Cluster label.
     pub cluster: String,

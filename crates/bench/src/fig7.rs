@@ -13,10 +13,9 @@ use crate::util;
 use pipette::memory::{collect_samples, AnalyticMemoryEstimator, SampleSpec};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::ClusterRun;
-use serde::{Deserialize, Serialize};
 
 /// One scatter point: actual vs the two estimates.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemoryPoint {
     /// Actual peak memory, bytes.
     pub actual: u64,
@@ -29,7 +28,7 @@ pub struct MemoryPoint {
 }
 
 /// Full experiment result for one cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// Cluster label.
     pub cluster: String,

@@ -8,10 +8,9 @@
 use crate::context::ClusterKind;
 use crate::fig6::{self, Fig6Options};
 use crate::util;
-use serde::{Deserialize, Serialize};
 
 /// One weak-scaling point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// GPUs used.
     pub n_gpus: usize,
@@ -31,7 +30,7 @@ impl ScalePoint {
 }
 
 /// The sweep result for one cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Cluster label.
     pub cluster: String,

@@ -14,10 +14,9 @@ use pipette::baselines::{first_runnable, AmpConfigurator};
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::mapping::AnnealerConfig;
 use pipette_sim::ClusterRun;
-use serde::{Deserialize, Serialize};
 
 /// One sensitivity point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityPoint {
     /// The pinned value (micro- or minibatch size).
     pub pinned: u64,
@@ -35,7 +34,7 @@ impl SensitivityPoint {
 }
 
 /// Result of one sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Cluster label.
     pub cluster: String,

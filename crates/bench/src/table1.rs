@@ -5,10 +5,9 @@
 
 use crate::context::ClusterKind;
 use crate::util;
-use serde::{Deserialize, Serialize};
 
 /// One cluster's specification row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpecRow {
     /// Cluster label.
     pub cluster: String,

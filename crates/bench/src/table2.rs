@@ -13,14 +13,13 @@ use pipette::baselines::{first_runnable, AmpConfigurator};
 use pipette::configurator::Pipette;
 use pipette::report::training_days;
 use pipette_sim::ClusterRun;
-use serde::{Deserialize, Serialize};
 
 /// Training iterations of a full run (the paper follows Megatron-LM's
 /// 300K).
 pub const FULL_RUN_ITERATIONS: u64 = 300_000;
 
 /// One Table II column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Cluster label.
     pub cluster: String,

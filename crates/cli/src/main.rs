@@ -8,11 +8,12 @@
 //! ```
 
 use pipette_cli::{
-    drill_report_json, parse_fault_plan_strict, render_drill, render_explain, render_metrics,
-    run_compare, run_configure_traced, run_drill_serve, run_drill_traced, trace_check, trace_diff,
-    trace_flame, trace_summarize, JobSpec, PipetteHandler, TraceCmdOutput,
+    cli_report_json, drill_report_json, parse_fault_plan_strict, render_drill, render_explain,
+    render_metrics, run_compare, run_configure_traced, run_drill_serve, run_drill_traced,
+    trace_check, trace_diff, trace_flame, trace_summarize, JobSpec, PipetteHandler, TraceCmdOutput,
 };
 use pipette_cluster::FaultPlan;
+use pipette_obs::json::{self, JsonValue};
 use pipette_obs::{Trace, TraceConfig};
 use pipette_serve::{run_pipe, run_unix, ServerConfig};
 use std::process::ExitCode;
@@ -249,7 +250,7 @@ fn import_mpigraph(path: &str, gpus_per_node: usize) -> Result<String, Box<dyn s
     let matrix = pipette_cluster::parse_mpigraph(&text, gpus_per_node, preset.intra, preset.inter)?;
     let cluster =
         pipette_cluster::Cluster::new("imported", preset.gpu.clone(), matrix, preset.profiler);
-    Ok(cluster.to_json()?)
+    Ok(cluster.to_json())
 }
 
 /// Runs the spec, optionally writing the telemetry trace to `trace_out`,
@@ -292,7 +293,9 @@ fn configure(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let (report, _) = run_with_optional_trace(spec, trace_out)?;
     if json {
-        println!("{}", serde_json::to_string_pretty(&report)?);
+        // The document serve answers with, laid out for people.
+        let doc = json::parse(&cli_report_json(&report))?;
+        println!("{}", json::render_pretty(&doc));
         return Ok(());
     }
     println!(
@@ -339,9 +342,7 @@ fn drill(
         }
     };
     if json {
-        // The hand-rolled writer, not the serde pretty-printer: CI and
-        // downstream tooling get one byte-stable line under a renderer
-        // this repo controls.
+        // One byte-stable line: CI and downstream tooling parse it.
         println!("{}", drill_report_json(&report));
     } else {
         print!("{}", render_drill(&report, &outcome));
@@ -413,8 +414,8 @@ fn serve_command(args: &[String]) -> ExitCode {
         Some(dir) => {
             let (handler, sweep) = PipetteHandler::with_cache_dir(&dir);
             eprintln!(
-                "serve: cache sweep of {dir}: {} scanned, {} quarantined, {} indexes healed",
-                sweep.scanned, sweep.quarantined, sweep.healed_indexes
+                "serve: cache sweep of {dir}: {} scanned, {} quarantined",
+                sweep.scanned, sweep.quarantined
             );
             handler
         }
@@ -468,7 +469,18 @@ fn serve_command(args: &[String]) -> ExitCode {
 fn compare(spec: &JobSpec, json: bool) -> Result<(), Box<dyn std::error::Error>> {
     let rows = run_compare(spec)?;
     if json {
-        println!("{}", serde_json::to_string_pretty(&rows)?);
+        let doc: JsonValue = rows
+            .iter()
+            .map(|r| {
+                JsonValue::object([
+                    ("method", r.method.as_str().into()),
+                    ("config", r.config.as_str().into()),
+                    ("seconds", r.seconds.into()),
+                    ("launches", r.launches.into()),
+                ])
+            })
+            .collect();
+        println!("{}", json::render_pretty(&doc));
         return Ok(());
     }
     println!(

@@ -10,13 +10,12 @@ use pipette_cluster::{FaultPlan, RobustProfilingPolicy};
 use pipette_obs::json::Obj;
 use pipette_obs::{EventKind, Trace};
 use pipette_sim::ClusterRun;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt::Write as _;
 
 /// Machine-readable result of a `configure` run (also printed as JSON with
 /// `--json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CliReport {
     /// Chosen pipeline ways.
     pub pp: usize,
@@ -42,16 +41,10 @@ pub struct CliReport {
     pub mapping: Vec<usize>,
     /// Parallel-tempering replicas the SA passes ran with (1 = classic
     /// single chain).
-    #[serde(default = "default_report_replicas")]
     pub replicas: usize,
     /// Trained-estimator cache traffic (absent when no cache directory
     /// was configured).
-    #[serde(default)]
     pub estimator_cache: Option<CacheCounters>,
-}
-
-fn default_report_replicas() -> usize {
-    1
 }
 
 pub(crate) fn options_for(spec: &JobSpec) -> PipetteOptions {
@@ -128,7 +121,7 @@ pub fn run_configure_traced(
 
 /// Machine-readable result of a `drill` run: the degraded
 /// recommendation plus the robustness accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DrillReport {
     /// The recommendation for the surviving subcluster (verified on it).
     pub recommendation: CliReport,
@@ -147,13 +140,11 @@ pub struct DrillReport {
     /// Whether memory screening fell back to the analytic model.
     pub analytic_memory_fallback: bool,
     /// `degraded_seconds / healthy_seconds` when GPUs were lost.
-    #[serde(default)]
     pub slowdown_factor: Option<f64>,
     /// Requests answered in breaker-degraded (analytic-memory) mode.
     /// Zero for one-shot drills; populated by `pipette drill --serve`
     /// replays, where the server's circuit breaker may force analytic
     /// responses mid-timeline.
-    #[serde(default)]
     pub degraded_requests: u64,
 }
 
@@ -524,7 +515,7 @@ pub fn render_metrics(trace: &Trace) -> String {
 }
 
 /// One row of the `--compare` table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompareRow {
     /// Method name.
     pub method: String,
@@ -700,10 +691,14 @@ mod tests {
     #[test]
     fn report_serializes_to_json() {
         let report = run_configure(&small_spec()).expect("feasible job");
-        let json = serde_json::to_string_pretty(&report).unwrap();
+        let json = cli_report_json(&report);
         assert!(json.contains("\"pp\""));
-        let back: CliReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.pp, report.pp);
+        let back = pipette_obs::json::parse(&json).unwrap();
+        assert_eq!(
+            back.get("pp")
+                .and_then(pipette_obs::json::JsonValue::as_u64),
+            Some(report.pp as u64)
+        );
     }
 
     #[test]

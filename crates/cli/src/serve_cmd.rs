@@ -26,7 +26,7 @@
 //! byte-identical responses at any worker count.
 
 use crate::report::{self, cli_report_json, drill_report_json, CliReport};
-use crate::spec::{parse_fault_plan_strict, JobSpec};
+use crate::spec::{parse_document, JobSpec, SpecError};
 use pipette::memory::{SweepReport, TrainedEstimatorCache};
 use pipette::{ConfigureError, DeadlineReport, Pipette};
 use pipette_cluster::{FaultPlan, ProfiledBandwidth, ProfilingCost};
@@ -77,9 +77,8 @@ impl PipetteHandler {
     }
 
     /// A handler persisting trained estimators under `dir`. Startup is
-    /// crash-only: the directory is swept eagerly — corrupt entries
-    /// quarantined, defective index snapshots rebuilt — before the first
-    /// request is admitted.
+    /// crash-only: the directory is swept eagerly — defective entries
+    /// quarantined — before the first request is admitted.
     pub fn with_cache_dir(dir: impl Into<PathBuf>) -> (Self, SweepReport) {
         let cache = TrainedEstimatorCache::with_dir(dir);
         let sweep = cache.sweep();
@@ -404,12 +403,12 @@ impl RequestHandler for PipetteHandler {
         let Some(job_doc) = doc.get("job") else {
             return ParseOutcome::Error(format!("op {op:?} requires a \"job\" spec"));
         };
-        let spec = match JobSpec::parse_strict(&render_value(job_doc)) {
+        let spec = match JobSpec::from_json(job_doc) {
             Ok(s) => s,
             Err(e) => return ParseOutcome::Error(format!("job: {e}")),
         };
         let faults = match (kind, doc.get("faults")) {
-            (OpKind::Drill, Some(f)) => match parse_fault_plan_strict(&render_value(f)) {
+            (OpKind::Drill, Some(f)) => match FaultPlan::from_json(f).map_err(SpecError::from) {
                 Ok(p) => Some(p),
                 Err(e) => return ParseOutcome::Error(format!("faults: {e}")),
             },
@@ -528,10 +527,10 @@ pub fn run_drill_serve(
 ) -> Result<(Vec<String>, ServeSummary), Box<dyn Error>> {
     // Validate up front so a bad file is one clean error, not a typed
     // per-request failure for every day of the timeline.
-    JobSpec::parse_strict(spec_text)?;
-    let plan = parse_fault_plan_strict(fault_text)?;
-    let job_doc = json::parse(spec_text)?;
-    let fault_doc = json::parse(fault_text)?;
+    let job_doc = parse_document(spec_text)?;
+    JobSpec::from_json(&job_doc)?;
+    let fault_doc = parse_document(fault_text)?;
+    let plan = FaultPlan::from_json(&fault_doc).map_err(SpecError::from)?;
     let job_json = render_value(&job_doc);
 
     let days = plan.drift.as_ref().map_or(0, |d| d.day);

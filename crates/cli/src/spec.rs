@@ -18,25 +18,22 @@
 
 use pipette_cluster::{presets, Cluster, FaultPlan};
 use pipette_model::GptConfig;
-use pipette_obs::json::{self, JsonValue};
-use serde::{Deserialize, Serialize};
+use pipette_obs::json::{self, DecodeError, Fields, JsonValue, Schema};
 use std::fmt;
 
 /// Which synthetic cluster to build.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// `"mid-range"` (V100/EDR) or `"high-end"` (A100/HDR).
     pub preset: String,
     /// Number of 8-GPU nodes.
     pub nodes: usize,
-    /// Seed realizing the heterogeneous bandwidth matrix.
-    #[serde(default)]
+    /// Seed realizing the heterogeneous bandwidth matrix (default 0).
     pub seed: u64,
 }
 
 /// The model to train: a named preset or explicit hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone)]
 pub enum ModelSpec {
     /// A named preset, e.g. `{"preset": "gpt-3.1b"}`.
     Preset {
@@ -52,24 +49,14 @@ pub enum ModelSpec {
         /// Attention heads.
         heads: usize,
         /// Sequence length (default 2048).
-        #[serde(default = "default_seq")]
         seq_len: usize,
         /// Vocabulary size (default 51200).
-        #[serde(default = "default_vocab")]
         vocab: usize,
     },
 }
 
-fn default_seq() -> usize {
-    2048
-}
-
-fn default_vocab() -> usize {
-    51200
-}
-
 /// The full job specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Cluster to configure for.
     pub cluster: ClusterSpec,
@@ -78,60 +65,28 @@ pub struct JobSpec {
     /// Samples per optimizer step.
     pub global_batch: u64,
     /// Largest microbatch considered (default 8).
-    #[serde(default = "default_micro")]
     pub max_micro: u64,
     /// Enable fine-grained worker dedication (default true).
-    #[serde(default = "default_true")]
     pub worker_dedication: bool,
     /// Simulated-annealing iterations per candidate (default 30000).
-    #[serde(default = "default_sa")]
     pub sa_iterations: usize,
     /// Search seed (default 0).
-    #[serde(default)]
     pub seed: u64,
     /// Parallel-tempering replicas per SA pass (default 1 = classic
     /// single chain). More replicas search a temperature ladder with
     /// deterministic state exchange; results stay machine-independent
     /// because this is an explicit choice, never derived from core count.
-    #[serde(default = "default_replicas")]
     pub replicas: usize,
     /// Iterations between tempering exchange rounds (default 512;
     /// ignored when `replicas` is 1).
-    #[serde(default = "default_exchange_interval")]
     pub exchange_interval: usize,
     /// Memory-estimator training iterations (default 12000; lower for
     /// quick runs).
-    #[serde(default = "default_mem_iterations")]
     pub memory_training_iterations: usize,
     /// Directory for the on-disk trained-estimator cache. When set,
     /// repeated `configure` runs with identical training inputs reload
     /// the estimator (bit-exact) instead of retraining.
-    #[serde(default)]
     pub estimator_cache_dir: Option<String>,
-}
-
-fn default_mem_iterations() -> usize {
-    12_000
-}
-
-fn default_micro() -> u64 {
-    8
-}
-
-fn default_true() -> bool {
-    true
-}
-
-fn default_sa() -> usize {
-    30_000
-}
-
-fn default_replicas() -> usize {
-    1
-}
-
-fn default_exchange_interval() -> usize {
-    512
 }
 
 /// Errors turning a spec into concrete objects.
@@ -199,109 +154,75 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-const TOP_FIELDS: &str = "cluster, model, global_batch, max_micro, worker_dedication, \
-     sa_iterations, seed, replicas, exchange_interval, memory_training_iterations, \
-     estimator_cache_dir";
-const CLUSTER_FIELDS: &str = "preset, nodes, seed";
-const MODEL_FIELDS: &str = "preset — or layers, hidden, heads, seq_len, vocab";
-const PLAN_FIELDS: &str = "seed, degraded_links, straggler_gpus, failed_gpus, failed_nodes, \
-     corrupt_pairs, measurement_failure_rate, sample_loss_rate, drift";
-
-/// Checks that every key of `value` (which must be an object) is in
-/// `allowed`, and that every `required` key is present.
-fn check_fields(
-    value: &JsonValue,
-    context: &str,
-    allowed: &[&str],
-    allowed_msg: &'static str,
-    required: &[&'static str],
-) -> Result<(), SpecError> {
-    if !matches!(value, JsonValue::Object(_)) {
-        return Err(SpecError::Malformed(format!(
-            "{context} must be an object, got {}",
-            value.type_name()
-        )));
-    }
-    if let Some(key) = json::first_unknown_key(value, allowed) {
-        return Err(SpecError::UnknownField {
-            context: context.to_owned(),
-            field: key.to_owned(),
-            allowed: allowed_msg,
-        });
-    }
-    for &field in required {
-        if value.get(field).is_none() {
-            return Err(SpecError::MissingField {
-                context: context.to_owned(),
+impl From<DecodeError> for SpecError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Malformed(reason) => SpecError::Malformed(reason),
+            DecodeError::UnknownField {
+                context,
                 field,
-            });
+                allowed,
+            } => SpecError::UnknownField {
+                context,
+                field,
+                allowed,
+            },
+            DecodeError::MissingField { context, field } => {
+                SpecError::MissingField { context, field }
+            }
         }
     }
-    Ok(())
 }
 
-/// Walks the parsed shape of a job spec, rejecting unknown fields before
-/// the (default-filling, unknown-tolerating) serde pass runs.
-fn check_job_shape(doc: &JsonValue) -> Result<(), SpecError> {
-    check_fields(
-        doc,
-        "job spec",
-        &[
-            "cluster",
-            "model",
-            "global_batch",
-            "max_micro",
-            "worker_dedication",
-            "sa_iterations",
-            "seed",
-            "replicas",
-            "exchange_interval",
-            "memory_training_iterations",
-            "estimator_cache_dir",
-        ],
-        TOP_FIELDS,
-        &["cluster", "model", "global_batch"],
-    )?;
-    let Some(cluster) = doc.get("cluster") else {
-        return Err(SpecError::MissingField {
-            context: "spec".to_string(),
-            field: "cluster",
-        });
-    };
-    check_fields(
-        cluster,
+const MODEL_FIELDS: &str = "preset — or layers, hidden, heads, seq_len, vocab";
+
+const JOB: Schema = Schema {
+    keys: &[
         "cluster",
-        &["preset", "nodes", "seed"],
-        CLUSTER_FIELDS,
-        &["preset", "nodes"],
-    )?;
-    let Some(model) = doc.get("model") else {
-        return Err(SpecError::MissingField {
-            context: "spec".to_string(),
-            field: "model",
-        });
-    };
-    if model.get("preset").is_some() {
-        check_fields(model, "model", &["preset"], MODEL_FIELDS, &["preset"])?;
-    } else {
-        check_fields(
-            model,
-            "model",
-            &["layers", "hidden", "heads", "seq_len", "vocab"],
-            MODEL_FIELDS,
-            &["layers", "hidden", "heads"],
-        )?;
-    }
-    Ok(())
+        "model",
+        "global_batch",
+        "max_micro",
+        "worker_dedication",
+        "sa_iterations",
+        "seed",
+        "replicas",
+        "exchange_interval",
+        "memory_training_iterations",
+        "estimator_cache_dir",
+    ],
+    accepted: "cluster, model, global_batch, max_micro, worker_dedication, \
+               sa_iterations, seed, replicas, exchange_interval, memory_training_iterations, \
+               estimator_cache_dir",
+    required: &["cluster", "model", "global_batch"],
+};
+const CLUSTER: Schema = Schema {
+    keys: &["preset", "nodes", "seed"],
+    accepted: "preset, nodes, seed",
+    required: &["preset", "nodes"],
+};
+const MODEL_PRESET: Schema = Schema {
+    keys: &["preset"],
+    accepted: MODEL_FIELDS,
+    required: &["preset"],
+};
+const MODEL_CUSTOM: Schema = Schema {
+    keys: &["layers", "hidden", "heads", "seq_len", "vocab"],
+    accepted: MODEL_FIELDS,
+    required: &["layers", "hidden", "heads"],
+};
+
+/// Parses `text` as JSON, reporting a syntax error as
+/// [`SpecError::Malformed`].
+pub(crate) fn parse_document(text: &str) -> Result<JsonValue, SpecError> {
+    json::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))
 }
 
 impl JobSpec {
-    /// Parses a job spec strictly: valid JSON only, no unknown fields
-    /// anywhere, all required fields present, all values in range. The
-    /// plain serde path stays lenient (defaults fill gaps, unknown keys
-    /// are ignored) for programmatic use; the CLI goes through here so a
-    /// typo like `"global_bacth"` fails with an actionable message
-    /// instead of silently running with a default.
+    /// Parses a job spec strictly: valid JSON only, then
+    /// [`Self::from_json`]. The CLI and `pipette serve` both decode
+    /// through [`Self::from_json`], so a typo like `"global_bacth"` fails
+    /// with the same actionable message on either path instead of
+    /// silently running with a default.
     ///
     /// # Errors
     ///
@@ -309,15 +230,74 @@ impl JobSpec {
     /// [`SpecError::MissingField`], or [`SpecError::OutOfRange`] naming
     /// the first problem.
     pub fn parse_strict(text: &str) -> Result<Self, SpecError> {
-        let doc = json::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
-        check_job_shape(&doc)?;
-        let spec: JobSpec =
-            serde_json::from_str(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
+        Self::from_json(&parse_document(text)?)
+    }
+
+    /// Decodes a job spec from parsed JSON in one strict pass — no
+    /// unknown fields anywhere, all required fields present, every value
+    /// of its field's type (an error names the field, e.g.
+    /// `model.heads`), defaults for the rest — then [`Self::validate`]s
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse_strict`], apart from JSON syntax errors.
+    pub fn from_json(doc: &JsonValue) -> Result<Self, SpecError> {
+        let job = Fields::root(doc, "job spec", &JOB)?;
+        let cluster = job.required("cluster", |v, path| {
+            Fields::at(v, path.to_owned(), &CLUSTER)
+        })?;
+        let model = job.required("model", |v, path| {
+            let schema = if v.get("preset").is_some() {
+                &MODEL_PRESET
+            } else {
+                &MODEL_CUSTOM
+            };
+            Fields::at(v, path.to_owned(), schema)
+        })?;
+        let model = match model.optional("preset", json::string)? {
+            Some(preset) => ModelSpec::Preset {
+                preset: preset.to_owned(),
+            },
+            None => ModelSpec::Custom {
+                layers: model.required("layers", json::size)?,
+                hidden: model.required("hidden", json::size)?,
+                heads: model.required("heads", json::size)?,
+                seq_len: model.optional("seq_len", json::size)?.unwrap_or(2048),
+                vocab: model.optional("vocab", json::size)?.unwrap_or(51200),
+            },
+        };
+        let spec = JobSpec {
+            cluster: ClusterSpec {
+                preset: cluster.required("preset", json::string)?.to_owned(),
+                nodes: cluster.required("nodes", json::size)?,
+                seed: cluster.optional("seed", json::uint)?.unwrap_or(0),
+            },
+            model,
+            global_batch: job.required("global_batch", json::uint)?,
+            max_micro: job.optional("max_micro", json::uint)?.unwrap_or(8),
+            worker_dedication: job
+                .optional("worker_dedication", json::boolean)?
+                .unwrap_or(true),
+            sa_iterations: job.optional("sa_iterations", json::size)?.unwrap_or(30_000),
+            seed: job.optional("seed", json::uint)?.unwrap_or(0),
+            replicas: job.optional("replicas", json::size)?.unwrap_or(1),
+            exchange_interval: job
+                .optional("exchange_interval", json::size)?
+                .unwrap_or(512),
+            memory_training_iterations: job
+                .optional("memory_training_iterations", json::size)?
+                .unwrap_or(12_000),
+            estimator_cache_dir: match job.get("estimator_cache_dir") {
+                None | Some(JsonValue::Null) => None,
+                Some(dir) => Some(json::string(dir, "estimator_cache_dir")?.to_owned()),
+            },
+        };
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Range-checks a spec's values (called by [`Self::parse_strict`];
+    /// Range-checks a spec's values (called by [`Self::from_json`];
     /// also usable on programmatically built specs).
     ///
     /// # Errors
@@ -431,63 +411,17 @@ impl JobSpec {
     }
 }
 
-/// Parses a [`FaultPlan`] strictly: no unknown fields at any level. The
+/// Parses a [`FaultPlan`] strictly (see [`FaultPlan::from_json`]). The
 /// plan's *semantic* validity (GPU indices in range, rates in `[0, 1]`)
 /// is checked against the actual topology by `FaultPlan::validate` when
 /// the drill runs.
 ///
 /// # Errors
 ///
-/// [`SpecError::Malformed`] or [`SpecError::UnknownField`].
+/// [`SpecError::Malformed`], [`SpecError::UnknownField`] or
+/// [`SpecError::MissingField`].
 pub fn parse_fault_plan_strict(text: &str) -> Result<FaultPlan, SpecError> {
-    let doc = json::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
-    check_fields(
-        &doc,
-        "fault plan",
-        &[
-            "seed",
-            "degraded_links",
-            "straggler_gpus",
-            "failed_gpus",
-            "failed_nodes",
-            "corrupt_pairs",
-            "measurement_failure_rate",
-            "sample_loss_rate",
-            "drift",
-        ],
-        PLAN_FIELDS,
-        &[],
-    )?;
-    if let Some(drift) = doc.get("drift") {
-        check_fields(
-            drift,
-            "drift",
-            &["day", "daily_sigma", "reversion"],
-            "day, daily_sigma, reversion",
-            &["day"],
-        )?;
-    }
-    let item_fields: [(&str, &[&'static str], &'static str); 3] = [
-        (
-            "degraded_links",
-            &["from_node", "to_node", "factor"],
-            "from_node, to_node, factor",
-        ),
-        ("straggler_gpus", &["gpu", "slowdown"], "gpu, slowdown"),
-        (
-            "corrupt_pairs",
-            &["from_gpu", "to_gpu", "kind"],
-            "from_gpu, to_gpu, kind",
-        ),
-    ];
-    for (list, fields, msg) in item_fields {
-        if let Some(JsonValue::Array(items)) = doc.get(list) {
-            for (i, item) in items.iter().enumerate() {
-                check_fields(item, &format!("{list}[{i}]"), fields, msg, fields)?;
-            }
-        }
-    }
-    serde_json::from_str(text).map_err(|e| SpecError::Malformed(e.to_string()))
+    Ok(FaultPlan::from_json(&parse_document(text)?)?)
 }
 
 #[cfg(test)]
@@ -501,7 +435,7 @@ mod tests {
             "model": {"preset": "gpt-1.1b"},
             "global_batch": 256
         }"#;
-        let spec: JobSpec = serde_json::from_str(json).unwrap();
+        let spec = JobSpec::parse_strict(json).unwrap();
         assert_eq!(spec.max_micro, 8);
         assert!(spec.worker_dedication);
         assert_eq!(spec.sa_iterations, 30_000);
@@ -519,7 +453,7 @@ mod tests {
             "global_batch": 64,
             "worker_dedication": false
         }"#;
-        let spec: JobSpec = serde_json::from_str(json).unwrap();
+        let spec = JobSpec::parse_strict(json).unwrap();
         let model = spec.build_model().unwrap();
         assert_eq!(model.hidden, 768);
         assert_eq!(model.seq_len, 2048);
@@ -533,7 +467,7 @@ mod tests {
             "model": {"preset": "gpt-9000b"},
             "global_batch": 256
         }"#;
-        let spec: JobSpec = serde_json::from_str(json).unwrap();
+        let spec = JobSpec::parse_strict(json).unwrap();
         assert!(matches!(
             spec.build_cluster(),
             Err(SpecError::UnknownCluster(_))
@@ -696,12 +630,13 @@ mod tests {
             memory_training_iterations: 12_000,
             estimator_cache_dir: None,
         };
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: JobSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.global_batch, 512);
-        assert_eq!(back.max_micro, 4);
-        assert_eq!(back.replicas, 4);
-        assert_eq!(back.exchange_interval, 256);
+        let json = r#"{"cluster": {"preset": "mid-range", "nodes": 8, "seed": 1},
+            "model": {"preset": "gpt-3.1b"}, "global_batch": 512, "max_micro": 4,
+            "worker_dedication": true, "sa_iterations": 10000, "seed": 5,
+            "replicas": 4, "exchange_interval": 256,
+            "memory_training_iterations": 12000, "estimator_cache_dir": null}"#;
+        let back = JobSpec::parse_strict(json).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{spec:?}"));
     }
 
     #[test]
@@ -747,5 +682,257 @@ mod tests {
             assert!(matches!(err, SpecError::OutOfRange { .. }), "{json}");
             assert!(err.to_string().contains(needle), "{err}");
         }
+    }
+
+    /// A job spec and a fault plan that set every field.
+    const FULL_JOB: &str = r#"{"cluster": {"preset": "mid-range", "nodes": 2, "seed": 3},
+        "model": {"layers": 8, "hidden": 1024, "heads": 16, "seq_len": 1024, "vocab": 32000},
+        "global_batch": 64, "max_micro": 2, "worker_dedication": false,
+        "sa_iterations": 400, "seed": 1, "replicas": 2, "exchange_interval": 128,
+        "memory_training_iterations": 200, "estimator_cache_dir": "cache"}"#;
+    const FULL_PLAN: &str = r#"{"seed": 9,
+        "degraded_links": [{"from_node": 0, "to_node": 1, "factor": 0.25}],
+        "straggler_gpus": [{"gpu": 3, "slowdown": 2.0}],
+        "failed_gpus": [12], "failed_nodes": [1],
+        "corrupt_pairs": [{"from_gpu": 0, "to_gpu": 8, "kind": "nan"}],
+        "measurement_failure_rate": 0.05, "sample_loss_rate": 0.1,
+        "drift": {"day": 4, "daily_sigma": 0.03, "reversion": 0.25}}"#;
+
+    /// The value at a `a.b[0].c` path.
+    fn at<'v>(doc: &'v mut JsonValue, path: &str) -> &'v mut JsonValue {
+        path.split('.').fold(doc, |v, step| {
+            let (key, index) = match step.split_once('[') {
+                Some((key, rest)) => (key, rest.trim_end_matches(']').parse::<usize>().ok()),
+                None => (step, None),
+            };
+            let JsonValue::Object(members) = v else {
+                panic!("{path}: {key} is not in an object")
+            };
+            let (_, member) = members.iter_mut().find(|(k, _)| k == key).unwrap();
+            match (index, member) {
+                (Some(i), JsonValue::Array(items)) => &mut items[i],
+                (_, member) => member,
+            }
+        })
+    }
+
+    /// Whether `err` reports a malformed value at `path`.
+    fn names_field(err: &SpecError, path: &str) -> bool {
+        let message = err.to_string();
+        let rest = message.strip_prefix(&format!("malformed spec: {path}"));
+        matches!(err, SpecError::Malformed(_))
+            && rest.is_some_and(|r| r.starts_with(": expected") || r.starts_with(" must be"))
+    }
+
+    #[test]
+    fn a_type_error_names_its_field() {
+        let string = || JsonValue::String("4".into());
+        let number = || JsonValue::Number(2.5);
+        let job_fields = [
+            ("cluster", number()),
+            ("cluster.preset", number()),
+            ("cluster.nodes", string()),
+            ("cluster.seed", number()),
+            ("model", string()),
+            ("model.layers", number()),
+            ("model.hidden", string()),
+            ("model.heads", string()),
+            ("model.seq_len", JsonValue::Bool(true)),
+            ("model.vocab", JsonValue::Number(-1.0)),
+            ("global_batch", number()),
+            ("max_micro", string()),
+            ("worker_dedication", string()),
+            ("sa_iterations", JsonValue::Null),
+            ("seed", number()),
+            ("replicas", string()),
+            ("exchange_interval", JsonValue::Array(Vec::new())),
+            ("memory_training_iterations", number()),
+            ("estimator_cache_dir", number()),
+        ];
+        for (path, wrong) in job_fields {
+            let mut doc = json::parse(FULL_JOB).unwrap();
+            *at(&mut doc, path) = wrong;
+            let err = JobSpec::from_json(&doc).unwrap_err();
+            assert!(names_field(&err, path), "{path}: {err}");
+        }
+        let model_preset = r#"{"cluster": {"preset": "mid-range", "nodes": 2},
+            "model": {"preset": 7}, "global_batch": 64}"#;
+        assert_eq!(
+            JobSpec::parse_strict(model_preset).unwrap_err().to_string(),
+            "malformed spec: model.preset: expected a string, found 7"
+        );
+
+        let plan_fields = [
+            ("seed", number()),
+            ("degraded_links", number()),
+            ("degraded_links[0]", number()),
+            ("degraded_links[0].from_node", string()),
+            ("degraded_links[0].to_node", number()),
+            ("degraded_links[0].factor", string()),
+            ("straggler_gpus", string()),
+            ("straggler_gpus[0].gpu", number()),
+            ("straggler_gpus[0].slowdown", string()),
+            ("failed_gpus", string()),
+            ("failed_gpus[0]", number()),
+            ("failed_nodes", JsonValue::Object(Vec::new())),
+            ("failed_nodes[0]", JsonValue::Number(-1.0)),
+            ("corrupt_pairs", number()),
+            ("corrupt_pairs[0].from_gpu", string()),
+            ("corrupt_pairs[0].to_gpu", number()),
+            ("corrupt_pairs[0].kind", number()),
+            ("measurement_failure_rate", string()),
+            ("sample_loss_rate", JsonValue::Bool(false)),
+            ("drift", JsonValue::Null),
+            ("drift.day", number()),
+            ("drift.daily_sigma", string()),
+            ("drift.reversion", string()),
+        ];
+        for (path, wrong) in plan_fields {
+            let mut doc = json::parse(FULL_PLAN).unwrap();
+            *at(&mut doc, path) = wrong;
+            let err = parse_fault_plan_strict(&json::render_value(&doc)).unwrap_err();
+            assert!(names_field(&err, path), "{path}: {err}");
+        }
+    }
+
+    #[test]
+    fn integers_above_two_pow_53_are_rejected_by_name() {
+        let spec = |seed: &str| {
+            format!(
+                r#"{{"cluster": {{"preset": "mid-range", "nodes": 1, "seed": {seed}}},
+                    "model": {{"preset": "gpt-1.1b"}}, "global_batch": 8}}"#
+            )
+        };
+        let ok = JobSpec::parse_strict(&spec("9007199254740992")).unwrap();
+        assert_eq!(ok.cluster.seed, 1 << 53);
+        let err = JobSpec::parse_strict(&spec("9007199254740993")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed spec: cluster.seed: expected an integer in 0..=2^53, found number"
+        );
+    }
+
+    /// splitmix64: a seeded, dependency-free stream for the mutator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    /// The path of every value below the root of `doc`, in `at` syntax.
+    fn paths(doc: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+        match doc {
+            JsonValue::Object(members) => {
+                for (key, value) in members {
+                    let path = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    out.push(path.clone());
+                    paths(value, &path, out);
+                }
+            }
+            JsonValue::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    let path = format!("{prefix}[{i}]");
+                    out.push(path.clone());
+                    paths(item, &path, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// `doc` with one value replaced, or one object member deleted.
+    fn mutant(rng: &mut SplitMix, seed: &JsonValue, targets: &[String]) -> JsonValue {
+        const REPLACEMENTS: [&str; 9] = [
+            "-1",
+            "0",
+            "2.5",
+            "9007199254740993",
+            "\"x\"",
+            "true",
+            "null",
+            "[]",
+            "{}",
+        ];
+        let mut doc = seed.clone();
+        let path = &targets[rng.below(targets.len())];
+        let pick = rng.below(REPLACEMENTS.len() + 1);
+        match REPLACEMENTS.get(pick) {
+            Some(text) => *at(&mut doc, path) = json::parse(text).unwrap(),
+            // Delete the member, or remove the array element.
+            None => match path.rfind(['.', '[']) {
+                Some(cut) if path.ends_with(']') => {
+                    let index: usize = path[cut + 1..path.len() - 1].parse().unwrap();
+                    if let JsonValue::Array(items) = at(&mut doc, &path[..cut]) {
+                        items.remove(index);
+                    }
+                }
+                cut => {
+                    let key = &path[cut.map_or(0, |c| c + 1)..];
+                    let owner = match cut {
+                        Some(cut) => at(&mut doc, &path[..cut]),
+                        None => &mut doc,
+                    };
+                    if let JsonValue::Object(members) = owner {
+                        members.retain(|(k, _)| k != key);
+                    }
+                }
+            },
+        }
+        doc
+    }
+
+    #[test]
+    fn seeded_value_mutants_decode_or_fail_typed() {
+        let job = json::parse(FULL_JOB).unwrap();
+        let plan = json::parse(FULL_PLAN).unwrap();
+        let (mut job_paths, mut plan_paths) = (Vec::new(), Vec::new());
+        paths(&job, "", &mut job_paths);
+        paths(&plan, "", &mut plan_paths);
+        let topology = pipette_cluster::ClusterTopology::new(2, 8);
+        let mut rng = SplitMix(0x5eed_5bec);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..2_000 {
+            let doc = mutant(&mut rng, &job, &job_paths);
+            let decoded = JobSpec::from_json(&doc);
+            // The text path decodes the same document the same way.
+            let reparsed = JobSpec::parse_strict(&json::render_value(&doc));
+            assert_eq!(format!("{decoded:?}"), format!("{reparsed:?}"));
+            match decoded {
+                Ok(spec) => {
+                    accepted += 1;
+                    assert_eq!(spec.validate(), Ok(()), "{}", json::render_value(&doc));
+                }
+                Err(_) => rejected += 1,
+            }
+
+            let doc = mutant(&mut rng, &plan, &plan_paths);
+            match FaultPlan::from_json(&doc) {
+                Ok(plan) => {
+                    accepted += 1;
+                    // Range checks against a topology never panic either.
+                    let _ = plan.validate(&topology);
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Both outcomes are exercised.
+        assert!(
+            accepted > 300 && rejected > 1_500,
+            "{accepted} / {rejected}"
+        );
     }
 }

@@ -8,7 +8,7 @@
 use crate::error::ClusterError;
 use crate::link::{LinkClass, LinkSpec};
 use crate::topology::{ClusterTopology, GpuId, NodeId};
-use serde::{Deserialize, Serialize};
+use pipette_obs::json::{self, DecodeError, Fields, JsonValue, Schema};
 
 /// Dense GPU×GPU matrix of attained bandwidths in GiB/s.
 ///
@@ -17,43 +17,31 @@ use serde::{Deserialize, Serialize};
 /// `between(b, a)`, mirroring the paper's observation that bidirectional
 /// bandwidths are "often almost symmetric" (which motivates the SA *reverse*
 /// move).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthMatrix {
     topology: ClusterTopology,
     intra_spec: LinkSpec,
     inter_spec: LinkSpec,
     /// Row-major `num_gpus x num_gpus` attained bandwidth, GiB/s. The
-    /// diagonal is `INFINITY`, which JSON cannot represent, so the field
-    /// round-trips through a null-aware codec.
-    #[serde(with = "infinite_f64_vec")]
+    /// diagonal is `INFINITY`, which JSON writes as `null`.
     data: Vec<f64>,
 }
 
-/// Serde codec mapping non-finite `f64`s to JSON `null` and back.
-mod infinite_f64_vec {
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(data: &[f64], s: S) -> Result<S::Ok, S::Error> {
-        let encoded: Vec<Option<f64>> = data
-            .iter()
-            .map(|&v| if v.is_finite() { Some(v) } else { None })
-            .collect();
-        encoded.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<f64>, D::Error> {
-        let encoded: Vec<Option<f64>> = Vec::deserialize(d)?;
-        encoded
-            .into_iter()
-            .map(|v| match v {
-                Some(x) if x.is_finite() => Ok(x),
-                Some(x) => Err(D::Error::custom(format!("non-finite bandwidth {x}"))),
-                None => Ok(f64::INFINITY),
-            })
-            .collect()
-    }
-}
+const MATRIX: Schema = Schema {
+    keys: &["topology", "intra_spec", "inter_spec", "data"],
+    accepted: "topology, intra_spec, inter_spec, data",
+    required: &["topology", "intra_spec", "inter_spec", "data"],
+};
+const TOPOLOGY: Schema = Schema {
+    keys: &["nodes", "gpus_per_node"],
+    accepted: "nodes, gpus_per_node",
+    required: &["nodes", "gpus_per_node"],
+};
+const LINK: Schema = Schema {
+    keys: &["bandwidth_gib_s", "latency_s"],
+    accepted: "bandwidth_gib_s, latency_s",
+    required: &["bandwidth_gib_s", "latency_s"],
+};
 
 impl BandwidthMatrix {
     /// Builds a matrix from raw per-pair data.
@@ -68,19 +56,11 @@ impl BandwidthMatrix {
         inter_spec: LinkSpec,
         data: Vec<f64>,
     ) -> Result<Self, ClusterError> {
+        let matrix = Self::with_data(topology, intra_spec, inter_spec, data)?;
         let n = topology.num_gpus();
-        if data.len() != n * n {
-            return Err(ClusterError::MalformedMatrix {
-                reason: format!(
-                    "expected {} entries for {n} gpus, got {}",
-                    n * n,
-                    data.len()
-                ),
-            });
-        }
         for i in 0..n {
             for j in 0..n {
-                let v = data[i * n + j];
+                let v = matrix.data[i * n + j];
                 if i != j && !(v.is_finite() && v > 0.0) {
                     return Err(ClusterError::MalformedMatrix {
                         reason: format!("bandwidth ({i},{j}) is {v}, must be finite and positive"),
@@ -88,12 +68,96 @@ impl BandwidthMatrix {
                 }
             }
         }
+        Ok(matrix)
+    }
+
+    /// [`Self::from_raw`] checking only the shape: `data` must hold
+    /// `num_gpus²` entries, whatever their values.
+    fn with_data(
+        topology: ClusterTopology,
+        intra_spec: LinkSpec,
+        inter_spec: LinkSpec,
+        data: Vec<f64>,
+    ) -> Result<Self, ClusterError> {
+        let n = topology
+            .num_nodes()
+            .saturating_mul(topology.gpus_per_node());
+        if n.checked_mul(n) != Some(data.len()) {
+            return Err(ClusterError::MalformedMatrix {
+                reason: format!(
+                    "expected {} entries for {n} gpus, got {}",
+                    n.saturating_mul(n),
+                    data.len()
+                ),
+            });
+        }
         Ok(Self {
             topology,
             intra_spec,
             inter_spec,
             data,
         })
+    }
+
+    /// The matrix as JSON: topology, nominal link specs, and the
+    /// row-major `data`, with `null` for the infinite diagonal.
+    pub(crate) fn to_json(&self) -> JsonValue {
+        let link = |spec: LinkSpec| {
+            JsonValue::object([
+                ("bandwidth_gib_s", spec.bandwidth_gib_s.into()),
+                ("latency_s", spec.latency_s.into()),
+            ])
+        };
+        JsonValue::object([
+            (
+                "topology",
+                JsonValue::object([
+                    ("nodes", self.topology.num_nodes().into()),
+                    ("gpus_per_node", self.topology.gpus_per_node().into()),
+                ]),
+            ),
+            ("intra_spec", link(self.intra_spec)),
+            ("inter_spec", link(self.inter_spec)),
+            (
+                "data",
+                self.data
+                    .iter()
+                    .map(|&v| {
+                        if v.is_finite() {
+                            v.into()
+                        } else {
+                            JsonValue::Null
+                        }
+                    })
+                    .collect(),
+            ),
+        ])
+    }
+
+    /// Decodes [`Self::to_json`] output found at `path`. The topology
+    /// and the length of `data` are checked; the per-pair values are not
+    /// (`null` reads as infinity), so a bad link value reaches the
+    /// configurator's own check.
+    pub(crate) fn from_json(value: &JsonValue, path: String) -> Result<Self, ClusterError> {
+        let matrix = Fields::at(value, path, &MATRIX)?;
+        let topology =
+            matrix.required("topology", |v, p| Fields::at(v, p.to_owned(), &TOPOLOGY))?;
+        let topology = ClusterTopology::try_new(
+            topology.required("nodes", json::size)?,
+            topology.required("gpus_per_node", json::size)?,
+        )?;
+        let link = |key: &'static str| -> Result<LinkSpec, DecodeError> {
+            let spec = matrix.required(key, |v, p| Fields::at(v, p.to_owned(), &LINK))?;
+            Ok(LinkSpec {
+                bandwidth_gib_s: spec.required("bandwidth_gib_s", json::float)?,
+                latency_s: spec.required("latency_s", json::float)?,
+            })
+        };
+        let data = matrix.list("data", |v, p| match v {
+            JsonValue::Null => Ok(f64::INFINITY),
+            other => json::float(other, &p),
+        })?;
+        Self::with_data(topology, link("intra_spec")?, link("inter_spec")?, data)
     }
 
     /// Builds a perfectly homogeneous matrix at nominal speeds.
@@ -441,8 +505,10 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_infinite_diagonal() {
         let m = homog();
-        let json = serde_json::to_string(&m).expect("serializable");
-        let back: BandwidthMatrix = serde_json::from_str(&json).expect("parseable");
+        let text = json::render_value(&m.to_json());
+        assert!(text.contains("\"data\":[null,"), "{text}");
+        let doc = json::parse(&text).expect("parseable");
+        let back = BandwidthMatrix::from_json(&doc, "bandwidth".into()).expect("decodes");
         assert_eq!(back, m);
         assert!(back.between(GpuId(2), GpuId(2)).is_infinite());
     }

@@ -1,5 +1,6 @@
 //! Error types for the cluster crate.
 
+use pipette_obs::json::DecodeError;
 use std::error::Error;
 use std::fmt;
 
@@ -62,6 +63,17 @@ impl fmt::Display for ClusterError {
 }
 
 impl Error for ClusterError {}
+
+/// A cluster export that does not decode is an invalid `cluster JSON`
+/// parameter; the message names the offending field.
+impl From<DecodeError> for ClusterError {
+    fn from(e: DecodeError) -> Self {
+        ClusterError::InvalidParameter {
+            name: "cluster JSON".into(),
+            reason: e.to_string(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

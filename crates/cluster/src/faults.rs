@@ -15,11 +15,11 @@ use crate::bandwidth::BandwidthMatrix;
 use crate::error::ClusterError;
 use crate::temporal::TemporalDrift;
 use crate::topology::{ClusterTopology, GpuId, NodeId};
-use serde::{Deserialize, Serialize};
+use pipette_obs::json::{self, DecodeError, Fields, JsonValue, Schema};
 
 /// A directed node-to-node link running below its usual attained
 /// bandwidth (congestion, a flaky cable, a misbehaving switch port).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedLink {
     /// Source node of the degraded direction.
     pub from_node: usize,
@@ -31,7 +31,7 @@ pub struct DegradedLink {
 }
 
 /// A GPU whose links all run slow (thermal throttling, a PCIe downgrade).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerGpu {
     /// The straggling GPU (global index).
     pub gpu: usize,
@@ -53,7 +53,7 @@ pub enum CorruptionKind {
 
 /// One GPU pair whose *first* profiler reading comes back corrupted; the
 /// robust profiler's retry path must recover or impute it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorruptPair {
     /// Source GPU (global index).
     pub from_gpu: usize,
@@ -79,24 +79,16 @@ impl CorruptPair {
 /// matrix is replaced by day `day` of the mean-reverting
 /// [`TemporalDrift`] walk (Fig. 3's 40-day mpiGraph trace) before any
 /// other ground-truth fault applies. Day 0 is the base matrix itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEpisode {
     /// Which day of the drift walk to apply (0 = base matrix).
     pub day: usize,
-    /// Per-day log-space noise scale of the walk.
-    #[serde(default = "default_daily_sigma")]
+    /// Per-day log-space noise scale of the walk (default: the
+    /// [`TemporalDrift`] default).
     pub daily_sigma: f64,
-    /// Mean-reversion strength toward the base matrix, `[0, 1]`.
-    #[serde(default = "default_reversion")]
+    /// Mean-reversion strength toward the base matrix, `[0, 1]`
+    /// (default: the [`TemporalDrift`] default).
     pub reversion: f64,
-}
-
-fn default_daily_sigma() -> f64 {
-    TemporalDrift::default().daily_sigma
-}
-
-fn default_reversion() -> f64 {
-    TemporalDrift::default().reversion
 }
 
 /// A seeded, serializable description of one cluster-fault episode.
@@ -110,41 +102,69 @@ fn default_reversion() -> f64 {
 ///
 /// The default value is the zero-fault plan; running any fault-aware path
 /// under it must reproduce the fault-free behavior bit for bit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the plan's own stochastic decisions (measurement
     /// failures, sample loss). Independent of the profiler's noise seed.
-    #[serde(default)]
     pub seed: u64,
     /// Links running below their usual attained bandwidth.
-    #[serde(default)]
     pub degraded_links: Vec<DegradedLink>,
     /// GPUs whose links all run slow.
-    #[serde(default)]
     pub straggler_gpus: Vec<StragglerGpu>,
     /// Dead GPUs (global indices). Their host nodes are cordoned.
-    #[serde(default)]
     pub failed_gpus: Vec<usize>,
     /// Dead nodes; every hosted GPU is excluded.
-    #[serde(default)]
     pub failed_nodes: Vec<usize>,
     /// GPU pairs whose first profiler reading comes back corrupted.
-    #[serde(default)]
     pub corrupt_pairs: Vec<CorruptPair>,
     /// Probability in `[0, 1]` that any single measurement attempt fails
     /// outright (decided per `(pair, attempt)` by a seeded hash).
-    #[serde(default)]
     pub measurement_failure_rate: f64,
     /// Probability in `[0, 1]` that a memory-profiling sample is lost
     /// (decided per sample index by a seeded hash). At `1.0` every sample
     /// is lost, forcing the analytic-estimator fallback.
-    #[serde(default)]
     pub sample_loss_rate: f64,
     /// Temporal-drift episode applied to the ground truth before the
     /// link/straggler faults above.
-    #[serde(default)]
     pub drift: Option<DriftEpisode>,
 }
+
+const PLAN: Schema = Schema {
+    keys: &[
+        "seed",
+        "degraded_links",
+        "straggler_gpus",
+        "failed_gpus",
+        "failed_nodes",
+        "corrupt_pairs",
+        "measurement_failure_rate",
+        "sample_loss_rate",
+        "drift",
+    ],
+    accepted: "seed, degraded_links, straggler_gpus, failed_gpus, failed_nodes, \
+               corrupt_pairs, measurement_failure_rate, sample_loss_rate, drift",
+    required: &[],
+};
+const DRIFT: Schema = Schema {
+    keys: &["day", "daily_sigma", "reversion"],
+    accepted: "day, daily_sigma, reversion",
+    required: &["day"],
+};
+const DEGRADED_LINK: Schema = Schema {
+    keys: &["from_node", "to_node", "factor"],
+    accepted: "from_node, to_node, factor",
+    required: &["from_node", "to_node", "factor"],
+};
+const STRAGGLER: Schema = Schema {
+    keys: &["gpu", "slowdown"],
+    accepted: "gpu, slowdown",
+    required: &["gpu", "slowdown"],
+};
+const CORRUPT_PAIR: Schema = Schema {
+    keys: &["from_gpu", "to_gpu", "kind"],
+    accepted: "from_gpu, to_gpu, kind",
+    required: &["from_gpu", "to_gpu", "kind"],
+};
 
 /// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
 fn splitmix64(mut x: u64) -> u64 {
@@ -165,6 +185,67 @@ fn hash01(seed: u64, tag: u64, a: u64, b: u64, c: u64) -> f64 {
 }
 
 impl FaultPlan {
+    /// Decodes a plan from parsed JSON in one strict pass: an unknown key
+    /// at any level, a value of the wrong type, or a missing required
+    /// member is an error naming its path, and absent members take their
+    /// zero-fault defaults. Whether the plan fits a topology is checked
+    /// later, by [`Self::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] naming the first problem.
+    pub fn from_json(doc: &JsonValue) -> Result<Self, DecodeError> {
+        let plan = Fields::root(doc, "fault plan", &PLAN)?;
+        let drift = plan.optional("drift", |v, path| {
+            let drift = Fields::at(v, path.to_owned(), &DRIFT)?;
+            let defaults = TemporalDrift::default();
+            Ok(DriftEpisode {
+                day: drift.required("day", json::size)?,
+                daily_sigma: drift
+                    .optional("daily_sigma", json::float)?
+                    .unwrap_or(defaults.daily_sigma),
+                reversion: drift
+                    .optional("reversion", json::float)?
+                    .unwrap_or(defaults.reversion),
+            })
+        })?;
+        Ok(Self {
+            seed: plan.optional("seed", json::uint)?.unwrap_or(0),
+            degraded_links: plan.list("degraded_links", |v, path| {
+                let link = Fields::at(v, path, &DEGRADED_LINK)?;
+                Ok(DegradedLink {
+                    from_node: link.required("from_node", json::size)?,
+                    to_node: link.required("to_node", json::size)?,
+                    factor: link.required("factor", json::float)?,
+                })
+            })?,
+            straggler_gpus: plan.list("straggler_gpus", |v, path| {
+                let straggler = Fields::at(v, path, &STRAGGLER)?;
+                Ok(StragglerGpu {
+                    gpu: straggler.required("gpu", json::size)?,
+                    slowdown: straggler.required("slowdown", json::float)?,
+                })
+            })?,
+            failed_gpus: plan.list("failed_gpus", |v, path| json::size(v, &path))?,
+            failed_nodes: plan.list("failed_nodes", |v, path| json::size(v, &path))?,
+            corrupt_pairs: plan.list("corrupt_pairs", |v, path| {
+                let pair = Fields::at(v, path, &CORRUPT_PAIR)?;
+                Ok(CorruptPair {
+                    from_gpu: pair.required("from_gpu", json::size)?,
+                    to_gpu: pair.required("to_gpu", json::size)?,
+                    kind: pair.required("kind", json::string)?.to_owned(),
+                })
+            })?,
+            measurement_failure_rate: plan
+                .optional("measurement_failure_rate", json::float)?
+                .unwrap_or(0.0),
+            sample_loss_rate: plan
+                .optional("sample_loss_rate", json::float)?
+                .unwrap_or(0.0),
+            drift,
+        })
+    }
+
     /// Whether this plan injects nothing at all.
     pub fn is_zero_fault(&self) -> bool {
         self.degraded_links.is_empty()
@@ -592,16 +673,20 @@ mod tests {
         }
     }
 
+    fn decode(text: &str) -> FaultPlan {
+        FaultPlan::from_json(&json::parse(text).unwrap()).unwrap()
+    }
+
     #[test]
     fn drift_round_trips_and_defaults_fill_in() {
-        let sparse: FaultPlan = serde_json::from_str(r#"{"drift":{"day":4}}"#).unwrap();
+        let sparse = decode(r#"{"drift":{"day":4}}"#);
         let d = sparse.drift.unwrap();
         assert_eq!(d.day, 4);
         assert_eq!(d.daily_sigma, 0.03);
         assert_eq!(d.reversion, 0.25);
-        let json = serde_json::to_string(&sparse).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sparse);
+        // Spelled out in full, the defaults read back as the same plan.
+        let full = decode(r#"{"drift":{"day":4,"daily_sigma":0.03,"reversion":0.25}}"#);
+        assert_eq!(full, sparse);
     }
 
     #[test]
@@ -617,11 +702,14 @@ mod tests {
             measurement_failure_rate: 0.05,
             ..FaultPlan::default()
         };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
+        let back = decode(
+            r#"{"seed":9,"failed_nodes":[1],
+                "corrupt_pairs":[{"from_gpu":0,"to_gpu":9,"kind":"outlier"}],
+                "measurement_failure_rate":0.05}"#,
+        );
         assert_eq!(back, plan);
         // Sparse plans parse with defaults filled in.
-        let sparse: FaultPlan = serde_json::from_str(r#"{"failed_nodes":[0]}"#).unwrap();
+        let sparse = decode(r#"{"failed_nodes":[0]}"#);
         assert_eq!(sparse.failed_nodes, vec![0]);
         assert_eq!(sparse.measurement_failure_rate, 0.0);
     }

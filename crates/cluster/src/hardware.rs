@@ -1,6 +1,5 @@
 //! GPU hardware specifications (compute throughput and memory capacity).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compute and memory characteristics of one GPU model.
@@ -9,7 +8,7 @@ use std::fmt;
 /// training FLOPs in practice, and how much memory it has. `attainable_mfu`
 /// folds kernel inefficiency, pipeline stalls other than those we model, and
 /// framework overheads into a single model-FLOPs-utilization factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. "V100".
     pub name: String,

@@ -16,10 +16,9 @@ use crate::topology::{ClusterTopology, GpuId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Statistical model of per-link attained-bandwidth heterogeneity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeterogeneityModel {
     /// Mean attained fraction of nominal inter-node bandwidth.
     pub inter_mean_efficiency: f64,

@@ -1,10 +1,9 @@
 //! Interconnect link classes and their nominal (document-specified) specs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The fabric a pair of GPUs communicates over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Same GPU — no transfer needed.
     Loopback,
@@ -31,7 +30,7 @@ impl fmt::Display for LinkClass {
 /// cluster attains per link; [`crate::HeterogeneityModel`] perturbs them
 /// into an attained-bandwidth matrix. Baselines such as AMP consume the
 /// nominal values directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Peak point-to-point bandwidth in GiB/s.
     pub bandwidth_gib_s: f64,

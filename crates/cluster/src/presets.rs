@@ -8,12 +8,12 @@ use crate::heterogeneity::HeterogeneityModel;
 use crate::link::{gbps_to_gib_s, LinkSpec};
 use crate::profiler::NetworkProfiler;
 use crate::topology::{ClusterTopology, NodeId};
-use serde::{Deserialize, Serialize};
+use pipette_obs::json::{self, DecodeError, Fields, JsonValue, Schema};
 use std::fmt;
 
 /// A fully realized cluster: topology, hardware, and the ground-truth
 /// attained bandwidth matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     name: String,
     gpu: GpuSpec,
@@ -111,26 +111,83 @@ impl Cluster {
     }
 }
 
+const CLUSTER: Schema = Schema {
+    keys: &["name", "gpu", "bandwidth", "profiler"],
+    accepted: "name, gpu, bandwidth, profiler",
+    required: &["name", "gpu", "bandwidth", "profiler"],
+};
+const GPU: Schema = Schema {
+    keys: &["name", "peak_fp16_tflops", "attainable_mfu", "memory_bytes"],
+    accepted: "name, peak_fp16_tflops, attainable_mfu, memory_bytes",
+    required: &["name", "peak_fp16_tflops", "attainable_mfu", "memory_bytes"],
+};
+const PROFILER: Schema = Schema {
+    keys: &["noise_sigma", "base_seconds", "per_pair_seconds"],
+    accepted: "noise_sigma, base_seconds, per_pair_seconds",
+    required: &["noise_sigma", "base_seconds", "per_pair_seconds"],
+};
+
 impl Cluster {
     /// Serializes the cluster (topology, hardware, and full attained
     /// matrix) to pretty JSON — useful for pinning a drawn cluster or
     /// shipping a measured one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors (effectively unreachable for this
-    /// type).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
+    pub fn to_json(&self) -> String {
+        let (gpu, profiler) = (&self.gpu, &self.profiler);
+        json::render_pretty(&JsonValue::object([
+            ("name", self.name.as_str().into()),
+            (
+                "gpu",
+                JsonValue::object([
+                    ("name", gpu.name.as_str().into()),
+                    ("peak_fp16_tflops", gpu.peak_fp16_tflops.into()),
+                    ("attainable_mfu", gpu.attainable_mfu.into()),
+                    ("memory_bytes", gpu.memory_bytes.into()),
+                ]),
+            ),
+            ("bandwidth", self.bandwidth.to_json()),
+            (
+                "profiler",
+                JsonValue::object([
+                    ("noise_sigma", profiler.noise_sigma.into()),
+                    ("base_seconds", profiler.base_seconds.into()),
+                    ("per_pair_seconds", profiler.per_pair_seconds.into()),
+                ]),
+            ),
+        ]))
     }
 
-    /// Restores a cluster from [`Self::to_json`] output.
+    /// Restores a cluster from [`Self::to_json`] output. The shape is
+    /// checked — known keys of the right types, a topology with at least
+    /// one node and one GPU per node, and exactly `gpus²` bandwidth
+    /// entries — but the per-pair values are not: `Pipette` rejects a bad
+    /// link before it searches.
     ///
     /// # Errors
     ///
-    /// Returns the underlying parse error for malformed input.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
+    /// [`ClusterError::InvalidParameter`] for invalid JSON, a mistyped,
+    /// unknown or missing field, or an empty topology;
+    /// [`ClusterError::MalformedMatrix`] when `data` has the wrong length.
+    pub fn from_json(text: &str) -> Result<Self, ClusterError> {
+        let doc = json::parse(text).map_err(|e| DecodeError::Malformed(e.to_string()))?;
+        let root = Fields::root(&doc, "cluster", &CLUSTER)?;
+        let gpu = root.required("gpu", |v, p| Fields::at(v, p.to_owned(), &GPU))?;
+        let profiler = root.required("profiler", |v, p| Fields::at(v, p.to_owned(), &PROFILER))?;
+        let bandwidth = root.required("bandwidth", |v, _| Ok(v))?;
+        Ok(Self {
+            name: root.required("name", json::string)?.to_owned(),
+            gpu: GpuSpec {
+                name: gpu.required("name", json::string)?.to_owned(),
+                peak_fp16_tflops: gpu.required("peak_fp16_tflops", json::float)?,
+                attainable_mfu: gpu.required("attainable_mfu", json::float)?,
+                memory_bytes: gpu.required("memory_bytes", json::uint)?,
+            },
+            bandwidth: BandwidthMatrix::from_json(bandwidth, root.path("bandwidth"))?,
+            profiler: NetworkProfiler {
+                noise_sigma: profiler.required("noise_sigma", json::float)?,
+                base_seconds: profiler.required("base_seconds", json::float)?,
+                per_pair_seconds: profiler.required("per_pair_seconds", json::float)?,
+            },
+        })
     }
 }
 
@@ -142,7 +199,7 @@ impl fmt::Display for Cluster {
 
 /// A parameterized cluster recipe (Table I row); `build(seed)` realizes the
 /// heterogeneous attained-bandwidth matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterPreset {
     /// Cluster name.
     pub name: String,
@@ -265,24 +322,67 @@ mod tests {
     #[test]
     fn cluster_round_trips_through_json() {
         let c = mid_range(2).build(4);
-        let json = c.to_json().expect("serializable");
+        let json = c.to_json();
         let back = Cluster::from_json(&json).expect("parseable");
-        // The JSON float formatter in this toolchain loses the last ULP,
-        // so compare semantically rather than bit-for-bit.
-        assert_eq!(back.name(), c.name());
-        assert_eq!(back.gpu(), c.gpu());
-        assert_eq!(back.topology(), c.topology());
-        for a in c.topology().gpus() {
-            for b in c.topology().gpus() {
-                if a == b {
-                    assert!(back.bandwidth().between(a, b).is_infinite());
-                } else {
-                    let (x, y) = (back.bandwidth().between(a, b), c.bandwidth().between(a, b));
-                    assert!((x / y - 1.0).abs() < 1e-12, "({a},{b}): {x} vs {y}");
-                }
+        // Shortest round-trip floats make the reload bit-exact.
+        assert_eq!(back, c);
+        assert!(back
+            .bandwidth()
+            .between(c.topology().gpu(1, 2), c.topology().gpu(1, 2))
+            .is_infinite());
+        assert_eq!(back.to_json(), json);
+        assert!(matches!(
+            Cluster::from_json("{not json"),
+            Err(ClusterError::InvalidParameter { .. })
+        ));
+    }
+
+    /// `json` with the first occurrence of `from` replaced by `to`.
+    fn edited(json: &str, from: &str, to: &str) -> String {
+        assert!(json.contains(from), "{from:?} not in the export");
+        json.replacen(from, to, 1)
+    }
+
+    #[test]
+    fn from_json_rejects_an_empty_topology() {
+        let json = mid_range(3).build(1).to_json();
+        let err = Cluster::from_json(&edited(&json, "\"nodes\": 3", "\"nodes\": 0")).unwrap_err();
+        assert!(
+            matches!(&err, ClusterError::InvalidParameter { name, .. } if name == "nodes"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_data_one_entry_short() {
+        let json = mid_range(3).build(1).to_json();
+        let short = edited(&json, "\"data\": [\n      null,", "\"data\": [");
+        let err = Cluster::from_json(&short).unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::MalformedMatrix {
+                reason: "expected 576 entries for 24 gpus, got 575".into()
             }
-        }
-        assert!(Cluster::from_json("{not json").is_err());
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_a_topology_larger_than_its_data() {
+        let json = mid_range(3).build(1).to_json();
+        let err = Cluster::from_json(&edited(&json, "\"nodes\": 3", "\"nodes\": 4")).unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::MalformedMatrix {
+                reason: "expected 1024 entries for 32 gpus, got 576".into()
+            }
+        );
+        // A mistyped field is named in the error.
+        let err =
+            Cluster::from_json(&edited(&json, "\"name\": \"V100\"", "\"name\": 7")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid cluster JSON: gpu.name: expected a string, found 7"
+        );
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::rand_util::normal;
 use crate::topology::{ClusterTopology, GpuId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a single pair's bandwidth was obtained by the robust profiler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,13 +161,10 @@ impl Default for RobustProfilingPolicy {
 /// Wraps a [`BandwidthMatrix`] so the type system distinguishes profiled
 /// (noisy) bandwidths from ground truth, and — when produced by
 /// [`NetworkProfiler::profile_robust`] — carries the per-pair
-/// [`MeasurementReport`]. The report is in-memory metadata only; it is
-/// not serialized, so profiled matrices round-trip byte-identically to
-/// the pre-robustness format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`MeasurementReport`] (in-memory metadata only).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfiledBandwidth {
     matrix: BandwidthMatrix,
-    #[serde(skip)]
     report: Option<MeasurementReport>,
 }
 
@@ -213,7 +209,7 @@ impl ProfiledBandwidth {
 }
 
 /// Wall-clock cost of a profiling run, for Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilingCost {
     /// Total profiling time in seconds.
     pub seconds: f64,
@@ -221,12 +217,11 @@ pub struct ProfilingCost {
     pub node_pairs: usize,
     /// Retry attempts charged on top of the base sweep (zero for the
     /// non-robust profiler).
-    #[serde(default)]
     pub retries: usize,
 }
 
 /// Simulated mpiGraph/NCCL-tests runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkProfiler {
     /// Relative standard deviation of a single bandwidth measurement.
     pub noise_sigma: f64,
@@ -581,11 +576,6 @@ mod tests {
             )
             .expect("zero-fault plan is valid");
         assert_eq!(robust.matrix(), plain.matrix());
-        // Serialized forms are byte-identical: the report is skipped.
-        assert_eq!(
-            serde_json::to_string(&robust).unwrap(),
-            serde_json::to_string(&plain).unwrap()
-        );
         assert_eq!(robust_cost.seconds, plain_cost.seconds);
         assert_eq!(robust_cost.retries, 0);
         let report = robust.report().expect("robust runs carry a report");

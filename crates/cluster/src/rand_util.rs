@@ -1,7 +1,7 @@
 //! Minimal distribution sampling helpers.
 //!
 //! The workspace deliberately keeps its dependency set to the offline crates
-//! (`rand`, `proptest`, `criterion`, `serde`), so Gaussian and log-normal
+//! (`rand`, `rand_chacha`, `proptest`, `criterion`), so Gaussian and log-normal
 //! sampling are implemented here via the Box–Muller transform instead of
 //! pulling in `rand_distr`.
 

@@ -12,10 +12,9 @@ use crate::rand_util::normal;
 use crate::topology::GpuId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mean-reverting daily drift of the attained bandwidth matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemporalDrift {
     /// Standard deviation of the daily log-space innovation.
     pub daily_sigma: f64,

@@ -1,18 +1,17 @@
 //! Physical cluster topology: nodes and the GPUs they host.
 
 use crate::error::ClusterError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical GPU, globally indexed across the cluster.
 ///
 /// GPU `g` lives on node `g / gpus_per_node` with local rank
 /// `g % gpus_per_node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId(pub usize);
 
 /// Identifier of a physical node (server) in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for GpuId {
@@ -43,7 +42,7 @@ impl From<usize> for NodeId {
 ///
 /// Both evaluation clusters in the paper (Table I) are 16 nodes × 8 GPUs;
 /// the scalability study (Fig. 8) shrinks the node count to 4/8/12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClusterTopology {
     nodes: usize,
     gpus_per_node: usize,

@@ -19,10 +19,9 @@ pub use varuna::VarunaConfigurator;
 
 use pipette_model::{MicrobatchPlan, ParallelConfig};
 use pipette_sim::{ClusterRun, Mapping, Measured};
-use serde::{Deserialize, Serialize};
 
 /// One entry of a baseline's ranked recommendation list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedCandidate {
     /// Recommended `(pp, tp, dp)`.
     pub config: ParallelConfig,

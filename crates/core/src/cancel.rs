@@ -17,7 +17,6 @@
 //! and seed therefore produce an identical [`DeadlineReport`] at any
 //! thread count.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -48,7 +47,7 @@ impl CancelToken {
 
 /// How a logical deadline budget was spent (attached to
 /// [`crate::Recommendation::deadline`] when a budget was set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineReport {
     /// The logical budget the run was given.
     pub budget_units: u64,
@@ -83,16 +82,5 @@ mod tests {
         let b = CancelToken::new();
         a.cancel();
         assert!(!b.is_cancelled());
-    }
-
-    #[test]
-    fn report_round_trips_through_serde() {
-        let r = DeadlineReport {
-            budget_units: 10_000,
-            spent_units: 9_999,
-            truncated: true,
-        };
-        let json = serde_json::to_string(&r).unwrap();
-        assert_eq!(serde_json::from_str::<DeadlineReport>(&json).unwrap(), r);
     }
 }

@@ -32,11 +32,10 @@ use pipette_cluster::{Cluster, ProfiledBandwidth, ProfilingCost};
 use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::{CostUnit, EventKind, Metrics, Trace, SCHEMA_VERSION};
 use pipette_sim::{ClusterRun, ComputeProfiler, Mapping, MemorySim, ProfiledCompute};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Knobs of the Pipette procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipetteOptions {
     /// Largest microbatch size considered (the paper sweeps 1–8).
     pub max_micro: u64,
@@ -67,11 +66,9 @@ pub struct PipetteOptions {
     /// Deliberately *not* defaulted from `threads`: the recommendation
     /// must never depend on the machine's core count, so widening the
     /// ladder is an explicit opt-in ([`PipetteOptions::with_tempering`]).
-    #[serde(default = "default_replicas")]
     pub replicas: usize,
     /// Iterations each tempering chain runs between replica-exchange
     /// rounds. Ignored when `replicas == 1`.
-    #[serde(default = "default_exchange_interval")]
     pub exchange_interval: usize,
 }
 
@@ -166,7 +163,7 @@ pub struct Alternative {
 }
 
 /// Parallel-tempering shape and exchange outcome of the winning run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemperingSummary {
     /// Chains per SA pass.
     pub replicas: usize,

@@ -17,10 +17,9 @@
 
 use pipette_model::{flops, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::ProfiledCompute;
-use serde::{Deserialize, Serialize};
 
 /// One profiled observation used to fit the extrapolator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeObservation {
     /// Work terms of one stage: `[layer_flops/tp, head_flops/tp, layers, 1]`.
     pub regressors: [f64; 4],
@@ -31,7 +30,7 @@ pub struct ComputeObservation {
 }
 
 /// Least-squares-fitted compute extrapolator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeExtrapolator {
     fwd_coeffs: [f64; 4],
     bwd_coeffs: [f64; 4],

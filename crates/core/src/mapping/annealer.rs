@@ -12,7 +12,6 @@ use crate::mapping::objective::{FnObjective, Objective};
 use pipette_sim::Mapping;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// How often (in iterations) the wall-clock budget is consulted. With the
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 pub(crate) const TIME_CHECK_INTERVAL: usize = 64;
 
 /// Annealer parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealerConfig {
     /// Maximum number of iterations (objective evaluations).
     pub iterations: usize,
@@ -76,7 +75,7 @@ impl AnnealerConfig {
 }
 
 /// Statistics of one annealing run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealStats {
     /// Objective evaluations performed.
     pub evaluations: usize,

@@ -18,11 +18,10 @@
 
 use pipette_cluster::GpuId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a [`Move`], used to restrict the sampled move set without
 /// rejection sampling (the annealer builds the enabled-kind list once).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MoveKind {
     /// [`Move::Migration`].
     Migration,
@@ -45,7 +44,7 @@ impl MoveKind {
 }
 
 /// A candidate perturbation of the assignment string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Move {
     /// Remove block `from` and reinsert it so it lands at block position
     /// `to` (positions in blocks).

@@ -37,7 +37,6 @@ use crate::mapping::arena::splitmix64;
 use crate::mapping::objective::{FnObjective, Objective};
 use crate::parallel;
 use pipette_sim::Mapping;
-use serde::{Deserialize, Serialize};
 use std::mem;
 use std::time::{Duration, Instant};
 
@@ -52,7 +51,7 @@ const REPLICA_SEED_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 const EXCHANGE_STREAM_SALT: u64 = 0x7074_2d78_6368_6721;
 
 /// The temperature ladder and exchange cadence of a tempering run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemperingSchedule {
     /// Number of chains. `1` degenerates to single-chain annealing.
     pub replicas: usize,

@@ -7,85 +7,154 @@
 //! seed), the target model ([`GptConfig`]), and the training protocol
 //! ([`MemoryEstimatorConfig`], which contains the `TrainConfig`, soft
 //! margin, and weight-init seed). The cache keys on a fingerprint of that
-//! tuple — FNV-1a over its canonical JSON — so two `configure()` calls
-//! that would train byte-for-byte the same network share one entry, and
+//! tuple ([`estimator_fingerprint`]), so two `configure()` calls that
+//! would train byte-for-byte the same network share one entry, and
 //! anything that changes the result (a different margin, seed, iteration
 //! count, cluster, or model) misses.
 //!
 //! Entries live in memory and, when a directory is configured, on disk as
-//! serde JSON. The vendored `serde_json` prints `f64` shortest-round-trip
-//! and parses correctly rounded, so a reloaded estimator is **bit-exact**:
-//! warm-cache recommendations are identical to cold ones (see
-//! `tests/estimator_cache.rs`).
+//! one checksummed PIPMEMIX snapshot per fingerprint,
+//! `pipette-mem-estimator-<fp>.idx` (see [`mmap_index`]). The snapshot
+//! stores every `f64` as its bits, so a reloaded estimator is
+//! **bit-exact**: warm-cache recommendations are identical to cold ones
+//! (see `tests/estimator_cache.rs`).
 
 use crate::memory::dataset::{collect_samples_parallel, SampleSpec};
 use crate::memory::estimator::{MemoryEstimator, MemoryEstimatorConfig};
-use crate::memory::mmap_index;
+use crate::memory::mmap_index::{self, Builder};
+use pipette_mlp::TrainConfig;
 use pipette_model::GptConfig;
-use pipette_sim::MemorySim;
-use serde::{Deserialize, Serialize};
+use pipette_sim::{ActivationMode, MemorySim, PipelineSchedule, TrainingOptions};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// 64-bit FNV-1a fingerprint of the training inputs (via canonical JSON).
-/// The four parts are everything a trained estimator is a deterministic
-/// function of; a `0x1e` record separator between them keeps e.g.
-/// `("ab", "c")` and `("a", "bc")` from colliding.
+/// Leads the fingerprint's encoding; a new encoding gets a new tag, so
+/// keys from different encodings never meet.
+const FINGERPRINT_TAG: &[u8; 8] = b"PIPMEMF1";
+
+/// 64-bit FNV-1a fingerprint of the training inputs. The four parts are
+/// everything a trained estimator is a deterministic function of. They
+/// are hashed in a hand-written canonical encoding — a format tag, then
+/// every field as a little-endian 8-byte word, each list preceded by its
+/// length — so equal inputs always share a key. Every part is
+/// destructured in full: a field added to any of them does not compile
+/// here until it is hashed too.
 pub fn estimator_fingerprint(
     spec: &SampleSpec,
     gpt: &GptConfig,
     config: &MemoryEstimatorConfig,
     truth: &MemorySim,
 ) -> u64 {
-    fn fnv(hash: &mut u64, bytes: &[u8]) {
-        for byte in bytes {
-            *hash ^= u64::from(*byte);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fn model(w: &mut Builder, gpt: &GptConfig) {
+        let GptConfig {
+            n_layers,
+            hidden,
+            n_heads,
+            seq_len,
+            vocab,
+        } = *gpt;
+        for v in [n_layers, hidden, n_heads, seq_len, vocab] {
+            w.u64(v as u64);
         }
     }
-    fn part<T: Serialize>(hash: &mut u64, value: &T) {
-        // An unserializable value degrades to hashing only the separator:
-        // the key stays deterministic, at worst less discriminating.
-        if let Ok(json) = serde_json::to_string(value) {
-            fnv(hash, json.as_bytes());
-        }
-        fnv(hash, &[0x1e]);
+    let SampleSpec {
+        gpu_counts,
+        gpus_per_node,
+        models,
+        global_batches,
+        max_micro,
+    } = spec;
+    let MemoryEstimatorConfig {
+        train:
+            TrainConfig {
+                iterations,
+                learning_rate,
+                batch_size,
+                record_every,
+                seed: train_seed,
+            },
+        hidden,
+        depth,
+        soft_margin,
+        seed,
+    } = *config;
+    let TrainingOptions {
+        schedule,
+        activation,
+        zero1,
+        nic_contention,
+    } = truth.options();
+
+    let mut w = Builder::default();
+    w.bytes.extend_from_slice(FINGERPRINT_TAG);
+    w.u64(gpu_counts.len() as u64);
+    for &n in gpu_counts {
+        w.u64(n as u64);
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    part(&mut hash, spec);
-    part(&mut hash, gpt);
-    part(&mut hash, config);
-    part(&mut hash, truth);
-    hash
+    w.u64(*gpus_per_node as u64);
+    w.u64(models.len() as u64);
+    for m in models {
+        model(&mut w, m);
+    }
+    w.u64(global_batches.len() as u64);
+    for &b in global_batches {
+        w.u64(b);
+    }
+    w.u64(*max_micro);
+    model(&mut w, gpt);
+    for v in [iterations, batch_size, record_every, hidden, depth] {
+        w.u64(v as u64);
+    }
+    w.f64(learning_rate);
+    w.f64(soft_margin);
+    w.u64(train_seed);
+    w.u64(seed);
+    let (schedule, chunks) = match schedule {
+        PipelineSchedule::GPipe => (0, 0),
+        PipelineSchedule::OneFOneB => (1, 0),
+        PipelineSchedule::Interleaved { chunks } => (2, chunks),
+    };
+    let activation = match activation {
+        ActivationMode::Full => 0,
+        ActivationMode::Selective => 1,
+        ActivationMode::FullRecompute => 2,
+    };
+    for v in [schedule, chunks, activation] {
+        w.u64(v as u64);
+    }
+    w.u64(u64::from(zero1));
+    w.u64(u64::from(nic_contention));
+    w.u64(truth.seed());
+    mmap_index::fnv1a(&w.bytes)
 }
 
 /// Snapshot of a cache's lookup counters, for reports and telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from memory or disk.
     pub hits: u64,
     /// Lookups that had to train (including corrupt-entry retrains).
     pub misses: u64,
-    /// Disk entries that existed but failed to parse and were retrained
-    /// (each such miss is counted in `misses` too). Nonzero is normal
-    /// exactly once after an estimator schema change; persistent growth
+    /// Disk entries that existed but failed to load and were quarantined
+    /// (each such lookup is counted in `misses` too). Persistent growth
     /// means something is clobbering the cache directory.
     pub corrupt: u64,
 }
 
 /// What a crash-only startup [`sweep`](TrainedEstimatorCache::sweep) of
-/// the cache directory found and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// the cache directory found.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
-    /// JSON entries examined.
+    /// `.idx` entries examined.
     pub scanned: u64,
-    /// Corrupt JSON entries renamed to `.json.corrupt`.
+    /// Defective entries renamed to `.idx.corrupt`.
     pub quarantined: u64,
-    /// Missing or defective `.idx` snapshots rebuilt from valid JSON.
-    pub healed_indexes: u64,
 }
+
+/// Numbers the temporary files of concurrent writers apart.
+static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
 
 /// In-memory (and optionally on-disk) cache of trained memory estimators.
 ///
@@ -109,9 +178,9 @@ impl TrainedEstimatorCache {
         Self::default()
     }
 
-    /// A cache that also persists entries as JSON files under `dir`
-    /// (created on first write). Corrupt or unreadable files are treated
-    /// as misses and overwritten.
+    /// A cache that also persists entries as `.idx` snapshots under
+    /// `dir` (created on first write). A defective snapshot is
+    /// quarantined and retrained.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: Some(dir.into()),
@@ -129,7 +198,7 @@ impl TrainedEstimatorCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of on-disk entries that existed but failed to parse (each
+    /// Number of on-disk entries that existed but failed to load (each
     /// also counted as a miss and retrained).
     pub fn corrupt(&self) -> u64 {
         self.corrupt.load(Ordering::Relaxed)
@@ -164,64 +233,36 @@ impl TrainedEstimatorCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn disk_path(&self, fp: u64) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("pipette-mem-estimator-{fp:016x}.json")))
-    }
-
-    /// The binary-snapshot sibling of [`Self::disk_path`], read by mmap
-    /// (see [`mmap_index`]). Purely an acceleration of the JSON entry:
-    /// both deserialize bit-exactly, so whichever answers first is
-    /// interchangeable with the other.
     fn index_path(&self, fp: u64) -> Option<PathBuf> {
         self.dir
             .as_ref()
             .map(|d| d.join(format!("pipette-mem-estimator-{fp:016x}.idx")))
     }
 
+    /// Renames a defective snapshot to `<name>.idx.corrupt`, keeping its
+    /// bytes inspectable and its slot free for the retrained entry;
+    /// without the rename every run would re-read it and retrain again.
+    fn quarantine(&self, path: &Path) {
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        let _ = std::fs::rename(path, path.with_extension("idx.corrupt"));
+    }
+
     fn load_from_disk(&self, fp: u64) -> Option<MemoryEstimator> {
-        let path = self.disk_path(fp)?;
-        // Fast path: the mmap-backed snapshot, no JSON parsing at all.
-        // `read_index` refuses anything torn, truncated, stale-versioned,
-        // or checksum-broken, so falling through here is always safe.
-        if let Some(idx) = self.index_path(fp) {
-            if let Some(estimator) = mmap_index::read_index(&idx, fp) {
-                return Some(estimator);
-            }
-            // The snapshot (if any) is unreadable. Unlike a corrupt JSON
-            // entry it carries no unique bytes worth quarantining — it is
-            // a derived artifact — so just drop it; it is rebuilt below.
-            let _ = std::fs::remove_file(&idx);
+        let path = self.index_path(fp)?;
+        // A missing file is a plain miss. Writers rename whole files into
+        // place, so an existing file that does not load is defective.
+        if !path.exists() {
+            return None;
         }
-        let text = std::fs::read_to_string(&path).ok()?;
-        // The file exists: a parse failure here is a *corrupt* entry
-        // (truncated write, schema change), not a plain miss. Quarantine
-        // it as `<name>.corrupt` so the bad bytes stay inspectable and the
-        // retrained entry gets a clean slot — without the rename the same
-        // corrupt file would be re-parsed (and silently retrained over)
-        // every single run.
-        match serde_json::from_str(&text) {
-            Ok(estimator) => {
-                // Heal the fast path: the JSON entry was readable but its
-                // snapshot was missing or bad, so rewrite it (best-effort)
-                // and the next cold process maps instead of parsing.
-                if let Some(idx) = self.index_path(fp) {
-                    let _ = mmap_index::write_index(&idx, fp, &estimator);
-                }
-                Some(estimator)
-            }
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                let quarantine = path.with_extension("json.corrupt");
-                let _ = std::fs::rename(&path, quarantine);
-                None
-            }
+        let loaded = mmap_index::read_index(&path, fp);
+        if loaded.is_none() {
+            self.quarantine(&path);
         }
+        loaded
     }
 
     fn store_to_disk(&self, fp: u64, estimator: &MemoryEstimator) {
-        let Some(path) = self.disk_path(fp) else {
+        let Some(path) = self.index_path(fp) else {
             return;
         };
         // Persistence is best-effort: a read-only disk must not break
@@ -229,26 +270,27 @@ impl TrainedEstimatorCache {
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        if let Ok(json) = serde_json::to_string(estimator) {
-            let _ = std::fs::write(path, json);
-        }
-        // Write the binary snapshot alongside (same best-effort policy,
-        // JSON source of truth first). A torn snapshot write fails the
-        // checksum on the next read and falls back to the JSON entry.
-        if let Some(idx) = self.index_path(fp) {
-            let _ = mmap_index::write_index(&idx, fp, estimator);
+        // Written under a name no other writer uses, then renamed into
+        // place: a reader sees no file or a whole one, never a torn write.
+        let temp = path.with_extension(format!(
+            "idx.tmp-{}-{}",
+            std::process::id(),
+            TEMP_FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        if mmap_index::write_index(&temp, fp, estimator).is_err()
+            || std::fs::rename(&temp, &path).is_err()
+        {
+            let _ = std::fs::remove_file(&temp);
         }
     }
 
     /// Crash-only startup sweep of the on-disk cache directory: every
-    /// `pipette-mem-estimator-*.json` entry is parsed eagerly, corrupt
-    /// entries are quarantined as `.json.corrupt` *now* (instead of
-    /// lazily at first lookup), and any missing or defective `.idx`
-    /// snapshot next to a valid entry is rebuilt. After a sweep, every
-    /// remaining entry is known-good: a process that died mid-write
-    /// leaves nothing a later lookup can trip over. Entries are visited
-    /// in path order, so the report is deterministic for a given
-    /// directory state. A no-op (all zeros) for in-memory caches.
+    /// `pipette-mem-estimator-*.idx` entry is loaded eagerly, and a
+    /// defective one is quarantined as `.idx.corrupt` *now* (instead of
+    /// lazily at first lookup). After a sweep, every remaining entry is
+    /// known-good. Entries are visited in path order, so the report is
+    /// deterministic for a given directory state. A no-op (all zeros) for
+    /// in-memory caches.
     pub fn sweep(&self) -> SweepReport {
         let mut report = SweepReport::default();
         let Some(dir) = &self.dir else {
@@ -264,31 +306,15 @@ impl TrainedEstimatorCache {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(|n| n.strip_prefix("pipette-mem-estimator-"))
-                .and_then(|n| n.strip_suffix(".json"))
+                .and_then(|n| n.strip_suffix(".idx"))
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             else {
                 continue;
             };
             report.scanned += 1;
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            match serde_json::from_str::<MemoryEstimator>(&text) {
-                Ok(estimator) => {
-                    if let Some(idx) = self.index_path(fp) {
-                        if mmap_index::read_index(&idx, fp).is_none() {
-                            let _ = std::fs::remove_file(&idx);
-                            if mmap_index::write_index(&idx, fp, &estimator).is_ok() {
-                                report.healed_indexes += 1;
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    let _ = std::fs::rename(&path, path.with_extension("json.corrupt"));
-                    report.quarantined += 1;
-                }
+            if mmap_index::read_index(&path, fp).is_none() {
+                self.quarantine(&path);
+                report.quarantined += 1;
             }
         }
         report
@@ -329,7 +355,6 @@ impl TrainedEstimatorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipette_mlp::TrainConfig;
 
     fn tiny_inputs() -> (SampleSpec, GptConfig, MemoryEstimatorConfig, MemorySim) {
         let gpt = GptConfig::new(8, 1024, 16, 2048, 51200);
@@ -356,6 +381,16 @@ mod tests {
         (spec, gpt, config, MemorySim::new(1))
     }
 
+    /// The file names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn fingerprint_separates_training_inputs() {
         let (spec, gpt, config, truth) = tiny_inputs();
@@ -372,6 +407,30 @@ mod tests {
         assert_ne!(
             base,
             estimator_fingerprint(&other_spec, &gpt, &config, &truth)
+        );
+        // The simulator's seed and options are training inputs too, and
+        // list lengths keep `[8, 16] + []` apart from `[8] + [16]`.
+        assert_ne!(
+            base,
+            estimator_fingerprint(&spec, &gpt, &config, &MemorySim::new(2))
+        );
+        let gpipe = truth.with_schedule(PipelineSchedule::GPipe);
+        assert_ne!(base, estimator_fingerprint(&spec, &gpt, &config, &gpipe));
+        let mut other_gpt = gpt;
+        other_gpt.vocab += 1;
+        assert_ne!(
+            base,
+            estimator_fingerprint(&spec, &other_gpt, &config, &truth)
+        );
+        let mut two = spec.clone();
+        two.gpu_counts = vec![8, 16];
+        two.global_batches = vec![];
+        let mut split = spec.clone();
+        split.gpu_counts = vec![8];
+        split.global_batches = vec![16];
+        assert_ne!(
+            estimator_fingerprint(&two, &gpt, &config, &truth),
+            estimator_fingerprint(&split, &gpt, &config, &truth)
         );
     }
 
@@ -409,49 +468,53 @@ mod tests {
     fn corrupt_disk_entry_retrains() {
         let (spec, gpt, config, truth) = tiny_inputs();
         let dir = std::env::temp_dir().join("pipette-estimator-cache-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        std::fs::write(
-            dir.join(format!("pipette-mem-estimator-{fp:016x}.json")),
-            "not json",
-        )
-        .unwrap();
-        let cache = TrainedEstimatorCache::with_dir(&dir);
-        let _ = cache.get_or_train(&spec, &gpt, &config, &truth, 1);
-        assert_eq!(
-            cache.counters(),
-            CacheCounters {
-                hits: 0,
-                misses: 1,
-                corrupt: 1,
-            }
-        );
-        // The corrupt bytes are quarantined, not overwritten: the slot now
-        // holds the retrained entry and the `.corrupt` file keeps the
-        // original for inspection.
-        let entry = dir.join(format!("pipette-mem-estimator-{fp:016x}.json"));
-        let quarantined = entry.with_extension("json.corrupt");
-        assert_eq!(
-            std::fs::read_to_string(&quarantined).unwrap(),
-            "not json",
-            "quarantine file preserves the corrupt bytes"
-        );
-        assert!(
-            serde_json::from_str::<MemoryEstimator>(&std::fs::read_to_string(&entry).unwrap())
-                .is_ok()
-        );
-        // A second cold cache now hits the retrained entry cleanly.
-        let warm = TrainedEstimatorCache::with_dir(&dir);
-        let _ = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-        assert_eq!(
-            warm.counters(),
-            CacheCounters {
-                hits: 1,
-                misses: 0,
-                corrupt: 0,
-            }
-        );
+        let entry = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
+        for defect in ["overwritten", "truncated"] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let trained =
+                TrainedEstimatorCache::with_dir(&dir).get_or_train(&spec, &gpt, &config, &truth, 1);
+            let intact = std::fs::read(&entry).unwrap();
+            let damaged = match defect {
+                "overwritten" => b"definitely not a snapshot".to_vec(),
+                _ => intact[..intact.len() / 2].to_vec(),
+            };
+            std::fs::write(&entry, &damaged).unwrap();
+
+            let cache = TrainedEstimatorCache::with_dir(&dir);
+            let retrained = cache.get_or_train(&spec, &gpt, &config, &truth, 1);
+            assert_eq!(
+                cache.counters(),
+                CacheCounters {
+                    hits: 0,
+                    misses: 1,
+                    corrupt: 1,
+                },
+                "{defect}"
+            );
+            assert_eq!(retrained, trained, "{defect}: training is deterministic");
+            // The defective bytes are quarantined, not overwritten: the
+            // slot holds the retrained entry and the `.corrupt` file keeps
+            // the original for inspection.
+            assert_eq!(
+                std::fs::read(entry.with_extension("idx.corrupt")).unwrap(),
+                damaged,
+                "{defect}: quarantine file preserves the corrupt bytes"
+            );
+            assert_eq!(mmap_index::read_index(&entry, fp), Some(trained));
+            // A third cache now hits the retrained entry cleanly.
+            let warm = TrainedEstimatorCache::with_dir(&dir);
+            let _ = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
+            assert_eq!(
+                warm.counters(),
+                CacheCounters {
+                    hits: 1,
+                    misses: 0,
+                    corrupt: 0,
+                },
+                "{defect}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -464,11 +527,12 @@ mod tests {
             let cold = TrainedEstimatorCache::with_dir(&dir);
             cold.get_or_train(&spec, &gpt, &config, &truth, 1)
         };
-        // Remove the JSON entry so only the binary snapshot can answer:
-        // this pins the lookup to the mmap path, and the estimator it
-        // yields must be the bit-exact original.
+        // One format on disk: the snapshot, and nothing beside it.
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        std::fs::remove_file(dir.join(format!("pipette-mem-estimator-{fp:016x}.json"))).unwrap();
+        assert_eq!(
+            listing(&dir),
+            vec![format!("pipette-mem-estimator-{fp:016x}.idx")]
+        );
         let warm = TrainedEstimatorCache::with_dir(&dir);
         let reloaded = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
         assert_eq!((warm.hits(), warm.misses()), (1, 0));
@@ -477,60 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_index_falls_back_to_json_and_heals() {
-        let (spec, gpt, config, truth) = tiny_inputs();
-        let dir = std::env::temp_dir().join("pipette-estimator-cache-idx-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let trained = {
-            let cold = TrainedEstimatorCache::with_dir(&dir);
-            cold.get_or_train(&spec, &gpt, &config, &truth, 1)
-        };
-        let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        std::fs::write(&idx, b"definitely not a snapshot").unwrap();
-        let warm = TrainedEstimatorCache::with_dir(&dir);
-        let reloaded = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-        // Still a clean hit (via JSON), still bit-exact, and *not* counted
-        // as corrupt — the JSON source of truth was fine.
-        assert_eq!(
-            warm.counters(),
-            CacheCounters {
-                hits: 1,
-                misses: 0,
-                corrupt: 0,
-            }
-        );
-        assert_eq!(reloaded, trained);
-        // The fallback healed the snapshot: it now round-trips again.
-        assert_eq!(
-            super::super::mmap_index::read_index(&idx, fp),
-            Some(trained)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_index_falls_back_to_json() {
-        let (spec, gpt, config, truth) = tiny_inputs();
-        let dir = std::env::temp_dir().join("pipette-estimator-cache-idx-truncated");
-        let _ = std::fs::remove_dir_all(&dir);
-        let trained = {
-            let cold = TrainedEstimatorCache::with_dir(&dir);
-            cold.get_or_train(&spec, &gpt, &config, &truth, 1)
-        };
-        let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        let bytes = std::fs::read(&idx).unwrap();
-        std::fs::write(&idx, &bytes[..bytes.len() / 2]).unwrap();
-        let warm = TrainedEstimatorCache::with_dir(&dir);
-        let reloaded = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-        assert_eq!((warm.hits(), warm.misses()), (1, 0));
-        assert_eq!(reloaded, trained);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_quarantines_and_heals_eagerly() {
+    fn sweep_quarantines_defective_indexes_eagerly() {
         let (spec, gpt, config, truth) = tiny_inputs();
         let dir = std::env::temp_dir().join("pipette-estimator-cache-sweep");
         let _ = std::fs::remove_dir_all(&dir);
@@ -539,15 +550,18 @@ mod tests {
             cold.get_or_train(&spec, &gpt, &config, &truth, 1)
         };
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        // Simulate a crash: a second entry died mid-write (truncated
-        // JSON) and the good entry's snapshot got torn.
+        // Simulate damage: a second entry's snapshot got torn. A JSON entry
+        // from an older cache format is neither read nor scanned.
         std::fs::write(
-            dir.join("pipette-mem-estimator-00000000deadbeef.json"),
-            "{\"truncat",
+            dir.join("pipette-mem-estimator-00000000deadbeef.idx"),
+            "torn",
         )
         .unwrap();
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        std::fs::write(&idx, b"torn").unwrap();
+        std::fs::write(
+            dir.join("pipette-mem-estimator-00000000deadbeef.json"),
+            "{}",
+        )
+        .unwrap();
         let cache = TrainedEstimatorCache::with_dir(&dir);
         let report = cache.sweep();
         assert_eq!(
@@ -555,30 +569,24 @@ mod tests {
             SweepReport {
                 scanned: 2,
                 quarantined: 1,
-                healed_indexes: 1,
             }
         );
         assert_eq!(cache.corrupt(), 1);
         // The torn entry is quarantined with its bytes intact...
         assert_eq!(
-            std::fs::read_to_string(
-                dir.join("pipette-mem-estimator-00000000deadbeef.json.corrupt")
-            )
-            .unwrap(),
-            "{\"truncat"
+            std::fs::read_to_string(dir.join("pipette-mem-estimator-00000000deadbeef.idx.corrupt"))
+                .unwrap(),
+            "torn"
         );
-        // ...and the healed snapshot round-trips the good estimator.
-        assert_eq!(
-            super::super::mmap_index::read_index(&idx, fp),
-            Some(trained)
-        );
+        // ...and the good snapshot still round-trips its estimator.
+        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
+        assert_eq!(mmap_index::read_index(&idx, fp), Some(trained));
         // A second sweep finds a fully healthy directory.
         assert_eq!(
             cache.sweep(),
             SweepReport {
                 scanned: 1,
                 quarantined: 0,
-                healed_indexes: 0,
             }
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -12,10 +12,9 @@
 
 use crate::memory::dataset::MemorySample;
 use crate::memory::estimator::{MemoryEstimator, MemoryEstimatorConfig};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a margin calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationReport {
     /// The chosen soft margin.
     pub margin: f64,

@@ -9,11 +9,10 @@
 use crate::cancel::CancelToken;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::MemorySim;
-use serde::{Deserialize, Serialize};
 
 /// One profiled data point: Eq. 7's ten input features and the observed
 /// peak memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySample {
     /// Eq. 7 features: `n_gpus, n_layers, n_hidden, n_heads, tp, pp, dp,
     /// bs_micro, bs_mini, bs_global`.
@@ -52,7 +51,7 @@ impl MemorySample {
 }
 
 /// What to sweep while collecting samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleSpec {
     /// Subcluster GPU counts to profile (the paper uses up to 4 nodes).
     pub gpu_counts: Vec<usize>,

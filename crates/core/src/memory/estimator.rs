@@ -19,10 +19,9 @@ use crate::memory::analytic::AnalyticMemoryEstimator;
 use crate::memory::dataset::MemorySample;
 use pipette_mlp::{Matrix, Mlp, StandardScaler, TrainConfig};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Training/behaviour knobs for the estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryEstimatorConfig {
     /// MLP training protocol.
     pub train: TrainConfig,
@@ -70,7 +69,7 @@ impl MemoryEstimatorConfig {
 /// How the estimator's MLP training went — kept on the trained estimator
 /// (and in its cache entries) so a warm run can still report the loss
 /// curve of the training that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainSummary {
     /// Profiled samples in the training corpus.
     pub samples: usize,
@@ -106,7 +105,7 @@ pub struct TrainSummary {
 /// let predicted = estimator.predict_bytes(&samples[0].features);
 /// assert!(predicted > 1 << 30); // more than a GiB — overheads included
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryEstimator {
     mlp: Mlp,
     x_scaler: StandardScaler,

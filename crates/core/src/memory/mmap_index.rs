@@ -1,15 +1,14 @@
-//! Binary, mmap-readable snapshots of trained memory estimators.
+//! Binary, mmap-readable snapshots of trained memory estimators: the one
+//! on-disk format of the estimator cache (see [`super::cache`]).
 //!
-//! The JSON cache entries (see [`super::cache`]) are the durable,
-//! inspectable source of truth — this module adds a *fixed-layout* `.idx`
-//! sibling per entry so that readers (many concurrent configurator
-//! workers, the future `pipette-serve` daemon) load an estimator with no
-//! text parsing at all: the file is mapped (or read) once, the header is
-//! validated, and every weight is copied straight out of the
+//! Each `.idx` file has a *fixed layout*, so readers (many concurrent
+//! configurator workers, the `pipette serve` daemon) load an estimator
+//! with no text parsing at all: the file is mapped (or read) once, the
+//! header is validated, and every weight is copied straight out of the
 //! little-endian payload at a known offset. Numbers survive bit-exactly
-//! by construction — `f64::to_le_bytes` round-trips — so a snapshot-
-//! loaded estimator predicts byte-identically to the JSON path (which is
-//! itself bit-exact; both are test-covered in `tests/estimator_cache.rs`).
+//! by construction — `f64::to_le_bytes` round-trips — so a reloaded
+//! estimator predicts byte-identically to the one that was trained
+//! (test-covered in `tests/estimator_cache.rs`).
 //!
 //! ## Layout (all little-endian)
 //!
@@ -35,9 +34,9 @@
 //! `read_index` returns `None` — never an error, never a partial value —
 //! on *any* defect: short file, bad magic, version or fingerprint
 //! mismatch, checksum mismatch, truncated payload, or counts that do not
-//! fit the remaining bytes. The caller falls back to the JSON entry and
-//! rewrites the snapshot, so a torn write costs one parse, not a wrong
-//! answer.
+//! fit the remaining bytes. There is no other copy to fall back to: the
+//! cache quarantines the file as `.idx.corrupt` and retrains, so a
+//! defect costs one training run, never a wrong answer.
 
 // The crate denies unsafe_code; this module is the single opt-out — two
 // audited unsafe blocks (the mmap syscall and the slice view over the
@@ -54,8 +53,8 @@ const MAGIC: [u8; 8] = *b"PIPMEMIX";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 40;
 
-/// FNV-1a over the payload (same constants as the cache fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a: the payload checksum, and the cache fingerprint's hash.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in bytes {
         hash ^= u64::from(*byte);
@@ -237,18 +236,19 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Little-endian writer building the payload.
+/// Little-endian writer of 8-byte words: builds the payload, and the
+/// canonical encoding the cache fingerprint hashes.
 #[derive(Default)]
-struct Builder {
-    bytes: Vec<u8>,
+pub(crate) struct Builder {
+    pub(crate) bytes: Vec<u8>,
 }
 
 impl Builder {
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -348,8 +348,8 @@ fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
 }
 
 /// Writes the binary snapshot of `estimator` for cache key `fingerprint`
-/// to `path`. Best-effort like the JSON writer: an error only costs the
-/// fast read path, never correctness.
+/// to `path`. The cache treats this as best-effort: an error only costs a
+/// retrain in a later process, never correctness.
 pub(crate) fn write_index(
     path: &Path,
     fingerprint: u64,

@@ -5,12 +5,11 @@
 //! II shows they total minutes against training runs of weeks — under
 //! 0.05 % — while the better configuration saves days.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// Breakdown of Pipette's one-time configuration cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadReport {
     /// Simulated wall-clock of the bandwidth profiling run (Table II row 1).
     pub bandwidth_profiling: Duration,

@@ -225,8 +225,8 @@ mod tests {
         assert!(json.contains("\"D2\":{\"active\":1,\"waived\":0}"));
         assert!(json.contains("\"D10\":{\"active\":0,\"waived\":0}"));
         assert!(json.contains("\"P1\":{\"active\":0,\"waived\":0}"));
-        // The vendored serde_json can parse what we emit — cheap sanity
-        // check that the hand-rolled writer stays RFC 8259.
+        // Balanced braces: a cheap sanity check that the hand-rolled
+        // writer stays well-formed.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

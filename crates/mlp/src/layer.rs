@@ -2,10 +2,9 @@
 
 use crate::matrix::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer `Y = X·W + b`, optionally followed by ReLU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Weights, `in_dim × out_dim`.
     pub weights: Matrix,
@@ -13,9 +12,7 @@ pub struct Dense {
     pub bias: Vec<f64>,
     /// Whether a ReLU follows the affine map.
     pub relu: bool,
-    #[serde(skip)]
     cache_input: Option<Matrix>,
-    #[serde(skip)]
     cache_pre_activation: Option<Matrix>,
 }
 
@@ -61,9 +58,8 @@ impl Dense {
     }
 
     /// Reassembles a layer from its persisted parts (weights, bias,
-    /// activation flag) with cold forward/backward caches — the
-    /// deserialization path of binary estimator snapshots, equivalent to
-    /// what `serde(skip)` produces when decoding JSON.
+    /// activation flag) with cold forward/backward caches — how binary
+    /// estimator snapshots are loaded.
     pub fn from_parts(weights: Matrix, bias: Vec<f64>, relu: bool) -> Self {
         debug_assert_eq!(weights.cols(), bias.len(), "bias length mismatch");
         Self {

@@ -12,7 +12,6 @@
 //! are independent, so any thread count returns the same bits
 //! (property-tested in `tests/kernels.rs`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Width of the register tile the blocked kernels accumulate into. 32
@@ -95,7 +94,7 @@ fn mm_at_row_into(a: &[f64], m: usize, i: usize, b: &[f64], p: usize, out_row: &
 }
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

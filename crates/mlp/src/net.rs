@@ -15,11 +15,10 @@ use crate::optim::Adam;
 use crate::train::{TrainConfig, TrainReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward network `in → hidden… → out` with ReLU on every layer
 /// except the last.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }

@@ -1,9 +1,7 @@
 //! The Adam optimizer.
 
-use serde::{Deserialize, Serialize};
-
 /// Adam state for one flat parameter vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate.
     pub learning_rate: f64,

@@ -5,10 +5,9 @@
 //! MLP extrapolate from ≤ 4-node profiles to 16-node clusters.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-column affine normalizer: `x' = (x - mean) / std`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

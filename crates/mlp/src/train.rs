@@ -1,9 +1,7 @@
 //! Training configuration and reporting.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyperparameters for [`crate::Mlp::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of Adam steps (the paper trains for 50,000).
     pub iterations: usize,
@@ -40,7 +38,7 @@ impl TrainConfig {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Steps taken.
     pub iterations: usize,

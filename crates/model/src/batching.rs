@@ -5,10 +5,9 @@
 //! microbatches that flow through the pipeline (Algorithm 1, lines 4–5).
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 
 /// Global batch configuration for one training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchConfig {
     /// Samples per optimizer step across the whole cluster.
     pub global_batch: u64,
@@ -45,7 +44,7 @@ impl BatchConfig {
 }
 
 /// A choice of microbatch size for a given minibatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicrobatchPlan {
     /// Samples per microbatch.
     pub micro_batch: u64,

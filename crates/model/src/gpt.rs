@@ -5,7 +5,6 @@
 //! with cluster size (Fig. 8, Table II). Hyperparameters follow the
 //! Megatron-LM convention (sequence length 2048, vocabulary 51200).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hyperparameters of a GPT-style decoder-only transformer.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(gpt.layers_of_stage(4, 0), 8);
 /// assert!(gpt.stage_params(4, 0) > gpt.stage_params(4, 1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GptConfig {
     /// Number of transformer layers.
     pub n_layers: usize,

@@ -6,11 +6,10 @@
 //! the mapping crate assigns each worker to a physical GPU.
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `(pp, tp, dp)` parallelization configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParallelConfig {
     /// Pipeline-parallel ways (number of stages).
     pub pp: usize,
@@ -21,7 +20,7 @@ pub struct ParallelConfig {
 }
 
 /// Coordinate of a logical worker in the `(pipeline, tensor, data)` grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkerId {
     /// Pipeline stage index `x ∈ [0, pp)`.
     pub stage: usize,

@@ -3,10 +3,9 @@
 
 use crate::flops;
 use crate::gpt::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// Throughput summary of one measured iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
     /// Samples processed per second.
     pub samples_per_second: f64,

@@ -1,11 +1,14 @@
-//! The one JSON reader and writer behind every operator surface.
+//! The one JSON reader and writer in the workspace.
 //!
-//! Job specs, fault plans, `pipette serve` envelopes, budget manifests
-//! and JSONL traces are read with [`parse`]; traces, serve responses and
-//! `drill --json` reports are written with [`Obj`] and [`render_value`].
-//! The vendored `serde_json` has no dynamic `Value` type and no
-//! `deny_unknown_fields`, so strict shape checks walk a [`JsonValue`]
-//! and ask [`first_unknown_key`] before any lenient serde pass runs.
+//! Job specs, fault plans, cluster exports, `pipette serve` envelopes,
+//! budget manifests and JSONL traces are read with [`parse`]; typed
+//! values are decoded from the resulting [`JsonValue`] in one strict walk
+//! with [`Fields`], which checks keys, types and required members and
+//! names the offending path in every [`DecodeError`]. Traces, serve
+//! responses and `drill --json` reports are written with [`Obj`] and
+//! [`render_value`]; documents meant for people (`configure --json`,
+//! cluster exports, the perf report) are built as a [`JsonValue`] and
+//! written with [`render_pretty`].
 //!
 //! Reading is RFC 8259 JSON with limits that make hostile input a typed
 //! [`JsonError`] rather than a crash or a silently different document:
@@ -15,7 +18,10 @@
 //! - duplicate object keys, raw control characters in strings and
 //!   numbers outside the finite `f64` range are errors;
 //! - an escaped surrogate pair (`"\ud83d\ude00"`) decodes to one scalar
-//!   value, and a lone surrogate is an error.
+//!   value, and a lone surrogate is an error;
+//! - an integer literal above 2^53 never reads back as 2^53, so
+//!   [`JsonValue::as_u64`] rejects it instead of returning a different
+//!   integer.
 //!
 //! Writing is canonical: fields in the caller's order, no whitespace,
 //! Rust's shortest-round-trip float formatting, and `null` for
@@ -24,6 +30,9 @@
 
 use std::fmt;
 use std::fmt::Write as _;
+
+/// 2^53: every integer up to here is exact as an `f64`.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +53,16 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object with `members` in the given order.
+    pub fn object<'k>(members: impl IntoIterator<Item = (&'k str, JsonValue)>) -> Self {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+
     /// Object member lookup; `None` for missing keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -89,12 +108,10 @@ impl JsonValue {
     }
 
     /// The value as a non-negative integer, if it is a whole number no
-    /// larger than 2^53.
+    /// larger than 2^53 (every such `f64` is exact).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n)
-                if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 =>
-            {
+            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= TWO_POW_53 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -115,6 +132,43 @@ impl JsonValue {
             JsonValue::Array(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Number(v)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(v: u64) -> Self {
+        JsonValue::Number(v as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(v: usize) -> Self {
+        JsonValue::Number(v as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::String(v.to_owned())
+    }
+}
+
+impl<T: Into<JsonValue>> FromIterator<T> for JsonValue {
+    /// Collects into an array.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        JsonValue::Array(iter.into_iter().map(Into::into).collect())
     }
 }
 
@@ -381,12 +435,19 @@ impl Parser<'_> {
             self.pos += 1;
         }
         // Every byte of the scanned run is ASCII.
-        self.text[start..self.pos]
+        let literal = &self.text[start..self.pos];
+        let value = literal
             .parse::<f64>()
             .ok()
             .filter(|v| v.is_finite())
-            .map(JsonValue::Number)
-            .ok_or_else(|| self.err("invalid number"))
+            .ok_or_else(|| self.err("invalid number"))?;
+        // 2^53 + 1 lies halfway between 2^53 and 2^53 + 2, and the tie
+        // rounds to even: 2^53. Read it as 2^53 + 2 instead, so that only
+        // the literal 2^53 itself passes `as_u64`'s `<= 2^53` check.
+        if value.abs() == TWO_POW_53 && literal.trim_start_matches('-') == "9007199254740993" {
+            return Ok(JsonValue::Number(value + 2.0f64.copysign(value)));
+        }
+        Ok(JsonValue::Number(value))
     }
 }
 
@@ -482,13 +543,53 @@ pub fn push_json_string(out: &mut String, s: &str) {
 }
 
 /// Renders a [`JsonValue`] as canonical single-line JSON: source key
-/// order, no whitespace, shortest round-trip numbers. Used to re-render
-/// envelope subtrees (`job`, `faults`) into standalone documents for the
-/// strict spec parsers.
+/// order, no whitespace, shortest round-trip numbers.
 pub fn render_value(value: &JsonValue) -> String {
     let mut out = String::new();
     push_value(&mut out, value);
     out
+}
+
+/// Renders a [`JsonValue`] for people to read: one member or element per
+/// line, two-space indentation, `": "` after each key, and `[]` / `{}`
+/// for empty containers. Scalars are written as [`render_value`] writes
+/// them.
+pub fn render_pretty(value: &JsonValue) -> String {
+    let mut out = String::new();
+    push_pretty(&mut out, value, 0);
+    out
+}
+
+fn push_pretty(out: &mut String, value: &JsonValue, depth: usize) {
+    let (open, close, items): (char, char, Vec<(Option<&str>, &JsonValue)>) = match value {
+        JsonValue::Array(items) if !items.is_empty() => {
+            ('[', ']', items.iter().map(|v| (None, v)).collect())
+        }
+        JsonValue::Object(members) if !members.is_empty() => (
+            '{',
+            '}',
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        other => return push_value(out, other),
+    };
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', 2 * depth));
+    };
+    out.push(open);
+    for (i, (key, item)) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline(out, depth + 1);
+        if let Some(key) = key {
+            push_json_string(out, key);
+            out.push_str(": ");
+        }
+        push_pretty(out, item, depth + 1);
+    }
+    newline(out, depth);
+    out.push(close);
 }
 
 fn push_value(out: &mut String, value: &JsonValue) {
@@ -516,6 +617,226 @@ fn push_value(out: &mut String, value: &JsonValue) {
             o.close();
         }
     }
+}
+
+/// Why a parsed document does not decode into a typed value. Each
+/// variant says where: a member path such as `model.heads` or
+/// `straggler_gpus[0].slowdown`, or the object a key belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// A value of the wrong type, or a number the field cannot hold.
+    Malformed(String),
+    /// A key the schema does not define (usually a typo).
+    UnknownField {
+        /// The object the key appeared in, e.g. `"cluster"`.
+        context: String,
+        /// The offending key.
+        field: String,
+        /// The keys accepted there.
+        allowed: &'static str,
+    },
+    /// A required key is absent.
+    MissingField {
+        /// The object the key was expected in.
+        context: String,
+        /// The missing key.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Malformed(reason) => f.write_str(reason),
+            DecodeError::UnknownField {
+                context,
+                field,
+                allowed,
+            } => write!(
+                f,
+                "unknown field {field:?} in {context} (accepted fields: {allowed})"
+            ),
+            DecodeError::MissingField { context, field } => {
+                write!(f, "{context} is missing required field {field:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The keys one object accepts and requires.
+#[derive(Debug, Clone, Copy)]
+pub struct Schema {
+    /// Every accepted key.
+    pub keys: &'static [&'static str],
+    /// The accepted keys as an unknown-field error lists them.
+    pub accepted: &'static str,
+    /// Keys that must be present.
+    pub required: &'static [&'static str],
+}
+
+/// One object of a document being decoded. Its keys were checked against
+/// a [`Schema`] when it was opened, so a typo fails loudly instead of
+/// falling back to a default; each typed read names the member's full
+/// path when the value does not fit. Every constructor and read returns
+/// the first [`DecodeError`] it finds.
+#[derive(Debug, Clone)]
+pub struct Fields<'v> {
+    value: &'v JsonValue,
+    context: String,
+    prefix: String,
+}
+
+impl<'v> Fields<'v> {
+    /// Opens a document root, called `name` (e.g. `"job spec"`) in key
+    /// errors; its members' paths are their bare keys. Fails if `value`
+    /// is not an object, has a key outside the schema, or lacks a
+    /// required key.
+    pub fn root(value: &'v JsonValue, name: &str, schema: &Schema) -> Result<Self, DecodeError> {
+        Self::open(value, name.to_owned(), String::new(), schema)
+    }
+
+    /// Opens the object found at `path` (e.g. `"cluster"` or
+    /// `"degraded_links[2]"`), which also names it in key errors. Fails
+    /// as [`Self::root`] does.
+    pub fn at(value: &'v JsonValue, path: String, schema: &Schema) -> Result<Self, DecodeError> {
+        let prefix = format!("{path}.");
+        Self::open(value, path, prefix, schema)
+    }
+
+    fn open(
+        value: &'v JsonValue,
+        context: String,
+        prefix: String,
+        schema: &Schema,
+    ) -> Result<Self, DecodeError> {
+        if !matches!(value, JsonValue::Object(_)) {
+            return Err(DecodeError::Malformed(format!(
+                "{context} must be an object, got {}",
+                value.type_name()
+            )));
+        }
+        if let Some(key) = first_unknown_key(value, schema.keys) {
+            return Err(DecodeError::UnknownField {
+                context,
+                field: key.to_owned(),
+                allowed: schema.accepted,
+            });
+        }
+        if let Some(&field) = schema.required.iter().find(|k| value.get(k).is_none()) {
+            return Err(DecodeError::MissingField { context, field });
+        }
+        Ok(Self {
+            value,
+            context,
+            prefix,
+        })
+    }
+
+    /// The full path of member `key`, as errors name it.
+    pub fn path(&self, key: &str) -> String {
+        format!("{}{key}", self.prefix)
+    }
+
+    /// Member `key`, if present (`null` counts as present).
+    pub fn get(&self, key: &str) -> Option<&'v JsonValue> {
+        self.value.get(key)
+    }
+
+    /// Decodes member `key` with `read` (e.g. [`uint`]), or `None` when
+    /// it is absent.
+    pub fn optional<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&'v JsonValue, &str) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
+        self.get(key).map(|v| read(v, &self.path(key))).transpose()
+    }
+
+    /// Decodes member `key` with `read`; an absent member is a
+    /// [`DecodeError::MissingField`].
+    pub fn required<T>(
+        &self,
+        key: &'static str,
+        read: impl FnOnce(&'v JsonValue, &str) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        self.optional(key, read)?
+            .ok_or_else(|| DecodeError::MissingField {
+                context: self.context.clone(),
+                field: key,
+            })
+    }
+
+    /// Decodes array member `key` element by element, passing `read` each
+    /// element's path (`key[i]`); an absent member is empty.
+    pub fn list<T>(
+        &self,
+        key: &str,
+        mut read: impl FnMut(&'v JsonValue, String) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let Some(value) = self.get(key) else {
+            return Ok(Vec::new());
+        };
+        let path = self.path(key);
+        array(value, &path)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| read(item, format!("{path}[{i}]")))
+            .collect()
+    }
+}
+
+// The typed readers below each return the value, or a
+// `DecodeError::Malformed` naming `path` and what was found there.
+
+fn mismatch(value: &JsonValue, path: &str, expected: &str) -> DecodeError {
+    let found = match value {
+        JsonValue::Number(n) if n.abs() < TWO_POW_53 => n.to_string(),
+        other => other.type_name().to_owned(),
+    };
+    DecodeError::Malformed(format!("{path}: expected {expected}, found {found}"))
+}
+
+/// Reads an integer in `0..=2^53` (see [`JsonValue::as_u64`]).
+pub fn uint(value: &JsonValue, path: &str) -> Result<u64, DecodeError> {
+    value
+        .as_u64()
+        .ok_or_else(|| mismatch(value, path, "an integer in 0..=2^53"))
+}
+
+/// Reads an integer in `0..=2^53` as a `usize`.
+pub fn size(value: &JsonValue, path: &str) -> Result<usize, DecodeError> {
+    usize::try_from(uint(value, path)?)
+        .map_err(|_| mismatch(value, path, "an integer that fits this platform"))
+}
+
+/// Reads a number.
+pub fn float(value: &JsonValue, path: &str) -> Result<f64, DecodeError> {
+    value
+        .as_f64()
+        .ok_or_else(|| mismatch(value, path, "a number"))
+}
+
+/// Reads a boolean.
+pub fn boolean(value: &JsonValue, path: &str) -> Result<bool, DecodeError> {
+    value
+        .as_bool()
+        .ok_or_else(|| mismatch(value, path, "a boolean"))
+}
+
+/// Reads a string.
+pub fn string<'v>(value: &'v JsonValue, path: &str) -> Result<&'v str, DecodeError> {
+    value
+        .as_str()
+        .ok_or_else(|| mismatch(value, path, "a string"))
+}
+
+/// Reads an array.
+pub fn array<'v>(value: &'v JsonValue, path: &str) -> Result<&'v [JsonValue], DecodeError> {
+    value
+        .as_array()
+        .ok_or_else(|| mismatch(value, path, "an array"))
 }
 
 #[cfg(test)]
@@ -697,6 +1018,93 @@ mod tests {
         o.raw("r", "[1,{}]");
         o.close();
         assert_eq!(out, r#"{"n":3,"x":null,"ok":true,"s":"a\"b","r":[1,{}]}"#);
+    }
+
+    #[test]
+    fn render_pretty_indents_members_and_keeps_empty_containers_inline() {
+        let doc = JsonValue::object([
+            ("n", 3u64.into()),
+            ("x", 0.25.into()),
+            ("empty", JsonValue::Array(Vec::new())),
+            ("none", JsonValue::Object(Vec::new())),
+            ("list", [1u64, 2].into_iter().collect()),
+            (
+                "inner",
+                JsonValue::object([("s", "a\"b".into()), ("ok", true.into())]),
+            ),
+        ]);
+        assert_eq!(
+            render_pretty(&doc),
+            "{\n  \"n\": 3,\n  \"x\": 0.25,\n  \"empty\": [],\n  \"none\": {},\n  \
+             \"list\": [\n    1,\n    2\n  ],\n  \"inner\": {\n    \"s\": \"a\\\"b\",\n    \
+             \"ok\": true\n  }\n}"
+        );
+        assert_eq!(parse(&render_pretty(&doc)).unwrap(), doc);
+        assert_eq!(render_pretty(&JsonValue::Null), "null");
+    }
+
+    #[test]
+    fn integers_above_two_pow_53_never_read_back_as_two_pow_53() {
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        for above in [
+            "9007199254740993",
+            "9007199254740994",
+            "18446744073709551616",
+        ] {
+            let v = parse(above).unwrap();
+            assert!(v.as_f64().unwrap() > TWO_POW_53, "{above}");
+            assert_eq!(v.as_u64(), None, "{above}");
+        }
+        assert_eq!(
+            parse("-9007199254740993").unwrap(),
+            JsonValue::Number(-9_007_199_254_740_994.0)
+        );
+    }
+
+    const POINT: Schema = Schema {
+        keys: &["x", "tags", "inner"],
+        accepted: "x, tags, inner",
+        required: &["x"],
+    };
+
+    #[test]
+    fn fields_check_keys_and_name_paths_in_type_errors() {
+        let doc = parse(r#"{"x": 3, "tags": ["a", 2], "inner": {"x": 2.5}}"#).unwrap();
+        let top = Fields::root(&doc, "point", &POINT).unwrap();
+        assert_eq!(top.required("x", uint), Ok(3));
+        assert_eq!(top.optional("missing", uint), Ok(None));
+        let err = top.list("tags", |v, path| string(v, &path)).unwrap_err();
+        assert_eq!(err.to_string(), "tags[1]: expected a string, found 2");
+        let inner = Fields::at(top.get("inner").unwrap(), top.path("inner"), &POINT).unwrap();
+        let err = inner.required("x", uint).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "inner.x: expected an integer in 0..=2^53, found 2.5"
+        );
+        let too_big = parse("9007199254740993").unwrap();
+        assert_eq!(
+            uint(&too_big, "seed").unwrap_err().to_string(),
+            "seed: expected an integer in 0..=2^53, found number"
+        );
+
+        let typo = parse(r#"{"x": 1, "y": 2}"#).unwrap();
+        assert_eq!(
+            Fields::root(&typo, "point", &POINT).unwrap_err(),
+            DecodeError::UnknownField {
+                context: "point".into(),
+                field: "y".into(),
+                allowed: "x, tags, inner",
+            }
+        );
+        let missing = parse(r#"{"tags": []}"#).unwrap();
+        assert_eq!(
+            Fields::root(&missing, "point", &POINT)
+                .unwrap_err()
+                .to_string(),
+            "point is missing required field \"x\""
+        );
+        let err = Fields::at(&JsonValue::Null, "inner".into(), &POINT).unwrap_err();
+        assert_eq!(err.to_string(), "inner must be an object, got null");
     }
 
     /// splitmix64: a seeded, dependency-free stream for the mutator.

@@ -19,11 +19,10 @@
 
 use crate::schedule::{ChunkTask, PipelineSchedule, TaskKind};
 use crate::trace::TaskEvent;
-use serde::{Deserialize, Serialize};
 
 /// Inputs for one pipeline chain simulation. Durations are per virtual
 /// stage: `pp · chunks` of them, `chunks` being the schedule's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainSpec {
     /// Number of pipeline stages (devices).
     pub pp: usize,
@@ -45,7 +44,7 @@ pub struct ChainSpec {
 }
 
 /// Timing results of a chain simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainResult {
     /// Finish time of the entire chain (last backward anywhere).
     pub makespan: f64,

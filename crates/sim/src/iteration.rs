@@ -16,7 +16,6 @@ use crate::options::{ActivationMode, TrainingOptions};
 use crate::schedule::PipelineSchedule;
 use pipette_cluster::{BandwidthMatrix, GpuSpec};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
-use serde::{Deserialize, Serialize};
 
 /// Fixed optimizer-step time appended to every iteration (seconds).
 pub const OPTIMIZER_STEP_S: f64 = 2e-3;
@@ -48,7 +47,7 @@ pub struct IterationSim<'a> {
 }
 
 /// Timing breakdown of a simulated iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationReport {
     /// End-to-end iteration time (seconds).
     pub total_seconds: f64,

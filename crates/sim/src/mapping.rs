@@ -7,11 +7,10 @@
 
 use pipette_cluster::{ClusterTopology, GpuId};
 use pipette_model::{ParallelConfig, WorkerId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 1:1 assignment of logical workers to GPUs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     config: ParallelConfig,
     /// `assign[worker_linear_index] = gpu`.

@@ -12,7 +12,6 @@
 use crate::options::{ActivationMode, TrainingOptions};
 use crate::schedule::PipelineSchedule;
 use pipette_model::{memory, GptConfig, MicrobatchPlan, ParallelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Bytes of the CUDA context + framework baseline per GPU.
 pub const CUDA_CONTEXT_BYTES: u64 = 900 << 20;
@@ -26,7 +25,7 @@ pub const FRAGMENTATION: f64 = 0.07;
 pub const JITTER: f64 = 0.03;
 
 /// Peak-memory breakdown of one GPU (worst GPU of a stage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBreakdown {
     /// Weights + gradients + optimizer state (bytes).
     pub model_state: u64,
@@ -46,7 +45,7 @@ impl MemoryBreakdown {
 }
 
 /// Per-stage peak memory for one configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryReport {
     /// Peak bytes per pipeline stage (every GPU of a stage is equivalent).
     pub per_stage: Vec<u64>,
@@ -56,7 +55,7 @@ pub struct MemoryReport {
 }
 
 /// Ground-truth memory simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySim {
     options: TrainingOptions,
     /// Cluster-specific seed: different clusters (driver/NCCL versions)
@@ -83,6 +82,11 @@ impl MemorySim {
     /// The feature set in use.
     pub fn options(&self) -> TrainingOptions {
         self.options
+    }
+
+    /// The cluster-specific jitter seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Enables full activation recomputation (checkpointing): only layer

@@ -1,10 +1,9 @@
 //! Training-feature options shared by the timing and memory simulators.
 
 use crate::schedule::PipelineSchedule;
-use serde::{Deserialize, Serialize};
 
 /// How activations are handled between forward and backward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ActivationMode {
     /// Store everything (fastest backward, largest memory).
     #[default]
@@ -19,7 +18,7 @@ pub enum ActivationMode {
 }
 
 /// The feature set a training job runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TrainingOptions {
     /// Pipeline schedule (GPipe, 1F1B, or interleaved 1F1B).
     pub schedule: PipelineSchedule,

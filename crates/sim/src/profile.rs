@@ -13,11 +13,10 @@ use pipette_cluster::{BandwidthMatrix, GpuSpec};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Measured per-stage compute and tensor-parallel times for one
 /// `(configuration, microbatch)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfiledCompute {
     /// Forward time per microbatch per stage (compute only).
     pub fwd: Vec<f64>,
@@ -46,7 +45,7 @@ impl ProfiledCompute {
 }
 
 /// Profiler with multiplicative measurement noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeProfiler {
     /// Relative standard deviation of one timing measurement.
     pub noise_sigma: f64,

@@ -13,10 +13,9 @@ use crate::mapping::Mapping;
 use crate::memsim::{MemoryReport, MemorySim};
 use pipette_cluster::Cluster;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Result of a successful (non-OOM) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measured {
     /// Wall-clock time of one training iteration, seconds.
     pub iteration_seconds: f64,

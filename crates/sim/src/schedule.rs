@@ -31,11 +31,10 @@
 //! `pp` with chunks rotating within each group; backwards drain the chunks
 //! in reverse order.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which pass a task performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Forward pass of one microbatch.
     Forward,
@@ -44,7 +43,7 @@ pub enum TaskKind {
 }
 
 /// One unit of pipeline work: a pass over one microbatch at one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// Forward or backward.
     pub kind: TaskKind,
@@ -63,7 +62,7 @@ impl fmt::Display for Task {
 
 /// One entry of a schedule table: a task on one of the device's model
 /// chunks. Chunk `c` of device `d` is virtual stage `c·pp + d`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkTask {
     /// Model-chunk index on this device, `0..chunks`.
     pub chunk: usize,
@@ -72,7 +71,7 @@ pub struct ChunkTask {
 }
 
 /// The pipeline schedule family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PipelineSchedule {
     /// All forwards, then all backwards (Fig. 2a).
     GPipe,

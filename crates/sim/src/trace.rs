@@ -5,11 +5,10 @@
 
 use crate::schedule::{Task, TaskKind};
 use pipette_obs::{EventKind, Trace};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One executed task with its exact start/finish times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskEvent {
     /// Pipeline stage (device) the task ran on.
     pub stage: usize,

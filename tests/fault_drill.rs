@@ -211,7 +211,7 @@ fn invalid_inputs_are_rejected_before_the_search() {
         matrix,
         cluster.profiler(),
     );
-    let json = tagged.to_json().expect("serialize");
+    let json = tagged.to_json();
     assert!(json.contains("123456.75"), "sentinel must serialize");
     let poisoned = Cluster::from_json(&json.replace("123456.75", "-3.0")).expect("parses");
     let err = Pipette::new(&poisoned, &gpt, 64, options(1))

@@ -3,7 +3,7 @@
 //! expiry with best-so-far results, deterministic load-shedding, and the
 //! circuit breaker's trip/degrade/recover cycle.
 
-use pipette_cli::{run_drill_serve, PipetteHandler};
+use pipette_cli::{cli_report_json, run_configure, run_drill_serve, JobSpec, PipetteHandler};
 use pipette_obs::json::{self as jsonscan, JsonValue};
 use pipette_serve::{
     run_pipe, BreakerConfig, ExecContext, ParseOutcome, RequestHandler, ServerConfig,
@@ -358,5 +358,37 @@ fn escaped_surrogate_pairs_decode_and_lone_surrogates_are_errors() {
         lines[1].starts_with("{\"seq\":1,\"status\":\"error\",\"message\":\"invalid JSON: invalid \\\\u escape at byte"),
         "{}",
         lines[1]
+    );
+}
+
+#[test]
+fn serve_and_the_one_shot_cli_agree_at_the_edge_of_exact_integers() {
+    let with_cluster_seed = |seed: &str| JOB.replacen("\"seed\":5", &format!("\"seed\":{seed}"), 1);
+    let serve_one = |job: &str| {
+        let input = format!("{{\"op\":\"configure\",\"job\":{job}}}\n{{\"op\":\"shutdown\"}}\n");
+        let (lines, _) = run_server(&input, ServerConfig::default());
+        assert_eq!(lines.len(), 1);
+        jsonscan::parse(&lines[0]).expect("valid JSON")
+    };
+
+    // 2^53 is exact in an f64: both paths run the same job.
+    let exact = with_cluster_seed("9007199254740992");
+    let spec = JobSpec::parse_strict(&exact).expect("2^53 is a valid seed");
+    assert_eq!(spec.cluster.seed, 1 << 53);
+    let one_shot = cli_report_json(&run_configure(&spec).expect("feasible job"));
+    let served = serve_one(&exact);
+    assert_eq!(get(&served, "status"), &JsonValue::String("ok".into()));
+    assert_eq!(jsonscan::render_value(get(&served, "result")), one_shot);
+
+    // 2^53 + 1 is not: both paths reject it with one message naming the
+    // field, instead of running the job for seed 2^53.
+    let above = with_cluster_seed("9007199254740993");
+    let err = JobSpec::parse_strict(&above).expect_err("2^53 + 1 is rejected");
+    assert!(err.to_string().contains("cluster.seed"), "{err}");
+    let served = serve_one(&above);
+    assert_eq!(get(&served, "status"), &JsonValue::String("error".into()));
+    assert_eq!(
+        get(&served, "message"),
+        &JsonValue::String(format!("job: {err}"))
     );
 }
