@@ -464,58 +464,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn corrupt_disk_entry_retrains() {
+    /// Trains into a fresh cache under `dir_name`, replaces its `.idx` with
+    /// `damage(intact bytes)`, and checks that the next cold lookup
+    /// quarantines the damaged snapshot, retrains the identical estimator
+    /// and heals the slot, so a third cache hits cleanly.
+    fn assert_damaged_index_retrains(dir_name: &str, damage: fn(&[u8]) -> Vec<u8>) {
         let (spec, gpt, config, truth) = tiny_inputs();
-        let dir = std::env::temp_dir().join("pipette-estimator-cache-corrupt");
+        let dir = std::env::temp_dir().join(dir_name);
+        let _ = std::fs::remove_dir_all(&dir);
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
         let entry = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        for defect in ["overwritten", "truncated"] {
-            let _ = std::fs::remove_dir_all(&dir);
-            let trained =
-                TrainedEstimatorCache::with_dir(&dir).get_or_train(&spec, &gpt, &config, &truth, 1);
-            let intact = std::fs::read(&entry).unwrap();
-            let damaged = match defect {
-                "overwritten" => b"definitely not a snapshot".to_vec(),
-                _ => intact[..intact.len() / 2].to_vec(),
-            };
-            std::fs::write(&entry, &damaged).unwrap();
+        let trained =
+            TrainedEstimatorCache::with_dir(&dir).get_or_train(&spec, &gpt, &config, &truth, 1);
+        let damaged = damage(&std::fs::read(&entry).unwrap());
+        std::fs::write(&entry, &damaged).unwrap();
 
-            let cache = TrainedEstimatorCache::with_dir(&dir);
-            let retrained = cache.get_or_train(&spec, &gpt, &config, &truth, 1);
-            assert_eq!(
-                cache.counters(),
-                CacheCounters {
-                    hits: 0,
-                    misses: 1,
-                    corrupt: 1,
-                },
-                "{defect}"
-            );
-            assert_eq!(retrained, trained, "{defect}: training is deterministic");
-            // The defective bytes are quarantined, not overwritten: the
-            // slot holds the retrained entry and the `.corrupt` file keeps
-            // the original for inspection.
-            assert_eq!(
-                std::fs::read(entry.with_extension("idx.corrupt")).unwrap(),
-                damaged,
-                "{defect}: quarantine file preserves the corrupt bytes"
-            );
-            assert_eq!(mmap_index::read_index(&entry, fp), Some(trained));
-            // A third cache now hits the retrained entry cleanly.
-            let warm = TrainedEstimatorCache::with_dir(&dir);
-            let _ = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-            assert_eq!(
-                warm.counters(),
-                CacheCounters {
-                    hits: 1,
-                    misses: 0,
-                    corrupt: 0,
-                },
-                "{defect}"
-            );
-        }
+        let cache = TrainedEstimatorCache::with_dir(&dir);
+        let retrained = cache.get_or_train(&spec, &gpt, &config, &truth, 1);
+        assert_eq!(
+            cache.counters(),
+            CacheCounters {
+                hits: 0,
+                misses: 1,
+                corrupt: 1,
+            }
+        );
+        assert_eq!(retrained, trained, "training is deterministic");
+        // The defective bytes are quarantined, not overwritten: the slot
+        // holds the retrained entry and the `.corrupt` file keeps the
+        // original for inspection.
+        assert_eq!(
+            std::fs::read(entry.with_extension("idx.corrupt")).unwrap(),
+            damaged,
+            "quarantine file preserves the corrupt bytes"
+        );
+        assert_eq!(mmap_index::read_index(&entry, fp), Some(trained));
+        // A third cache now hits the retrained entry cleanly.
+        let warm = TrainedEstimatorCache::with_dir(&dir);
+        let _ = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
+        assert_eq!(
+            warm.counters(),
+            CacheCounters {
+                hits: 1,
+                misses: 0,
+                corrupt: 0,
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_disk_entry_retrains() {
+        assert_damaged_index_retrains("pipette-estimator-cache-corrupt", |_| {
+            b"definitely not a snapshot".to_vec()
+        });
+    }
+
+    /// A bit flip inside the payload keeps the header and length intact, so
+    /// only the checksum catches it. The index is the only copy on disk:
+    /// the lookup retrains rather than falling back to another entry, and
+    /// the retrained snapshot heals the slot.
+    #[test]
+    fn corrupt_index_falls_back_to_json_and_heals() {
+        assert_damaged_index_retrains("pipette-estimator-cache-idx-corrupt", |intact| {
+            let mut bytes = intact.to_vec();
+            let mid = bytes.len() - 8;
+            bytes[mid] ^= 0x01;
+            bytes
+        });
+    }
+
+    /// A torn write leaves half a snapshot. It is quarantined and
+    /// retrained like any other defect; no JSON entry exists to fall back
+    /// to.
+    #[test]
+    fn truncated_index_falls_back_to_json() {
+        assert_damaged_index_retrains("pipette-estimator-cache-idx-truncated", |intact| {
+            intact[..intact.len() / 2].to_vec()
+        });
     }
 
     #[test]
