@@ -11,6 +11,8 @@
 //!   the incremental objective (the paper's budget is 10 s; 1 s keeps
 //!   the baseline cheap while still running hundreds of thousands of
 //!   incremental evaluations);
+//! * annealer-driven SA throughput across data-parallel widths (dp 2 to
+//!   32 on the same 128 GPUs), with each shape's final cost bits;
 //! * the memory-estimator fast path: blocked-kernel training vs. the
 //!   naive reference loop (extrapolated to the paper's 50k-iteration
 //!   protocol), row-by-row vs. batched candidate screening, and cold
@@ -111,9 +113,9 @@ impl ToJson for String {
     }
 }
 
-impl ToJson for Vec<String> {
+impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> JsonValue {
-        self.iter().map(String::as_str).collect()
+        self.iter().map(ToJson::to_json).collect()
     }
 }
 
@@ -144,6 +146,7 @@ section! {
         hot_path_allocs: HotPathAllocs,
         end_to_end: EndToEnd,
         sa_budgeted: SaBudgeted,
+        dp_sweep: DpSweep,
         pt: ParallelTempering,
         memory_estimator: MemoryEstimatorPerf,
         telemetry: TelemetryOverhead,
@@ -213,6 +216,95 @@ section! {
         evals_per_sec: f64,
         evaluations: usize,
         improvement: f64,
+    }
+}
+
+section! {
+    /// Annealer-driven SA across data-parallel widths at a fixed GPU count:
+    /// `mid_range(16)` (seed 3), GPT-3 1.3B, plan (64, 2), dp 2 to 32.
+    /// Smoke and full runs anneal the same shapes for the same iteration
+    /// count, so CI floors each shape's smoke rate against its own
+    /// committed rate and requires its committed final cost bits. The
+    /// full run reports the fastest of `passes` passes, smoke one pass.
+    struct DpSweep {
+        iterations: usize,
+        passes: usize,
+        shapes: Vec<DpSweepShape>,
+    }
+}
+
+section! {
+    /// One shape of [`DpSweep`]. Everything but `evals_per_sec` is
+    /// deterministic.
+    struct DpSweepShape {
+        pp: usize,
+        tp: usize,
+        dp: usize,
+        evals_per_sec: f64,
+        evaluations: usize,
+        improvement: f64,
+        final_cost_seconds: f64,
+        /// `final_cost_seconds` as hex IEEE-754 bits: the exact answer,
+        /// which JSON numbers cannot carry through every reader.
+        final_cost_bits: String,
+        /// DP memo lookups and hits; stages wider than the memo key
+        /// (dp > 8) always recompute and never look up.
+        memo_lookups: u64,
+        memo_hits: u64,
+    }
+}
+
+/// The [`DpSweep`] section.
+fn dp_sweep(smoke: bool) -> DpSweep {
+    let cluster = presets::mid_range(16).build(3);
+    let gpt = GptConfig::gpt_3_1b();
+    let plan = MicrobatchPlan::new(64, 2).unwrap();
+    let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 3);
+    let model = PipetteLatencyModel::new(&profiled, &gpt);
+    let gpu = cluster.gpu().clone();
+    let iterations = 200_000;
+    let passes = if smoke { 1 } else { 3 };
+    let sa = Annealer::new(AnnealerConfig {
+        iterations,
+        seed: 2,
+        ..Default::default()
+    });
+    let shapes = [(8, 8, 2), (4, 8, 4), (2, 8, 8), (1, 8, 16), (1, 4, 32)]
+        .into_iter()
+        .map(|(pp, tp, dp)| {
+            let cfg = ParallelConfig::new(pp, tp, dp);
+            let compute =
+                ComputeProfiler::default().profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 3);
+            let identity = Mapping::identity(cfg, *cluster.topology());
+            let mut best = f64::INFINITY;
+            let mut result = None;
+            for _ in 0..passes {
+                let mut obj =
+                    IncrementalObjective::from_model(&model, &gpt, plan, &compute, &identity);
+                let t0 = Instant::now();
+                let (_, cost, stats) = sa.anneal_with(&identity, &mut obj);
+                best = best.min(t0.elapsed().as_secs_f64());
+                result = Some((cost, stats, obj.memo_stats()));
+            }
+            let (cost, stats, memo) = result.expect("at least one pass");
+            DpSweepShape {
+                pp,
+                tp,
+                dp,
+                evals_per_sec: stats.evaluations as f64 / best,
+                evaluations: stats.evaluations,
+                improvement: stats.improvement(),
+                final_cost_seconds: cost,
+                final_cost_bits: format!("{:#018x}", cost.to_bits()),
+                memo_lookups: memo.hits + memo.misses,
+                memo_hits: memo.hits,
+            }
+        })
+        .collect();
+    DpSweep {
+        iterations,
+        passes,
+        shapes,
     }
 }
 
@@ -494,6 +586,8 @@ fn main() {
         evaluations: stats.evaluations,
         improvement: stats.improvement(),
     };
+
+    let dp_sweep = dp_sweep(smoke);
 
     // Parallel tempering: the same per-chain budget and seed as
     // `sa_budgeted`, K = 4 replicas on the default ladder. One core per
@@ -838,6 +932,7 @@ fn main() {
         hot_path_allocs,
         end_to_end,
         sa_budgeted,
+        dp_sweep,
         pt,
         memory_estimator,
         telemetry,

@@ -76,6 +76,24 @@ fn import_mpigraph_produces_a_loadable_cluster() {
 }
 
 #[test]
+fn import_mpigraph_rejects_zero_gpus_per_node() {
+    let dir = std::env::temp_dir().join("pipette_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zero_gpu_table.txt");
+    std::fs::write(&path, "0 9500\n9600 0\n").unwrap();
+    let out = bin()
+        .args(["import-mpigraph", path.to_str().unwrap(), "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a typed error, not a panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: invalid gpus_per_node"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn explain_with_trace_out_writes_parseable_jsonl() {
     let dir = std::env::temp_dir().join("pipette_cli_test_explain");
     std::fs::create_dir_all(&dir).unwrap();

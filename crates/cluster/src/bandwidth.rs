@@ -219,7 +219,13 @@ impl BandwidthMatrix {
 
     /// Per-message latency (alpha) between two GPUs, in seconds.
     pub fn latency_s(&self, a: GpuId, b: GpuId) -> f64 {
-        match self.link_class(a, b) {
+        self.class_latency_s(self.link_class(a, b))
+    }
+
+    /// Per-message latency (alpha) of every link of one class, in
+    /// seconds: latency depends on the fabric, not on the pair.
+    pub fn class_latency_s(&self, class: LinkClass) -> f64 {
+        match class {
             LinkClass::Loopback => 0.0,
             LinkClass::IntraNode => self.intra_spec.latency_s,
             LinkClass::InterNode => self.inter_spec.latency_s,

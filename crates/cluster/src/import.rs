@@ -30,7 +30,9 @@ use crate::topology::{ClusterTopology, GpuId};
 /// # Errors
 ///
 /// Returns [`ClusterError::MalformedMatrix`] when the table is ragged,
-/// empty, or contains unparseable/non-positive off-diagonal entries.
+/// empty, or contains an unparseable, non-finite or non-positive
+/// off-diagonal entry, and [`ClusterError::InvalidParameter`] when
+/// `gpus_per_node` is zero.
 pub fn parse_mpigraph(
     text: &str,
     gpus_per_node: usize,
@@ -83,15 +85,15 @@ pub fn parse_mpigraph(
     }
     for (i, row) in rows.iter().enumerate() {
         for (j, &v) in row.iter().enumerate() {
-            if i != j && v <= 0.0 {
+            if i != j && !(v.is_finite() && v > 0.0) {
                 return Err(ClusterError::MalformedMatrix {
-                    reason: format!("non-positive bandwidth at ({i},{j})"),
+                    reason: format!("bandwidth at ({i},{j}) is {v}, must be finite and positive"),
                 });
             }
         }
     }
 
-    let topology = ClusterTopology::new(n, gpus_per_node);
+    let topology = ClusterTopology::try_new(n, gpus_per_node)?;
     let mut matrix = BandwidthMatrix::homogeneous(topology, intra_spec, inter_spec);
     const MB: f64 = 1e6;
     for (i, row) in rows.iter().enumerate() {
@@ -161,6 +163,36 @@ node2   11700   10000   -
         assert!(parse_mpigraph("0 100\n100 0 3\n", 4, intra, inter).is_err());
         assert!(parse_mpigraph("0 abc\n100 0\n", 4, intra, inter).is_err());
         assert!(parse_mpigraph("0 -5\n100 0\n", 4, intra, inter).is_err());
+    }
+
+    /// The error for a table whose (0,1) cell is `cell`.
+    fn off_diagonal_error(cell: &str) -> String {
+        let (intra, inter) = specs();
+        let text = format!("0 {cell}\n100 0\n");
+        match parse_mpigraph(&text, 4, intra, inter) {
+            Err(e @ ClusterError::MalformedMatrix { .. }) => e.to_string(),
+            other => panic!("cell {cell:?} must be a malformed matrix, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_nan_cells() {
+        assert!(off_diagonal_error("nan").contains("(0,1) is NaN"));
+    }
+
+    #[test]
+    fn rejects_infinite_cells() {
+        assert!(off_diagonal_error("inf").contains("(0,1) is inf"));
+        assert!(off_diagonal_error("-inf").contains("(0,1) is -inf"));
+    }
+
+    #[test]
+    fn rejects_zero_gpus_per_node() {
+        let (intra, inter) = specs();
+        match parse_mpigraph(SAMPLE, 0, intra, inter) {
+            Err(ClusterError::InvalidParameter { name, .. }) => assert_eq!(name, "gpus_per_node"),
+            other => panic!("0 GPUs per node must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

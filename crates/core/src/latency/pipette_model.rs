@@ -198,10 +198,11 @@ impl<'a> PipetteLatencyModel<'a> {
 
     /// Latency estimate for the *interleaved* 1F1B schedule with `v`
     /// virtual stages per device — the same critical-path decomposition at
-    /// chunk granularity (an extension beyond the paper; see
-    /// `pipette_sim::interleaved`). Accuracy against the simulator is
-    /// ~±10 % at `v = 2` and degrades to ~±20 % for deeper interleaving
-    /// (the chunk-level overlap is only approximated).
+    /// chunk granularity (an extension beyond the paper; the simulator
+    /// runs it as [`pipette_sim::PipelineSchedule::Interleaved`]).
+    /// Accuracy against the simulator is ~±10 % at `v = 2` and degrades to
+    /// ~±20 % for deeper interleaving (the chunk-level overlap is only
+    /// approximated).
     ///
     /// `compute` must be profiled at `pp · v` stage granularity
     /// ([`pipette_sim::ComputeProfiler::profile_stages`]).

@@ -123,6 +123,23 @@ pub fn t_dp_stage_with(
     }
     let comm = CommModel::new(matrix);
     let bytes = messages::dp_gradient_bytes(gpt, cfg.pp, cfg.tp, stage);
+    let topo = matrix.topology();
+    let width = cfg.dp * cfg.tp;
+    let blocks = &mapping.as_slice()[stage * width..(stage + 1) * width];
+    let node_aligned = blocks
+        .chunks_exact(cfg.tp)
+        .all(|block| block.iter().all(|&g| topo.same_node(g, block[0])));
+    if node_aligned {
+        return comm.dp_allreduce_blocks(
+            scratch,
+            blocks,
+            cfg.tp,
+            |z| topo.node_of(blocks[z * cfg.tp]).0,
+            bytes,
+        );
+    }
+    // A hand-built mapping may split a tensor block across nodes; each
+    // rank's replicas then group by node in their own way.
     let mut worst = 0.0f64;
     for tensor in 0..cfg.tp {
         group.clear();

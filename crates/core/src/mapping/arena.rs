@@ -13,12 +13,11 @@
 //!   bounded linear probing, and a *seeded eviction* policy: when a probe
 //!   window is full, a deterministically chosen victim is overwritten.
 //!   Memo values are pure functions of their keys, so eviction (or a
-//!   different table capacity, or the [`ReferenceDpMemo`] path) can only
-//!   turn a future hit into a bit-identical recompute — never change a
-//!   result. Any observable traversal goes through the sorted
-//!   [`DpMemo::ordered_entries`] drain, keeping telemetry deterministic
-//!   by construction (rule D4's intent, without the `BTreeMap` pointer
-//!   chasing on the hot path).
+//!   different table capacity) can only turn a future hit into a
+//!   bit-identical recompute — never change a result. Any observable
+//!   traversal goes through the sorted [`DpMemo::ordered_entries`] drain,
+//!   keeping telemetry deterministic by construction (rule D4's intent,
+//!   without the `BTreeMap` pointer chasing on the hot path).
 //! * [`UndoLog`] — the `(index, old value)` journal of one in-flight
 //!   proposal, laid out struct-of-arrays (indices and values in separate
 //!   contiguous runs) so the rollback scan is two linear sweeps.
@@ -28,8 +27,6 @@
 //! Capacity invariants are `debug_assert!`-guarded: the objective sizes
 //! each buffer to the worst case a single move can produce (a `Reverse`
 //! spanning every block), so the guards document a proof, not a hope.
-
-use std::collections::BTreeMap;
 
 /// splitmix64 — the 64-bit finalizer used for memo-key hashing and the
 /// seeded eviction draw. Chosen over SipHash (the std default) because it
@@ -71,9 +68,8 @@ pub struct MemoStats {
 /// Values must be pure functions of their keys: under that contract a
 /// lost entry (eviction, capacity pressure, or a full [`Self::clear`])
 /// only costs a recompute that reproduces the same bits, which is what
-/// lets the SA result stay bit-identical to the retained
-/// [`ReferenceDpMemo`] path at *any* capacity (property-tested in
-/// `tests/incremental_objective.rs`).
+/// lets the SA result stay bit-identical to the batch estimator at *any*
+/// capacity (property-tested in `tests/incremental_objective.rs`).
 #[derive(Debug, Clone)]
 pub struct DpMemo {
     /// Stage of each slot (`EMPTY` when vacant). SoA: the three parallel
@@ -214,293 +210,6 @@ impl DpMemo {
             .collect();
         out.sort_unstable_by_key(|e| (e.0, e.1));
         out
-    }
-}
-
-/// The retained `BTreeMap` reference implementation of the memo — the
-/// bit-identity oracle for [`DpMemo`] (never evicts, never collides) and
-/// the PR-5-era code path the property suite replays against.
-#[derive(Debug, Clone, Default)]
-pub struct ReferenceDpMemo {
-    entries: BTreeMap<(usize, u128), f64>,
-}
-
-impl ReferenceDpMemo {
-    /// An empty reference memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached value for `(stage, key)`, if present.
-    pub fn get(&self, stage: usize, key: u128) -> Option<f64> {
-        self.entries.get(&(stage, key)).copied()
-    }
-
-    /// Inserts `(stage, key) → value` (unbounded; never evicts).
-    pub fn insert(&mut self, stage: usize, key: u128, value: f64) {
-        self.entries.insert((stage, key), value);
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Every entry in `(stage, key)` order (the map's native order).
-    pub fn ordered_entries(&self) -> Vec<(usize, u128, f64)> {
-        self.entries.iter().map(|(&(s, k), &v)| (s, k, v)).collect()
-    }
-}
-
-/// Perfect-hash DP memo for small key spaces: one slot per possible
-/// `(stage, content-id tuple)`, directly indexed — no hashing, no
-/// probing, no key storage, no eviction, and the whole value array stays
-/// L1/L2-resident (≤ [`DenseDpMemo::MAX_SLOTS`] `f64`s).
-///
-/// A stage's tuple is `dp` content ids, each `< nb`, packed as base-`nb`
-/// digits after the stage (most significant digit first, mirroring the
-/// 16-bit packing of the `u128` memo key). Vacancy is marked by NaN,
-/// which no live entry can collide with: memoized values are finite
-/// latencies (`insert` debug-asserts it).
-///
-/// Values are pure in their keys — the same contract as [`DpMemo`] — so
-/// this backend is bit-identical to both others by construction; the
-/// property suite replays all three against each other.
-#[derive(Debug, Clone)]
-pub struct DenseDpMemo {
-    /// Slot per `(stage, tuple)`, NaN when vacant.
-    value: Box<[f64]>,
-    /// Content-id radix (ids are block indices, `< nb`).
-    nb: usize,
-    /// Tuple width (replicas per stage).
-    dp: usize,
-    len: usize,
-    stats: MemoStats,
-}
-
-impl DenseDpMemo {
-    /// Slot-count ceiling (512 KiB of values). Beyond this the open table
-    /// wins on cache residency and the constructor refuses.
-    pub const MAX_SLOTS: usize = 1 << 16;
-
-    /// A dense memo for `pp` stages over `dp`-wide tuples of ids `< nb`,
-    /// or `None` when `pp·nb^dp` overflows [`Self::MAX_SLOTS`] (or the
-    /// tuple can't be packed into the shared `u128` key format).
-    pub fn try_new(pp: usize, nb: usize, dp: usize) -> Option<Self> {
-        if pp == 0 || nb == 0 || dp == 0 || dp > 8 || nb > u16::MAX as usize + 1 {
-            return None;
-        }
-        let mut slots = pp;
-        for _ in 0..dp {
-            slots = slots.checked_mul(nb)?;
-            if slots > Self::MAX_SLOTS {
-                return None;
-            }
-        }
-        Some(Self {
-            value: vec![f64::NAN; slots].into_boxed_slice(),
-            nb,
-            dp,
-            len: 0,
-            stats: MemoStats::default(),
-        })
-    }
-
-    // pipette-lint: hot-path
-    /// Slot of `(stage, key)`: Horner over the `dp` packed 16-bit digits,
-    /// most significant first (the packing order of the memo key).
-    #[inline]
-    fn slot(&self, stage: usize, key: u128) -> usize {
-        let mut idx = stage;
-        for i in (0..self.dp).rev() {
-            let id = (key >> (16 * i)) as u16 as usize;
-            debug_assert!(id < self.nb, "content id out of the dense radix");
-            idx = idx * self.nb + id;
-        }
-        idx
-    }
-
-    // pipette-lint: hot-path
-    /// Cached value for `(stage, key)`, if present. One load, no probe.
-    #[inline]
-    pub fn get(&mut self, stage: usize, key: u128) -> Option<f64> {
-        self.read(self.slot(stage, key))
-    }
-
-    // pipette-lint: hot-path
-    /// [`Self::get`] addressed by the raw id tuple instead of the packed
-    /// `u128` key — the objective's hot loop holds the ids contiguously,
-    /// so this skips the pack/unpack round-trip. `ids` must be the same
-    /// digits `(stage, key)` would pack, most significant first; both
-    /// entry points hit the same slot.
-    #[inline]
-    pub fn get_tuple(&mut self, stage: usize, ids: &[u16]) -> Option<f64> {
-        self.read(self.tuple_slot(stage, ids))
-    }
-
-    // pipette-lint: hot-path
-    #[inline]
-    fn read(&mut self, slot: usize) -> Option<f64> {
-        let v = self.value[slot];
-        if v.is_nan() {
-            self.stats.misses += 1;
-            None
-        } else {
-            self.stats.hits += 1;
-            Some(v)
-        }
-    }
-
-    // pipette-lint: hot-path
-    /// Slot of `(stage, ids)` — the tuple-addressed twin of [`Self::slot`].
-    #[inline]
-    fn tuple_slot(&self, stage: usize, ids: &[u16]) -> usize {
-        debug_assert_eq!(ids.len(), self.dp, "tuple width mismatch");
-        let mut idx = stage;
-        for &id in ids {
-            debug_assert!((id as usize) < self.nb, "content id out of the dense radix");
-            idx = idx * self.nb + id as usize;
-        }
-        idx
-    }
-
-    // pipette-lint: hot-path
-    /// Inserts (or refreshes) `(stage, key) → value`. Never evicts: every
-    /// key owns its slot.
-    #[inline]
-    pub fn insert(&mut self, stage: usize, key: u128, value: f64) {
-        let slot = self.slot(stage, key);
-        self.write(slot, value);
-    }
-
-    // pipette-lint: hot-path
-    /// [`Self::insert`] addressed by the raw id tuple (see
-    /// [`Self::get_tuple`]).
-    #[inline]
-    pub fn insert_tuple(&mut self, stage: usize, ids: &[u16], value: f64) {
-        let slot = self.tuple_slot(stage, ids);
-        self.write(slot, value);
-    }
-
-    #[inline]
-    fn write(&mut self, slot: usize, value: f64) {
-        debug_assert!(!value.is_nan(), "NaN is the vacancy sentinel");
-        if self.value[slot].is_nan() {
-            self.len += 1;
-        }
-        self.value[slot] = value;
-    }
-
-    /// Empties the table (slots stay allocated; counters are kept).
-    pub fn clear(&mut self) {
-        self.value.fill(f64::NAN);
-        self.len = 0;
-    }
-
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.value.len()
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Lookup counters so far (`evictions` is always zero).
-    pub fn stats(&self) -> MemoStats {
-        self.stats
-    }
-
-    /// Every live entry in `(stage, key)` order. Slot order *is* that
-    /// order — the stage is the most significant digit and the key digits
-    /// follow in packing order — so one pass suffices.
-    pub fn ordered_entries(&self) -> Vec<(usize, u128, f64)> {
-        self.value
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_nan())
-            .map(|(mut slot, &v)| {
-                let mut key = 0u128;
-                for i in 0..self.dp {
-                    key |= ((slot % self.nb) as u128) << (16 * i);
-                    slot /= self.nb;
-                }
-                (slot, key, v)
-            })
-            .collect()
-    }
-}
-
-/// Which memo implementation an objective runs on. The dense table is
-/// the production path whenever the key space fits; the open-addressed
-/// table covers everything larger; the reference path exists so
-/// equivalence tests can replay identical move sequences through all of
-/// them.
-#[derive(Debug, Clone)]
-pub enum MemoBackend {
-    /// Perfect-hash dense table (the hot path for small key spaces).
-    Dense(DenseDpMemo),
-    /// Fixed-capacity open-addressed table (the general hot path).
-    Open(DpMemo),
-    /// Unbounded `BTreeMap` oracle (the retained reference path).
-    Reference(ReferenceDpMemo),
-}
-
-impl MemoBackend {
-    // pipette-lint: hot-path
-    /// Cached value for `(stage, key)`, if present.
-    #[inline]
-    pub fn get(&mut self, stage: usize, key: u128) -> Option<f64> {
-        match self {
-            MemoBackend::Dense(m) => m.get(stage, key),
-            MemoBackend::Open(m) => m.get(stage, key),
-            MemoBackend::Reference(m) => m.get(stage, key),
-        }
-    }
-
-    // pipette-lint: hot-path
-    /// Inserts `(stage, key) → value`.
-    #[inline]
-    pub fn insert(&mut self, stage: usize, key: u128, value: f64) {
-        match self {
-            MemoBackend::Dense(m) => m.insert(stage, key, value),
-            MemoBackend::Open(m) => m.insert(stage, key, value),
-            MemoBackend::Reference(m) => m.insert(stage, key, value),
-        }
-    }
-
-    /// Empties the memo.
-    pub fn clear(&mut self) {
-        match self {
-            MemoBackend::Dense(m) => m.clear(),
-            MemoBackend::Open(m) => m.clear(),
-            MemoBackend::Reference(m) => m.clear(),
-        }
-    }
-
-    /// Every live entry in `(stage, key)` order.
-    pub fn ordered_entries(&self) -> Vec<(usize, u128, f64)> {
-        match self {
-            MemoBackend::Dense(m) => m.ordered_entries(),
-            MemoBackend::Open(m) => m.ordered_entries(),
-            MemoBackend::Reference(m) => m.ordered_entries(),
-        }
     }
 }
 
@@ -667,6 +376,7 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn memo_round_trips_inserts() {
@@ -701,7 +411,7 @@ mod tests {
         // merely a recompute.
         for seed in 0..20u64 {
             let mut open = DpMemo::new(16, seed);
-            let mut reference = ReferenceDpMemo::new();
+            let mut reference: BTreeMap<(usize, u128), f64> = BTreeMap::new();
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             for _ in 0..2_000 {
                 let stage = rng.gen_range(0..6usize);
@@ -711,16 +421,19 @@ mod tests {
                     // contract requires.
                     let v = (stage as f64 + 1.0) * (key as f64 + 0.25);
                     open.insert(stage, key, v);
-                    reference.insert(stage, key, v);
+                    reference.insert((stage, key), v);
                 } else if let Some(got) = open.get(stage, key) {
-                    let want = reference.get(stage, key);
-                    assert_eq!(Some(got.to_bits()), want.map(f64::to_bits));
+                    let want = reference.get(&(stage, key));
+                    assert_eq!(Some(got.to_bits()), want.map(|v| v.to_bits()));
                 }
             }
             assert!(open.stats().evictions > 0, "16 slots must evict");
             // Every surviving entry agrees with the oracle.
             for (s, k, v) in open.ordered_entries() {
-                assert_eq!(reference.get(s, k).map(f64::to_bits), Some(v.to_bits()));
+                assert_eq!(
+                    reference.get(&(s, k)).map(|v| v.to_bits()),
+                    Some(v.to_bits())
+                );
             }
         }
     }
@@ -768,97 +481,6 @@ mod tests {
         for w in entries.windows(2) {
             assert!((w[0].0, w[0].1) < (w[1].0, w[1].1));
         }
-    }
-
-    #[test]
-    fn dense_memo_round_trips_and_never_evicts() {
-        // pp = 3, nb = 4, dp = 2 → 3·16 = 48 slots, keys pack two base-4
-        // digits as 16-bit fields.
-        let mut m = DenseDpMemo::try_new(3, 4, 2).expect("fits");
-        assert_eq!(m.capacity(), 48);
-        assert!(m.is_empty());
-        let key = |a: u128, b: u128| a << 16 | b;
-        m.insert(0, key(1, 2), 1.5);
-        m.insert(2, key(3, 0), -0.5);
-        m.insert(0, key(2, 1), 9.0);
-        assert_eq!(m.get(0, key(1, 2)), Some(1.5));
-        assert_eq!(m.get(2, key(3, 0)), Some(-0.5));
-        assert_eq!(m.get(0, key(2, 1)), Some(9.0));
-        assert_eq!(m.get(1, key(1, 2)), None);
-        assert_eq!(m.len(), 3);
-        // Refresh overwrites in place; no slot is ever stolen.
-        m.insert(0, key(1, 2), 4.0);
-        assert_eq!(m.get(0, key(1, 2)), Some(4.0));
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.stats().evictions, 0);
-        assert_eq!(m.stats().hits, 4);
-        assert_eq!(m.stats().misses, 1);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(0, key(1, 2)), None);
-        // Counters survive clear, like the open table's.
-        assert_eq!(m.stats().hits, 4);
-    }
-
-    #[test]
-    fn dense_memo_matches_btreemap_reference_exhaustively() {
-        // Small enough to exercise every (stage, tuple) slot.
-        let (pp, nb, dp) = (4usize, 5usize, 2usize);
-        let mut dense = DenseDpMemo::try_new(pp, nb, dp).expect("fits");
-        let mut reference = ReferenceDpMemo::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        for _ in 0..3_000 {
-            let stage = rng.gen_range(0..pp);
-            let key =
-                (rng.gen_range(0..nb as u64) as u128) << 16 | rng.gen_range(0..nb as u64) as u128;
-            if rng.gen_range(0..3u8) == 0 {
-                let v = (stage as f64 + 1.0) * (key as f64 + 0.25);
-                dense.insert(stage, key, v);
-                reference.insert(stage, key, v);
-            } else {
-                assert_eq!(
-                    dense.get(stage, key).map(f64::to_bits),
-                    reference.get(stage, key).map(f64::to_bits),
-                    "dense diverged at stage {stage} key {key}"
-                );
-            }
-        }
-        assert_eq!(dense.len(), reference.len());
-        assert_eq!(dense.ordered_entries(), reference.ordered_entries());
-    }
-
-    #[test]
-    fn dense_memo_ordered_entries_reconstruct_keys_in_order() {
-        let mut m = DenseDpMemo::try_new(2, 3, 2).expect("fits");
-        // Insert in deliberately scrambled order.
-        for (stage, a, b) in [(1, 2, 0), (0, 1, 1), (1, 0, 2), (0, 0, 0)] {
-            let key = (a as u128) << 16 | b as u128;
-            m.insert(stage, key, (stage * 9 + a * 3 + b) as f64);
-        }
-        let entries = m.ordered_entries();
-        assert_eq!(entries.len(), 4);
-        for w in entries.windows(2) {
-            assert!((w[0].0, w[0].1) < (w[1].0, w[1].1), "drain out of order");
-        }
-        // Keys survive the slot → (stage, key) reconstruction exactly.
-        for (stage, key, v) in entries {
-            let (a, b) = ((key >> 16) as usize, (key & 0xffff) as usize);
-            assert_eq!(v, (stage * 9 + a * 3 + b) as f64);
-        }
-    }
-
-    #[test]
-    fn dense_memo_refuses_oversized_key_spaces() {
-        // 8 · 512² > MAX_SLOTS.
-        assert!(DenseDpMemo::try_new(8, 512, 2).is_none());
-        // Degenerate shapes.
-        assert!(DenseDpMemo::try_new(0, 4, 2).is_none());
-        assert!(DenseDpMemo::try_new(4, 0, 2).is_none());
-        assert!(DenseDpMemo::try_new(4, 4, 0).is_none());
-        assert!(DenseDpMemo::try_new(4, 4, 9).is_none());
-        // Boundary: exactly MAX_SLOTS is allowed.
-        let m = DenseDpMemo::try_new(16, 64, 2).expect("16·64² = 65536 fits");
-        assert_eq!(m.capacity(), DenseDpMemo::MAX_SLOTS);
     }
 
     #[test]

@@ -14,9 +14,7 @@ mod search;
 mod tempering;
 
 pub use annealer::{AnnealStats, Annealer, AnnealerConfig, NoOpObserver, SaMoveRecord, SaObserver};
-pub use arena::{
-    DenseDpMemo, DpMemo, MemoBackend, MemoStats, ReferenceDpMemo, TouchedSet, UndoLog,
-};
+pub use arena::{DpMemo, MemoStats, TouchedSet, UndoLog};
 pub use moves::{Move, MoveKind};
 pub use objective::{FnObjective, IncrementalObjective, Objective};
 pub use search::{greedy_swap, random_search};

@@ -16,7 +16,9 @@
 //!   blocks — recomputed only for hops bordering a displaced block;
 //! * **per-stage data-parallel all-reduce times** (Eq. 6) touch one
 //!   stage's replica row — recomputed only for stages owning a displaced
-//!   block.
+//!   block, by [`pipette_sim::CommModel::dp_allreduce_blocks`] over the
+//!   node of each block's content (tabulated once per `rebuild`), behind
+//!   one [`DpMemo`].
 //!
 //! The cached terms feed the same [`terms::reduce_latency_s`] reduction the
 //! batch estimator uses, so `propose` returns a bit-identical cost to a
@@ -25,11 +27,11 @@
 //! unchanged, only faster.
 
 use crate::latency::{terms, PipetteLatencyModel};
-use crate::mapping::arena::{DenseDpMemo, DpMemo, MemoBackend, MemoStats, TouchedSet, UndoLog};
+use crate::mapping::arena::{DpMemo, MemoStats, TouchedSet, UndoLog};
 use crate::mapping::moves::Move;
 use pipette_cluster::{BandwidthMatrix, GpuId};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
-use pipette_sim::{HierScratch, Mapping, ProfiledCompute};
+use pipette_sim::{CommModel, HierScratch, Mapping, ProfiledCompute};
 
 /// What the annealer needs from a cost function: a full evaluation for the
 /// starting point and a propose/commit/rollback protocol for moves.
@@ -109,17 +111,20 @@ pub struct IncrementalObjective<'a> {
     /// `HOP_TABLE_MAX_ENTRIES`) or when `pp < 2`. A dirty hop is then a
     /// table read, never a recompute.
     hop_table: Vec<f64>,
+    /// Node hosting each block content, indexed by content id; empty
+    /// when some block straddles two nodes (only a hand-built mapping
+    /// can), which sends DP recomputes down the per-rank path.
+    id_node: Vec<u32>,
+    /// `dp_gradient_bytes` per stage — static over the objective's
+    /// lifetime.
+    dp_bytes: Vec<u64>,
     /// Lazily memoized per-stage DP all-reduce times, keyed by
     /// `(stage, packed content-id tuple)`. Values are pure in the key, so
     /// hits are bitwise identical to recomputation — and so is a *miss*
-    /// after eviction, which merely recomputes the same bits. The default
-    /// backend is the perfect-hash [`DenseDpMemo`] when the key space
-    /// fits, otherwise the fixed-capacity open-addressed [`DpMemo`]; the
-    /// `BTreeMap` reference path survives behind
-    /// [`IncrementalObjective::with_memo_backend`] as the equivalence
-    /// oracle. Any observable traversal goes through the ordered drain
-    /// (rule D4's intent).
-    dp_memo: MemoBackend,
+    /// after eviction, which merely recomputes the same bits. Any
+    /// observable traversal goes through the ordered drain (rule D4's
+    /// intent).
+    dp_memo: DpMemo,
     /// `compute.compute(s)` per stage, hoisted once — static over the
     /// objective's lifetime (the profiled compute never changes).
     stage_compute: Vec<f64>,
@@ -158,10 +163,27 @@ const HOP_TABLE_MAX_ENTRIES: usize = 1 << 20;
 /// with more replicas than this fall back to direct recomputation.
 const DP_MEMO_MAX_DP: usize = 8;
 
-/// Default slot count of the open-addressed DP memo. 4096 slots hold the
-/// working set of every preset in the suite with hit rates ≥90%; under
-/// harder churn the seeded-eviction policy degrades to recomputation, not
-/// to wrong answers.
+// pipette-lint: hot-path
+/// Packs a stage's content-id tuple into a memo key, or `None` when the
+/// stage has too many replicas to pack.
+#[inline]
+fn dp_key(ids: &[u16]) -> Option<u128> {
+    if ids.len() > DP_MEMO_MAX_DP {
+        return None;
+    }
+    let mut key = 0u128;
+    for &id in ids {
+        key = key << 16 | id as u128;
+    }
+    Some(key)
+}
+
+/// Default slot count of the open-addressed DP memo. The hit rate falls
+/// as dp grows: under the annealer on 128 GPUs (`perf_baseline`'s dp
+/// sweep, 200k iterations) it is 99.6 % at pp8·tp8·dp2, 87.5 % at
+/// pp4·tp8·dp4 and 65 % at pp2·tp8·dp8. A miss costs one block-kernel
+/// recompute, and an eviction degrades to recomputation, never to a
+/// wrong answer.
 const DP_MEMO_DEFAULT_CAPACITY: usize = 1 << 12;
 
 impl<'a> IncrementalObjective<'a> {
@@ -180,37 +202,25 @@ impl<'a> IncrementalObjective<'a> {
         initial: &Mapping,
     ) -> Self {
         let cfg = initial.config();
-        // Memo values are pure in their keys, so backend choice can never
-        // change a result — pick by key-space size. Small spaces get the
-        // perfect-hash dense table (one load per lookup, no eviction);
-        // everything else the open-addressed table, whose eviction seed is
-        // a pure function of the shape so a given (config, move stream)
-        // replays the same hit/miss/evict history in every process (rule
-        // D1: replayable from seeds alone).
-        let num_blocks = cfg.pp * cfg.dp;
-        let memo = match DenseDpMemo::try_new(cfg.pp, num_blocks, cfg.dp) {
-            Some(dense) if cfg.dp >= 2 => MemoBackend::Dense(dense),
-            _ => {
-                let eviction_seed = (cfg.pp as u64) << 40
-                    ^ (cfg.dp as u64) << 20
-                    ^ cfg.tp as u64
-                    ^ 0x0050_4950_4554_5445;
-                MemoBackend::Open(DpMemo::new(DP_MEMO_DEFAULT_CAPACITY, eviction_seed))
-            }
-        };
-        Self::with_memo_backend(matrix, gpt, plan, compute, initial, memo)
+        // The eviction seed is a pure function of the shape, so a given
+        // (config, move stream) replays the same hit/miss/evict history in
+        // every process (rule D1: replayable from seeds alone).
+        let eviction_seed =
+            (cfg.pp as u64) << 40 ^ (cfg.dp as u64) << 20 ^ cfg.tp as u64 ^ 0x0050_4950_4554_5445;
+        let memo = DpMemo::new(DP_MEMO_DEFAULT_CAPACITY, eviction_seed);
+        Self::with_memo(matrix, gpt, plan, compute, initial, memo)
     }
 
-    /// [`Self::new`] with an explicit memo backend — the reference
-    /// `BTreeMap` path for equivalence tests, or an open table at a chosen
-    /// capacity (tiny capacities force eviction pressure).
-    pub fn with_memo_backend(
+    /// [`Self::new`] over a given memo — tests pass tiny capacities to
+    /// force eviction pressure. Memo values are pure in their keys, so the
+    /// capacity can never change a result.
+    pub fn with_memo(
         matrix: &'a BandwidthMatrix,
         gpt: &'a GptConfig,
         plan: MicrobatchPlan,
         compute: &'a ProfiledCompute,
         initial: &Mapping,
-        memo: MemoBackend,
+        memo: DpMemo,
     ) -> Self {
         let cfg = initial.config();
         debug_assert_eq!(compute.num_stages(), cfg.pp, "profiled stages mismatch");
@@ -228,6 +238,10 @@ impl<'a> IncrementalObjective<'a> {
             dp_times: Vec::with_capacity(cfg.pp),
             block_ids: Vec::with_capacity(num_blocks),
             hop_table: Vec::new(),
+            id_node: Vec::with_capacity(num_blocks),
+            dp_bytes: (0..cfg.pp)
+                .map(|s| messages::dp_gradient_bytes(gpt, cfg.pp, cfg.tp, s))
+                .collect(),
             dp_memo: memo,
             pos_stage: (0..num_blocks).map(|b| (b / cfg.dp) as u16).collect(),
             stage_compute: (0..cfg.pp).map(|s| compute.compute(s)).collect(),
@@ -271,15 +285,9 @@ impl<'a> IncrementalObjective<'a> {
         self.current_cost
     }
 
-    /// Hit/miss/eviction counters of the dense or open-addressed memo,
-    /// or `None` on the reference backend (which never evicts and keeps
-    /// no counters).
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        match &self.dp_memo {
-            MemoBackend::Dense(m) => Some(m.stats()),
-            MemoBackend::Open(m) => Some(m.stats()),
-            MemoBackend::Reference(_) => None,
-        }
+    /// Hit/miss/eviction counters of the DP memo.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.dp_memo.stats()
     }
 
     /// Recomputes every cache from scratch for `mapping`, whose blocks
@@ -290,7 +298,7 @@ impl<'a> IncrementalObjective<'a> {
             self.cfg,
             "mapping built for another configuration"
         );
-        let comm = pipette_sim::CommModel::new(self.matrix);
+        let comm = CommModel::new(self.matrix);
         let (pp, dp, tp) = (self.cfg.pp, self.cfg.dp, self.cfg.tp.max(1));
         let num_blocks = pp * dp;
         self.block_allreduce.clear();
@@ -333,10 +341,19 @@ impl<'a> IncrementalObjective<'a> {
         // hit, not a recompute.
         self.block_ids.clear();
         self.block_ids.extend((0..num_blocks).map(|i| i as u16));
+        let topo = self.matrix.topology();
+        self.id_node.clear();
+        for block in mapping.as_slice().chunks_exact(tp) {
+            if !block.iter().all(|&g| topo.same_node(g, block[0])) {
+                self.id_node.clear();
+                break;
+            }
+            self.id_node.push(topo.node_of(block[0]).0 as u32);
+        }
         self.dp_memo.clear();
         if dp >= 2 {
             for s in 0..pp {
-                if let Some(k) = self.dp_key(s) {
+                if let Some(k) = dp_key(&self.block_ids[s * dp..(s + 1) * dp]) {
                     self.dp_memo.insert(s, k, self.dp_times[s]);
                 }
             }
@@ -359,20 +376,6 @@ impl<'a> IncrementalObjective<'a> {
 
         self.pending = None;
         self.current_cost = self.reduce();
-    }
-
-    /// Packs the content-id tuple of stage `s` into a memo key, or `None`
-    /// when the stage has too many replicas to pack.
-    fn dp_key(&self, s: usize) -> Option<u128> {
-        let dp = self.cfg.dp;
-        if dp > DP_MEMO_MAX_DP {
-            return None;
-        }
-        let mut key = 0u128;
-        for &id in &self.block_ids[s * dp..(s + 1) * dp] {
-            key = key << 16 | id as u128;
-        }
-        Some(key)
     }
 
     // pipette-lint: hot-path
@@ -455,7 +458,7 @@ impl Objective for IncrementalObjective<'_> {
             }
         }
         self.hop_undo.clear();
-        let dp = self.cfg.dp;
+        let (dp, tp) = (self.cfg.dp, self.cfg.tp);
         let num_blocks = self.cfg.pp * dp;
         // Destructure so the touched lists can be iterated directly while
         // the journals and term arrays are written (disjoint borrows; the
@@ -494,6 +497,8 @@ impl Objective for IncrementalObjective<'_> {
             dp_times,
             dp_memo,
             block_ids,
+            id_node,
+            dp_bytes,
             hier,
             group,
             matrix,
@@ -502,54 +507,33 @@ impl Objective for IncrementalObjective<'_> {
         } = self;
         dp_undo.clear();
         if dp >= 2 {
-            match dp_memo {
-                // Dense backend: address the memo by the id tuple itself —
-                // no u128 packing, no per-lookup backend dispatch.
-                MemoBackend::Dense(memo) => {
-                    for &s in touched_stages.as_slice() {
-                        let s = s as usize;
-                        dp_undo.push(s, dp_times[s]);
-                        let ids = &block_ids[s * dp..(s + 1) * dp];
-                        dp_times[s] = match memo.get_tuple(s, ids) {
-                            Some(v) => v,
-                            None => {
-                                let v =
-                                    terms::t_dp_stage_with(hier, group, matrix, candidate, gpt, s);
-                                memo.insert_tuple(s, ids, v);
-                                v
-                            }
-                        };
-                    }
-                }
-                dp_memo => {
-                    let packable = dp <= DP_MEMO_MAX_DP;
-                    for &s in touched_stages.as_slice() {
-                        let s = s as usize;
-                        dp_undo.push(s, dp_times[s]);
-                        // Inline `dp_key`: pack the stage's content-id
-                        // tuple.
-                        let key = if packable {
-                            let mut k = 0u128;
-                            for &id in &block_ids[s * dp..(s + 1) * dp] {
-                                k = k << 16 | id as u128;
-                            }
-                            Some(k)
+            let comm = CommModel::new(matrix);
+            let width = dp * tp;
+            for &s in touched_stages.as_slice() {
+                let s = s as usize;
+                dp_undo.push(s, dp_times[s]);
+                let ids = &block_ids[s * dp..(s + 1) * dp];
+                let key = dp_key(ids);
+                dp_times[s] = match key.and_then(|k| dp_memo.get(s, k)) {
+                    Some(v) => v,
+                    None => {
+                        let v = if id_node.is_empty() {
+                            terms::t_dp_stage_with(hier, group, matrix, candidate, gpt, s)
                         } else {
-                            None
+                            comm.dp_allreduce_blocks(
+                                hier,
+                                &candidate.as_slice()[s * width..(s + 1) * width],
+                                tp,
+                                |z| id_node[ids[z] as usize] as usize,
+                                dp_bytes[s],
+                            )
                         };
-                        dp_times[s] = match key.and_then(|k| dp_memo.get(s, k)) {
-                            Some(v) => v,
-                            None => {
-                                let v =
-                                    terms::t_dp_stage_with(hier, group, matrix, candidate, gpt, s);
-                                if let Some(k) = key {
-                                    dp_memo.insert(s, k, v);
-                                }
-                                v
-                            }
-                        };
+                        if let Some(k) = key {
+                            dp_memo.insert(s, k, v);
+                        }
+                        v
                     }
-                }
+                };
             }
         }
 

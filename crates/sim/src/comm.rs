@@ -6,23 +6,28 @@
 //! intra-node phase (counted twice: reduce-scatter before, all-gather
 //! after) with one inter-node ring, which is Eq. 6's structure.
 
-use pipette_cluster::{BandwidthMatrix, GpuId, GIB};
+use pipette_cluster::{BandwidthMatrix, GpuId, LinkClass, GIB};
 
-/// Reusable buffers for [`CommModel::hierarchical_allreduce_with`]: the
-/// per-node member grouping and the leader ring. Hot callers (the
-/// incremental SA objective re-evaluates data-parallel all-reduce times
-/// thousands of times per second) keep one of these alive instead of
-/// allocating per call.
+/// Marks a node with no group in `HierScratch::node_group`.
+const VACANT: u32 = u32::MAX;
+
+/// Reusable buffers for [`CommModel::hierarchical_allreduce_with`] and
+/// [`CommModel::dp_allreduce_blocks`]: the members of one all-reduce
+/// grouped by node. Hot callers (the incremental SA objective re-evaluates
+/// data-parallel all-reduce times millions of times per second) keep one
+/// of these alive instead of allocating per call.
 #[derive(Debug, Default)]
 pub struct HierScratch {
-    /// Node ids in first-seen group order.
-    nodes: Vec<usize>,
-    /// Members per node, parallel to `nodes`.
-    members: Vec<Vec<GpuId>>,
-    /// Leader (first member) of each node, in `nodes` order.
-    leaders: Vec<GpuId>,
-    /// Retired member vectors, kept to reuse their allocations.
-    spare: Vec<Vec<GpuId>>,
+    /// Group of each node while a grouping is built, `VACANT` otherwise.
+    node_group: Vec<u32>,
+    /// Node of each group, in first-seen order.
+    group_node: Vec<u32>,
+    /// Group of each member, in member order.
+    member_group: Vec<u32>,
+    /// Group `g` is `order[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    /// Member indices grouped by node; member order within each group.
+    order: Vec<u32>,
 }
 
 impl HierScratch {
@@ -31,24 +36,55 @@ impl HierScratch {
         Self::default()
     }
 
-    fn reset(&mut self) {
-        self.nodes.clear();
-        self.leaders.clear();
-        self.spare.append(&mut self.members);
-    }
-
-    fn push(&mut self, node: usize, g: GpuId) {
-        match self.nodes.iter().position(|&n| n == node) {
-            Some(i) => self.members[i].push(g),
-            None => {
-                self.nodes.push(node);
-                let mut v = self.spare.pop().unwrap_or_default();
-                v.clear();
-                v.push(g);
-                self.members.push(v);
+    // pipette-lint: hot-path
+    /// Groups members `0..n` by node, `node_of(i)` being member `i`'s node
+    /// (`< num_nodes`). Groups keep first-seen order, so the leader ring
+    /// follows the communicator's rank order (and is therefore steerable
+    /// by the worker mapping); members keep their order within a group.
+    fn group_by_node(&mut self, n: usize, num_nodes: usize, node_of: impl Fn(usize) -> usize) {
+        if self.node_group.len() < num_nodes {
+            self.node_group.resize(num_nodes, VACANT);
+        }
+        self.group_node.clear();
+        self.member_group.clear();
+        // Counting sort: member counts first, stored at `starts[g]`...
+        self.starts.clear();
+        for i in 0..n {
+            let node = node_of(i);
+            let mut g = self.node_group[node];
+            if g == VACANT {
+                g = self.group_node.len() as u32;
+                self.node_group[node] = g;
+                self.group_node.push(node as u32);
+                self.starts.push(0);
+            }
+            self.starts[g as usize] += 1;
+            self.member_group.push(g);
+        }
+        // ...then group ends...
+        for g in 0..self.group_node.len() {
+            self.node_group[self.group_node[g] as usize] = VACANT;
+            if g > 0 {
+                self.starts[g] += self.starts[g - 1];
             }
         }
+        // ...then a backwards scatter, which leaves each `starts[g]` at
+        // its group's first slot and keeps member order stable.
+        self.order.resize(n, 0);
+        for i in (0..n).rev() {
+            let g = self.member_group[i] as usize;
+            self.starts[g] -= 1;
+            self.order[self.starts[g] as usize] = i as u32;
+        }
+        self.starts.push(n as u32);
     }
+}
+
+/// `2·(n-1)/n · bytes / B + 2·(n-1)·α` — one ring all-reduce over `n`
+/// ranks whose slowest link runs at `min_bw` GiB/s.
+fn ring_time(n: usize, min_bw: f64, alpha: f64, bytes: u64) -> f64 {
+    let nf = n as f64;
+    2.0 * (nf - 1.0) / nf * bytes as f64 / (min_bw * GIB) + 2.0 * (nf - 1.0) * alpha
 }
 
 /// Communication calculator bound to one bandwidth matrix.
@@ -139,16 +175,15 @@ impl<'a> CommModel<'a> {
         for i in 0..n {
             min_bw = min_bw.min(self.effective(group[i], group[(i + 1) % n]));
         }
-        let alpha = self.max_latency(group);
-        let nf = n as f64;
-        2.0 * (nf - 1.0) / nf * bytes as f64 / (min_bw * GIB) + 2.0 * (nf - 1.0) * alpha
+        ring_time(n, min_bw, self.max_latency(group), bytes)
     }
 
     /// Hierarchical-ring all-reduce over `group` of `bytes` per rank
     /// (Eq. 6): two intra-node phases plus one inter-node ring between node
     /// leaders. Falls back to a flat ring when the group occupies a single
     /// node, and to a pure inter-node ring when every node hosts a single
-    /// member.
+    /// member. `group` holds distinct GPUs, as every communicator of a
+    /// [`crate::Mapping`] does.
     pub fn hierarchical_allreduce(&self, group: &[GpuId], bytes: u64) -> f64 {
         self.hierarchical_allreduce_with(&mut HierScratch::new(), group, bytes)
     }
@@ -162,39 +197,101 @@ impl<'a> CommModel<'a> {
         group: &[GpuId],
         bytes: u64,
     ) -> f64 {
-        let n = group.len();
-        if n < 2 {
+        // Each GPU is a one-GPU block, which never straddles nodes.
+        let topo = self.matrix.topology();
+        self.dp_allreduce_blocks(scratch, group, 1, |i| topo.node_of(group[i]).0, bytes)
+    }
+
+    // pipette-lint: hot-path
+    /// Data-parallel all-reduce time of one pipeline stage: the slowest
+    /// tensor rank's [`Self::hierarchical_allreduce`] over the stage's
+    /// replicas.
+    ///
+    /// `blocks` is the stage's `dp × tp` GPU slice, replica-major (block
+    /// `z` is `blocks[z·tp..(z+1)·tp]`, the layout of a stage in a
+    /// [`crate::Mapping`]), and `block_node(z)` is the node hosting every
+    /// GPU of block `z`. Since no block straddles nodes, rank `y`'s
+    /// replicas `blocks[z·tp + y]` group by node the same way for every
+    /// `y`: the grouping is built once, then each rank costs one load per
+    /// ring link and per intra-node pair. Bit for bit the max over `y` of
+    /// [`Self::hierarchical_allreduce`] on rank `y`'s replicas.
+    pub fn dp_allreduce_blocks(
+        &self,
+        scratch: &mut HierScratch,
+        blocks: &[GpuId],
+        tp: usize,
+        block_node: impl Fn(usize) -> usize,
+        bytes: u64,
+    ) -> f64 {
+        let dp = blocks.len() / tp;
+        if dp < 2 {
             return 0.0;
         }
-        let topo = self.matrix.topology();
-        // Group members by node, preserving first-seen node order so the
-        // inter-node leader ring follows the communicator's rank order
-        // (and is therefore steerable by the worker mapping).
-        scratch.reset();
-        for &g in group {
-            scratch.push(topo.node_of(g).0, g);
+        scratch.group_by_node(dp, self.matrix.topology().num_nodes(), block_node);
+        let mut worst = 0.0f64;
+        for y in 0..tp {
+            worst = worst.max(self.grouped_allreduce(scratch, blocks, tp, y, bytes));
         }
-        if scratch.nodes.len() == 1 {
-            return self.ring_allreduce(group, bytes);
+        worst
+    }
+
+    // pipette-lint: hot-path
+    /// Eq. 6 for members `gpus[i·stride + rank]`, grouped by node in
+    /// `scratch`. A same-node group holds only intra-node pairs and the
+    /// leaders of different nodes only inter-node pairs, so each ring's α
+    /// is its link class's latency — the value the pairwise maximum over
+    /// [`BandwidthMatrix::latency_s`] takes.
+    fn grouped_allreduce(
+        &self,
+        scratch: &HierScratch,
+        gpus: &[GpuId],
+        stride: usize,
+        rank: usize,
+        bytes: u64,
+    ) -> f64 {
+        let member = |i: u32| gpus[i as usize * stride + rank];
+        let (order, starts) = (&scratch.order, &scratch.starts);
+        let groups = starts.len() - 1;
+        let intra_alpha = 0.0f64.max(self.matrix.class_latency_s(LinkClass::IntraNode));
+        if groups == 1 {
+            // One node: a flat ring in rank order.
+            let n = order.len();
+            let mut min_bw = f64::INFINITY;
+            for i in 0..n {
+                let (a, b) = (member(i as u32), member(((i + 1) % n) as u32));
+                min_bw = min_bw.min(self.matrix.between(a, b));
+            }
+            return ring_time(n, min_bw, intra_alpha, bytes);
         }
-        // Leaders: the first member on each node, in rank order.
-        scratch.leaders.extend(scratch.members.iter().map(|m| m[0]));
-        // Worst intra-node subgroup dominates the two intra phases.
+        // Worst intra-node subgroup dominates the two intra phases; its
+        // ring may run over any pair, so it is paced by the slowest.
         let mut intra = 0.0f64;
-        for members in &scratch.members {
+        for g in 0..groups {
+            let members = &order[starts[g] as usize..starts[g + 1] as usize];
             if members.len() < 2 {
                 continue;
             }
-            let m = members.len() as f64;
-            let min_bw = self.matrix.min_over_group(members);
-            let alpha = self.max_latency(members);
-            let phase =
-                2.0 * (m - 1.0) / m * bytes as f64 / (min_bw * GIB) + 2.0 * (m - 1.0) * alpha;
-            intra = intra.max(phase);
+            let mut min_bw = f64::INFINITY;
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
+                    let (a, b) = (member(a), member(b));
+                    min_bw = min_bw.min(self.matrix.between(a, b));
+                    min_bw = min_bw.min(self.matrix.between(b, a));
+                }
+            }
+            intra = intra.max(ring_time(members.len(), min_bw, intra_alpha, bytes));
         }
+        // Leaders: the first member on each node, in group order.
+        let mut min_bw = f64::INFINITY;
+        for g in 0..groups {
+            let a = member(order[starts[g] as usize]);
+            let b = member(order[starts[(g + 1) % groups] as usize]);
+            min_bw = min_bw.min(self.matrix.between(a, b) / self.inter_flows);
+        }
+        let inter_alpha = 0.0f64.max(self.matrix.class_latency_s(LinkClass::InterNode));
         // Two intra-node phases (reduce-scatter + all-gather) — Eq. 6's
         // coefficient 4 — plus one inter-node ring over the leaders.
-        2.0 * intra + self.ring_allreduce(&scratch.leaders, bytes)
+        2.0 * intra + ring_time(groups, min_bw, inter_alpha, bytes)
     }
 
     fn max_latency(&self, group: &[GpuId]) -> f64 {
@@ -215,6 +312,9 @@ mod tests {
         heterogeneity::HeterogeneityModel, link::LinkSpec, topology::ClusterTopology,
         BandwidthMatrix,
     };
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn homog() -> BandwidthMatrix {
         BandwidthMatrix::homogeneous(
@@ -363,5 +463,137 @@ mod tests {
         let t1 = c.hierarchical_allreduce(&group, 1 << 20);
         let t2 = c.hierarchical_allreduce(&group, 1 << 25);
         assert!(t2 > t1);
+    }
+
+    /// Eq. 6 as first written: per-node member lists, pairwise α and
+    /// pairwise bandwidth minima, the leader ring through
+    /// [`CommModel::ring_allreduce`]. The oracle the grouped evaluation
+    /// must reproduce bit for bit.
+    fn pairwise_hierarchical(comm: &CommModel, group: &[GpuId], bytes: u64) -> f64 {
+        if group.len() < 2 {
+            return 0.0;
+        }
+        let matrix = comm.matrix();
+        let mut members: Vec<(usize, Vec<GpuId>)> = Vec::new();
+        for &g in group {
+            let node = matrix.topology().node_of(g).0;
+            match members.iter_mut().find(|(n, _)| *n == node) {
+                Some((_, m)) => m.push(g),
+                None => members.push((node, vec![g])),
+            }
+        }
+        if members.len() == 1 {
+            return comm.ring_allreduce(group, bytes);
+        }
+        let mut intra = 0.0f64;
+        for (_, m) in &members {
+            if m.len() < 2 {
+                continue;
+            }
+            let mut alpha = 0.0f64;
+            for (i, &a) in m.iter().enumerate() {
+                for &b in &m[i + 1..] {
+                    alpha = alpha.max(matrix.latency_s(a, b));
+                }
+            }
+            intra = intra.max(ring_time(m.len(), matrix.min_over_group(m), alpha, bytes));
+        }
+        let leaders: Vec<GpuId> = members.iter().map(|(_, m)| m[0]).collect();
+        2.0 * intra + comm.ring_allreduce(&leaders, bytes)
+    }
+
+    /// A `nodes × gpn` cluster under the realistic heterogeneity model.
+    fn realistic(nodes: usize, gpn: usize, seed: u64) -> BandwidthMatrix {
+        let topo = ClusterTopology::new(nodes, gpn);
+        let (intra, inter) = (LinkSpec::new(256.0, 2e-6), LinkSpec::new(8.0, 5e-6));
+        HeterogeneityModel::realistic().generate(topo, intra, inter, seed)
+    }
+
+    fn shuffle<T>(v: &mut [T], rng: &mut ChaCha8Rng) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any group of distinct GPUs: the grouped evaluation equals the
+        /// pairwise oracle, with and without NIC sharing.
+        #[test]
+        fn hierarchical_matches_pairwise_oracle(
+            nodes in 1usize..=6,
+            size in 1usize..=16,
+            flows in 1usize..=4,
+            seed in 0u64..1_000,
+        ) {
+            let matrix = realistic(nodes, 4, seed);
+            let comm = CommModel::new(&matrix).with_inter_flows(flows);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut gpus: Vec<GpuId> = matrix.topology().gpus().collect();
+            shuffle(&mut gpus, &mut rng);
+            let group = &gpus[..size.min(gpus.len())];
+            let mut scratch = HierScratch::new();
+            for bytes in [1u64 << 16, 1 << 28] {
+                prop_assert_eq!(
+                    comm.hierarchical_allreduce_with(&mut scratch, group, bytes).to_bits(),
+                    pairwise_hierarchical(&comm, group, bytes).to_bits(),
+                    "group {:?}", group
+                );
+            }
+        }
+
+        /// The block kernel equals, bit for bit, the max over tensor ranks
+        /// of `hierarchical_allreduce_with` (and so the pairwise oracle)
+        /// on random stages of node-aligned blocks: realistic clusters of
+        /// 2–32 nodes with 4 or 8 GPUs, tp dividing the node, dp 2–32.
+        #[test]
+        fn dp_block_kernel_matches_per_rank_path(
+            nodes in 2usize..=32,
+            wide in proptest::bool::ANY,
+            tp_log2 in 0u32..=3,
+            dp in 2usize..=32,
+            flows in 1usize..=4,
+            seed in 0u64..1_000,
+        ) {
+            let gpn: usize = if wide { 8 } else { 4 };
+            let tp = 1usize << tp_log2.min(gpn.trailing_zeros());
+            let matrix = realistic(nodes, gpn, seed);
+            let topo = *matrix.topology();
+            let comm = CommModel::new(&matrix).with_inter_flows(flows);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            // Whole tp-blocks in random order, each with its GPUs in
+            // random order: every block stays inside its node.
+            let mut blocks: Vec<Vec<GpuId>> = (0..topo.num_gpus() / tp)
+                .map(|b| (b * tp..(b + 1) * tp).map(GpuId).collect())
+                .collect();
+            shuffle(&mut blocks, &mut rng);
+            let dp = dp.min(blocks.len());
+            let stage: Vec<GpuId> = blocks[..dp]
+                .iter_mut()
+                .flat_map(|b| {
+                    shuffle(b, &mut rng);
+                    b.iter().copied()
+                })
+                .collect();
+            let bytes = 1u64 << rng.gen_range(16..30u32);
+            let mut scratch = HierScratch::new();
+            let kernel = comm.dp_allreduce_blocks(
+                &mut scratch,
+                &stage,
+                tp,
+                |z| topo.node_of(stage[z * tp]).0,
+                bytes,
+            );
+            let mut per_rank = 0.0f64;
+            let mut oracle = 0.0f64;
+            for y in 0..tp {
+                let group: Vec<GpuId> = (0..dp).map(|z| stage[z * tp + y]).collect();
+                per_rank = per_rank.max(comm.hierarchical_allreduce_with(&mut scratch, &group, bytes));
+                oracle = oracle.max(pairwise_hierarchical(&comm, &group, bytes));
+            }
+            prop_assert_eq!(kernel.to_bits(), per_rank.to_bits());
+            prop_assert_eq!(kernel.to_bits(), oracle.to_bits());
+        }
     }
 }

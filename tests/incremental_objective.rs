@@ -2,7 +2,9 @@
 //! parallel configurator:
 //!
 //! 1. every `propose` matches a from-scratch batch estimate on the moved
-//!    mapping (property-tested over random move/commit/rollback streams);
+//!    mapping (property-tested over random move/commit/rollback streams,
+//!    at any memo capacity, and on mappings whose tensor blocks straddle
+//!    nodes);
 //! 2. annealing through the incremental objective returns the *same
 //!    mapping and cost, bit for bit*, as the legacy full-evaluation
 //!    closure for a given seed — the optimization changes wall-clock,
@@ -11,24 +13,64 @@
 //!    fields.
 
 use pipette::configurator::{Pipette, PipetteOptions};
-use pipette::latency::PipetteLatencyModel;
-use pipette::mapping::{
-    Annealer, AnnealerConfig, DenseDpMemo, DpMemo, IncrementalObjective, MemoBackend, Move,
-    Objective, ReferenceDpMemo,
-};
+use pipette::latency::{terms, PipetteLatencyModel};
+use pipette::mapping::{Annealer, AnnealerConfig, DpMemo, IncrementalObjective, Move, Objective};
 use pipette::parallel::{ordered_map, ordered_map_scratch};
-use pipette_cluster::presets;
-use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
-use pipette_sim::{ComputeProfiler, Mapping};
+use pipette_cluster::{presets, BandwidthMatrix, ClusterTopology, GpuId, HeterogeneityModel};
+use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_sim::{CommModel, ComputeProfiler, Mapping, ProfiledCompute};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn setup() -> (pipette_cluster::Cluster, GptConfig) {
+    setup_nodes(2)
+}
+
+fn setup_nodes(nodes: usize) -> (pipette_cluster::Cluster, GptConfig) {
     (
-        presets::mid_range(2).build(17),
+        presets::mid_range(nodes).build(17),
         GptConfig::new(8, 1024, 16, 2048, 51200),
     )
+}
+
+/// Drives one seeded random move per entry of `accepts` through `obj`,
+/// committing or rolling it back as the entry says, and checks every
+/// proposal and every settled state bit for bit against the batch
+/// estimator on the moved mapping.
+fn track_batch_estimator(
+    model: &PipetteLatencyModel,
+    compute: &ProfiledCompute,
+    plan: MicrobatchPlan,
+    obj: &mut IncrementalObjective,
+    mapping: &mut Mapping,
+    seed: u64,
+    accepts: &[bool],
+) -> Result<(), TestCaseError> {
+    let cfg = mapping.config();
+    let block = cfg.tp.max(1);
+    let num_blocks = cfg.num_workers() / block;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    for &accept in accepts {
+        let mv = Move::random(&mut rng, num_blocks);
+        mv.apply(mapping.as_mut_slice(), block);
+        let fast = obj.propose(mv, mapping);
+        let slow = model.estimate(cfg, mapping, plan, compute);
+        prop_assert!(
+            (fast - slow).abs() <= 1e-9,
+            "proposal diverged: {fast} vs {slow} for {mv:?}"
+        );
+        prop_assert_eq!(fast.to_bits(), slow.to_bits());
+        if accept {
+            obj.commit();
+        } else {
+            obj.rollback();
+            mv.inverse().apply(mapping.as_mut_slice(), block);
+        }
+        let settled = model.estimate(cfg, mapping, plan, compute);
+        prop_assert_eq!(obj.cost().to_bits(), settled.to_bits());
+    }
+    Ok(())
 }
 
 proptest! {
@@ -36,18 +78,22 @@ proptest! {
 
     /// Random walks of moves with arbitrary accept/reject interleavings:
     /// the incremental cost must track the batch estimator on every step.
+    /// The dp 16 and dp 32 shapes are past `DP_MEMO_MAX_DP`, so every
+    /// touched stage recomputes through the block kernel.
     #[test]
     fn incremental_cost_tracks_batch_estimator(
         seed in 0u64..1_000,
         accepts in proptest::collection::vec(proptest::bool::ANY, 30),
-        cfg_idx in 0usize..3,
+        cfg_idx in 0usize..5,
     ) {
-        let (cluster, gpt) = setup();
-        let cfg = [
-            ParallelConfig::new(4, 2, 2),
-            ParallelConfig::new(2, 2, 4),
-            ParallelConfig::new(8, 2, 1),
+        let (nodes, cfg) = [
+            (2, ParallelConfig::new(4, 2, 2)),
+            (2, ParallelConfig::new(2, 2, 4)),
+            (2, ParallelConfig::new(8, 2, 1)),
+            (4, ParallelConfig::new(1, 2, 16)),
+            (4, ParallelConfig::new(1, 1, 32)),
         ][cfg_idx];
+        let (cluster, gpt) = setup_nodes(nodes);
         let plan = MicrobatchPlan::new(64, 2).unwrap();
         let gpu = cluster.gpu().clone();
         let compute =
@@ -57,41 +103,19 @@ proptest! {
         let mut mapping = Mapping::identity(cfg, *cluster.topology());
         let mut obj =
             IncrementalObjective::from_model(&model, &gpt, plan, &compute, &mapping);
-        let block = cfg.tp.max(1);
-        let num_blocks = cfg.num_workers() / block;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for &accept in &accepts {
-            let mv = Move::random(&mut rng, num_blocks);
-            mv.apply(mapping.as_mut_slice(), block);
-            let fast = obj.propose(mv, &mapping);
-            let slow = model.estimate(cfg, &mapping, plan, &compute);
-            prop_assert!(
-                (fast - slow).abs() <= 1e-9,
-                "proposal diverged: {fast} vs {slow} for {mv:?}"
-            );
-            prop_assert_eq!(fast.to_bits(), slow.to_bits());
-            if accept {
-                obj.commit();
-            } else {
-                obj.rollback();
-                mv.inverse().apply(mapping.as_mut_slice(), block);
-            }
-            let settled = model.estimate(cfg, &mapping, plan, &compute);
-            prop_assert_eq!(obj.cost().to_bits(), settled.to_bits());
-        }
+        track_batch_estimator(&model, &compute, plan, &mut obj, &mut mapping, seed, &accepts)?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The open-addressed and dense memos are bit-identical to the
-    /// retained `BTreeMap` reference path over random move/commit/rollback
-    /// streams — including at tiny open capacities where the
-    /// seeded-eviction policy fires constantly. Memo values are pure in
-    /// their keys, so eviction (or a perfect-hash slot layout) can only
-    /// turn a hit into an identical recompute; this test is the executable
-    /// form of that argument.
+    /// The open-addressed memo at tiny capacities, where the
+    /// seeded-eviction policy fires constantly, still tracks
+    /// `PipetteLatencyModel::estimate` bit for bit over random
+    /// move/commit/rollback streams. Memo values are pure in their keys,
+    /// so eviction can only turn a hit into an identical recompute; this
+    /// test is the executable form of that argument.
     #[test]
     fn open_memo_bit_matches_reference_memo(
         seed in 0u64..500,
@@ -110,61 +134,65 @@ proptest! {
         let compute =
             ComputeProfiler::default().profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 9);
         let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 9);
+        let model = PipetteLatencyModel::new(&profiled, &gpt);
         let mut mapping = Mapping::identity(cfg, *cluster.topology());
-        let mut open = IncrementalObjective::with_memo_backend(
+        let mut obj = IncrementalObjective::with_memo(
             profiled.matrix(), &gpt, plan, &compute, &mapping,
-            MemoBackend::Open(DpMemo::new(1 << capacity_log2, seed)),
+            DpMemo::new(1 << capacity_log2, seed),
         );
-        let mut reference = IncrementalObjective::with_memo_backend(
-            profiled.matrix(), &gpt, plan, &compute, &mapping,
-            MemoBackend::Reference(ReferenceDpMemo::new()),
+        prop_assert_eq!(
+            obj.cost().to_bits(),
+            model.estimate(cfg, &mapping, plan, &compute).to_bits()
         );
-        let block = cfg.tp.max(1);
-        let num_blocks = cfg.num_workers() / block;
-        let mut dense = IncrementalObjective::with_memo_backend(
-            profiled.matrix(), &gpt, plan, &compute, &mapping,
-            MemoBackend::Dense(
-                DenseDpMemo::try_new(cfg.pp, num_blocks, cfg.dp)
-                    .expect("test configs fit the dense key space"),
-            ),
-        );
-        prop_assert_eq!(open.cost().to_bits(), reference.cost().to_bits());
-        prop_assert_eq!(dense.cost().to_bits(), reference.cost().to_bits());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for &accept in &accepts {
-            let mv = Move::random(&mut rng, num_blocks);
-            mv.apply(mapping.as_mut_slice(), block);
-            let a = open.propose(mv, &mapping);
-            let b = reference.propose(mv, &mapping);
-            let c = dense.propose(mv, &mapping);
-            prop_assert_eq!(
-                a.to_bits(), b.to_bits(),
-                "memo backends diverged on {:?}: {} vs {}", mv, a, b
-            );
-            prop_assert_eq!(
-                c.to_bits(), b.to_bits(),
-                "dense memo diverged on {:?}: {} vs {}", mv, c, b
-            );
-            if accept {
-                open.commit();
-                reference.commit();
-                dense.commit();
-            } else {
-                open.rollback();
-                reference.rollback();
-                dense.rollback();
-                mv.inverse().apply(mapping.as_mut_slice(), block);
-            }
-            prop_assert_eq!(open.cost().to_bits(), reference.cost().to_bits());
-            prop_assert_eq!(dense.cost().to_bits(), reference.cost().to_bits());
-        }
-        // The tiny capacities above must actually exercise eviction for
-        // this test to mean anything; the default capacity need not.
+        track_batch_estimator(&model, &compute, plan, &mut obj, &mut mapping, seed, &accepts)?;
+        let stats = obj.memo_stats();
+        prop_assert!(stats.hits + stats.misses > 0);
+        // The smallest table must actually evict for this test to mean
+        // anything; the larger ones need not.
         if capacity_log2 == 4 {
-            let stats = open.memo_stats().expect("open backend keeps stats");
-            prop_assert!(stats.hits + stats.misses > 0);
+            prop_assert!(stats.evictions > 0, "16 slots never evicted: {:?}", stats);
         }
     }
+}
+
+/// A hand-built mapping may split a tensor block across two nodes (6 GPUs
+/// per node, tp 4). The stage DP term then takes the per-rank path, and
+/// the incremental objective still tracks the batch estimator.
+#[test]
+fn straddling_blocks_take_the_per_rank_path() {
+    let topo = ClusterTopology::new(4, 6);
+    let preset = presets::mid_range(4);
+    let matrix: BandwidthMatrix =
+        HeterogeneityModel::realistic().generate(topo, preset.intra, preset.inter, 23);
+    let gpt = GptConfig::new(8, 1024, 16, 2048, 51200);
+    let cfg = ParallelConfig::new(2, 4, 3);
+    // Whole blocks of four consecutive GPUs, in a shuffled order: blocks
+    // 1 (GPUs 4–7) and 4 (GPUs 16–19) straddle two nodes.
+    let assign: Vec<GpuId> = [5usize, 1, 3, 0, 4, 2]
+        .iter()
+        .flat_map(|&b| (4 * b..4 * b + 4).map(GpuId))
+        .collect();
+    let mut mapping = Mapping::from_assignment(cfg, assign);
+    let comm = CommModel::new(&matrix);
+    for stage in 0..cfg.pp {
+        let bytes = messages::dp_gradient_bytes(&gpt, cfg.pp, cfg.tp, stage);
+        let per_rank = (0..cfg.tp)
+            .map(|y| comm.hierarchical_allreduce(&mapping.data_group(stage, y), bytes))
+            .fold(0.0, f64::max);
+        assert_eq!(
+            terms::t_dp_stage(&matrix, &mapping, &gpt, stage).to_bits(),
+            per_rank.to_bits(),
+            "stage {stage}"
+        );
+    }
+
+    let plan = MicrobatchPlan::new(64, 2).unwrap();
+    let compute = ComputeProfiler::default().profile(&matrix, &preset.gpu, &gpt, cfg, plan, 9);
+    let model = PipetteLatencyModel::from_matrix(&matrix, &gpt);
+    let mut obj = IncrementalObjective::from_model(&model, &gpt, plan, &compute, &mapping);
+    let accepts: Vec<bool> = (0..60).map(|i| i % 3 != 0).collect();
+    track_batch_estimator(&model, &compute, plan, &mut obj, &mut mapping, 5, &accepts)
+        .expect("incremental objective tracks the batch estimator");
 }
 
 /// The candidate ring (`ordered_map_scratch`) is bit-identical to the
