@@ -67,11 +67,7 @@ fn main() {
                 plan,
                 13,
             );
-            let est = if v == 1 {
-                model.estimate(cfg, &rec.mapping, plan, &compute)
-            } else {
-                model.estimate_interleaved(cfg, &rec.mapping, plan, v, &compute)
-            };
+            let est = model.estimate_interleaved(cfg, &rec.mapping, plan, v, &compute);
             let sim = IterationSim::new(cluster.bandwidth(), &gpu, &gpt)
                 .with_options(options)
                 .simulate(cfg, &rec.mapping, plan)

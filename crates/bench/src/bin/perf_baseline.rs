@@ -155,6 +155,9 @@ section! {
 }
 
 section! {
+    /// The cluster and shape of the end-to-end, budgeted-SA, tempering,
+    /// memory-estimator and telemetry sections: 16 nodes at pp8·tp8·dp2,
+    /// or 2 nodes at pp4·tp2·dp2 under `--smoke`.
     struct ClusterShape {
         nodes: usize,
         gpus_per_node: usize,
@@ -165,6 +168,8 @@ section! {
 }
 
 section! {
+    /// SA objective throughput on 16 nodes at pp8·tp8·dp2 in both modes
+    /// (see `objective_throughput`).
     struct ObjectiveThroughput {
         evaluations: usize,
         /// Moves driven through the incremental path. Far more than
@@ -306,6 +311,116 @@ fn dp_sweep(smoke: bool) -> DpSweep {
         passes,
         shapes,
     }
+}
+
+/// SA objective throughput (full estimate vs. incremental) and the
+/// hot-path allocation proof. Both modes measure the full run's cluster
+/// and shape (`mid_range(16)` seed 3, pp8·tp8·dp2); `--smoke` only runs
+/// fewer evaluations, so CI floors the smoke rate against the committed
+/// rate of the same work. Returns the estimates' checksum as well.
+fn objective_throughput(smoke: bool) -> (ObjectiveThroughput, HotPathAllocs, f64) {
+    let cluster = presets::mid_range(16).build(3);
+    let gpt = GptConfig::gpt_3_1b();
+    let cfg = ParallelConfig::new(8, 8, 2);
+    let plan = MicrobatchPlan::new(64, 2).unwrap();
+    let evals = if smoke { 200 } else { 5_000 };
+
+    let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 3);
+    let gpu = cluster.gpu().clone();
+    let compute = ComputeProfiler::default().profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 3);
+    let model = PipetteLatencyModel::new(&profiled, &gpt);
+    let identity = Mapping::identity(cfg, *cluster.topology());
+    let block = cfg.tp.max(1);
+    let num_blocks = cfg.num_workers() / block;
+
+    // Throughput of the full-estimate path: move, re-estimate everything.
+    // Fastest of three passes, same minimum-time estimator as the
+    // incremental loop below, so the speedup ratio compares like with
+    // like.
+    let mut mapping = identity.clone();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut sink = 0.0f64;
+    let mut full_elapsed = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        for _ in 0..evals {
+            let mv = Move::random(&mut rng, num_blocks);
+            mv.apply(mapping.as_mut_slice(), block);
+            sink += model.estimate(cfg, &mapping, plan, &compute);
+        }
+        full_elapsed = full_elapsed.min(t0.elapsed().as_secs_f64());
+    }
+
+    // Throughput of the incremental path: the same kind of move stream,
+    // alternating commit/rollback so both bookkeeping branches are
+    // measured. Each pass runs long enough (sub-second — each eval is
+    // sub-μs) that the one-time memo/hop-table warmup is amortized away,
+    // and the *fastest of three passes* is reported: the minimum-time
+    // estimator rejects scheduler and frequency-scaling noise that a
+    // single pass is exposed to, while any real slowdown in the code
+    // shows up in every pass.
+    let inc_evals = if smoke { 100_000 } else { 1_000_000 };
+    let inc_passes = 3;
+    let mut mapping = identity.clone();
+    let mut obj = IncrementalObjective::from_model(&model, &gpt, plan, &compute, &mapping);
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut inc_elapsed = f64::INFINITY;
+    for _ in 0..inc_passes {
+        let t0 = Instant::now();
+        for i in 0..inc_evals {
+            let mv = Move::random(&mut rng, num_blocks);
+            mv.apply(mapping.as_mut_slice(), block);
+            sink += obj.propose(mv, &mapping);
+            if i % 2 == 0 {
+                obj.commit();
+            } else {
+                obj.rollback();
+                mv.inverse().apply(mapping.as_mut_slice(), block);
+            }
+        }
+        inc_elapsed = inc_elapsed.min(t0.elapsed().as_secs_f64());
+    }
+
+    let objective = ObjectiveThroughput {
+        evaluations: evals,
+        incremental_evaluations: inc_evals,
+        full_evals_per_sec: evals as f64 / full_elapsed,
+        incremental_evals_per_sec: inc_evals as f64 / inc_elapsed,
+        speedup: (full_elapsed / evals as f64) / (inc_elapsed / inc_evals as f64),
+    };
+
+    // Zero-allocation proof: keep driving the (already warm) incremental
+    // objective and snapshot the global allocator around the loop. Any
+    // nonzero delta is a hot-path regression and fails the run outright.
+    let warmup_moves = inc_evals * inc_passes;
+    let measured_moves = if smoke { 10_000 } else { 200_000 };
+    let (alloc0, bytes0) = alloc_snapshot();
+    for i in 0..measured_moves {
+        let mv = Move::random(&mut rng, num_blocks);
+        mv.apply(mapping.as_mut_slice(), block);
+        sink += obj.propose(mv, &mapping);
+        if i % 2 == 0 {
+            obj.commit();
+        } else {
+            obj.rollback();
+            mv.inverse().apply(mapping.as_mut_slice(), block);
+        }
+    }
+    let (alloc1, bytes1) = alloc_snapshot();
+    let hot_path_allocs = HotPathAllocs {
+        warmup_moves,
+        measured_moves,
+        allocations: alloc1 - alloc0,
+        allocated_bytes: bytes1 - bytes0,
+    };
+    assert_eq!(
+        hot_path_allocs.allocations, 0,
+        "SA hot path allocated {} times ({} bytes) over {} moves — the \
+         propose/commit/rollback cycle must be allocation-free",
+        hot_path_allocs.allocations, hot_path_allocs.allocated_bytes, measured_moves
+    );
+
+    (objective, hot_path_allocs, sink)
 }
 
 section! {
@@ -450,102 +565,12 @@ fn main() {
         ParallelConfig::new(8, 8, 2)
     };
     let plan = MicrobatchPlan::new(64, 2).unwrap();
-    let evals = if smoke { 200 } else { 5_000 };
-
     let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 3);
     let gpu = cluster.gpu().clone();
     let compute = ComputeProfiler::default().profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 3);
     let model = PipetteLatencyModel::new(&profiled, &gpt);
     let identity = Mapping::identity(cfg, *cluster.topology());
-    let block = cfg.tp.max(1);
-    let num_blocks = cfg.num_workers() / block;
-
-    // Throughput of the full-estimate path: move, re-estimate everything.
-    // Fastest of three passes, same minimum-time estimator as the
-    // incremental loop below, so the speedup ratio compares like with
-    // like.
-    let mut mapping = identity.clone();
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let mut sink = 0.0f64;
-    let mut full_elapsed = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..evals {
-            let mv = Move::random(&mut rng, num_blocks);
-            mv.apply(mapping.as_mut_slice(), block);
-            sink += model.estimate(cfg, &mapping, plan, &compute);
-        }
-        full_elapsed = full_elapsed.min(t0.elapsed().as_secs_f64());
-    }
-
-    // Throughput of the incremental path: the same kind of move stream,
-    // alternating commit/rollback so both bookkeeping branches are
-    // measured. Each pass runs long enough (sub-second — each eval is
-    // sub-μs) that the one-time memo/hop-table warmup is amortized away,
-    // and the *fastest of three passes* is reported: the minimum-time
-    // estimator rejects scheduler and frequency-scaling noise that a
-    // single pass is exposed to, while any real slowdown in the code
-    // shows up in every pass.
-    let inc_evals = if smoke { 100_000 } else { 1_000_000 };
-    let inc_passes = 3;
-    let mut mapping = identity.clone();
-    let mut obj = IncrementalObjective::from_model(&model, &gpt, plan, &compute, &mapping);
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let mut inc_elapsed = f64::INFINITY;
-    for _ in 0..inc_passes {
-        let t0 = Instant::now();
-        for i in 0..inc_evals {
-            let mv = Move::random(&mut rng, num_blocks);
-            mv.apply(mapping.as_mut_slice(), block);
-            sink += obj.propose(mv, &mapping);
-            if i % 2 == 0 {
-                obj.commit();
-            } else {
-                obj.rollback();
-                mv.inverse().apply(mapping.as_mut_slice(), block);
-            }
-        }
-        inc_elapsed = inc_elapsed.min(t0.elapsed().as_secs_f64());
-    }
-
-    let objective = ObjectiveThroughput {
-        evaluations: evals,
-        incremental_evaluations: inc_evals,
-        full_evals_per_sec: evals as f64 / full_elapsed,
-        incremental_evals_per_sec: inc_evals as f64 / inc_elapsed,
-        speedup: (full_elapsed / evals as f64) / (inc_elapsed / inc_evals as f64),
-    };
-
-    // Zero-allocation proof: keep driving the (already warm) incremental
-    // objective and snapshot the global allocator around the loop. Any
-    // nonzero delta is a hot-path regression and fails the run outright.
-    let warmup_moves = inc_evals * inc_passes;
-    let measured_moves = if smoke { 10_000 } else { 200_000 };
-    let (alloc0, bytes0) = alloc_snapshot();
-    for i in 0..measured_moves {
-        let mv = Move::random(&mut rng, num_blocks);
-        mv.apply(mapping.as_mut_slice(), block);
-        sink += obj.propose(mv, &mapping);
-        if i % 2 == 0 {
-            obj.commit();
-        } else {
-            obj.rollback();
-            mv.inverse().apply(mapping.as_mut_slice(), block);
-        }
-    }
-    let (alloc1, bytes1) = alloc_snapshot();
-    let hot_path_allocs = HotPathAllocs {
-        warmup_moves,
-        measured_moves,
-        allocations: alloc1 - alloc0,
-        allocated_bytes: bytes1 - bytes0,
-    };
-    assert_eq!(
-        hot_path_allocs.allocations, 0,
-        "SA hot path allocated {} times ({} bytes) over {} moves — the \
-         propose/commit/rollback cycle must be allocation-free",
-        hot_path_allocs.allocations, hot_path_allocs.allocated_bytes, measured_moves
-    );
+    let (objective, hot_path_allocs, sink) = objective_throughput(smoke);
 
     // End-to-end Algorithm 1 on the same cluster, with a modest memory
     // training budget (the estimator is trained once per cluster in

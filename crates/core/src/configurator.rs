@@ -513,12 +513,13 @@ impl<'a> Pipette<'a> {
         let mut spent_units: u64 = 0;
         let mut truncated = false;
 
-        // Line 1: profile the actual bandwidth matrix (or accept the
-        // caller's robustly-profiled one — no in-run profiling, hence no
-        // profile span and no profiling charge; the robust path records
-        // its own).
+        // Line 1: profile the actual bandwidth matrix (or read the
+        // caller's robustly-profiled one in place — no in-run profiling,
+        // hence no profile span and no profiling charge; the robust path
+        // records its own).
+        let profiled_here;
         let (profiled, profiling_cost) = match &self.profiled_override {
-            Some((p, c)) => (p.clone(), *c),
+            Some((p, c)) => (p, *c),
             None => {
                 let span = trace.as_deref_mut().map(|t| t.open_span("profile"));
                 let result = self
@@ -531,7 +532,8 @@ impl<'a> Pipette<'a> {
                 if let (Some(t), Some(g)) = (trace.as_deref_mut(), span) {
                     t.close_span(g, CostUnit::Pairs, pairs);
                 }
-                result
+                profiled_here = result.0;
+                (&profiled_here, result.1)
             }
         };
 
@@ -668,7 +670,7 @@ impl<'a> Pipette<'a> {
         let limit = self.cluster.gpu().memory_bytes;
         let profiler = ComputeProfiler::default();
         let gpu = self.cluster.gpu().clone();
-        let latency = PipetteLatencyModel::new(&profiled, self.gpt);
+        let latency = PipetteLatencyModel::new(profiled, self.gpt);
 
         // Lines 3-7: enumerate the candidate space (cheap), then
         // memory-filter + profile + estimate every entry on the worker

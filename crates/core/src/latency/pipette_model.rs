@@ -13,12 +13,10 @@
 //! per iteration, not once. Communication terms use the *profiled*
 //! bandwidth matrix; compute terms use profiled timings.
 
-use crate::latency::terms;
-use crate::latency::terms::LatencyBreakdown;
+use crate::latency::terms::{LatencyBreakdown, TermTable};
 use pipette_cluster::{BandwidthMatrix, GpuId, ProfiledBandwidth};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
-use pipette_sim::iteration::OPTIMIZER_STEP_S;
-use pipette_sim::{CommModel, Mapping, ProfiledCompute};
+use pipette_sim::{CommModel, Mapping, PipelineSchedule, ProfiledCompute};
 
 /// The slowest inter-stage pipeline link of the critical replica — the
 /// "straggler link" a cluster operator would go inspect.
@@ -84,8 +82,7 @@ impl<'a> PipetteLatencyModel<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `compute` has a different stage count than `cfg.pp` or the
-    /// mapping belongs to a different configuration.
+    /// Panics if `compute` profiles fewer stages than the mapping has.
     pub fn estimate(
         &self,
         cfg: ParallelConfig,
@@ -93,37 +90,15 @@ impl<'a> PipetteLatencyModel<'a> {
         plan: MicrobatchPlan,
         compute: &ProfiledCompute,
     ) -> f64 {
-        debug_assert_eq!(compute.num_stages(), cfg.pp, "profiled stages mismatch");
-        debug_assert_eq!(
-            mapping.config(),
-            cfg,
-            "mapping built for another configuration"
-        );
-        let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
-
-        // Per-stage data-parallel all-reduce times (mapping-dependent).
-        let dp_times: Vec<f64> = (0..cfg.pp)
-            .map(|s| terms::t_dp_stage(self.profiled, mapping, self.gpt, s))
-            .collect();
-
-        // Every term is recomputed from the mapping on each call; the
-        // incremental objective feeds the same reduction from its caches.
-        let mut stage_cost = Vec::with_capacity(cfg.pp);
-        terms::reduce_latency_s(
-            cfg,
-            plan,
-            compute,
-            &dp_times,
-            |s, z| terms::t_tp_stage(self.profiled, mapping, self.gpt, plan.micro_batch, s, z),
-            |x, z| terms::t_pp_chain_hop(self.profiled, mapping, msg_pp, z, x),
-            &mut stage_cost,
-        )
+        self.terms(cfg, mapping, plan, PipelineSchedule::OneFOneB, compute)
+            .reduce_latency()
+            .total_seconds
     }
 
     /// [`Self::estimate`] with the full Eq. 3–6 decomposition and the
     /// identity of the slowest pipeline link. Costs one extra pass over
-    /// the mapping's hops; the returned `terms.total_seconds` is bitwise
-    /// equal to what `estimate` returns for the same inputs.
+    /// the critical replica's hops; the returned `terms.total_seconds` is
+    /// the estimate itself.
     ///
     /// # Panics
     ///
@@ -135,30 +110,33 @@ impl<'a> PipetteLatencyModel<'a> {
         plan: MicrobatchPlan,
         compute: &ProfiledCompute,
     ) -> LatencyExplanation {
-        debug_assert_eq!(compute.num_stages(), cfg.pp, "profiled stages mismatch");
+        let terms = self
+            .terms(cfg, mapping, plan, PipelineSchedule::OneFOneB, compute)
+            .reduce_latency();
+        let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
+        LatencyExplanation {
+            terms,
+            slow_link: self.slow_link(mapping, msg_pp, terms.critical_replica),
+        }
+    }
+
+    /// The Eq. 3–6 term table of `mapping` under `schedule`.
+    fn terms(
+        &self,
+        cfg: ParallelConfig,
+        mapping: &Mapping,
+        plan: MicrobatchPlan,
+        schedule: PipelineSchedule,
+        compute: &ProfiledCompute,
+    ) -> TermTable {
         debug_assert_eq!(
             mapping.config(),
             cfg,
             "mapping built for another configuration"
         );
-        let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
-        let dp_times: Vec<f64> = (0..cfg.pp)
-            .map(|s| terms::t_dp_stage(self.profiled, mapping, self.gpt, s))
-            .collect();
-        let mut stage_cost = Vec::with_capacity(cfg.pp);
-        let terms = terms::reduce_latency_breakdown(
-            cfg,
-            plan,
-            compute,
-            &dp_times,
-            |s, z| terms::t_tp_stage(self.profiled, mapping, self.gpt, plan.micro_batch, s, z),
-            |x, z| terms::t_pp_chain_hop(self.profiled, mapping, msg_pp, z, x),
-            &mut stage_cost,
-        );
-        LatencyExplanation {
-            terms,
-            slow_link: self.slow_link(mapping, msg_pp, terms.critical_replica),
-        }
+        let mut table = TermTable::default();
+        table.fill(self.profiled, self.gpt, plan, compute, schedule, mapping);
+        table
     }
 
     /// The slowest `(stage → stage+1)` tensor-rank link of replica `z`,
@@ -197,20 +175,24 @@ impl<'a> PipetteLatencyModel<'a> {
     }
 
     /// Latency estimate for the *interleaved* 1F1B schedule with `v`
-    /// virtual stages per device — the same critical-path decomposition at
+    /// virtual stages per device — the same critical-path reduction at
     /// chunk granularity (an extension beyond the paper; the simulator
-    /// runs it as [`pipette_sim::PipelineSchedule::Interleaved`]).
-    /// Accuracy against the simulator is ~±10 % at `v = 2` and degrades to
-    /// ~±20 % for deeper interleaving (the chunk-level overlap is only
-    /// approximated).
+    /// runs it as [`pipette_sim::PipelineSchedule::Interleaved`]). Each
+    /// microbatch crosses the `pp − 1` device hops `v` times and the
+    /// wrap-around hop back to device 0 `v − 1` times, and device 0's
+    /// deeper warm-up widens the hidden critical path's window to
+    /// `(pp·(v + 1) − 1)/v` microbatches. `v = 1` is [`Self::estimate`],
+    /// bit for bit. Accuracy against the simulator is ~±10 % at `v = 2`
+    /// and degrades to ~±20 % for deeper interleaving (the chunk-level
+    /// overlap is only approximated).
     ///
     /// `compute` must be profiled at `pp · v` stage granularity
     /// ([`pipette_sim::ComputeProfiler::profile_stages`]).
     ///
     /// # Panics
     ///
-    /// Panics if `v < 2`, `compute` has the wrong stage count, the mapping
-    /// belongs to another configuration, or `pp` does not divide `n_mb`.
+    /// Panics if `v == 0` or `compute` profiles fewer than `pp · v`
+    /// stages.
     pub fn estimate_interleaved(
         &self,
         cfg: ParallelConfig,
@@ -219,107 +201,13 @@ impl<'a> PipetteLatencyModel<'a> {
         v: usize,
         compute: &ProfiledCompute,
     ) -> f64 {
-        debug_assert!(v >= 2, "use estimate() for v = 1");
-        debug_assert_eq!(
-            mapping.config(),
-            cfg,
-            "mapping built for another configuration"
-        );
-        let s_total = cfg.pp * v;
-        debug_assert_eq!(compute.num_stages(), s_total, "profiled stages mismatch");
-        debug_assert!(
-            plan.n_microbatches.is_multiple_of(cfg.pp as u64),
-            "interleaving requires pp | n_mb"
-        );
-        let pp = cfg.pp as f64;
-        let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
-        let comm = pipette_sim::CommModel::new(self.profiled);
-        let tp_bytes = messages::tp_allreduce_bytes(self.gpt, plan.micro_batch);
-
-        // Per-device DP all-reduce (all chunks' gradients sync together).
-        let dp_times: Vec<f64> = (0..cfg.pp)
-            .map(|d| {
-                if cfg.dp < 2 {
-                    return 0.0;
-                }
-                let bytes: u64 = (0..v)
-                    .map(|c| messages::dp_gradient_bytes(self.gpt, s_total, cfg.tp, c * cfg.pp + d))
-                    .sum();
-                (0..cfg.tp)
-                    .map(|y| comm.hierarchical_allreduce(&mapping.data_group(d, y), bytes))
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-
-        let mut worst = 0.0f64;
-        for z in 0..cfg.dp {
-            // Per-virtual-stage cost: profiled compute plus the device's
-            // tensor-parallel all-reduces for that chunk's layers.
-            let stage_cost: Vec<f64> = (0..s_total)
-                .map(|s| {
-                    let device = s % cfg.pp;
-                    let layers = self.gpt.layers_of_stage(s_total, s) as f64;
-                    let ar = comm.ring_allreduce(&mapping.tensor_group(device, z), tp_bytes);
-                    compute.compute(s) + messages::TP_ALLREDUCES_PER_LAYER as f64 * layers * ar
-                })
-                .collect();
-            // Per-device work per microbatch (all its chunks).
-            let device_work: Vec<f64> = (0..cfg.pp)
-                .map(|d| (0..v).map(|c| stage_cost[c * cfg.pp + d]).sum())
-                .collect();
-            let w_max = device_work.iter().cloned().fold(0.0, f64::max);
-            let sum: f64 = stage_cost.iter().sum();
-
-            // Chain communication: every hop between consecutive virtual
-            // stages that crosses devices (including the wrap-around).
-            let mut t_pp = 0.0;
-            for s in 0..(s_total - 1) {
-                let (da, db) = (s % cfg.pp, (s + 1) % cfg.pp);
-                if da == db {
-                    continue;
-                }
-                let mut hop: f64 = 0.0;
-                for y in 0..cfg.tp {
-                    let a = mapping.gpu_of(pipette_model::WorkerId {
-                        stage: da,
-                        tensor: y,
-                        data: z,
-                    });
-                    let b = mapping.gpu_of(pipette_model::WorkerId {
-                        stage: db,
-                        tensor: y,
-                        data: z,
-                    });
-                    hop = hop.max(comm.p2p(a, b, msg_pp) + comm.p2p(b, a, msg_pp));
-                }
-                t_pp += hop;
-            }
-
-            // Same decomposition as the non-interleaved model, at device
-            // granularity. The interleaved warm-up lets the first device
-            // run `(pp·(v+1) − 1)/v` microbatches ahead (its warm-up of
-            // `2(pp−1) + (v−1)·pp` chunk-items, `v` items per microbatch),
-            // so the hidden-path loop closes every `window` microbatches
-            // and each closure charges whatever the full-chain round trip
-            // exceeds the work that window provides.
-            let window = ((pp * (v as f64 + 1.0)) - 1.0) / v as f64;
-            let loops = (plan.n_microbatches as f64 / window - 1.0).max(0.0);
-            let loop_excess = (sum + t_pp - window * w_max).max(0.0);
-            let mean_chunk = sum / s_total as f64;
-            let chain = plan.n_microbatches as f64 * w_max
-                + (pp - 1.0) * mean_chunk
-                + t_pp
-                + loops * loop_excess;
-
-            let mut gap = 0.0;
-            let mut dp_exposed: f64 = dp_times[0];
-            for d in 1..cfg.pp {
-                gap += 2.0 * device_work[d - 1] / (3.0 * v as f64);
-                dp_exposed = dp_exposed.max(dp_times[d] - gap);
-            }
-            worst = worst.max(chain + dp_exposed);
-        }
-        worst + OPTIMIZER_STEP_S
+        let schedule = match v {
+            1 => PipelineSchedule::OneFOneB,
+            chunks => PipelineSchedule::Interleaved { chunks },
+        };
+        self.terms(cfg, mapping, plan, schedule, compute)
+            .reduce_latency()
+            .total_seconds
     }
 }
 
@@ -418,6 +306,42 @@ mod tests {
                 err < tolerance,
                 "{cfg} v={v} micro={micro}: est {est:.3} vs sim {truth:.3} ({err:.3})"
             );
+        }
+    }
+
+    #[test]
+    fn interleaved_estimate_at_one_chunk_is_the_estimate() {
+        // One chunk per device is plain 1F1B, whose window is pp
+        // microbatches, not the interleaved formula's 2·pp − 1.
+        let (cluster, gpt) = setup();
+        let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 3);
+        let model = PipetteLatencyModel::new(&profiled, &gpt);
+        for (cfg, micro, mini) in [
+            (ParallelConfig::new(2, 4, 2), 2u64, 32u64),
+            (ParallelConfig::new(4, 4, 1), 1, 64),
+            (ParallelConfig::new(1, 8, 2), 4, 16),
+        ] {
+            let plan = MicrobatchPlan::new(mini, micro).unwrap();
+            let compute = ComputeProfiler::default().profile(
+                cluster.bandwidth(),
+                cluster.gpu(),
+                &gpt,
+                cfg,
+                plan,
+                4,
+            );
+            let identity = Mapping::identity(cfg, *cluster.topology());
+            let mut reversed = identity.clone();
+            reversed.as_mut_slice().reverse();
+            for mapping in [identity, reversed] {
+                assert_eq!(
+                    model
+                        .estimate_interleaved(cfg, &mapping, plan, 1, &compute)
+                        .to_bits(),
+                    model.estimate(cfg, &mapping, plan, &compute).to_bits(),
+                    "{cfg}"
+                );
+            }
         }
     }
 

@@ -1,76 +1,32 @@
-//! The individual communication terms of the latency model (Eqs. 5–6),
-//! each computable per stage / per hop / per replica, plus the shared
-//! critical-path reduction over them.
+//! The latency model of Eqs. 3–6 as one term table and one reduction.
 //!
-//! Both evaluation paths — the batch estimator
-//! ([`crate::latency::PipetteLatencyModel::estimate`]) and the incremental
-//! SA objective ([`crate::mapping::IncrementalObjective`]) — feed these
-//! terms through [`reduce_latency_s`], so the two are bit-identical by
-//! construction: the incremental path merely caches term values that the
-//! batch path recomputes.
+//! `TermTable::fill` turns a mapping into every input of Eqs. 3–6, one
+//! slot per term at its natural granularity: compute time and
+//! tensor-parallel factor per virtual stage, ring all-reduce time per
+//! tensor block, round trip per pipeline hop (the interleaved schedule's
+//! wrap-around hop included) and data-parallel all-reduce time per device.
+//! `TermTable::reduce_latency` turns a filled table into the estimate
+//! and its [`LatencyBreakdown`]. The schedule enters the reduction as two
+//! numbers, the chunks per device and device 0's warm-up depth
+//! ([`PipelineSchedule::warmup`]), so 1F1B and interleaved 1F1B share it.
+//!
+//! The batch estimator ([`crate::latency::PipetteLatencyModel`]) fills a
+//! table per call. The incremental SA objective
+//! ([`crate::mapping::IncrementalObjective`]) fills one when it rebuilds
+//! and then rewrites only the slots a move touched. Both reduce through
+//! the same code, so a proposal's cost equals a from-scratch estimate bit
+//! for bit.
 
 use pipette_cluster::{BandwidthMatrix, GpuId};
-use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
+use pipette_model::{messages, GptConfig, MicrobatchPlan};
 use pipette_sim::iteration::OPTIMIZER_STEP_S;
-use pipette_sim::{CommModel, HierScratch, Mapping, ProfiledCompute};
+use pipette_sim::{CommModel, HierScratch, Mapping, PipelineSchedule, ProfiledCompute};
 
-/// Eq. 5 — pipeline-parallel communication on the critical path for one
-/// data replica `z`: the slowest tensor rank of each hop, summed along the
-/// chain, doubled for forward+backward.
-pub fn t_pp_chain(matrix: &BandwidthMatrix, mapping: &Mapping, msg_pp: u64, z: usize) -> f64 {
-    let cfg = mapping.config();
-    let comm = CommModel::new(matrix);
-    let mut total = 0.0;
-    for x in 0..cfg.pp.saturating_sub(1) {
-        let mut hop: f64 = 0.0;
-        for y in 0..cfg.tp {
-            let a = mapping.gpu_of(WorkerId {
-                stage: x,
-                tensor: y,
-                data: z,
-            });
-            let b = mapping.gpu_of(WorkerId {
-                stage: x + 1,
-                tensor: y,
-                data: z,
-            });
-            hop = hop.max(comm.p2p(a, b, msg_pp) + comm.p2p(b, a, msg_pp));
-        }
-        total += hop;
-    }
-    total
-}
-
-/// One hop of Eq. 5's chain: the round-trip transfer time between stages
-/// `x` and `x + 1` of replica `z` (slowest tensor rank).
-pub fn t_pp_chain_hop(
-    matrix: &BandwidthMatrix,
-    mapping: &Mapping,
-    msg_pp: u64,
-    z: usize,
-    x: usize,
-) -> f64 {
-    let cfg = mapping.config();
-    debug_assert!(x + 1 < cfg.pp, "hop {x} out of range");
-    // Worker (s, y, z) lives at linear index ((s·dp + z)·tp + y), so the
-    // two stages' tensor ranks are consecutive `tp`-slices of the
-    // assignment (one block each).
-    let a = (x * cfg.dp + z) * cfg.tp;
-    let b = ((x + 1) * cfg.dp + z) * cfg.tp;
-    let assign = mapping.as_slice();
-    t_pp_hop_between(
-        matrix,
-        &assign[a..a + cfg.tp],
-        &assign[b..b + cfg.tp],
-        msg_pp,
-    )
-}
-
-/// [`t_pp_chain_hop`] on raw block contents: the hop time between a block
-/// holding `a` and a block holding `b` (same tensor rank talks to same
-/// tensor rank). Depends only on the two GPU tuples — SA moves permute
-/// whole blocks, so the incremental objective tabulates this per block
-/// *pair* once and never recomputes it.
+/// The round trip of one pipeline hop between a block holding `a` and a
+/// block holding `b` (same tensor rank talks to same tensor rank; the
+/// slowest rank sets the hop). Depends only on the two GPU tuples — SA
+/// moves permute whole blocks, so the incremental objective tabulates
+/// this per block *pair* once and never recomputes it.
 pub fn t_pp_hop_between(matrix: &BandwidthMatrix, a: &[GpuId], b: &[GpuId], msg_pp: u64) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "blocks must have equal tensor width");
     let comm = CommModel::new(matrix);
@@ -81,294 +37,72 @@ pub fn t_pp_hop_between(matrix: &BandwidthMatrix, a: &[GpuId], b: &[GpuId], msg_
     hop
 }
 
-/// Eq. 5's outer `max` — the slowest end-to-end pipeline over all replicas.
-pub fn t_pp(matrix: &BandwidthMatrix, mapping: &Mapping, msg_pp: u64) -> f64 {
+/// Eq. 5's hop `h = x·dp + z` of `mapping`: the round trip between
+/// replica `z`'s blocks on devices `x` and `(x + 1) mod pp`. Block
+/// `d·dp + z` holds device `d`'s tensor ranks of replica `z`, so the hop
+/// runs from block `h` to block `(h + dp) mod (pp·dp)`; the `x = pp − 1`
+/// row is the interleaved schedule's wrap-around hop.
+pub(crate) fn t_pp_hop(matrix: &BandwidthMatrix, mapping: &Mapping, msg_pp: u64, h: usize) -> f64 {
     let cfg = mapping.config();
-    (0..cfg.dp)
-        .map(|z| t_pp_chain(matrix, mapping, msg_pp, z))
-        .fold(0.0, f64::max)
+    let (tp, num_blocks) = (cfg.tp, cfg.pp * cfg.dp);
+    let block = |b: usize| &mapping.as_slice()[b * tp..(b + 1) * tp];
+    t_pp_hop_between(matrix, block(h), block((h + cfg.dp) % num_blocks), msg_pp)
 }
 
-/// Data-parallel all-reduce time of one pipeline stage: hierarchical ring
-/// over each tensor rank's replica group, the slowest rank dominating.
-pub fn t_dp_stage(
+/// Eq. 6 for one device: the slowest tensor rank's hierarchical
+/// all-reduce of `bytes` over the device's replicas. `blocks` is the
+/// device's `dp × tp` GPU slice of a mapping, replica-major. When every
+/// block sits in one node this is one call of
+/// [`CommModel::dp_allreduce_blocks`]; a hand-built mapping may split a
+/// block across nodes, and then each rank's replicas group by node in
+/// their own way. `scratch` and `group` are reused buffers.
+pub fn t_dp_blocks(
     matrix: &BandwidthMatrix,
-    mapping: &Mapping,
-    gpt: &GptConfig,
-    stage: usize,
-) -> f64 {
-    t_dp_stage_with(
-        &mut HierScratch::new(),
-        &mut Vec::new(),
-        matrix,
-        mapping,
-        gpt,
-        stage,
-    )
-}
-
-/// [`t_dp_stage`] with caller-provided scratch buffers (allocation-free on
-/// the hot path); returns the identical value.
-pub fn t_dp_stage_with(
     scratch: &mut HierScratch,
     group: &mut Vec<GpuId>,
-    matrix: &BandwidthMatrix,
-    mapping: &Mapping,
-    gpt: &GptConfig,
-    stage: usize,
+    blocks: &[GpuId],
+    tp: usize,
+    bytes: u64,
 ) -> f64 {
-    let cfg = mapping.config();
-    if cfg.dp < 2 {
+    let dp = blocks.len() / tp;
+    if dp < 2 {
         return 0.0;
     }
     let comm = CommModel::new(matrix);
-    let bytes = messages::dp_gradient_bytes(gpt, cfg.pp, cfg.tp, stage);
     let topo = matrix.topology();
-    let width = cfg.dp * cfg.tp;
-    let blocks = &mapping.as_slice()[stage * width..(stage + 1) * width];
     let node_aligned = blocks
-        .chunks_exact(cfg.tp)
+        .chunks_exact(tp)
         .all(|block| block.iter().all(|&g| topo.same_node(g, block[0])));
     if node_aligned {
         return comm.dp_allreduce_blocks(
             scratch,
             blocks,
-            cfg.tp,
-            |z| topo.node_of(blocks[z * cfg.tp]).0,
+            tp,
+            |z| topo.node_of(blocks[z * tp]).0,
             bytes,
         );
     }
-    // A hand-built mapping may split a tensor block across nodes; each
-    // rank's replicas then group by node in their own way.
     let mut worst = 0.0f64;
-    for tensor in 0..cfg.tp {
+    for y in 0..tp {
         group.clear();
-        group.extend((0..cfg.dp).map(|data| {
-            mapping.gpu_of(WorkerId {
-                stage,
-                tensor,
-                data,
-            })
-        }));
+        group.extend((0..dp).map(|z| blocks[z * tp + y]));
         worst = worst.max(comm.hierarchical_allreduce_with(scratch, group, bytes));
     }
     worst
 }
 
-/// Eq. 6 — data-parallel all-reduce of the *first* pipeline stage, which
-/// is usually the only stage whose DP communication lies on the critical
-/// path (Fig. 4): it finishes its final backward last and carries the
-/// embedding gradients.
-pub fn t_dp_first_stage(matrix: &BandwidthMatrix, mapping: &Mapping, gpt: &GptConfig) -> f64 {
-    t_dp_stage(matrix, mapping, gpt, 0)
-}
-
-/// Tensor-parallel all-reduce time for one microbatch on stage `stage` of
-/// replica `z`: four all-reduces per layer (two forward, two backward)
-/// over the group's slowest link, from the profiled matrix.
-pub fn t_tp_stage(
-    matrix: &BandwidthMatrix,
-    mapping: &Mapping,
-    gpt: &GptConfig,
-    micro_batch: u64,
-    stage: usize,
-    z: usize,
-) -> f64 {
-    let cfg = mapping.config();
-    if cfg.tp < 2 {
-        return 0.0;
-    }
-    let comm = CommModel::new(matrix);
-    let bytes = messages::tp_allreduce_bytes(gpt, micro_batch);
-    t_tp_from_allreduce(
-        gpt,
-        cfg.pp,
-        stage,
-        comm.ring_allreduce(&mapping.tensor_group(stage, z), bytes),
-    )
-}
-
-/// Scales one tensor group's ring all-reduce time into the stage's full
-/// tensor-parallel cost (four all-reduces per layer). The all-reduce time
-/// itself depends only on the group's GPUs, so the incremental objective
-/// caches it per block and re-applies this stage-dependent scaling.
-pub fn t_tp_from_allreduce(gpt: &GptConfig, pp: usize, stage: usize, allreduce: f64) -> f64 {
-    let layers = gpt.layers_of_stage(pp, stage) as f64;
-    messages::TP_ALLREDUCES_PER_LAYER as f64 * layers * allreduce
-}
-
-/// The shared Eq. 3–6 critical-path reduction over per-stage / per-hop
-/// terms — the single source of truth behind both the batch estimator and
-/// the incremental objective.
-///
-/// `tp_term(s, z)` is the tensor-parallel cost of stage `s` in replica
-/// `z`; `hop(x, z)` is the round-trip inter-stage transfer between stages
-/// `x` and `x + 1` of replica `z`; `dp_times[s]` is the stage's
-/// data-parallel all-reduce time. `stage_cost` is caller-provided scratch.
-/// Closure call order and floating-point reduction order are fixed, so two
-/// callers feeding bitwise-equal terms get bitwise-equal estimates.
-pub fn reduce_latency_s<FT, FH>(
-    cfg: ParallelConfig,
-    plan: MicrobatchPlan,
-    compute: &ProfiledCompute,
-    dp_times: &[f64],
-    mut tp_term: FT,
-    mut hop: FH,
-    stage_cost: &mut Vec<f64>,
-) -> f64
-where
-    FT: FnMut(usize, usize) -> f64,
-    FH: FnMut(usize, usize) -> f64,
-{
-    let pp = cfg.pp as f64;
-    // Per-replica critical paths; the slowest replica gates the DP sync.
-    let mut worst = 0.0f64;
-    for z in 0..cfg.dp {
-        stage_cost.clear();
-        stage_cost.extend((0..cfg.pp).map(|s| compute.compute(s) + tp_term(s, z)));
-        let sum: f64 = stage_cost.iter().sum();
-        let max = stage_cost.iter().cloned().fold(0.0, f64::max);
-        let mean = sum / pp;
-        let mut t_pp = 0.0;
-        for x in 0..cfg.pp.saturating_sub(1) {
-            t_pp += hop(x, z);
-        }
-        // Decomposition mirroring Eq. 3, generalized to non-uniform
-        // stages (the last stage carries the LM head):
-        //
-        // * straggler steady-state work: `n_mb · max_s C_s`
-        //   (Eq. 4's straggler term, which dominates when one stage is
-        //   slower than the dependency loop);
-        // * one pipeline fill+drain: `(pp − 1) · C̄ + T_pp`
-        //   (Eq. 4's bubble);
-        // * the hidden critical path: the 1F1B loop (forward down,
-        //   backward up) closes `n_mb/pp − 1` times (§V), each time
-        //   charging however much the loop `Σ C_s + T_pp` exceeds the
-        //   straggler-bound work `pp · max_s C_s`.
-        let loops = (plan.n_microbatches as f64 / pp - 1.0).max(0.0);
-        let loop_excess = (sum + t_pp - pp * max).max(0.0);
-        let chain =
-            plan.n_microbatches as f64 * max + (pp - 1.0) * mean + t_pp + loops * loop_excess;
-
-        // Data-parallel sync. Stage 0 finishes its final backward last,
-        // so its all-reduce is fully exposed (Eq. 6). A later stage `s`
-        // finishes earlier by the backward-wave gap (the time the final
-        // gradient takes to travel from `s` to stage 0), so its
-        // all-reduce only matters if it exceeds that slack.
-        let mut gap = 0.0;
-        let mut dp_exposed: f64 = dp_times[0];
-        for s in 1..cfg.pp {
-            gap += 2.0 * stage_cost[s - 1] / 3.0 + hop(s - 1, z) / 2.0;
-            dp_exposed = dp_exposed.max(dp_times[s] - gap);
-        }
-        worst = worst.max(chain + dp_exposed);
-    }
-    worst + OPTIMIZER_STEP_S
-}
-
-/// Hot-path form of [`reduce_latency_s`] over precomputed slices — the
-/// once-per-proposal call of [`crate::mapping::IncrementalObjective`].
-///
-/// The closure-based reduction re-derives two stage-static factors on
-/// every call: the profiled compute time `compute.compute(s)` and the
-/// tensor-parallel scaling `TP_ALLREDUCES_PER_LAYER · layers_of_stage`
-/// (two integer divisions per stage per replica). Here both are hoisted
-/// into caller-precomputed slices — `comp[s]` and `tp_factor[s]` — and
-/// the three inner passes (stage costs, hop sum, backward-wave gap) are
-/// fused into two. Every floating-point operation still happens in the
-/// same order on the same values, so the result is **bit-identical** to
-/// [`reduce_latency_s`] fed the equivalent closures (guarded by
-/// `cached_reduce_is_bitwise_equal_to_closure_form` below and by the
-/// propose-vs-batch parity suite).
-///
-/// Contract: `comp[s] = compute.compute(s)`; `tp_factor[s] =
-/// TP_ALLREDUCES_PER_LAYER as f64 * (layers_of_stage(pp, s) as f64)`
-/// (ignored when `cfg.tp < 2`); `block_allreduce` is indexed `s·dp + z`
-/// and `hops` is indexed `x·dp + z`; `stage_cost` is caller scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn reduce_latency_cached_s(
-    cfg: ParallelConfig,
-    plan: MicrobatchPlan,
-    comp: &[f64],
-    tp_factor: &[f64],
-    block_allreduce: &[f64],
-    hops: &[f64],
-    dp_times: &[f64],
-    stage_cost: &mut Vec<f64>,
-) -> f64 {
-    let pp = cfg.pp as f64;
-    let dp = cfg.dp;
-    let tp_small = cfg.tp < 2;
-    if stage_cost.len() != cfg.pp {
-        stage_cost.clear();
-        stage_cost.resize(cfg.pp, 0.0);
-    }
-    // Prefix bindings let the compiler drop the per-element bounds checks
-    // in the stage loops (every index is `< cfg.pp` by construction).
-    let comp = &comp[..cfg.pp];
-    let tp_factor = &tp_factor[..cfg.pp];
-    let dp_times = &dp_times[..cfg.pp];
-    let stage_cost = &mut stage_cost[..cfg.pp];
-    // Replica-invariant factors, hoisted out of the z loop.
-    let n_mb = plan.n_microbatches as f64;
-    let loops = (n_mb / pp - 1.0).max(0.0);
-    let mut worst = 0.0f64;
-    for z in 0..dp {
-        // Pass 1: per-stage costs, with the running sum and max folded in
-        // (identical accumulation order to `iter().sum()` and
-        // `fold(0.0, f64::max)` over the finished slice). The `tp < 2`
-        // test is hoisted to loop selection; the degenerate branch keeps
-        // the closure form's `+ 0.0` so signed zeros round-trip.
-        let mut sum = 0.0f64;
-        let mut max = 0.0f64;
-        if tp_small {
-            for s in 0..cfg.pp {
-                let c = comp[s] + 0.0;
-                stage_cost[s] = c;
-                sum += c;
-                max = f64::max(max, c);
-            }
-        } else {
-            for s in 0..cfg.pp {
-                let c = comp[s] + tp_factor[s] * block_allreduce[s * dp + z];
-                stage_cost[s] = c;
-                sum += c;
-                max = f64::max(max, c);
-            }
-        }
-        let mean = sum / pp;
-        // Pass 2: hop sum and backward-wave gap share the same hop reads,
-        // in the same left-to-right order as the two separate loops of
-        // the closure form.
-        let mut t_pp = 0.0;
-        let mut gap = 0.0;
-        let mut dp_exposed: f64 = dp_times[0];
-        for s in 1..cfg.pp {
-            let h = hops[(s - 1) * dp + z];
-            t_pp += h;
-            gap += 2.0 * stage_cost[s - 1] / 3.0 + h / 2.0;
-            dp_exposed = dp_exposed.max(dp_times[s] - gap);
-        }
-        let loop_excess = (sum + t_pp - pp * max).max(0.0);
-        let chain = n_mb * max + (pp - 1.0) * mean + t_pp + loops * loop_excess;
-        worst = worst.max(chain + dp_exposed);
-    }
-    worst + OPTIMIZER_STEP_S
-}
-
 /// The Eq. 3–6 decomposition of one latency estimate, as recorded for
 /// telemetry and `pipette explain`.
 ///
-/// `total_seconds` is **bit-identical** to what [`reduce_latency_s`] returns
-/// for the same inputs ([`reduce_latency_breakdown`] mirrors its arithmetic
-/// op for op; `reduce_is_bitwise_equal_to_breakdown` guards the invariant).
-/// The component terms are reported for the critical replica — the one
-/// whose chain + exposed DP sync gates the iteration.
+/// `TermTable::reduce_latency` returns it; `total_seconds` is the
+/// estimate itself. The component terms are reported for the critical
+/// replica — the one whose chain + exposed DP sync gates the iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// The full estimate: critical replica's path plus the optimizer step.
     pub total_seconds: f64,
-    /// Straggler steady-state term (Eq. 4): `n_mb · max_s C_s`.
+    /// Straggler steady-state term (Eq. 4): `n_mb · max_d W_d`, where
+    /// `W_d` is device `d`'s compute + tensor-parallel work per microbatch.
     pub t_straggler: f64,
     /// Pipeline fill+drain bubble (Eq. 4): `(pp − 1) · C̄ + T_pp`.
     pub t_bubble: f64,
@@ -380,94 +114,254 @@ pub struct LatencyBreakdown {
     pub t_optimizer: f64,
     /// Data replica whose critical path gates the iteration.
     pub critical_replica: usize,
-    /// Stage with the largest compute + tensor-parallel cost in that
-    /// replica (first such stage on ties).
+    /// Device with the largest work per microbatch in that replica (first
+    /// such device on ties); with one chunk per device, the stage.
     pub straggler_stage: usize,
 }
 
-/// [`reduce_latency_s`], but also reporting where the time went.
+/// Every input of Eqs. 3–6 for one mapping under one schedule.
 ///
-/// Mirrors [`reduce_latency_s`]'s floating-point operations in the same
-/// order, so `breakdown.total_seconds` is bitwise equal to the plain
-/// estimate. Kept separate from the hot-path reduction (which the SA inner
-/// loop calls thousands of times per pass) so instrumentation costs
-/// nothing when not asked for.
-pub fn reduce_latency_breakdown<FT, FH>(
-    cfg: ParallelConfig,
-    plan: MicrobatchPlan,
-    compute: &ProfiledCompute,
-    dp_times: &[f64],
-    mut tp_term: FT,
-    mut hop: FH,
-    stage_cost: &mut Vec<f64>,
-) -> LatencyBreakdown
-where
-    FT: FnMut(usize, usize) -> f64,
-    FH: FnMut(usize, usize) -> f64,
-{
-    let pp = cfg.pp as f64;
-    let mut worst = 0.0f64;
-    let mut best = LatencyBreakdown {
-        total_seconds: 0.0,
-        t_straggler: 0.0,
-        t_bubble: 0.0,
-        t_hidden: 0.0,
-        t_dp: 0.0,
-        t_optimizer: OPTIMIZER_STEP_S,
-        critical_replica: 0,
-        straggler_stage: 0,
-    };
-    for z in 0..cfg.dp {
-        stage_cost.clear();
-        stage_cost.extend((0..cfg.pp).map(|s| compute.compute(s) + tp_term(s, z)));
-        let sum: f64 = stage_cost.iter().sum();
-        let max = stage_cost.iter().cloned().fold(0.0, f64::max);
-        let mean = sum / pp;
-        let mut t_pp = 0.0;
-        for x in 0..cfg.pp.saturating_sub(1) {
-            t_pp += hop(x, z);
-        }
-        let loops = (plan.n_microbatches as f64 / pp - 1.0).max(0.0);
-        let loop_excess = (sum + t_pp - pp * max).max(0.0);
-        let chain =
-            plan.n_microbatches as f64 * max + (pp - 1.0) * mean + t_pp + loops * loop_excess;
+/// Virtual stage `s = c·pp + d` is chunk `c` of device `d`; block
+/// `b = d·dp + z` is device `d`'s tensor group in replica `z`; hop
+/// `h = x·dp + z` runs from device `x` to device `(x + 1) mod pp` of
+/// replica `z` ([`t_pp_hop`]), with the wrap-around row `x = pp − 1`
+/// present only when a device holds more than one chunk.
+#[derive(Debug, Default)]
+pub(crate) struct TermTable {
+    pp: usize,
+    dp: usize,
+    chunks: usize,
+    n_microbatches: u64,
+    /// Device 0's warm-up depth in chunk items.
+    warmup: u64,
+    /// Profiled compute time per virtual stage.
+    stage_compute: Vec<f64>,
+    /// `TP_ALLREDUCES_PER_LAYER · layers` per virtual stage: the
+    /// tensor-parallel all-reduces of one microbatch pass.
+    tp_factor: Vec<f64>,
+    /// Ring all-reduce time of the tensor group at each block; zero
+    /// without tensor parallelism.
+    pub(crate) block_allreduce: Vec<f64>,
+    /// Round-trip transfer time of each hop.
+    pub(crate) hops: Vec<f64>,
+    /// Data-parallel all-reduce time per device.
+    pub(crate) dp_times: Vec<f64>,
+    /// Gradient bytes each device all-reduces, summed over its chunks.
+    pub(crate) dp_bytes: Vec<u64>,
+    /// Scratch of [`t_dp_blocks`], kept for recomputing a device's DP
+    /// time after a move.
+    pub(crate) hier: HierScratch,
+    pub(crate) group: Vec<GpuId>,
+    /// Reduction scratch: each device's work in the replica at hand.
+    work: Vec<f64>,
+}
 
-        let mut gap = 0.0;
-        let mut dp_exposed: f64 = dp_times[0];
-        for s in 1..cfg.pp {
-            gap += 2.0 * stage_cost[s - 1] / 3.0 + hop(s - 1, z) / 2.0;
-            dp_exposed = dp_exposed.max(dp_times[s] - gap);
+impl TermTable {
+    /// Fills every slot for `mapping` under `schedule`. `compute` holds
+    /// the profiled times of the `pp · chunks` virtual stages for `plan`'s
+    /// microbatch size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute` profiles fewer than `pp · chunks` stages.
+    pub(crate) fn fill(
+        &mut self,
+        matrix: &BandwidthMatrix,
+        gpt: &GptConfig,
+        plan: MicrobatchPlan,
+        compute: &ProfiledCompute,
+        schedule: PipelineSchedule,
+        mapping: &Mapping,
+    ) {
+        let cfg = mapping.config();
+        let (pp, dp, tp, chunks) = (cfg.pp, cfg.dp, cfg.tp, schedule.chunks());
+        let stages = pp * chunks;
+        debug_assert_eq!(compute.num_stages(), stages, "profiled stages mismatch");
+        let comm = CommModel::new(matrix);
+        let assign = mapping.as_slice();
+        self.pp = pp;
+        self.dp = dp;
+        self.chunks = chunks;
+        self.n_microbatches = plan.n_microbatches;
+        self.warmup = schedule.warmup(pp, 0);
+        self.stage_compute.clear();
+        self.stage_compute
+            .extend((0..stages).map(|s| compute.compute(s)));
+        self.tp_factor.clear();
+        self.tp_factor.extend((0..stages).map(|s| {
+            messages::TP_ALLREDUCES_PER_LAYER as f64 * gpt.layers_of_stage(stages, s) as f64
+        }));
+        let tp_bytes = messages::tp_allreduce_bytes(gpt, plan.micro_batch);
+        self.block_allreduce.clear();
+        self.block_allreduce.extend(
+            assign
+                .chunks_exact(tp)
+                .map(|block| comm.ring_allreduce(block, tp_bytes)),
+        );
+        let msg_pp = messages::pp_message_bytes(gpt, plan.micro_batch);
+        let hop_rows = match pp {
+            1 => 0,
+            _ if chunks > 1 => pp,
+            _ => pp - 1,
+        };
+        self.hops.clear();
+        self.hops
+            .extend((0..hop_rows * dp).map(|h| t_pp_hop(matrix, mapping, msg_pp, h)));
+        self.dp_bytes.clear();
+        self.dp_bytes.extend((0..pp).map(|d| {
+            (0..chunks)
+                .map(|c| messages::dp_gradient_bytes(gpt, stages, tp, c * pp + d))
+                .sum::<u64>()
+        }));
+        self.dp_times.clear();
+        for (d, blocks) in assign.chunks_exact(dp * tp).enumerate() {
+            let bytes = self.dp_bytes[d];
+            let t = t_dp_blocks(matrix, &mut self.hier, &mut self.group, blocks, tp, bytes);
+            self.dp_times.push(t);
         }
-        let total = chain + dp_exposed;
-        if z == 0 || total > worst {
-            let mut straggler_stage = 0;
-            for (s, &c) in stage_cost.iter().enumerate() {
-                if c > stage_cost[straggler_stage] {
-                    straggler_stage = s;
+    }
+
+    // pipette-lint: hot-path
+    /// Eqs. 3–6 over the filled table: the estimated iteration time and
+    /// where it went. Allocation-free once the table has been reduced
+    /// once.
+    ///
+    /// Per data replica, each device's work `W_d` is the compute plus
+    /// tensor-parallel time of its chunks, and `T_pp` sums every hop a
+    /// microbatch crosses. The replica's critical path is
+    ///
+    /// * straggler steady-state work `n_mb · max_d W_d` (Eq. 4's straggler
+    ///   term, which dominates when one device is slower than the
+    ///   dependency loop);
+    /// * one pipeline fill+drain `(pp − 1) · C̄ + T_pp`, with `C̄` the mean
+    ///   virtual-stage cost (Eq. 4's bubble);
+    /// * the hidden critical path (§V): device 0 holds its warm-up depth
+    ///   plus one chunk items in flight, a window of `w` microbatches
+    ///   (`w = pp` for 1F1B), so the loop down the pipeline and back
+    ///   closes `n_mb/w − 1` times, each time charging however much
+    ///   `Σ_s C_s + T_pp` exceeds the work `w · max_d W_d`;
+    /// * the data-parallel sync: device 0 finishes its final backward
+    ///   last, so its all-reduce is fully exposed (Eq. 6). Device `d`
+    ///   finishes earlier by the backward-wave gap — two thirds of each
+    ///   earlier device's work per chunk plus the one-way hop between
+    ///   them — so its all-reduce only counts where it exceeds that slack.
+    ///
+    /// The slowest replica gates the iteration, and the optimizer step
+    /// follows. Always inlined, so a caller that reads only
+    /// `total_seconds` (the SA proposal loop) compiles the breakdown's
+    /// bookkeeping away.
+    #[inline(always)]
+    pub(crate) fn reduce_latency(&mut self) -> LatencyBreakdown {
+        let (pp, dp, chunks) = (self.pp, self.dp, self.chunks);
+        let stages = pp * chunks;
+        let ppf = pp as f64;
+        let n_mb = self.n_microbatches as f64;
+        let window = (self.warmup + 1) as f64 / chunks as f64;
+        let loops = (n_mb / window - 1.0).max(0.0);
+        let gap_divisor = 3.0 * chunks as f64;
+        if self.work.len() != pp {
+            self.work.clear();
+            self.work.resize(pp, 0.0);
+        }
+        // Prefix bindings let the compiler drop the per-element bounds
+        // checks in the stage loops.
+        let comp = &self.stage_compute[..stages];
+        let tp_factor = &self.tp_factor[..stages];
+        let dp_times = &self.dp_times[..pp];
+        let (allreduce, hops) = (&self.block_allreduce[..], &self.hops[..]);
+        let work = &mut self.work[..pp];
+        let mut worst = 0.0f64;
+        let mut critical = LatencyBreakdown {
+            total_seconds: 0.0,
+            t_straggler: 0.0,
+            t_bubble: 0.0,
+            t_hidden: 0.0,
+            t_dp: 0.0,
+            t_optimizer: OPTIMIZER_STEP_S,
+            critical_replica: 0,
+            straggler_stage: 0,
+        };
+        for z in 0..dp {
+            // Pass 1: virtual-stage costs in stage order, summed, and
+            // gathered into each device's work.
+            let mut sum = 0.0f64;
+            for d in 0..pp {
+                let c = comp[d] + tp_factor[d] * allreduce[d * dp + z];
+                work[d] = c;
+                sum += c;
+            }
+            for chunk in 1..chunks {
+                for d in 0..pp {
+                    let s = chunk * pp + d;
+                    let c = comp[s] + tp_factor[s] * allreduce[d * dp + z];
+                    work[d] += c;
+                    sum += c;
                 }
             }
-            best = LatencyBreakdown {
-                total_seconds: 0.0, // filled below from `worst`
-                t_straggler: plan.n_microbatches as f64 * max,
-                t_bubble: (pp - 1.0) * mean + t_pp,
-                t_hidden: loops * loop_excess,
-                t_dp: dp_exposed,
-                t_optimizer: OPTIMIZER_STEP_S,
-                critical_replica: z,
-                straggler_stage,
-            };
+            // Pass 2: the straggler device, the first round of hops and
+            // the backward-wave gap share one walk over the devices.
+            let mut max = 0.0f64;
+            let mut straggler = 0;
+            let mut t_pp = 0.0;
+            let mut gap = 0.0;
+            let mut dp_exposed: f64 = dp_times[0];
+            for d in 1..pp {
+                let (w, h) = (work[d - 1], hops[(d - 1) * dp + z]);
+                if w > max {
+                    straggler = d - 1;
+                }
+                max = f64::max(max, w);
+                t_pp += h;
+                gap += 2.0 * w / gap_divisor + h / 2.0;
+                dp_exposed = dp_exposed.max(dp_times[d] - gap);
+            }
+            let w = work[pp - 1];
+            if w > max {
+                straggler = pp - 1;
+            }
+            max = f64::max(max, w);
+            // Each further chunk crosses the wrap-around hop back to
+            // device 0, then the devices again.
+            if pp > 1 {
+                for _ in 1..chunks {
+                    t_pp += hops[(pp - 1) * dp + z];
+                    for x in 0..pp - 1 {
+                        t_pp += hops[x * dp + z];
+                    }
+                }
+            }
+            let mean = sum / stages as f64;
+            let loop_excess = (sum + t_pp - window * max).max(0.0);
+            let t_straggler = n_mb * max;
+            let t_hidden = loops * loop_excess;
+            let total = t_straggler + (ppf - 1.0) * mean + t_pp + t_hidden + dp_exposed;
+            if z == 0 || total > worst {
+                critical = LatencyBreakdown {
+                    t_straggler,
+                    t_bubble: (ppf - 1.0) * mean + t_pp,
+                    t_hidden,
+                    t_dp: dp_exposed,
+                    critical_replica: z,
+                    straggler_stage: straggler,
+                    ..critical
+                };
+            }
+            worst = worst.max(total);
         }
-        worst = worst.max(total);
+        critical.total_seconds = worst + OPTIMIZER_STEP_S;
+        critical
     }
-    best.total_seconds = worst + OPTIMIZER_STEP_S;
-    best
 }
 
 #[cfg(test)]
 mod tests {
+    //! The term functions and the closure-form reduction here are oracles
+    //! written from the equations' definitions, one worker at a time; the
+    //! table and its reduction must agree with them bit for bit.
     use super::*;
     use pipette_cluster::{presets, ClusterTopology, GpuId};
-    use pipette_model::ParallelConfig;
+    use pipette_model::{ParallelConfig, WorkerId};
+    use pipette_sim::ComputeProfiler;
 
     fn setup() -> (pipette_cluster::Cluster, GptConfig) {
         (
@@ -476,72 +370,266 @@ mod tests {
         )
     }
 
+    fn gpu(mapping: &Mapping, stage: usize, tensor: usize, data: usize) -> GpuId {
+        mapping.gpu_of(WorkerId {
+            stage,
+            tensor,
+            data,
+        })
+    }
+
+    /// The round trip between devices `da` and `db` of replica `z`: the
+    /// slowest tensor rank's transfer there and back.
+    fn t_hop(
+        matrix: &BandwidthMatrix,
+        mapping: &Mapping,
+        msg_pp: u64,
+        z: usize,
+        da: usize,
+        db: usize,
+    ) -> f64 {
+        let comm = CommModel::new(matrix);
+        let mut hop: f64 = 0.0;
+        for y in 0..mapping.config().tp {
+            let (a, b) = (gpu(mapping, da, y, z), gpu(mapping, db, y, z));
+            hop = hop.max(comm.p2p(a, b, msg_pp) + comm.p2p(b, a, msg_pp));
+        }
+        hop
+    }
+
+    /// Eq. 5 — pipeline-parallel communication on the critical path for
+    /// one data replica `z`: the slowest tensor rank of each hop, summed
+    /// along the chain, doubled for forward+backward.
+    fn t_pp_chain(matrix: &BandwidthMatrix, mapping: &Mapping, msg_pp: u64, z: usize) -> f64 {
+        let pp = mapping.config().pp;
+        (0..pp.saturating_sub(1))
+            .map(|x| t_hop(matrix, mapping, msg_pp, z, x, x + 1))
+            .sum()
+    }
+
+    /// Eq. 5's outer `max` — the slowest end-to-end pipeline over all
+    /// replicas.
+    fn t_pp(matrix: &BandwidthMatrix, mapping: &Mapping, msg_pp: u64) -> f64 {
+        (0..mapping.config().dp)
+            .map(|z| t_pp_chain(matrix, mapping, msg_pp, z))
+            .fold(0.0, f64::max)
+    }
+
+    /// Eq. 6 for device `stage`: each tensor rank's hierarchical
+    /// all-reduce over its replicas, the slowest rank dominating.
+    fn t_dp_stage(matrix: &BandwidthMatrix, mapping: &Mapping, bytes: u64, stage: usize) -> f64 {
+        let comm = CommModel::new(matrix);
+        (0..mapping.config().tp)
+            .map(|y| comm.hierarchical_allreduce(&mapping.data_group(stage, y), bytes))
+            .fold(0.0, f64::max)
+    }
+
+    /// Eq. 6 of the first pipeline stage, usually the only stage whose
+    /// DP all-reduce lies on the critical path (Fig. 4).
+    fn t_dp_first_stage(matrix: &BandwidthMatrix, mapping: &Mapping, gpt: &GptConfig) -> f64 {
+        let cfg = mapping.config();
+        t_dp_stage(
+            matrix,
+            mapping,
+            messages::dp_gradient_bytes(gpt, cfg.pp, cfg.tp, 0),
+            0,
+        )
+    }
+
+    /// Tensor-parallel time of virtual stage `stage` (of `stages`) in
+    /// replica `z`: four all-reduces per layer over the device's tensor
+    /// group.
+    fn t_tp_stage(
+        matrix: &BandwidthMatrix,
+        mapping: &Mapping,
+        gpt: &GptConfig,
+        micro_batch: u64,
+        (stage, stages): (usize, usize),
+        z: usize,
+    ) -> f64 {
+        let cfg = mapping.config();
+        if cfg.tp < 2 {
+            return 0.0;
+        }
+        let group = mapping.tensor_group(stage % cfg.pp, z);
+        let allreduce = CommModel::new(matrix)
+            .ring_allreduce(&group, messages::tp_allreduce_bytes(gpt, micro_batch));
+        messages::TP_ALLREDUCES_PER_LAYER as f64
+            * gpt.layers_of_stage(stages, stage) as f64
+            * allreduce
+    }
+
+    /// Eqs. 3–6 in closure form, one replica at a time: `tp_term(s, z)` is
+    /// virtual stage `s`'s tensor-parallel time and `hop(s, z)` the round
+    /// trip from virtual stage `s` to `s + 1` (zero within a device).
+    fn closure_breakdown<FT, FH>(
+        cfg: ParallelConfig,
+        chunks: usize,
+        n_mb: u64,
+        compute: &ProfiledCompute,
+        dp_times: &[f64],
+        mut tp_term: FT,
+        mut hop: FH,
+    ) -> LatencyBreakdown
+    where
+        FT: FnMut(usize, usize) -> f64,
+        FH: FnMut(usize, usize) -> f64,
+    {
+        let (pp, v, stages) = (cfg.pp as f64, chunks as f64, cfg.pp * chunks);
+        // Microbatches device 0 holds in flight: pp under 1F1B, and
+        // (pp·(v + 1) − 1)/v under interleaving.
+        let window = if chunks == 1 {
+            pp
+        } else {
+            (pp * (v + 1.0) - 1.0) / v
+        };
+        let n_mb = n_mb as f64;
+        let mut worst = 0.0f64;
+        let mut best = None;
+        for z in 0..cfg.dp {
+            let stage_cost: Vec<f64> = (0..stages)
+                .map(|s| compute.compute(s) + tp_term(s, z))
+                .collect();
+            let work: Vec<f64> = (0..cfg.pp)
+                .map(|d| (0..chunks).map(|c| stage_cost[c * cfg.pp + d]).sum())
+                .collect();
+            let sum: f64 = stage_cost.iter().sum();
+            let max = work.iter().cloned().fold(0.0, f64::max);
+            let mean = sum / stages as f64;
+            let mut t_pp = 0.0;
+            for s in 0..stages - 1 {
+                t_pp += hop(s, z);
+            }
+            let loops = (n_mb / window - 1.0).max(0.0);
+            let loop_excess = (sum + t_pp - window * max).max(0.0);
+            let chain = n_mb * max + (pp - 1.0) * mean + t_pp + loops * loop_excess;
+            let mut gap = 0.0;
+            let mut dp_exposed: f64 = dp_times[0];
+            for d in 1..cfg.pp {
+                gap += 2.0 * work[d - 1] / (3.0 * v) + hop(d - 1, z) / 2.0;
+                dp_exposed = dp_exposed.max(dp_times[d] - gap);
+            }
+            let total = chain + dp_exposed;
+            if z == 0 || total > worst {
+                let mut straggler_stage = 0;
+                for (d, &w) in work.iter().enumerate() {
+                    if w > work[straggler_stage] {
+                        straggler_stage = d;
+                    }
+                }
+                best = Some(LatencyBreakdown {
+                    total_seconds: 0.0,
+                    t_straggler: n_mb * max,
+                    t_bubble: (pp - 1.0) * mean + t_pp,
+                    t_hidden: loops * loop_excess,
+                    t_dp: dp_exposed,
+                    t_optimizer: OPTIMIZER_STEP_S,
+                    critical_replica: z,
+                    straggler_stage,
+                });
+            }
+            worst = worst.max(total);
+        }
+        let mut best = best.expect("at least one replica");
+        best.total_seconds = worst + OPTIMIZER_STEP_S;
+        best
+    }
+
+    /// The breakdown's floats by bit pattern, so equality is exact.
+    fn bits(b: &LatencyBreakdown) -> [u64; 8] {
+        [
+            b.total_seconds.to_bits(),
+            b.t_straggler.to_bits(),
+            b.t_bubble.to_bits(),
+            b.t_hidden.to_bits(),
+            b.t_dp.to_bits(),
+            b.t_optimizer.to_bits(),
+            b.critical_replica as u64,
+            b.straggler_stage as u64,
+        ]
+    }
+
+    fn schedule(chunks: usize) -> PipelineSchedule {
+        match chunks {
+            1 => PipelineSchedule::OneFOneB,
+            chunks => PipelineSchedule::Interleaved { chunks },
+        }
+    }
+
+    fn profile(
+        cluster: &pipette_cluster::Cluster,
+        gpt: &GptConfig,
+        cfg: ParallelConfig,
+        chunks: usize,
+        plan: MicrobatchPlan,
+    ) -> ProfiledCompute {
+        ComputeProfiler::default().profile_stages(
+            cluster.bandwidth(),
+            cluster.gpu(),
+            gpt,
+            cfg.pp * chunks,
+            cfg.tp,
+            plan,
+            3,
+        )
+    }
+
     #[test]
     fn cached_reduce_is_bitwise_equal_to_closure_form() {
-        use pipette_sim::ComputeProfiler;
         let (c, gpt) = setup();
-        // Cover tp ≥ 2 and the tp-small branch, plus pp = 1 edge.
-        for cfg in [
-            ParallelConfig::new(4, 2, 4),
-            ParallelConfig::new(8, 2, 2),
-            ParallelConfig::new(4, 1, 8),
-            ParallelConfig::new(1, 4, 8),
+        // Cover tp ≥ 2 and tp = 1, the pp = 1 edge, and two chunks.
+        for (cfg, chunks) in [
+            (ParallelConfig::new(4, 2, 4), 1),
+            (ParallelConfig::new(8, 2, 2), 1),
+            (ParallelConfig::new(4, 1, 8), 1),
+            (ParallelConfig::new(1, 4, 8), 1),
+            (ParallelConfig::new(4, 2, 4), 2),
+            (ParallelConfig::new(1, 4, 8), 2),
         ] {
             let plan = MicrobatchPlan::new(64, 2).unwrap();
-            let gpu = c.gpu().clone();
-            let compute =
-                ComputeProfiler::default().profile(c.bandwidth(), &gpu, &gpt, cfg, plan, 3);
-            let (pp, dp) = (cfg.pp, cfg.dp);
+            let (pp, dp, stages) = (cfg.pp, cfg.dp, cfg.pp * chunks);
             // Synthetic but irregular term values: bit-equality must hold
-            // for arbitrary inputs, not just physically plausible ones.
-            let block_allreduce: Vec<f64> = (0..pp * dp)
-                .map(|i| 1e-4 * (1.0 + (i as f64).sin().abs()))
-                .collect();
-            let hops: Vec<f64> = (0..pp.saturating_sub(1) * dp)
-                .map(|i| 2e-4 * (1.0 + (i as f64).cos().abs()))
-                .collect();
-            let dp_times: Vec<f64> = (0..pp)
-                .map(|s| 3e-4 * (1.0 + (s as f64 * 0.7).fract()))
-                .collect();
-            let comp: Vec<f64> = (0..pp).map(|s| compute.compute(s)).collect();
-            let tp_factor: Vec<f64> = (0..pp)
-                .map(|s| {
-                    messages::TP_ALLREDUCES_PER_LAYER as f64 * gpt.layers_of_stage(pp, s) as f64
-                })
-                .collect();
-            let mut scratch_a = Vec::new();
-            let mut scratch_b = Vec::new();
-            let tp_small = cfg.tp < 2;
-            let closure_form = reduce_latency_s(
+            // for arbitrary inputs, not just physically plausible ones,
+            // and any device may be the straggler.
+            let compute = ProfiledCompute {
+                fwd: (0..stages)
+                    .map(|s| 1e-3 * (1.0 + (1.3 * s as f64).cos().abs()))
+                    .collect(),
+                bwd: (0..stages)
+                    .map(|s| 2e-3 * (1.0 + (0.7 * s as f64).sin().abs()))
+                    .collect(),
+                tp_comm: vec![0.0; stages],
+            };
+            let mut table = TermTable::default();
+            let mapping = Mapping::identity(cfg, *c.topology());
+            let schedule = schedule(chunks);
+            table.fill(c.bandwidth(), &gpt, plan, &compute, schedule, &mapping);
+            if cfg.tp >= 2 {
+                for (i, t) in table.block_allreduce.iter_mut().enumerate() {
+                    *t = 1e-4 * (1.0 + (i as f64).sin().abs());
+                }
+            }
+            for (i, t) in table.hops.iter_mut().enumerate() {
+                *t = 2e-4 * (1.0 + (i as f64).cos().abs());
+            }
+            for (d, t) in table.dp_times.iter_mut().enumerate() {
+                *t = 3e-4 * (1.0 + (d as f64 * 0.7).fract());
+            }
+            let (allreduce, hops) = (table.block_allreduce.clone(), table.hops.clone());
+            let oracle = closure_breakdown(
                 cfg,
-                plan,
+                chunks,
+                plan.n_microbatches,
                 &compute,
-                &dp_times,
+                &table.dp_times.clone(),
                 |s, z| {
-                    if tp_small {
-                        0.0
-                    } else {
-                        t_tp_from_allreduce(&gpt, pp, s, block_allreduce[s * dp + z])
-                    }
+                    let layers = gpt.layers_of_stage(stages, s) as f64;
+                    messages::TP_ALLREDUCES_PER_LAYER as f64 * layers * allreduce[(s % pp) * dp + z]
                 },
-                |x, z| hops[x * dp + z],
-                &mut scratch_a,
+                |s, z| if pp < 2 { 0.0 } else { hops[(s % pp) * dp + z] },
             );
-            let cached_form = reduce_latency_cached_s(
-                cfg,
-                plan,
-                &comp,
-                &tp_factor,
-                &block_allreduce,
-                &hops,
-                &dp_times,
-                &mut scratch_b,
-            );
-            assert_eq!(
-                closure_form.to_bits(),
-                cached_form.to_bits(),
-                "{cfg:?}: {closure_form} vs {cached_form}"
-            );
+            let reduced = table.reduce_latency();
+            assert_eq!(bits(&oracle), bits(&reduced), "{cfg:?} chunks={chunks}");
         }
     }
 
@@ -596,55 +684,70 @@ mod tests {
         let (c, gpt) = setup();
         let cfg = ParallelConfig::new(4, 1, 8);
         let m = Mapping::identity(cfg, *c.topology());
-        assert_eq!(t_tp_stage(c.bandwidth(), &m, &gpt, 2, 0, 0), 0.0);
+        assert_eq!(t_tp_stage(c.bandwidth(), &m, &gpt, 2, (0, 4), 0), 0.0);
     }
 
+    /// The table filled from a mapping, reduced, against the closure form
+    /// fed by the per-worker oracles above: every breakdown field agrees
+    /// bit for bit, under 1F1B and interleaving, on identity and reversed
+    /// block orders.
     #[test]
     fn reduce_is_bitwise_equal_to_breakdown() {
-        use pipette_sim::ComputeProfiler;
         let (c, gpt) = setup();
-        for (cfg, micro, mini) in [
-            (ParallelConfig::new(2, 4, 4), 2u64, 32u64),
-            (ParallelConfig::new(4, 8, 1), 2, 64),
-            (ParallelConfig::new(1, 8, 4), 4, 16),
-            (ParallelConfig::new(8, 2, 2), 1, 32),
+        for (cfg, micro, mini, chunks) in [
+            (ParallelConfig::new(2, 4, 4), 2u64, 32u64, 1usize),
+            (ParallelConfig::new(4, 8, 1), 2, 64, 1),
+            (ParallelConfig::new(1, 8, 4), 4, 16, 1),
+            (ParallelConfig::new(8, 2, 2), 1, 32, 1),
+            (ParallelConfig::new(2, 4, 4), 2, 32, 4),
+            (ParallelConfig::new(4, 8, 1), 2, 64, 2),
+            (ParallelConfig::new(1, 8, 4), 4, 16, 3),
         ] {
-            let m = Mapping::identity(cfg, *c.topology());
-            let plan = pipette_model::MicrobatchPlan::new(mini, micro).unwrap();
-            let compute =
-                ComputeProfiler::default().profile(c.bandwidth(), c.gpu(), &gpt, cfg, plan, 4);
+            let plan = MicrobatchPlan::new(mini, micro).unwrap();
+            let compute = profile(&c, &gpt, cfg, chunks, plan);
             let msg_pp = messages::pp_message_bytes(&gpt, plan.micro_batch);
-            let dp_times: Vec<f64> = (0..cfg.pp)
-                .map(|s| t_dp_stage(c.bandwidth(), &m, &gpt, s))
-                .collect();
-            let mut scratch = Vec::new();
-            let plain = reduce_latency_s(
-                cfg,
-                plan,
-                &compute,
-                &dp_times,
-                |s, z| t_tp_stage(c.bandwidth(), &m, &gpt, plan.micro_batch, s, z),
-                |x, z| t_pp_chain_hop(c.bandwidth(), &m, msg_pp, z, x),
-                &mut scratch,
-            );
-            let breakdown = reduce_latency_breakdown(
-                cfg,
-                plan,
-                &compute,
-                &dp_times,
-                |s, z| t_tp_stage(c.bandwidth(), &m, &gpt, plan.micro_batch, s, z),
-                |x, z| t_pp_chain_hop(c.bandwidth(), &m, msg_pp, z, x),
-                &mut scratch,
-            );
-            assert_eq!(
-                plain.to_bits(),
-                breakdown.total_seconds.to_bits(),
-                "{cfg}: breakdown diverged from the estimate"
-            );
-            assert!(breakdown.critical_replica < cfg.dp);
-            assert!(breakdown.straggler_stage < cfg.pp);
-            assert!(breakdown.t_straggler > 0.0);
-            assert_eq!(breakdown.t_optimizer, OPTIMIZER_STEP_S);
+            let (pp, stages) = (cfg.pp, cfg.pp * chunks);
+            let identity = Mapping::identity(cfg, *c.topology());
+            let mut reversed = identity.clone();
+            reversed.as_mut_slice().reverse();
+            for m in [identity, reversed] {
+                let dp_times: Vec<f64> = (0..pp)
+                    .map(|d| {
+                        let bytes = (0..chunks)
+                            .map(|k| messages::dp_gradient_bytes(&gpt, stages, cfg.tp, k * pp + d))
+                            .sum();
+                        t_dp_stage(c.bandwidth(), &m, bytes, d)
+                    })
+                    .collect();
+                let oracle = closure_breakdown(
+                    cfg,
+                    chunks,
+                    plan.n_microbatches,
+                    &compute,
+                    &dp_times,
+                    |s, z| t_tp_stage(c.bandwidth(), &m, &gpt, plan.micro_batch, (s, stages), z),
+                    |s, z| {
+                        let (da, db) = (s % pp, (s + 1) % pp);
+                        if da == db {
+                            0.0
+                        } else {
+                            t_hop(c.bandwidth(), &m, msg_pp, z, da, db)
+                        }
+                    },
+                );
+                let mut table = TermTable::default();
+                table.fill(c.bandwidth(), &gpt, plan, &compute, schedule(chunks), &m);
+                let breakdown = table.reduce_latency();
+                assert_eq!(
+                    bits(&oracle),
+                    bits(&breakdown),
+                    "{cfg} chunks={chunks}: breakdown diverged from the oracle"
+                );
+                assert!(breakdown.critical_replica < cfg.dp);
+                assert!(breakdown.straggler_stage < cfg.pp);
+                assert!(breakdown.t_straggler > 0.0);
+                assert_eq!(breakdown.t_optimizer, OPTIMIZER_STEP_S);
+            }
         }
     }
 

@@ -5,8 +5,8 @@
 //! walks every tensor group, pipeline hop, and data-parallel ring of the
 //! mapping — `O(pp·tp·dp)` communication-model queries — even though one
 //! SA move displaces only a handful of blocks. [`IncrementalObjective`]
-//! caches each term at its natural granularity and re-derives only what a
-//! move touched:
+//! fills the estimator's term table (`latency::terms::TermTable`) once
+//! and afterwards re-derives only the slots a move touched:
 //!
 //! * **per-block ring all-reduce times** (`T_tp`'s expensive factor)
 //!   depend only on the GPUs *inside* a block, and SA moves permute whole
@@ -20,18 +20,19 @@
 //!   node of each block's content (tabulated once per `rebuild`), behind
 //!   one [`DpMemo`].
 //!
-//! The cached terms feed the same [`terms::reduce_latency_s`] reduction the
-//! batch estimator uses, so `propose` returns a bit-identical cost to a
-//! from-scratch `estimate` of the moved mapping — the annealer's
+//! Each proposal then runs `TermTable::reduce_latency`, the reduction
+//! the batch estimator runs, so `propose` returns a bit-identical cost to
+//! a from-scratch `estimate` of the moved mapping — the annealer's
 //! accept/reject trace (and therefore its result for a given seed) is
 //! unchanged, only faster.
 
-use crate::latency::{terms, PipetteLatencyModel};
+use crate::latency::terms::{t_dp_blocks, t_pp_hop, t_pp_hop_between, TermTable};
+use crate::latency::PipetteLatencyModel;
 use crate::mapping::arena::{DpMemo, MemoStats, TouchedSet, UndoLog};
 use crate::mapping::moves::Move;
-use pipette_cluster::{BandwidthMatrix, GpuId};
+use pipette_cluster::BandwidthMatrix;
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
-use pipette_sim::{CommModel, HierScratch, Mapping, ProfiledCompute};
+use pipette_sim::{CommModel, Mapping, PipelineSchedule, ProfiledCompute};
 
 /// What the annealer needs from a cost function: a full evaluation for the
 /// starting point and a propose/commit/rollback protocol for moves.
@@ -89,18 +90,14 @@ struct Pending {
 pub struct IncrementalObjective<'a> {
     matrix: &'a BandwidthMatrix,
     gpt: &'a GptConfig,
+    compute: &'a ProfiledCompute,
     cfg: ParallelConfig,
     plan: MicrobatchPlan,
     msg_pp: u64,
-    tp_bytes: u64,
-    /// Ring all-reduce time of the tensor group currently at each block
-    /// position `b = stage·dp + data`; permuted in lockstep with moves.
-    block_allreduce: Vec<f64>,
-    /// Round-trip hop time between stages `x` and `x+1` of replica `z`,
-    /// indexed `x·dp + z`.
-    hops: Vec<f64>,
-    /// Per-stage data-parallel all-reduce time.
-    dp_times: Vec<f64>,
+    /// The Eq. 3–6 inputs of the current mapping. Its block all-reduce
+    /// times are permuted in lockstep with moves; its hop and DP slots
+    /// are rewritten where a move touched them.
+    terms: TermTable,
     /// Content id of the block currently at each position; permuted in
     /// lockstep with moves. Ids name the blocks of the last `rebuild`'s
     /// mapping, whose GPU tuples never change thereafter — every cached
@@ -115,9 +112,6 @@ pub struct IncrementalObjective<'a> {
     /// when some block straddles two nodes (only a hand-built mapping
     /// can), which sends DP recomputes down the per-rank path.
     id_node: Vec<u32>,
-    /// `dp_gradient_bytes` per stage — static over the objective's
-    /// lifetime.
-    dp_bytes: Vec<u64>,
     /// Lazily memoized per-stage DP all-reduce times, keyed by
     /// `(stage, packed content-id tuple)`. Values are pure in the key, so
     /// hits are bitwise identical to recomputation — and so is a *miss*
@@ -125,17 +119,9 @@ pub struct IncrementalObjective<'a> {
     /// observable traversal goes through the ordered drain (rule D4's
     /// intent).
     dp_memo: DpMemo,
-    /// `compute.compute(s)` per stage, hoisted once — static over the
-    /// objective's lifetime (the profiled compute never changes).
-    stage_compute: Vec<f64>,
     /// Stage of each block position `b = s·dp + z` (`pos_stage[b] = s`),
     /// so `mark_block` never divides by the runtime `dp`.
     pos_stage: Vec<u16>,
-    /// `TP_ALLREDUCES_PER_LAYER · layers_of_stage(pp, s)` per stage —
-    /// the static factor of the tensor-parallel term (two integer
-    /// divisions per evaluation, hoisted out of the per-proposal
-    /// reduction).
-    tp_factor: Vec<f64>,
     current_cost: f64,
     pending: Option<Pending>,
     /// `(index, old value)` journals for the in-flight proposal — SoA
@@ -148,9 +134,6 @@ pub struct IncrementalObjective<'a> {
     /// touch.
     touched_hops: TouchedSet,
     touched_stages: TouchedSet,
-    stage_cost: Vec<f64>,
-    group: Vec<GpuId>,
-    hier: HierScratch,
 }
 
 /// Upper bound on the eager hop table (entries = `num_blocks²`). At the
@@ -192,8 +175,7 @@ impl<'a> IncrementalObjective<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `compute` has a different stage count than the mapping's
-    /// `pp`.
+    /// Panics if `compute` profiles fewer stages than the mapping's `pp`.
     pub fn new(
         matrix: &'a BandwidthMatrix,
         gpt: &'a GptConfig,
@@ -223,33 +205,21 @@ impl<'a> IncrementalObjective<'a> {
         memo: DpMemo,
     ) -> Self {
         let cfg = initial.config();
-        debug_assert_eq!(compute.num_stages(), cfg.pp, "profiled stages mismatch");
         let num_blocks = cfg.pp * cfg.dp;
         let num_hops = cfg.pp.saturating_sub(1) * cfg.dp;
         let mut obj = Self {
             matrix,
             gpt,
+            compute,
             cfg,
             plan,
             msg_pp: messages::pp_message_bytes(gpt, plan.micro_batch),
-            tp_bytes: messages::tp_allreduce_bytes(gpt, plan.micro_batch),
-            block_allreduce: Vec::with_capacity(num_blocks),
-            hops: Vec::with_capacity(num_hops),
-            dp_times: Vec::with_capacity(cfg.pp),
+            terms: TermTable::default(),
             block_ids: Vec::with_capacity(num_blocks),
             hop_table: Vec::new(),
             id_node: Vec::with_capacity(num_blocks),
-            dp_bytes: (0..cfg.pp)
-                .map(|s| messages::dp_gradient_bytes(gpt, cfg.pp, cfg.tp, s))
-                .collect(),
             dp_memo: memo,
             pos_stage: (0..num_blocks).map(|b| (b / cfg.dp) as u16).collect(),
-            stage_compute: (0..cfg.pp).map(|s| compute.compute(s)).collect(),
-            tp_factor: (0..cfg.pp)
-                .map(|s| {
-                    messages::TP_ALLREDUCES_PER_LAYER as f64 * gpt.layers_of_stage(cfg.pp, s) as f64
-                })
-                .collect(),
             current_cost: 0.0,
             pending: None,
             // Worst case one move can journal: every hop dirty (a full-span
@@ -260,9 +230,6 @@ impl<'a> IncrementalObjective<'a> {
             // every hop / every stage dirty at most once per proposal.
             touched_hops: TouchedSet::new(num_hops),
             touched_stages: TouchedSet::new(cfg.pp),
-            stage_cost: Vec::with_capacity(cfg.pp),
-            group: Vec::with_capacity(cfg.dp),
-            hier: HierScratch::new(),
         };
         obj.rebuild(initial);
         obj
@@ -290,47 +257,24 @@ impl<'a> IncrementalObjective<'a> {
         self.dp_memo.stats()
     }
 
-    /// Recomputes every cache from scratch for `mapping`, whose blocks
-    /// become the content ids all later proposals are tracked against.
+    /// Refills the term table for `mapping`, whose blocks become the
+    /// content ids all later proposals are tracked against.
     fn rebuild(&mut self, mapping: &Mapping) {
         debug_assert_eq!(
             mapping.config(),
             self.cfg,
             "mapping built for another configuration"
         );
-        let comm = CommModel::new(self.matrix);
+        self.terms.fill(
+            self.matrix,
+            self.gpt,
+            self.plan,
+            self.compute,
+            PipelineSchedule::OneFOneB,
+            mapping,
+        );
         let (pp, dp, tp) = (self.cfg.pp, self.cfg.dp, self.cfg.tp.max(1));
         let num_blocks = pp * dp;
-        self.block_allreduce.clear();
-        for s in 0..pp {
-            for z in 0..dp {
-                self.block_allreduce
-                    .push(comm.ring_allreduce(&mapping.tensor_group(s, z), self.tp_bytes));
-            }
-        }
-        self.hops.clear();
-        for x in 0..pp.saturating_sub(1) {
-            for z in 0..dp {
-                self.hops.push(terms::t_pp_chain_hop(
-                    self.matrix,
-                    mapping,
-                    self.msg_pp,
-                    z,
-                    x,
-                ));
-            }
-        }
-        self.dp_times.clear();
-        for s in 0..pp {
-            self.dp_times.push(terms::t_dp_stage_with(
-                &mut self.hier,
-                &mut self.group,
-                self.matrix,
-                mapping,
-                self.gpt,
-                s,
-            ));
-        }
 
         // Content ids: id i names the block at position i of *this*
         // mapping. Earlier ids (from a previous rebuild) are obsolete, and
@@ -354,7 +298,7 @@ impl<'a> IncrementalObjective<'a> {
         if dp >= 2 {
             for s in 0..pp {
                 if let Some(k) = dp_key(&self.block_ids[s * dp..(s + 1) * dp]) {
-                    self.dp_memo.insert(s, k, self.dp_times[s]);
+                    self.dp_memo.insert(s, k, self.terms.dp_times[s]);
                 }
             }
         }
@@ -368,7 +312,7 @@ impl<'a> IncrementalObjective<'a> {
                     self.hop_table.push(if i == j {
                         0.0
                     } else {
-                        terms::t_pp_hop_between(self.matrix, a, b, self.msg_pp)
+                        t_pp_hop_between(self.matrix, a, b, self.msg_pp)
                     });
                 }
             }
@@ -379,22 +323,9 @@ impl<'a> IncrementalObjective<'a> {
     }
 
     // pipette-lint: hot-path
-    /// Runs the shared reduction over the cached terms. Uses the
-    /// precomputed-slice form: bitwise-identical to
-    /// [`terms::reduce_latency_s`] with the closure lookups (proven by the
-    /// parity test in `latency::terms`), but with the per-stage compute
-    /// and tensor-parallel factors hoisted to construction time.
+    /// The cost of the table's current contents.
     fn reduce(&mut self) -> f64 {
-        terms::reduce_latency_cached_s(
-            self.cfg,
-            self.plan,
-            &self.stage_compute,
-            &self.tp_factor,
-            &self.block_allreduce,
-            &self.hops,
-            &self.dp_times,
-            &mut self.stage_cost,
-        )
+        self.terms.reduce_latency().total_seconds
     }
 
     // pipette-lint: hot-path
@@ -436,7 +367,7 @@ impl Objective for IncrementalObjective<'_> {
         // Block contents travel with the move, and the per-block ring
         // all-reduce time depends only on the contents: permute the cache,
         // and the content ids with it.
-        mv.apply_to(&mut self.block_allreduce, 1);
+        mv.apply_to(&mut self.terms.block_allreduce, 1);
         mv.apply_to(&mut self.block_ids, 1);
 
         self.touched_hops.clear();
@@ -461,25 +392,24 @@ impl Objective for IncrementalObjective<'_> {
         let (dp, tp) = (self.cfg.dp, self.cfg.tp);
         let num_blocks = self.cfg.pp * dp;
         // Destructure so the touched lists can be iterated directly while
-        // the journals and term arrays are written (disjoint borrows; the
+        // the journals and term slots are written (disjoint borrows; the
         // index-loop alternative re-checks bounds on every access).
         let Self {
             touched_hops,
             hop_undo,
-            hops,
+            terms,
             hop_table,
             block_ids,
             matrix,
             msg_pp,
             ..
         } = self;
+        let hops = &mut terms.hops;
         if hop_table.is_empty() {
             for &h in touched_hops.as_slice() {
                 let h = h as usize;
                 hop_undo.push(h, hops[h]);
-                // Hop h = (x, z) joins the blocks at positions x·dp+z and
-                // (x+1)·dp+z.
-                hops[h] = terms::t_pp_chain_hop(matrix, candidate, *msg_pp, h % dp, h / dp);
+                hops[h] = t_pp_hop(matrix, candidate, *msg_pp, h);
             }
         } else {
             for &h in touched_hops.as_slice() {
@@ -494,15 +424,11 @@ impl Objective for IncrementalObjective<'_> {
         let Self {
             touched_stages,
             dp_undo,
-            dp_times,
+            terms,
             dp_memo,
             block_ids,
             id_node,
-            dp_bytes,
-            hier,
-            group,
             matrix,
-            gpt,
             ..
         } = self;
         dp_undo.clear();
@@ -511,21 +437,30 @@ impl Objective for IncrementalObjective<'_> {
             let width = dp * tp;
             for &s in touched_stages.as_slice() {
                 let s = s as usize;
-                dp_undo.push(s, dp_times[s]);
+                dp_undo.push(s, terms.dp_times[s]);
                 let ids = &block_ids[s * dp..(s + 1) * dp];
                 let key = dp_key(ids);
-                dp_times[s] = match key.and_then(|k| dp_memo.get(s, k)) {
+                terms.dp_times[s] = match key.and_then(|k| dp_memo.get(s, k)) {
                     Some(v) => v,
                     None => {
+                        let blocks = &candidate.as_slice()[s * width..(s + 1) * width];
+                        let bytes = terms.dp_bytes[s];
                         let v = if id_node.is_empty() {
-                            terms::t_dp_stage_with(hier, group, matrix, candidate, gpt, s)
+                            t_dp_blocks(
+                                matrix,
+                                &mut terms.hier,
+                                &mut terms.group,
+                                blocks,
+                                tp,
+                                bytes,
+                            )
                         } else {
                             comm.dp_allreduce_blocks(
-                                hier,
-                                &candidate.as_slice()[s * width..(s + 1) * width],
+                                &mut terms.hier,
+                                blocks,
                                 tp,
                                 |z| id_node[ids[z] as usize] as usize,
-                                dp_bytes[s],
+                                bytes,
                             )
                         };
                         if let Some(k) = key {
@@ -559,13 +494,13 @@ impl Objective for IncrementalObjective<'_> {
             return;
         };
         let inv = p.mv.inverse();
-        inv.apply_to(&mut self.block_allreduce, 1);
+        inv.apply_to(&mut self.terms.block_allreduce, 1);
         inv.apply_to(&mut self.block_ids, 1);
         for (h, old) in self.hop_undo.entries() {
-            self.hops[h] = old;
+            self.terms.hops[h] = old;
         }
         for (s, old) in self.dp_undo.entries() {
-            self.dp_times[s] = old;
+            self.terms.dp_times[s] = old;
         }
         self.current_cost = p.prev_cost;
     }

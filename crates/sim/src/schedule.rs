@@ -136,19 +136,17 @@ impl PipelineSchedule {
         self.row(pp, device, n_mb).collect()
     }
 
-    /// Forwards device `device` runs before its first backward: all of
-    /// them for GPipe, Megatron-LM's warm-up depth for (interleaved) 1F1B.
-    fn warmup(&self, pp: usize, device: usize, n_mb: u64) -> u64 {
+    /// Forwards device `device < pp` runs before its first backward when
+    /// the microbatch count does not cap them, in chunk items:
+    /// Megatron-LM's warm-up depth for (interleaved) 1F1B, and `u64::MAX`
+    /// for GPipe, which runs every forward first. A row of `n_mb`
+    /// microbatches warms up for `min(depth, n_mb · chunks)` items.
+    pub fn warmup(&self, pp: usize, device: usize) -> u64 {
         match *self {
-            PipelineSchedule::GPipe => n_mb,
-            PipelineSchedule::OneFOneB => ((pp - device - 1) as u64).min(n_mb),
+            PipelineSchedule::GPipe => u64::MAX,
+            PipelineSchedule::OneFOneB => (pp - device - 1) as u64,
             PipelineSchedule::Interleaved { chunks } => {
-                debug_assert!(chunks >= 2, "interleaving needs at least two chunks");
-                debug_assert!(
-                    n_mb.is_multiple_of(pp as u64),
-                    "n_mb must be a positive multiple of pp"
-                );
-                ((2 * (pp - device - 1) + (chunks - 1) * pp) as u64).min(n_mb * chunks as u64)
+                (2 * (pp - device - 1) + (chunks - 1) * pp) as u64
             }
         }
     }
@@ -157,9 +155,16 @@ impl PipelineSchedule {
     fn row(&self, pp: usize, device: usize, n_mb: u64) -> impl Iterator<Item = ChunkTask> {
         debug_assert!(device < pp, "device out of range");
         debug_assert!(n_mb > 0, "need at least one microbatch");
+        if let PipelineSchedule::Interleaved { chunks } = *self {
+            debug_assert!(chunks >= 2, "interleaving needs at least two chunks");
+            debug_assert!(
+                n_mb.is_multiple_of(pp as u64),
+                "n_mb must be a positive multiple of pp"
+            );
+        }
         let v = self.chunks();
         let total = n_mb * v as u64;
-        let warmup = self.warmup(pp, device, n_mb);
+        let warmup = self.warmup(pp, device).min(total);
         // The k-th forward of any device: microbatches advance in groups
         // of pp, chunks rotating within each group. Backwards visit the
         // same sequence with the chunks in reverse.
@@ -202,7 +207,7 @@ impl PipelineSchedule {
         // every chunk in and out equally often, so the load repeats and
         // the peak lies within the warm-up and the first period.
         let period = if v == 1 { 1 } else { (pp * v) as u64 };
-        let warmup = self.warmup(pp, device, n_mb);
+        let warmup = self.warmup(pp, device).min(n_mb * v as u64);
         let horizon = warmup + 2 * (n_mb * v as u64 - warmup).min(period);
         let (mut load, mut peak) = (0u64, 0u64);
         for item in self.row(pp, device, n_mb).take(horizon as usize) {

@@ -4,7 +4,8 @@
 //! 1. every `propose` matches a from-scratch batch estimate on the moved
 //!    mapping (property-tested over random move/commit/rollback streams,
 //!    at any memo capacity, and on mappings whose tensor blocks straddle
-//!    nodes);
+//!    nodes), and both match an Eq. 3–6 oracle written out here on random
+//!    clusters, shapes and microbatch sizes;
 //! 2. annealing through the incremental objective returns the *same
 //!    mapping and cost, bit for bit*, as the legacy full-evaluation
 //!    closure for a given seed — the optimization changes wall-clock,
@@ -17,8 +18,9 @@ use pipette::latency::{terms, PipetteLatencyModel};
 use pipette::mapping::{Annealer, AnnealerConfig, DpMemo, IncrementalObjective, Move, Objective};
 use pipette::parallel::{ordered_map, ordered_map_scratch};
 use pipette_cluster::{presets, BandwidthMatrix, ClusterTopology, GpuId, HeterogeneityModel};
-use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
-use pipette_sim::{CommModel, ComputeProfiler, Mapping, ProfiledCompute};
+use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
+use pipette_sim::iteration::OPTIMIZER_STEP_S;
+use pipette_sim::{CommModel, ComputeProfiler, HierScratch, Mapping, ProfiledCompute};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -155,6 +157,160 @@ proptest! {
     }
 }
 
+/// Eqs. 3–6 written out from their definitions for one mapping, one
+/// worker at a time. It shares only `CommModel` with the library, so the
+/// batch estimator and the incremental objective, which share one term
+/// table and one reduction, are checked against something they do not
+/// share.
+fn eq36_oracle(
+    matrix: &BandwidthMatrix,
+    gpt: &GptConfig,
+    plan: MicrobatchPlan,
+    compute: &ProfiledCompute,
+    mapping: &Mapping,
+) -> f64 {
+    let cfg = mapping.config();
+    let comm = CommModel::new(matrix);
+    let (pp, n_mb) = (cfg.pp as f64, plan.n_microbatches as f64);
+    let gpu = |stage, tensor, data| {
+        mapping.gpu_of(WorkerId {
+            stage,
+            tensor,
+            data,
+        })
+    };
+    // Eq. 5: the round trip from stage x to x + 1, slowest tensor rank.
+    let msg_pp = messages::pp_message_bytes(gpt, plan.micro_batch);
+    let hop = |x: usize, z: usize| {
+        let mut slowest = 0.0f64;
+        for y in 0..cfg.tp {
+            let (a, b) = (gpu(x, y, z), gpu(x + 1, y, z));
+            slowest = slowest.max(comm.p2p(a, b, msg_pp) + comm.p2p(b, a, msg_pp));
+        }
+        slowest
+    };
+    // Eq. 6: each rank's hierarchical all-reduce, slowest rank.
+    let dp_times: Vec<f64> = (0..cfg.pp)
+        .map(|s| {
+            let bytes = messages::dp_gradient_bytes(gpt, cfg.pp, cfg.tp, s);
+            (0..cfg.tp)
+                .map(|y| comm.hierarchical_allreduce(&mapping.data_group(s, y), bytes))
+                .fold(0.0, f64::max)
+        })
+        .collect();
+    let tp_bytes = messages::tp_allreduce_bytes(gpt, plan.micro_batch);
+    let mut worst = 0.0f64;
+    for z in 0..cfg.dp {
+        // Stage cost: compute plus four tensor-parallel all-reduces per
+        // layer over the stage's tensor group.
+        let cost: Vec<f64> = (0..cfg.pp)
+            .map(|s| {
+                let tp = if cfg.tp < 2 {
+                    0.0
+                } else {
+                    let layers = gpt.layers_of_stage(cfg.pp, s) as f64;
+                    let ring = comm.ring_allreduce(&mapping.tensor_group(s, z), tp_bytes);
+                    messages::TP_ALLREDUCES_PER_LAYER as f64 * layers * ring
+                };
+                compute.compute(s) + tp
+            })
+            .collect();
+        let (mut sum, mut max, mut t_pp) = (0.0f64, 0.0f64, 0.0f64);
+        for &c in &cost {
+            sum += c;
+            max = max.max(c);
+        }
+        for x in 1..cfg.pp {
+            t_pp += hop(x - 1, z);
+        }
+        // Straggler work, one fill and drain, and the hidden critical
+        // path closing n_mb/pp − 1 times (Eq. 4, §V).
+        let loops = (n_mb / pp - 1.0).max(0.0);
+        let loop_excess = (sum + t_pp - pp * max).max(0.0);
+        let chain = n_mb * max + (pp - 1.0) * (sum / pp) + t_pp + loops * loop_excess;
+        // Stage 0's all-reduce is exposed; a later stage's only beyond
+        // its backward-wave slack.
+        let (mut gap, mut dp_exposed) = (0.0f64, dp_times[0]);
+        for s in 1..cfg.pp {
+            gap += 2.0 * cost[s - 1] / 3.0 + hop(s - 1, z) / 2.0;
+            dp_exposed = dp_exposed.max(dp_times[s] - gap);
+        }
+        worst = worst.max(chain + dp_exposed);
+    }
+    worst + OPTIMIZER_STEP_S
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random clusters of either preset (1–8 nodes, any build seed),
+    /// random models, any shape the configurator enumerates and any
+    /// microbatch size, every proposal and every settled cost of a random
+    /// move/accept stream equals `estimate`, `breakdown` and the oracle
+    /// bit for bit. Uneven layer splits and small vocabularies let an
+    /// early stage be the straggler, and long sequences over slow links
+    /// open the hidden critical path.
+    #[test]
+    fn incremental_objective_matches_the_oracle_on_random_clusters(
+        high_end in proptest::bool::ANY,
+        nodes in 1usize..=8,
+        build_seed in 0u64..100_000,
+        layers in 8usize..=13,
+        hidden_pick in 0usize..3,
+        seq_log2 in 8u32..12,
+        small_vocab in proptest::bool::ANY,
+        shape_pick in 0usize..1_000,
+        micro_log2 in 0u32..4,
+        mini_log2 in 4u32..7,
+        move_seed in 0u64..100_000,
+        accepts in proptest::collection::vec(proptest::bool::ANY, 10),
+    ) {
+        let preset = if high_end { presets::high_end(nodes) } else { presets::mid_range(nodes) };
+        let cluster = preset.build(build_seed);
+        let hidden = [512, 1024, 2048][hidden_pick];
+        let vocab = if small_vocab { 1024 } else { 51200 };
+        let gpt = GptConfig::new(layers, hidden, 16, 1 << seq_log2, vocab);
+        let topo = *cluster.topology();
+        let shapes: Vec<ParallelConfig> =
+            ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), gpt.n_layers)
+                .into_iter()
+                .filter(|c| c.pp * c.dp >= 2)
+                .collect();
+        let cfg = shapes[shape_pick % shapes.len()];
+        let plan = MicrobatchPlan::new(1 << mini_log2, 1 << micro_log2).unwrap();
+        let compute =
+            ComputeProfiler::default().profile(cluster.bandwidth(), cluster.gpu(), &gpt, cfg, plan, 9);
+        let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), build_seed);
+        let matrix = profiled.matrix();
+        let model = PipetteLatencyModel::new(&profiled, &gpt);
+        let mut mapping = Mapping::identity(cfg, topo);
+        let mut obj = IncrementalObjective::from_model(&model, &gpt, plan, &compute, &mapping);
+        let check = |cost: f64, mapping: &Mapping| -> Result<(), TestCaseError> {
+            let oracle = eq36_oracle(matrix, &gpt, plan, &compute, mapping);
+            prop_assert_eq!(cost.to_bits(), oracle.to_bits(), "{} vs oracle {}", cost, oracle);
+            prop_assert_eq!(cost.to_bits(), model.estimate(cfg, mapping, plan, &compute).to_bits());
+            let breakdown = model.breakdown(cfg, mapping, plan, &compute);
+            prop_assert_eq!(cost.to_bits(), breakdown.terms.total_seconds.to_bits());
+            Ok(())
+        };
+        check(obj.cost(), &mapping)?;
+        let mut rng = ChaCha8Rng::seed_from_u64(move_seed);
+        let block = cfg.tp;
+        for &accept in &accepts {
+            let mv = Move::random(&mut rng, cfg.pp * cfg.dp);
+            mv.apply(mapping.as_mut_slice(), block);
+            check(obj.propose(mv, &mapping), &mapping)?;
+            if accept {
+                obj.commit();
+            } else {
+                obj.rollback();
+                mv.inverse().apply(mapping.as_mut_slice(), block);
+            }
+            check(obj.cost(), &mapping)?;
+        }
+    }
+}
+
 /// A hand-built mapping may split a tensor block across two nodes (6 GPUs
 /// per node, tp 4). The stage DP term then takes the per-rank path, and
 /// the incremental objective still tracks the batch estimator.
@@ -174,16 +330,22 @@ fn straddling_blocks_take_the_per_rank_path() {
         .collect();
     let mut mapping = Mapping::from_assignment(cfg, assign);
     let comm = CommModel::new(&matrix);
+    let width = cfg.dp * cfg.tp;
     for stage in 0..cfg.pp {
         let bytes = messages::dp_gradient_bytes(&gpt, cfg.pp, cfg.tp, stage);
         let per_rank = (0..cfg.tp)
             .map(|y| comm.hierarchical_allreduce(&mapping.data_group(stage, y), bytes))
             .fold(0.0, f64::max);
-        assert_eq!(
-            terms::t_dp_stage(&matrix, &mapping, &gpt, stage).to_bits(),
-            per_rank.to_bits(),
-            "stage {stage}"
+        let blocks = &mapping.as_slice()[stage * width..(stage + 1) * width];
+        let t_dp = terms::t_dp_blocks(
+            &matrix,
+            &mut HierScratch::new(),
+            &mut Vec::new(),
+            blocks,
+            cfg.tp,
+            bytes,
         );
+        assert_eq!(t_dp.to_bits(), per_rank.to_bits(), "stage {stage}");
     }
 
     let plan = MicrobatchPlan::new(64, 2).unwrap();
