@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the hot code paths: the communication models, the
-//! pipeline dependency engine, the latency estimator (the SA inner loop),
-//! the annealer itself, and MLP training/inference.
+//! pipeline dependency engine, the latency estimator (the SA inner loop)
+//! and the annealer itself. MLP training and screening are measured by
+//! `perf_baseline`'s `memory_estimator` section.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pipette::latency::PipetteLatencyModel;
 use pipette::mapping::{Annealer, AnnealerConfig};
 use pipette_cluster::{presets, GpuId};
-use pipette_mlp::{Matrix, Mlp, TrainConfig};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::{
     engine::ChainSpec, CommModel, ComputeProfiler, IterationSim, Mapping, MemorySim,
@@ -113,49 +113,12 @@ fn bench_memsim(c: &mut Criterion) {
     });
 }
 
-fn bench_mlp(c: &mut Criterion) {
-    let rows: Vec<Vec<f64>> = (0..256)
-        .map(|i| {
-            (0..10)
-                .map(|j| ((i * 7 + j * 13) % 100) as f64 / 10.0)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-    let x = Matrix::from_rows(&refs);
-    let y_data: Vec<f64> = rows.iter().map(|r| r.iter().sum::<f64>() / 10.0).collect();
-    let y = Matrix::from_vec(y_data.len(), 1, y_data);
-
-    let mut g = c.benchmark_group("mlp");
-    g.sample_size(10);
-    g.bench_function("train_500_iters_paper_width", |b| {
-        b.iter(|| {
-            let mut mlp = Mlp::new(&[10, 200, 200, 1], 3);
-            let report = mlp.fit(
-                &x,
-                &y,
-                &TrainConfig {
-                    iterations: 500,
-                    ..TrainConfig::default()
-                },
-            );
-            black_box(report.final_loss)
-        })
-    });
-    let mlp = Mlp::paper_architecture(10, 3);
-    g.bench_function("predict_batch_256", |b| {
-        b.iter(|| black_box(mlp.predict(&x)))
-    });
-    g.finish();
-}
-
 criterion_group!(
     micro,
     bench_comm,
     bench_engine,
     bench_estimator,
     bench_annealer,
-    bench_memsim,
-    bench_mlp
+    bench_memsim
 );
 criterion_main!(micro);

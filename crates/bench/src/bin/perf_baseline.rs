@@ -15,8 +15,10 @@
 //!   32 on the same 128 GPUs), with each shape's final cost bits;
 //! * the memory-estimator fast path: blocked-kernel training vs. the
 //!   naive reference loop (extrapolated to the paper's 50k-iteration
-//!   protocol), row-by-row vs. batched candidate screening, and cold
-//!   vs. warm-cache `configure()` wall clock.
+//!   protocol), the kernel arm this host runs and its training rate on
+//!   the cold-configure shape, proof that `Mlp::fit` is allocation-free
+//!   in steady state, row-by-row vs. batched candidate screening, and
+//!   cold vs. warm-cache `configure()` wall clock.
 //!
 //! `--smoke` shrinks every measurement to a CI-friendly sanity check
 //! (same code paths, tiny budgets, no meaning in the absolute numbers).
@@ -31,7 +33,7 @@ use pipette::memory::{collect_samples, MemoryEstimator, SampleSpec, TrainedEstim
 use pipette::parallel;
 use pipette::telemetry::SaTraceObserver;
 use pipette_cluster::presets;
-use pipette_mlp::{Matrix, Mlp, TrainConfig};
+use pipette_mlp::{kernel_isa, Matrix, Mlp, TrainConfig};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::json::{self, JsonValue};
 use pipette_obs::{SpanTree, Trace, TraceConfig};
@@ -460,9 +462,12 @@ section! {
         /// `sa_budgeted.improvement` — the single chain at the same
         /// per-chain budget and seed.
         equal_budget_single_improvement: f64,
-        /// The ladder's merged improvement at that budget; asserted >= the
-        /// single chain's (the cold rung replays it until the first accepted
-        /// exchange, and the ladder keeps the best of all rungs).
+        /// The ladder's merged improvement at that budget. The binary
+        /// asserts it is >= the single chain's, which pins the committed
+        /// seed, budgets and shape rather than a structural guarantee: the
+        /// same comparison at the smoke budgets on the full run's
+        /// mid_range(16) pp8·tp8·dp2 shape fell short (0.025016 against
+        /// 0.025101).
         equal_budget_tempering_improvement: f64,
     }
 }
@@ -499,6 +504,17 @@ section! {
         /// Blocked kernels + allocation-free loop vs. the naive reference loop,
         /// identical arithmetic (the bench asserts bit-equal losses).
         kernel_train_speedup: f64,
+        /// The kernel arm this host trains and predicts on
+        /// (`pipette_mlp::kernel_isa`: `avx2` or `portable`).
+        kernel_isa: String,
+        /// `Mlp::fit` Adam steps/s on the cold-configure shape
+        /// `[10, 96, 96, 96, 1]` at batch 128 (what the default
+        /// `MemoryEstimatorConfig` trains), fastest of three passes of
+        /// `cold_shape_steps`; CI floors the smoke value at 0.8× the
+        /// committed full-run value.
+        cold_shape_steps: usize,
+        cold_shape_steps_per_sec: f64,
+        fit_steady_state: FitSteadyState,
         paper_protocol_iterations: usize,
         paper_train_seconds_fast: f64,
         paper_train_seconds_reference: f64,
@@ -514,6 +530,21 @@ section! {
         /// Effective paper-protocol speedup for repeated `configure()` calls:
         /// reference 50k-iteration training vs. a warm cache hit.
         paper_train_vs_cache_hit_speedup: f64,
+    }
+}
+
+section! {
+    /// `Mlp::fit` steady-state allocation proof, measured like
+    /// [`PtSteadyState`]: two cold-shape fits that differ only in
+    /// iteration count, each recording the same one loss, must allocate
+    /// identically — whatever the longer run allocated beyond the shorter
+    /// is what its extra steps allocated. The binary aborts unless the
+    /// difference is zero.
+    struct FitSteadyState {
+        short_iterations: usize,
+        long_iterations: usize,
+        allocations: u64,
+        allocated_bytes: u64,
     }
 }
 
@@ -688,9 +719,10 @@ fn main() {
         long_bytes.saturating_sub(short_bytes),
         pt_measured_moves
     );
-    // Deterministic (seeded) comparison, so this holds on every machine,
-    // smoke or full: the ladder's best never trails the single chain at
-    // the committed seed and budget.
+    // Deterministic (seeded), so the outcome is the same on every
+    // machine; it pins the committed seed, budgets and shapes, not a law
+    // of tempering (at other seeds or budgets the ladder can trail the
+    // single chain; see `equal_budget_tempering_improvement`).
     assert!(
         pt_merged.improvement() >= sa_budgeted.improvement,
         "tempering improvement {} fell below the single chain's {} at \
@@ -776,6 +808,52 @@ fn main() {
     let paper_iters = 50_000usize;
     let scale = paper_iters as f64 / measured_iters as f64;
 
+    // The cold-configure shape: its training rate, and proof that its
+    // steady state allocates nothing. `record_every` exceeds every run
+    // below, so each records exactly one loss.
+    let cold_widths = [10usize, 96, 96, 96, 1];
+    let cold_cfg = |iterations| TrainConfig {
+        iterations,
+        learning_rate: 1.5e-3,
+        batch_size: 128,
+        record_every: 1_000,
+        seed: 0,
+    };
+    let cold_steps = if smoke { 100 } else { 500 };
+    let mut cold_best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut mlp = Mlp::new(&cold_widths, 0);
+        let t0 = Instant::now();
+        mlp.fit(&x, &y, &cold_cfg(cold_steps));
+        cold_best = cold_best.min(t0.elapsed().as_secs_f64());
+    }
+    let fit_alloc_run = |iterations: usize| -> (u64, u64) {
+        let mut mlp = Mlp::new(&cold_widths, 0);
+        let (a0, b0) = alloc_snapshot();
+        let report = mlp.fit(&x, &y, &cold_cfg(iterations));
+        let (a1, b1) = alloc_snapshot();
+        assert_eq!(report.loss_curve.len(), 1, "each run records one loss");
+        (a1 - a0, b1 - b0)
+    };
+    let (fit_short, fit_long) = if smoke { (50, 100) } else { (200, 400) };
+    let (short_allocs, short_bytes) = fit_alloc_run(fit_short);
+    let (long_allocs, long_bytes) = fit_alloc_run(fit_long);
+    let fit_steady_state = FitSteadyState {
+        short_iterations: fit_short,
+        long_iterations: fit_long,
+        allocations: long_allocs.abs_diff(short_allocs),
+        allocated_bytes: long_bytes.abs_diff(short_bytes),
+    };
+    assert_eq!(
+        (long_allocs, long_bytes),
+        (short_allocs, short_bytes),
+        "Mlp::fit allocated {} more times ({} bytes) over {} extra steps — \
+         the training loop must be allocation-free after setup",
+        fit_steady_state.allocations,
+        fit_steady_state.allocated_bytes,
+        fit_long - fit_short
+    );
+
     // Screening throughput: one row at a time vs. one batched forward
     // pass over the whole candidate set.
     let mut est_cfg = pipette::memory::MemoryEstimatorConfig::default();
@@ -833,6 +911,10 @@ fn main() {
         fast_train_seconds: fast_train,
         reference_train_seconds: ref_train,
         kernel_train_speedup: ref_train / fast_train,
+        kernel_isa: kernel_isa().to_string(),
+        cold_shape_steps: cold_steps,
+        cold_shape_steps_per_sec: cold_steps as f64 / cold_best,
+        fit_steady_state,
         paper_protocol_iterations: paper_iters,
         paper_train_seconds_fast: fast_train * scale,
         paper_train_seconds_reference: ref_train * scale,

@@ -1,5 +1,6 @@
 //! Dense (fully connected) layer with optional ReLU activation.
 
+use crate::kernel::{Isa, Kernel};
 use crate::matrix::Matrix;
 use rand::Rng;
 
@@ -103,7 +104,14 @@ impl Dense {
     /// [`Self::infer`] with the matmul split over up to `threads` row
     /// blocks; bit-identical at any thread count.
     pub fn infer_threaded(&self, x: &Matrix, threads: usize) -> Matrix {
-        let mut pre = x.matmul_parallel(&self.weights, threads);
+        self.infer_on(Isa::detect(), x, threads)
+    }
+
+    /// [`Self::infer_threaded`] on the `isa` kernel arm.
+    pub(crate) fn infer_on(&self, isa: Isa, x: &Matrix, threads: usize) -> Matrix {
+        let mut pre = Matrix::zeros(x.rows(), self.out_dim());
+        let kernel = &mut Kernel::new(isa, x.cols());
+        x.mm_into(kernel, &self.weights, None, &mut pre, threads);
         pre.add_row(&self.bias);
         if self.relu {
             pre.map(|v| v.max(0.0))

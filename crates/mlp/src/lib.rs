@@ -22,9 +22,13 @@
 //! assert!((pred.get(0, 0) - 9.0).abs() < 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied everywhere but the private `kernel` module, whose
+// only unsafe operations call the AVX2 copies of the matmul row loops
+// after runtime detection (see its header).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod kernel;
 pub mod layer;
 pub mod matrix;
 pub mod net;
@@ -32,6 +36,7 @@ pub mod optim;
 pub mod scaler;
 pub mod train;
 
+pub use kernel::kernel_isa;
 pub use layer::Dense;
 pub use matrix::Matrix;
 pub use net::Mlp;

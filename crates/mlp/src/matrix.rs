@@ -3,95 +3,23 @@
 //! Two matmul kernels live here. [`Matrix::matmul_naive`] is the
 //! reference triple loop the crate started with; [`Matrix::matmul`] (and
 //! the `*_into` / fused / transposed variants) is a register-tiled
-//! rewrite of the same arithmetic: for every output element the products
-//! are accumulated over `k` in ascending order, skipping `a == 0.0` terms
-//! exactly like the reference, so the results are **bit-identical** — the
-//! tiling only changes which intermediate lives in a register instead of
-//! memory, never the sequence of floating-point operations that produces
-//! an element. `matmul_parallel` splits output rows across threads; rows
-//! are independent, so any thread count returns the same bits
-//! (property-tested in `tests/kernels.rs`).
+//! rewrite of the same arithmetic, run by the crate's `kernel` module:
+//! each row of `A` first compacts the positions of its nonzeros, then a
+//! 32-wide tile accumulates their products in ascending `k`, skipping
+//! exactly the terms the reference skips (`a == 0.0`), so the results
+//! are **bit-identical** — neither the compaction, the tiling nor the
+//! vector width of the runtime-picked arm changes the sequence of
+//! floating-point operations that produces an element. `matmul_parallel`
+//! splits output rows across threads; rows are independent, so any
+//! thread count returns the same bits (property-tested in
+//! `tests/kernels.rs`).
+//!
+//! The public products allocate the kernel's index scratch (one word per
+//! inner-dimension entry) per call; [`crate::Mlp::fit`] owns one scratch
+//! for the whole run and stays allocation-free.
 
+use crate::kernel::{Isa, Kernel};
 use std::fmt;
-
-/// Width of the register tile the blocked kernels accumulate into. 32
-/// doubles (4 cache lines) keeps the accumulator in vector registers on
-/// anything from SSE2 to AVX-512 while still amortizing the loop
-/// bookkeeping over long rows.
-const TILE: usize = 32;
-
-/// One output row of `A · B`: `out_row = Σ_k a_row[k] · B[k][·]`, with an
-/// optional fused bias added after the whole sum (matching
-/// `matmul` + `add_row` exactly). `k` ascends and `a_row[k] == 0.0` terms
-/// are skipped, mirroring [`Matrix::matmul_naive`] term by term.
-#[inline]
-fn mm_row_into(a_row: &[f64], b: &[f64], p: usize, out_row: &mut [f64], bias: Option<&[f64]>) {
-    let mut j0 = 0;
-    while j0 < p {
-        let w = TILE.min(p - j0);
-        let mut acc = [0.0f64; TILE];
-        if w == TILE {
-            // Hot path: fixed-width tile, fully unrollable.
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let br = &b[k * p + j0..k * p + j0 + TILE];
-                for (ac, &bv) in acc.iter_mut().zip(br) {
-                    *ac += av * bv;
-                }
-            }
-        } else {
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let br = &b[k * p + j0..k * p + j0 + w];
-                for (ac, &bv) in acc[..w].iter_mut().zip(br) {
-                    *ac += av * bv;
-                }
-            }
-        }
-        match bias {
-            Some(bias) => {
-                for ((o, &ac), &bi) in out_row[j0..j0 + w]
-                    .iter_mut()
-                    .zip(&acc[..w])
-                    .zip(&bias[j0..j0 + w])
-                {
-                    *o = ac + bi;
-                }
-            }
-            None => out_row[j0..j0 + w].copy_from_slice(&acc[..w]),
-        }
-        j0 += w;
-    }
-}
-
-/// One output row of `Aᵀ · B` without materializing `Aᵀ`: row `i` of the
-/// product reads column `i` of `A` (stride `m`). Accumulation order and
-/// the zero-skip match `A.transpose().matmul_naive(B)` exactly.
-#[inline]
-fn mm_at_row_into(a: &[f64], m: usize, i: usize, b: &[f64], p: usize, out_row: &mut [f64]) {
-    let n = a.len() / m;
-    let mut j0 = 0;
-    while j0 < p {
-        let w = TILE.min(p - j0);
-        let mut acc = [0.0f64; TILE];
-        for k in 0..n {
-            let av = a[k * m + i];
-            if av == 0.0 {
-                continue;
-            }
-            let br = &b[k * p + j0..k * p + j0 + w];
-            for (ac, &bv) in acc[..w].iter_mut().zip(br) {
-                *ac += av * bv;
-            }
-        }
-        out_row[j0..j0 + w].copy_from_slice(&acc[..w]);
-        j0 += w;
-    }
-}
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,22 +141,14 @@ impl Matrix {
         out
     }
 
-    /// Matrix product into a caller-provided buffer (no allocation).
+    /// Matrix product into a caller-provided output buffer.
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree or `out` has the wrong shape.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "output shape mismatch"
-        );
-        let p = rhs.cols;
-        for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-            mm_row_into(self.row(i), &rhs.data, p, out_row, None);
-        }
+        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
+        self.mm_into(kernel, rhs, None, out, 1);
     }
 
     /// Fused `self · rhs + bias` (bias broadcast over rows), into a
@@ -240,17 +160,8 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(bias.len(), rhs.cols, "bias length mismatch");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "output shape mismatch"
-        );
-        let p = rhs.cols;
-        for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-            mm_row_into(self.row(i), &rhs.data, p, out_row, Some(bias));
-        }
+        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
+        self.mm_into(kernel, rhs, Some(bias), out, 1);
     }
 
     /// `selfᵀ · rhs` without materializing the transpose, into a
@@ -261,16 +172,7 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_transpose_a_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(self.rows, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, rhs.cols),
-            "output shape mismatch"
-        );
-        let p = rhs.cols;
-        for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-            mm_at_row_into(&self.data, self.cols, i, &rhs.data, p, out_row);
-        }
+        self.mm_at_into(&mut Kernel::new(Isa::detect(), self.rows), rhs, out);
     }
 
     /// `selfᵀ · rhs`, allocating the output.
@@ -323,7 +225,8 @@ impl Matrix {
     pub fn matmul_parallel(&self, rhs: &Matrix, threads: usize) -> Matrix {
         debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.mm_threaded(rhs, None, &mut out, threads);
+        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
+        self.mm_into(kernel, rhs, None, &mut out, threads);
         out
     }
 
@@ -341,43 +244,60 @@ impl Matrix {
         out: &mut Matrix,
         threads: usize,
     ) {
+        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
+        self.mm_into(kernel, rhs, Some(bias), out, threads);
+    }
+
+    /// `self · rhs` (+ `bias` after each element's whole sum) into `out`
+    /// through `kernel`, with output rows split over up to `threads`
+    /// workers. Each worker owns a disjoint, contiguous block of output
+    /// rows and its own index scratch on `kernel`'s arm, so the partition
+    /// never affects the bits; a single worker runs inline on `kernel`.
+    pub(crate) fn mm_into(
+        &self,
+        kernel: &mut Kernel,
+        rhs: &Matrix,
+        bias: Option<&[f64]>,
+        out: &mut Matrix,
+        threads: usize,
+    ) {
         debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(bias.len(), rhs.cols, "bias length mismatch");
+        debug_assert!(
+            bias.is_none_or(|b| b.len() == rhs.cols),
+            "bias length mismatch"
+        );
         debug_assert_eq!(
             (out.rows, out.cols),
             (self.rows, rhs.cols),
             "output shape mismatch"
         );
-        self.mm_threaded(rhs, Some(bias), out, threads);
-    }
-
-    /// Row-split driver shared by the threaded kernels. Each worker owns a
-    /// disjoint, contiguous block of output rows, so the partition never
-    /// affects the bits.
-    fn mm_threaded(&self, rhs: &Matrix, bias: Option<&[f64]>, out: &mut Matrix, threads: usize) {
-        let p = rhs.cols;
-        let m = self.cols;
+        let (m, p, b) = (self.cols, rhs.cols, &rhs.data);
         let workers = threads.clamp(1, self.rows);
         if workers <= 1 {
-            for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-                mm_row_into(&self.data[i * m..(i + 1) * m], &rhs.data, p, out_row, bias);
-            }
-            return;
+            return kernel.mm_rows(&self.data, m, b, p, bias, &mut out.data);
         }
+        let isa = kernel.isa();
         let rows_per = self.rows.div_ceil(workers);
-        let a = &self.data;
-        let b = &rhs.data;
         std::thread::scope(|scope| {
-            for (ci, out_chunk) in out.data.chunks_mut(rows_per * p).enumerate() {
-                scope.spawn(move || {
-                    let row0 = ci * rows_per;
-                    for (r, out_row) in out_chunk.chunks_mut(p).enumerate() {
-                        let i = row0 + r;
-                        mm_row_into(&a[i * m..(i + 1) * m], b, p, out_row, bias);
-                    }
-                });
+            for (a_rows, out_rows) in self
+                .data
+                .chunks(rows_per * m)
+                .zip(out.data.chunks_mut(rows_per * p))
+            {
+                scope.spawn(move || Kernel::new(isa, m).mm_rows(a_rows, m, b, p, bias, out_rows));
             }
         });
+    }
+
+    /// `selfᵀ · rhs` into `out` through `kernel`.
+    pub(crate) fn mm_at_into(&self, kernel: &mut Kernel, rhs: &Matrix, out: &mut Matrix) {
+        debug_assert_eq!(self.rows, rhs.rows, "inner dimensions must agree");
+        debug_assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, rhs.cols),
+            "output shape mismatch"
+        );
+        kernel.mm_at_rows(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// The reference matmul: the crate's original scalar triple loop,

@@ -9,6 +9,7 @@
 //! `tests/kernels.rs`), so the fast path is a pure speedup, not a
 //! numerical change.
 
+use crate::kernel::{Isa, Kernel};
 use crate::layer::{Dense, DenseGrads};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
@@ -93,10 +94,15 @@ impl Mlp {
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn predict_with_threads(&self, x: &Matrix, threads: usize) -> Matrix {
+        self.predict_on(Isa::detect(), x, threads)
+    }
+
+    /// [`Self::predict_with_threads`] on the `isa` kernel arm.
+    pub(crate) fn predict_on(&self, isa: Isa, x: &Matrix, threads: usize) -> Matrix {
         debug_assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
         let mut h = x.clone();
         for l in &self.layers {
-            h = l.infer_threaded(&h, threads);
+            h = l.infer_on(isa, &h, threads);
         }
         h
     }
@@ -177,6 +183,19 @@ impl Mlp {
         config: &TrainConfig,
         threads: usize,
     ) -> TrainReport {
+        self.fit_on(Isa::detect(), x, y, config, threads)
+    }
+
+    /// [`Self::fit_with_threads`] with every product on the `isa` kernel
+    /// arm (Adam stays portable).
+    pub(crate) fn fit_on(
+        &mut self,
+        isa: Isa,
+        x: &Matrix,
+        y: &Matrix,
+        config: &TrainConfig,
+        threads: usize,
+    ) -> TrainReport {
         debug_assert_eq!(
             x.rows(),
             y.rows(),
@@ -222,6 +241,15 @@ impl Mlp {
             .map(|l| Matrix::zeros(l.in_dim(), l.out_dim()))
             .collect();
         let mut dbs: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.out_dim()]).collect();
+        // One kernel for every product, its index scratch sized to the
+        // longest inner dimension (a layer width, or the batch for
+        // `dW = Xᵀ·dY`).
+        let widest = self
+            .layers
+            .iter()
+            .map(|l| l.in_dim().max(l.out_dim()))
+            .fold(batch, usize::max);
+        let kernel = &mut Kernel::new(isa, widest);
         let mut flat_grads = vec![0.0; self.num_params()];
         // Parameters stay flattened across iterations; layers are synced
         // from this vector after every Adam step, so re-gathering each
@@ -253,7 +281,8 @@ impl Mlp {
                 let (done, rest) = acts.split_at_mut(l);
                 let inp: &Matrix = if l == 0 { cx } else { &done[l - 1] };
                 let layer = &self.layers[l];
-                inp.matmul_bias_into_threaded(&layer.weights, &layer.bias, &mut pres[l], threads);
+                let bias = Some(layer.bias.as_slice());
+                inp.mm_into(kernel, &layer.weights, bias, &mut pres[l], threads);
                 let act = &mut rest[0];
                 if layer.relu {
                     for (a, &p) in act.as_mut_slice().iter_mut().zip(pres[l].as_slice()) {
@@ -297,14 +326,12 @@ impl Mlp {
                 }
                 let d_pre: &Matrix = d_out;
                 let inp: &Matrix = if l == 0 { cx } else { &acts[l - 1] };
-                inp.matmul_transpose_a_into(d_pre, &mut dws[l]);
+                inp.mm_at_into(kernel, d_pre, &mut dws[l]);
                 d_pre.col_sums_into(&mut dbs[l]);
                 if l > 0 {
-                    d_pre.matmul_transpose_b_into(
-                        &layer.weights,
-                        &mut wts[l - 1],
-                        &mut dx_lo[l - 1],
-                    );
+                    // dX = dY · Wᵀ, through a transposed copy of W.
+                    layer.weights.transpose_into(&mut wts[l - 1]);
+                    d_pre.mm_into(kernel, &wts[l - 1], None, &mut dx_lo[l - 1], 1);
                 }
             }
 
@@ -345,7 +372,7 @@ impl Mlp {
     /// The crate's original training loop, kept verbatim (fresh matrices
     /// every iteration, naive matmul through [`Dense::forward`] /
     /// [`Dense::backward`]). Ground truth for the equivalence tests and
-    /// the honest baseline for the `mlp_throughput` bench.
+    /// the honest baseline for `perf_baseline`'s training speedup.
     ///
     /// # Panics
     ///
@@ -538,5 +565,129 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn predict_checks_width() {
         Mlp::new(&[2, 4, 1], 0).predict(&Matrix::zeros(1, 3));
+    }
+}
+
+#[cfg(test)]
+mod golden {
+    //! Golden pin of the trained estimator's numbers, on every kernel arm.
+    //!
+    //! Trains two networks on a fixed, seeded corpus: the cold shape
+    //! `[10, 96, 96, 96, 1]` that the CLI's default memory-estimator config
+    //! builds, for 500 Adam steps at batch 128, and the paper's 5×200 net
+    //! for 50 steps. Every trained weight and bias, the loss curve and the
+    //! predictions on a held-out set are folded (by bit pattern) into one
+    //! FNV-1a digest. The digest was taken from the branchy scalar kernels
+    //! the crate had before the compacting, runtime-dispatched ones, so any
+    //! arm that moves a single bit of training fails here. The test runs the
+    //! portable arm and, when the CPU has it, the AVX2 arm, and names the
+    //! arms it ran.
+
+    use crate::kernel::Isa;
+    use crate::{Matrix, Mlp, TrainConfig};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The digest of the two training runs below. It may only change
+    /// together with a deliberate change to the estimator's numbers.
+    const GOLDEN: u64 = 0xc206_2133_2fea_1e57;
+
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, v: u64) {
+            for byte in v.to_le_bytes() {
+                self.0 ^= u64::from(byte);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn floats(&mut self, xs: &[f64]) {
+            self.word(xs.len() as u64);
+            xs.iter().for_each(|&x| self.word(x.to_bits()));
+        }
+    }
+
+    /// `rows` samples of ten features uniform in (−1, 1) and a smooth
+    /// nonlinear target.
+    fn corpus(rows: usize, seed: u64) -> (Matrix, Matrix) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let x: Vec<f64> = (0..rows * 10).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let y = x
+            .chunks(10)
+            .map(|r| {
+                let linear: f64 = r
+                    .iter()
+                    .enumerate()
+                    .map(|(j, v)| (j as f64 + 1.0) / 10.0 * v)
+                    .sum();
+                linear + r[0] * r[1] - 0.5 * r[2] * r[2]
+            })
+            .collect();
+        (Matrix::from_vec(rows, 10, x), Matrix::from_vec(rows, 1, y))
+    }
+
+    /// The cold shape and the paper's net, each with its training protocol.
+    const SHAPES: [(&[usize], TrainConfig); 2] = [
+        (
+            &[10, 96, 96, 96, 1],
+            TrainConfig {
+                iterations: 500,
+                learning_rate: 1.5e-3,
+                batch_size: 128,
+                record_every: 25,
+                seed: 0,
+            },
+        ),
+        (
+            &[10, 200, 200, 200, 200, 1],
+            TrainConfig {
+                iterations: 50,
+                learning_rate: 1e-3,
+                batch_size: 128,
+                record_every: 5,
+                seed: 1,
+            },
+        ),
+    ];
+
+    /// The digest of both training runs with every product on `isa`.
+    fn digest(isa: Isa) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let (x, y) = corpus(512, 11);
+        let (held_out, _) = corpus(64, 12);
+        for (seed, (widths, train)) in SHAPES.iter().enumerate() {
+            let mut mlp = Mlp::new(widths, seed as u64);
+            let report = mlp.fit_on(isa, &x, &y, train, 1);
+            h.word(report.iterations as u64);
+            h.word(report.final_loss.to_bits());
+            h.floats(&report.loss_curve);
+            for layer in mlp.layers() {
+                h.word(layer.weights.rows() as u64);
+                h.floats(layer.weights.as_slice());
+                h.floats(&layer.bias);
+            }
+            h.floats(mlp.predict_on(isa, &held_out, 1).as_slice());
+        }
+        h.0
+    }
+
+    #[test]
+    fn trained_estimator_matches_the_golden_digest_on_every_arm() {
+        let mut arms = vec![Isa::PORTABLE];
+        if Isa::detect() != Isa::PORTABLE {
+            arms.push(Isa::detect());
+        }
+        for &isa in &arms {
+            let got = digest(isa);
+            assert_eq!(
+                got,
+                GOLDEN,
+                "{} arm moved the trained estimator: digest {got:#018x}",
+                isa.name()
+            );
+        }
+        let names: Vec<&str> = arms.iter().map(|isa| isa.name()).collect();
+        eprintln!("golden digest matched on arms: {}", names.join(", "));
     }
 }
