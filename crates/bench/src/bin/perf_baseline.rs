@@ -18,7 +18,12 @@
 //!   protocol), the kernel arm this host runs and its training rate on
 //!   the cold-configure shape, proof that `Mlp::fit` is allocation-free
 //!   in steady state, row-by-row vs. batched candidate screening, and
-//!   cold vs. warm-cache `configure()` wall clock.
+//!   cold vs. warm-cache `configure()` wall clock;
+//! * serve request latency: a warm `pipette serve` request on a 512-GPU
+//!   cluster against one realization of that cluster, a ratio taken in
+//!   one run and so comparable across hosts.
+//!
+//! The report opens with the host it was measured on.
 //!
 //! `--smoke` shrinks every measurement to a CI-friendly sanity check
 //! (same code paths, tiny budgets, no meaning in the absolute numbers).
@@ -32,11 +37,13 @@ use pipette::mapping::{
 use pipette::memory::{collect_samples, MemoryEstimator, SampleSpec, TrainedEstimatorCache};
 use pipette::parallel;
 use pipette::telemetry::SaTraceObserver;
+use pipette_cli::{JobSpec, PipetteHandler};
 use pipette_cluster::presets;
 use pipette_mlp::{kernel_isa, Matrix, Mlp, TrainConfig};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::json::{self, JsonValue};
 use pipette_obs::{SpanTree, Trace, TraceConfig};
+use pipette_serve::{ExecContext, ParseOutcome, RequestHandler};
 use pipette_sim::{ComputeProfiler, Mapping, MemorySim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -143,6 +150,7 @@ macro_rules! section {
 section! {
     struct Report {
         smoke: bool,
+        host: Host,
         cluster: ClusterShape,
         objective: ObjectiveThroughput,
         hot_path_allocs: HotPathAllocs,
@@ -151,8 +159,40 @@ section! {
         dp_sweep: DpSweep,
         pt: ParallelTempering,
         memory_estimator: MemoryEstimatorPerf,
+        serve: ServePerf,
         telemetry: TelemetryOverhead,
         reference_trace: ReferenceTrace,
+    }
+}
+
+section! {
+    /// The machine the report was measured on. Every rate in it is an
+    /// absolute, host-bound figure.
+    struct Host {
+        /// The first `model name` in `/proc/cpuinfo`, or `unknown`.
+        cpu_model: String,
+        available_parallelism: usize,
+        os: String,
+        arch: String,
+    }
+}
+
+/// The [`Host`] section for this machine.
+fn host() -> Host {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_owned())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    Host {
+        cpu_model,
+        available_parallelism: parallel::default_threads(),
+        os: std::env::consts::OS.to_owned(),
+        arch: std::env::consts::ARCH.to_owned(),
     }
 }
 
@@ -434,7 +474,7 @@ section! {
     /// `total_evaluations / max_chain_busy_seconds`: every chain's busy time
     /// is metered inside its own segments, so the metric is what a box with
     /// one dedicated core per replica sustains — independent of how many
-    /// cores *this* machine has (recorded in `host_cpus`; CI runs on shared
+    /// cores *this* machine has (`host.available_parallelism`; CI runs on shared
     /// 1–2-core runners, where wall-clock aggregate throughput would be
     /// meaningless and machine-dependent).
     struct ParallelTempering {
@@ -449,7 +489,6 @@ section! {
         max_chain_busy_seconds: f64,
         /// `total_evaluations / max_chain_busy_seconds` — see struct docs.
         aggregate_evals_per_sec: f64,
-        host_cpus: usize,
         /// `sa_budgeted.evals_per_sec`, repeated here so the speedup is
         /// self-contained.
         single_chain_evals_per_sec: f64,
@@ -545,6 +584,96 @@ section! {
         long_iterations: usize,
         allocations: u64,
         allocated_bytes: u64,
+    }
+}
+
+section! {
+    /// Serve request latency on a cluster too large to rebuild per
+    /// request: `high_end(64)` (512 GPUs), GPT-3 3.1B, PPT-L (no worker
+    /// dedication). `cluster_build_ms` is the median wall time of
+    /// `JobSpec::build_cluster` alone; `warm_request_ms` the median of
+    /// identical `PipetteHandler` requests (parse and execute) after one
+    /// warm-up request has trained the estimator and stored the cluster
+    /// and its profile. Smoke and full runs differ only in repetitions;
+    /// CI asserts `warm_request_ms < 0.5 × cluster_build_ms`, a same-run
+    /// ratio that holds on any host only if requests reuse the stored
+    /// cluster.
+    struct ServePerf {
+        gpus: usize,
+        build_reps: usize,
+        cluster_build_ms: f64,
+        warm_requests: usize,
+        warm_request_ms: f64,
+        /// `warm_request_ms / cluster_build_ms`.
+        warm_request_vs_build: f64,
+    }
+}
+
+/// The median of an odd number of samples.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The [`ServePerf`] section.
+fn serve_perf(smoke: bool) -> ServePerf {
+    let job = concat!(
+        r#"{"cluster":{"preset":"high-end","nodes":64,"seed":1005},"#,
+        r#""model":{"preset":"gpt-3.1b"},"global_batch":512,"max_micro":8,"#,
+        r#""worker_dedication":false,"seed":7,"memory_training_iterations":400}"#
+    );
+    let spec = JobSpec::parse_strict(job).expect("the serve job spec is valid");
+    let build_reps = if smoke { 5 } else { 15 };
+    let builds: Vec<f64> = (0..build_reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            let cluster = spec.build_cluster().expect("known preset");
+            let elapsed = t0.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(cluster.topology().num_gpus(), 512);
+            elapsed
+        })
+        .collect();
+
+    let handler = PipetteHandler::new();
+    let line = format!(r#"{{"op":"configure","job":{job}}}"#);
+    let request = |seq: u64| {
+        let ParseOutcome::Job { job, .. } = handler.parse(&line) else {
+            panic!("the serve request must parse as a job");
+        };
+        let executed = handler.execute(
+            job,
+            &ExecContext {
+                seq,
+                degraded: false,
+            },
+        );
+        assert_eq!(executed.outcome, "ok", "{}", executed.response);
+        executed.response
+    };
+    let first = request(0);
+    let warm_requests = if smoke { 9 } else { 31 };
+    let warm: Vec<f64> = (1..=warm_requests as u64)
+        .map(|seq| {
+            let t0 = Instant::now();
+            let response = request(seq);
+            let elapsed = t0.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(
+                response.replacen(&format!("\"seq\":{seq},"), "\"seq\":0,", 1),
+                first,
+                "identical requests must answer identically"
+            );
+            elapsed
+        })
+        .collect();
+    let cluster_build_ms = median(builds);
+    let warm_request_ms = median(warm);
+    ServePerf {
+        gpus: 512,
+        build_reps,
+        cluster_build_ms,
+        warm_requests,
+        warm_request_ms,
+        warm_request_vs_build: warm_request_ms / cluster_build_ms,
     }
 }
 
@@ -747,7 +876,6 @@ fn main() {
         wall_clock_seconds: pt_wall,
         max_chain_busy_seconds: max_busy,
         aggregate_evals_per_sec,
-        host_cpus: parallel::default_threads(),
         single_chain_evals_per_sec: sa_budgeted.evals_per_sec,
         speedup_vs_single_chain,
         exchanges_attempted: pt_stats.exchanges_attempted,
@@ -928,6 +1056,8 @@ fn main() {
         paper_train_vs_cache_hit_speedup: (ref_train * scale) / warm_training.max(1e-9),
     };
 
+    let serve = serve_perf(smoke);
+
     // Telemetry overhead on the SA hot path: identical annealing runs,
     // no-op observer vs. default-cadence trace recording. Best-of-3 on
     // each side to damp scheduler noise.
@@ -1028,6 +1158,7 @@ fn main() {
 
     let report = Report {
         smoke,
+        host: host(),
         cluster: ClusterShape {
             nodes,
             gpus_per_node: cluster.topology().gpus_per_node(),
@@ -1042,6 +1173,7 @@ fn main() {
         dp_sweep,
         pt,
         memory_estimator,
+        serve,
         telemetry,
         reference_trace,
     };

@@ -10,10 +10,14 @@
 //!   request produce byte-identical responses — neither charges
 //!   training against its deadline budget, and both record
 //!   `mem_train … cached=true`;
-//! - a profiled-bandwidth store: the `gpus·(gpus−1)`-pair sweep runs
-//!   once per distinct cluster and is attached via `with_profiled`; a
-//!   synthetic `profile` span (with the full pair cost) keeps each
-//!   per-request trace shaped like a one-shot run's.
+//! - a cluster store, keyed exactly by what building a cluster depends
+//!   on (canonical preset, node count, cluster seed): each distinct
+//!   cluster is realized once and shared as an `Arc<Cluster>`, and its
+//!   `gpus·(gpus−1)`-pair profiling sweep runs once per run seed and is
+//!   shared as an `Arc<ProfiledBandwidth>` attached via `with_profiled`
+//!   — no request rebuilds a cluster or copies a profile. A synthetic
+//!   `profile` span (with the full pair cost) keeps each per-request
+//!   trace shaped like a one-shot run's.
 //!
 //! Degradation: when the serve loop's circuit breaker is open, requests
 //! arrive with `ctx.degraded = true` and `configure` ops are forced onto
@@ -26,10 +30,10 @@
 //! byte-identical responses at any worker count.
 
 use crate::report::{self, cli_report_json, drill_report_json, CliReport};
-use crate::spec::{parse_document, JobSpec, SpecError};
+use crate::spec::{parse_document, ClusterKey, JobSpec, SpecError};
 use pipette::memory::{SweepReport, TrainedEstimatorCache};
 use pipette::{ConfigureError, DeadlineReport, Pipette};
-use pipette_cluster::{FaultPlan, ProfiledBandwidth, ProfilingCost};
+use pipette_cluster::{Cluster, FaultPlan, ProfiledBandwidth, ProfilingCost};
 use pipette_obs::json::{self, push_json_string, render_value, JsonValue, Obj};
 use pipette_obs::{CostUnit, Trace, TraceConfig};
 use pipette_serve::{
@@ -40,7 +44,7 @@ use pipette_sim::ClusterRun;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which operation a request asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +62,72 @@ pub struct ServeJob {
     faults: Option<FaultPlan>,
     deadline_units: Option<u64>,
     want_trace: bool,
-    profile_key: u64,
+}
+
+/// One realized cluster and its profiles.
+struct StoredCluster {
+    cluster: Arc<Cluster>,
+    /// Keyed by run seed, which seeds the profiler's noise.
+    profiles: BTreeMap<u64, (Arc<ProfiledBandwidth>, ProfilingCost)>,
+}
+
+/// Every cluster the handler has realized, under one lock. Building and
+/// profiling are pure functions of the key and run seed, so each runs
+/// outside the lock and racing workers keep whichever insert lands
+/// first: all of them then share that one instance.
+#[derive(Default)]
+struct ClusterStore(Mutex<BTreeMap<ClusterKey, StoredCluster>>);
+
+impl ClusterStore {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<ClusterKey, StoredCluster>> {
+        // A panicking worker cannot half-write the map (inserts are
+        // single calls), so recovery is sound (rule D2).
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The job's cluster under its exact key, built on first use.
+    fn cluster(&self, spec: &JobSpec) -> Result<(ClusterKey, Arc<Cluster>), SpecError> {
+        let key = spec.cluster_key()?;
+        if let Some(stored) = self.lock().get(&key) {
+            return Ok((key, Arc::clone(&stored.cluster)));
+        }
+        let built = Arc::new(spec.build_cluster()?);
+        let mut clusters = self.lock();
+        let stored = clusters.entry(key).or_insert_with(|| StoredCluster {
+            cluster: built,
+            profiles: BTreeMap::new(),
+        });
+        Ok((key, Arc::clone(&stored.cluster)))
+    }
+
+    /// The profile at `seed` of `cluster`, which [`Self::cluster`]
+    /// stored under `key`, measured on first use.
+    fn profile(
+        &self,
+        key: ClusterKey,
+        cluster: &Cluster,
+        seed: u64,
+    ) -> (Arc<ProfiledBandwidth>, ProfilingCost) {
+        let found = self
+            .lock()
+            .get(&key)
+            .and_then(|stored| stored.profiles.get(&seed).cloned());
+        if let Some(found) = found {
+            return found;
+        }
+        let (profiled, cost) = cluster.profiler().profile(cluster.bandwidth(), seed);
+        let measured = (Arc::new(profiled), cost);
+        match self.lock().get_mut(&key) {
+            Some(stored) => stored.profiles.entry(seed).or_insert(measured).clone(),
+            None => measured,
+        }
+    }
 }
 
 /// The configurator-backed [`RequestHandler`].
 pub struct PipetteHandler {
     cache: TrainedEstimatorCache,
-    profiled: Mutex<BTreeMap<u64, (ProfiledBandwidth, ProfilingCost)>>,
+    clusters: ClusterStore,
 }
 
 impl PipetteHandler {
@@ -72,7 +135,7 @@ impl PipetteHandler {
     pub fn new() -> Self {
         Self {
             cache: TrainedEstimatorCache::in_memory(),
-            profiled: Mutex::new(BTreeMap::new()),
+            clusters: ClusterStore::default(),
         }
     }
 
@@ -85,44 +148,10 @@ impl PipetteHandler {
         (
             Self {
                 cache,
-                profiled: Mutex::new(BTreeMap::new()),
+                clusters: ClusterStore::default(),
             },
             sweep,
         )
-    }
-
-    /// The profiled bandwidth matrix for this job's cluster, measured at
-    /// most once per distinct `(cluster, seed)` and shared across
-    /// requests. Profiling is deterministic in the seed, so a racing
-    /// double-measure inserts identical values.
-    fn profiled_for(
-        &self,
-        cluster: &pipette_cluster::Cluster,
-        job: &ServeJob,
-    ) -> (ProfiledBandwidth, ProfilingCost) {
-        if let Some(found) = self
-            .lock_profiled()
-            .get(&job.profile_key)
-            .map(|(p, c)| (p.clone(), *c))
-        {
-            return found;
-        }
-        let measured = cluster
-            .profiler()
-            .profile(cluster.bandwidth(), job.spec.seed);
-        self.lock_profiled()
-            .insert(job.profile_key, (measured.0.clone(), measured.1));
-        measured
-    }
-
-    fn lock_profiled(
-        &self,
-    ) -> std::sync::MutexGuard<'_, BTreeMap<u64, (ProfiledBandwidth, ProfilingCost)>> {
-        // A panicking worker cannot half-write the map (inserts are
-        // single calls), so recovery is sound (rule D2).
-        self.profiled
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Lookup counters of the shared estimator cache.
@@ -131,15 +160,15 @@ impl PipetteHandler {
     }
 
     fn run_configure(&self, job: &ServeJob, ctx: &ExecContext) -> Execution {
-        let cluster = match job.spec.build_cluster() {
-            Ok(c) => c,
+        let (key, cluster) = match self.clusters.cluster(&job.spec) {
+            Ok(found) => found,
             Err(e) => return exec_error(job, ctx, &format!("cluster: {e}")),
         };
         let gpt = match job.spec.build_model() {
             Ok(m) => m,
             Err(e) => return exec_error(job, ctx, &format!("model: {e}")),
         };
-        let (profiled, cost) = self.profiled_for(&cluster, job);
+        let (profiled, cost) = self.clusters.profile(key, &cluster, job.spec.seed);
         let mut trace = Trace::new(TraceConfig::default());
         // The shared sweep already paid the gpus·(gpus−1) pair cost once;
         // a synthetic span keeps this request's trace shaped (and
@@ -260,25 +289,6 @@ impl Default for PipetteHandler {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// FNV-1a over everything the shared profiling sweep depends on: the
-/// cluster identity (preset, node count, build seed) and the run seed
-/// that drives the profiler's noise.
-fn profile_key(spec: &JobSpec) -> u64 {
-    fn eat(hash: &mut u64, bytes: &[u8]) {
-        for byte in bytes {
-            *hash ^= u64::from(*byte);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut hash, spec.cluster.preset.as_bytes());
-    eat(&mut hash, &[0x1e]);
-    eat(&mut hash, &spec.cluster.nodes.to_le_bytes());
-    eat(&mut hash, &spec.cluster.seed.to_le_bytes());
-    eat(&mut hash, &spec.seed.to_le_bytes());
-    hash
 }
 
 /// Renders one response line with the fixed serve field order:
@@ -443,7 +453,6 @@ impl RequestHandler for PipetteHandler {
                 ))
             }
         };
-        let profile_key = profile_key(&spec);
         ParseOutcome::Job {
             op,
             job: ServeJob {
@@ -453,7 +462,6 @@ impl RequestHandler for PipetteHandler {
                 faults,
                 deadline_units,
                 want_trace,
-                profile_key,
             },
         }
     }
@@ -632,15 +640,71 @@ mod tests {
 
     #[test]
     fn profile_key_separates_clusters_and_seeds() {
-        let spec = JobSpec::parse_strict(JOB).unwrap();
-        let base = profile_key(&spec);
-        assert_eq!(base, profile_key(&spec));
-        let mut other = spec.clone();
-        other.cluster.nodes = 4;
-        assert_ne!(base, profile_key(&other));
-        let mut other = spec.clone();
-        other.seed += 1;
-        assert_ne!(base, profile_key(&other));
+        let handler = PipetteHandler::new();
+        let ctx = ExecContext {
+            seq: 0,
+            degraded: false,
+        };
+        // One cluster under two aliases, asked with two run seeds.
+        for (preset, seed) in [("high-end", 1), ("high_end", 2)] {
+            let line = envelope("configure", "").replace("mid-range", preset);
+            let ParseOutcome::Job { mut job, .. } = handler.parse(&line) else {
+                panic!("{line} must parse");
+            };
+            job.spec.seed = seed;
+            assert_eq!(job.spec.cluster_key().unwrap(), ("high-end", 2, 3));
+            let executed = handler.execute(job, &ctx);
+            assert_eq!(executed.outcome, "ok", "{}", executed.response);
+        }
+        let spec = |preset: &str, nodes: usize, cluster_seed: u64| {
+            let mut spec = JobSpec::parse_strict(JOB).unwrap();
+            spec.cluster.preset = preset.to_owned();
+            spec.cluster.nodes = nodes;
+            spec.cluster.seed = cluster_seed;
+            spec
+        };
+        {
+            let clusters = handler.clusters.lock();
+            assert_eq!(clusters.len(), 1, "aliases share one entry");
+            let stored = &clusters[&("high-end", 2, 3)];
+            assert_eq!(stored.profiles.keys().copied().collect::<Vec<_>>(), [1, 2]);
+            let (first, second) = (&stored.profiles[&1].0, &stored.profiles[&2].0);
+            assert!(
+                !Arc::ptr_eq(first, second),
+                "each run seed has its own profile"
+            );
+            assert_ne!(
+                first.matrix(),
+                second.matrix(),
+                "run seeds draw different noise"
+            );
+        }
+        let (key, shared) = handler.clusters.cluster(&spec("highend", 2, 3)).unwrap();
+        let (_, again) = handler.clusters.cluster(&spec("high-end", 2, 3)).unwrap();
+        assert_eq!(key, ("high-end", 2, 3));
+        assert!(Arc::ptr_eq(&shared, &again), "one Arc<Cluster> per key");
+        let profile = handler.clusters.profile(key, &shared, 2);
+        assert!(Arc::ptr_eq(
+            &profile.0,
+            &handler.clusters.lock()[&key].profiles[&2].0
+        ));
+        // Another cluster seed, node count or preset is another cluster.
+        for (other, expected) in [
+            (spec("high-end", 2, 4), ("high-end", 2, 4)),
+            (spec("high-end", 3, 3), ("high-end", 3, 3)),
+            (spec("mid-range", 2, 3), ("mid-range", 2, 3)),
+        ] {
+            let (key, cluster) = handler.clusters.cluster(&other).unwrap();
+            assert_eq!(key, expected);
+            assert!(!Arc::ptr_eq(&cluster, &shared));
+        }
+        assert_eq!(handler.clusters.lock().len(), 4);
+        // An unknown preset is a typed error and stores nothing.
+        assert_eq!(
+            handler.clusters.cluster(&spec("quantum", 2, 3)).err(),
+            Some(SpecError::UnknownCluster("quantum".to_owned()))
+        );
+        assert_eq!(handler.clusters.lock().len(), 4);
     }
 
     #[test]

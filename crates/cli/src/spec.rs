@@ -16,7 +16,7 @@
 //! `{ "layers": 24, "hidden": 1920, "heads": 24, "seq_len": 2048,
 //!    "vocab": 51200 }`.
 
-use pipette_cluster::{presets, Cluster, FaultPlan};
+use pipette_cluster::{presets, Cluster, ClusterPreset, FaultPlan};
 use pipette_model::GptConfig;
 use pipette_obs::json::{self, DecodeError, Fields, JsonValue, Schema};
 use std::fmt;
@@ -378,12 +378,20 @@ impl JobSpec {
     ///
     /// [`SpecError::UnknownCluster`] for unrecognized preset names.
     pub fn build_cluster(&self) -> Result<Cluster, SpecError> {
-        let preset = match self.cluster.preset.as_str() {
-            "mid-range" | "mid_range" | "midrange" => presets::mid_range(self.cluster.nodes),
-            "high-end" | "high_end" | "highend" => presets::high_end(self.cluster.nodes),
-            other => return Err(SpecError::UnknownCluster(other.to_owned())),
-        };
-        Ok(preset.build(self.cluster.seed))
+        let (_, preset) = cluster_preset(&self.cluster.preset)?;
+        Ok(preset(self.cluster.nodes).build(self.cluster.seed))
+    }
+
+    /// Exactly what [`Self::build_cluster`] depends on: the preset's
+    /// canonical name, the node count and the cluster seed. Aliases of
+    /// one preset give equal keys.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownCluster`] for unrecognized preset names.
+    pub(crate) fn cluster_key(&self) -> Result<ClusterKey, SpecError> {
+        let (preset, _) = cluster_preset(&self.cluster.preset)?;
+        Ok((preset, self.cluster.nodes, self.cluster.seed))
     }
 
     /// Realizes the model.
@@ -408,6 +416,23 @@ impl JobSpec {
                 vocab,
             } => Ok(GptConfig::new(*layers, *hidden, *heads, *seq_len, *vocab)),
         }
+    }
+}
+
+/// A realized cluster's identity: canonical preset name, node count,
+/// cluster seed (see [`JobSpec::cluster_key`]).
+pub(crate) type ClusterKey = (&'static str, usize, u64);
+
+/// A cluster preset's constructor, taking the node count.
+type PresetFn = fn(usize) -> ClusterPreset;
+
+/// A cluster preset's canonical name and constructor, under any of the
+/// names a spec may spell it with.
+fn cluster_preset(name: &str) -> Result<(&'static str, PresetFn), SpecError> {
+    match name {
+        "mid-range" | "mid_range" | "midrange" => Ok(("mid-range", presets::mid_range)),
+        "high-end" | "high_end" | "highend" => Ok(("high-end", presets::high_end)),
+        other => Err(SpecError::UnknownCluster(other.to_owned())),
     }
 }
 

@@ -57,18 +57,38 @@ impl BandwidthMatrix {
         data: Vec<f64>,
     ) -> Result<Self, ClusterError> {
         let matrix = Self::with_data(topology, intra_spec, inter_spec, data)?;
-        let n = topology.num_gpus();
-        for i in 0..n {
-            for j in 0..n {
-                let v = matrix.data[i * n + j];
-                if i != j && !(v.is_finite() && v > 0.0) {
-                    return Err(ClusterError::MalformedMatrix {
-                        reason: format!("bandwidth ({i},{j}) is {v}, must be finite and positive"),
-                    });
-                }
-            }
+        if let Some((i, j, v)) = matrix.first_invalid_link() {
+            return Err(ClusterError::MalformedMatrix {
+                reason: format!("bandwidth ({i},{j}) is {v}, must be finite and positive"),
+            });
         }
         Ok(matrix)
+    }
+
+    /// The first off-diagonal link, in row-major order, whose bandwidth
+    /// is not finite and positive (NaN, zero, negative or infinite), as
+    /// `(from, to, value)`; `None` when every link is usable.
+    pub fn first_invalid_link(&self) -> Option<(usize, usize, f64)> {
+        let n = self.topology.num_gpus();
+        // Finite and positive, with `&` so that a whole slice folds
+        // without branches (and vectorizes).
+        let usable = |v: f64| (v > 0.0) & (v < f64::INFINITY);
+        let all_usable = |links: &[f64]| links.iter().fold(true, |ok, &v| ok & usable(v));
+        // Each row is two slices around its diagonal cell; only a row
+        // holding an invalid link is searched for the first one.
+        for (from, row) in self.data.chunks_exact(n.max(1)).enumerate() {
+            let (before, after) = (&row[..from], &row[from + 1..]);
+            if all_usable(before) && all_usable(after) {
+                continue;
+            }
+            if let Some(to) = before.iter().position(|&v| !usable(v)) {
+                return Some((from, to, before[to]));
+            }
+            if let Some(k) = after.iter().position(|&v| !usable(v)) {
+                return Some((from, from + 1 + k, after[k]));
+            }
+        }
+        None
     }
 
     /// [`Self::from_raw`] checking only the shape: `data` must hold
@@ -476,6 +496,71 @@ mod tests {
             negative,
             Err(ClusterError::MalformedMatrix { .. })
         ));
+    }
+
+    /// Reference for `first_invalid_link`: every ordered pair through
+    /// `between`, row-major, diagonal skipped.
+    fn first_invalid_link_oracle(m: &BandwidthMatrix) -> Option<(usize, usize, f64)> {
+        let topo = m.topology();
+        for a in topo.gpus() {
+            for b in topo.gpus() {
+                if a == b {
+                    continue;
+                }
+                let value = m.between(a, b);
+                if !(value.is_finite() && value > 0.0) {
+                    return Some((a.0, b.0, value));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn first_invalid_link_matches_the_pairwise_oracle() {
+        let bits = |found: Option<(usize, usize, f64)>| found.map(|(i, j, v)| (i, j, v.to_bits()));
+        let m = homog();
+        assert_eq!(m.first_invalid_link(), None);
+        assert_eq!(first_invalid_link_oracle(&m), None);
+        let n = m.topology().num_gpus();
+        // One or two bad links on either side of the diagonal: the first
+        // in row-major order must be the one reported, by both checks and
+        // in the same words by `from_raw`.
+        let spots = [
+            (0, 1),
+            (1, 0),
+            (2, 6),
+            (3, 1),
+            (3, 2),
+            (3, 5),
+            (7, 6),
+            (6, 7),
+        ];
+        for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            for (k, &first) in spots.iter().enumerate() {
+                for second in spots[k..].iter().map(Some).chain([None]) {
+                    let mut planted = m.clone();
+                    planted.data[first.0 * n + first.1] = bad;
+                    if let Some(&(i, j)) = second {
+                        planted.data[i * n + j] = -2.5;
+                    }
+                    let found = planted.first_invalid_link();
+                    assert_eq!(bits(found), bits(first_invalid_link_oracle(&planted)));
+                    let (i, j, v) = found.expect("a planted link is invalid");
+                    let (intra, inter) = specs();
+                    let err = BandwidthMatrix::from_raw(*m.topology(), intra, inter, planted.data)
+                        .expect_err("from_raw rejects the planted link");
+                    assert_eq!(
+                        err,
+                        ClusterError::MalformedMatrix {
+                            reason: format!(
+                                "bandwidth ({i},{j}) is {v}, must be finite and positive"
+                            ),
+                        }
+                    );
+                }
+            }
+        }
     }
 
     #[test]

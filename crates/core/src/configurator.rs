@@ -32,6 +32,7 @@ use pipette_cluster::{Cluster, ProfiledBandwidth, ProfilingCost};
 use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::{CostUnit, EventKind, Metrics, Trace, SCHEMA_VERSION};
 use pipette_sim::{ClusterRun, ComputeProfiler, Mapping, MemorySim, ProfiledCompute};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Knobs of the Pipette procedure.
@@ -294,9 +295,10 @@ pub struct Pipette<'a> {
     options: PipetteOptions,
     pretrained: Option<MemoryEstimator>,
     estimator_cache: Option<&'a TrainedEstimatorCache>,
-    /// A pre-measured bandwidth matrix (robust profiling under faults)
-    /// that replaces the in-run profiling sweep when present.
-    profiled_override: Option<(ProfiledBandwidth, ProfilingCost)>,
+    /// A pre-measured bandwidth matrix (robust profiling under faults,
+    /// or a serve daemon's stored profile) that replaces the in-run
+    /// profiling sweep when present.
+    profiled_override: Option<(Arc<ProfiledBandwidth>, ProfilingCost)>,
     /// Screen with the analytic memory model instead of training an MLP
     /// (the degradation ladder's last rung).
     analytic_memory: bool,
@@ -350,9 +352,14 @@ impl<'a> Pipette<'a> {
     /// Supplies an already-measured bandwidth matrix (and its cost) in
     /// place of the in-run profiling sweep. Degraded runs use this to
     /// feed the robustly-profiled matrix of the surviving subcluster into
-    /// the search.
-    pub fn with_profiled(mut self, profiled: ProfiledBandwidth, cost: ProfilingCost) -> Self {
-        self.profiled_override = Some((profiled, cost));
+    /// the search; the serve daemon passes a shared `Arc` so that every
+    /// request reads one stored matrix without copying it.
+    pub fn with_profiled(
+        mut self,
+        profiled: impl Into<Arc<ProfiledBandwidth>>,
+        cost: ProfilingCost,
+    ) -> Self {
+        self.profiled_override = Some((profiled.into(), cost));
         self
     }
 
@@ -400,22 +407,8 @@ impl<'a> Pipette<'a> {
     /// Catching these up front turns what would be silent nonsense deep in
     /// the cost model into typed [`ConfigureError`]s.
     fn validate_inputs(&self) -> Result<(), ConfigureError> {
-        let topo = self.cluster.topology();
-        let bw = self.cluster.bandwidth();
-        for a in topo.gpus() {
-            for b in topo.gpus() {
-                if a == b {
-                    continue;
-                }
-                let value = bw.between(a, b);
-                if !(value.is_finite() && value > 0.0) {
-                    return Err(ConfigureError::InvalidBandwidth {
-                        from: a.0,
-                        to: b.0,
-                        value,
-                    });
-                }
-            }
+        if let Some((from, to, value)) = self.cluster.bandwidth().first_invalid_link() {
+            return Err(ConfigureError::InvalidBandwidth { from, to, value });
         }
         if self.cluster.gpu().memory_bytes == 0 {
             return Err(ConfigureError::InvalidCluster {
@@ -519,7 +512,7 @@ impl<'a> Pipette<'a> {
         // records its own).
         let profiled_here;
         let (profiled, profiling_cost) = match &self.profiled_override {
-            Some((p, c)) => (p, *c),
+            Some((p, c)) => (&**p, *c),
             None => {
                 let span = trace.as_deref_mut().map(|t| t.open_span("profile"));
                 let result = self

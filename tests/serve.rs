@@ -132,6 +132,65 @@ fn identical_requests_are_byte_identical_at_any_worker_count() {
 }
 
 #[test]
+fn shared_clusters_and_profiles_answer_like_a_fresh_handler() {
+    // Two clusters that differ only in their cluster seed (one spelled
+    // with a preset alias) x two run seeds, interleaved and repeated, so
+    // requests reuse each other's stored cluster and profiles in every
+    // order.
+    const MID_RANGE: &str = r#""preset":"mid-range","nodes":1,"seed":5"#;
+    let clusters = [MID_RANGE, r#""preset":"mid_range","nodes":1,"seed":6"#];
+    let job = |k: usize| {
+        let seed = 3 + k / 2;
+        JOB.replacen(MID_RANGE, clusters[k % 2], 1).replacen(
+            r#""seed":3}"#,
+            &format!(r#""seed":{seed}}}"#),
+            1,
+        )
+    };
+    let mut lines = Vec::new();
+    for (round, order) in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 0, 3, 1]]
+        .iter()
+        .enumerate()
+    {
+        let trace = if round == 1 { r#","trace":true"# } else { "" };
+        for &k in order {
+            lines.push(format!(
+                r#"{{"id":"r{k}","op":"configure","job":{}{trace}}}"#,
+                job(k)
+            ));
+        }
+    }
+    let input = format!("{}\n{{\"op\":\"shutdown\"}}\n", lines.join("\n"));
+
+    let fresh: Vec<String> = lines
+        .iter()
+        .enumerate()
+        .map(|(seq, line)| {
+            let handler = PipetteHandler::new();
+            let ParseOutcome::Job { job, .. } = handler.parse(line) else {
+                panic!("request line must parse as a job: {line}");
+            };
+            let ctx = ExecContext {
+                seq: seq as u64,
+                degraded: false,
+            };
+            let executed = handler.execute(job, &ctx);
+            assert_eq!(executed.outcome, "ok", "{}", executed.response);
+            executed.response
+        })
+        .collect();
+    for workers in [1, 4] {
+        let config = ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        };
+        let (served, summary) = run_server(&input, config);
+        assert_eq!(summary.completed, lines.len() as u64);
+        assert_eq!(served, fresh, "workers={workers}");
+    }
+}
+
+#[test]
 fn deadline_truncates_to_best_so_far_and_expires_typed() {
     // First learn the candidate-space size from an unbounded run...
     let free = configure_line("free", "");
