@@ -20,8 +20,10 @@
 //!   in steady state, row-by-row vs. batched candidate screening, and
 //!   cold vs. warm-cache `configure()` wall clock;
 //! * serve request latency: a warm `pipette serve` request on a 512-GPU
-//!   cluster against one realization of that cluster, a ratio taken in
-//!   one run and so comparable across hosts.
+//!   cluster against one realization of that cluster, and that job's
+//!   candidate estimates priced from one link gather per configuration
+//!   against one `estimate` call per candidate — two ratios taken in one
+//!   run and so comparable across hosts.
 //!
 //! The report opens with the host it was measured on.
 //!
@@ -44,7 +46,7 @@ use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::json::{self, JsonValue};
 use pipette_obs::{SpanTree, Trace, TraceConfig};
 use pipette_serve::{ExecContext, ParseOutcome, RequestHandler};
-use pipette_sim::{ComputeProfiler, Mapping, MemorySim};
+use pipette_sim::{ComputeProfiler, Mapping, MemorySim, ProfiledCompute};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -594,10 +596,18 @@ section! {
     /// `JobSpec::build_cluster` alone; `warm_request_ms` the median of
     /// identical `PipetteHandler` requests (parse and execute) after one
     /// warm-up request has trained the estimator and stored the cluster
-    /// and its profile. Smoke and full runs differ only in repetitions;
-    /// CI asserts `warm_request_ms < 0.5 × cluster_build_ms`, a same-run
-    /// ratio that holds on any host only if requests reuse the stored
-    /// cluster.
+    /// and its profile. The same job's runnable candidates are then
+    /// estimated on the identity mapping two ways, bit-identically:
+    /// `grouped_estimates_ms` gathers each configuration's links once and
+    /// prices every plan from the gather, as the configurator does, and
+    /// `per_candidate_estimates_ms` calls `estimate` once per candidate,
+    /// each call reading its links again. Both are medians over
+    /// `estimate_reps` passes over all candidates. Smoke and full runs
+    /// differ only in repetitions; CI asserts
+    /// `warm_request_ms < 0.5 × cluster_build_ms` and
+    /// `grouped_vs_per_candidate < 0.7`, same-run ratios that hold on any
+    /// host only if requests reuse the stored cluster and the plans of a
+    /// configuration share one gather.
     struct ServePerf {
         gpus: usize,
         build_reps: usize,
@@ -606,6 +616,13 @@ section! {
         warm_request_ms: f64,
         /// `warm_request_ms / cluster_build_ms`.
         warm_request_vs_build: f64,
+        candidates: usize,
+        configurations: usize,
+        estimate_reps: usize,
+        grouped_estimates_ms: f64,
+        per_candidate_estimates_ms: f64,
+        /// `grouped_estimates_ms / per_candidate_estimates_ms`.
+        grouped_vs_per_candidate: f64,
     }
 }
 
@@ -667,6 +684,8 @@ fn serve_perf(smoke: bool) -> ServePerf {
         .collect();
     let cluster_build_ms = median(builds);
     let warm_request_ms = median(warm);
+    let estimate_reps = if smoke { 5 } else { 15 };
+    let estimates = candidate_estimates(&spec, estimate_reps);
     ServePerf {
         gpus: 512,
         build_reps,
@@ -674,6 +693,115 @@ fn serve_perf(smoke: bool) -> ServePerf {
         warm_requests,
         warm_request_ms,
         warm_request_vs_build: warm_request_ms / cluster_build_ms,
+        candidates: estimates.candidates,
+        configurations: estimates.configurations,
+        estimate_reps,
+        grouped_estimates_ms: estimates.grouped_ms,
+        per_candidate_estimates_ms: estimates.per_candidate_ms,
+        grouped_vs_per_candidate: estimates.grouped_ms / estimates.per_candidate_ms,
+    }
+}
+
+/// Median wall times of estimating every runnable candidate of a job.
+struct CandidateEstimates {
+    candidates: usize,
+    configurations: usize,
+    grouped_ms: f64,
+    per_candidate_ms: f64,
+}
+
+/// Estimates `spec`'s runnable candidates (the winner and every
+/// alternative of a PPT-L run with an uncapped list) on their identity
+/// mappings, `reps` times each way: one gather per configuration priced
+/// for each of its plans, and one `estimate` per candidate. Profiles and
+/// mappings are built before the clock starts, and both ways must give
+/// the same bits.
+fn candidate_estimates(spec: &JobSpec, reps: usize) -> CandidateEstimates {
+    let cluster = spec.build_cluster().expect("known preset");
+    let gpt = spec.build_model().expect("known model");
+    let mut options = PipetteOptions {
+        max_micro: spec.max_micro,
+        seed: spec.seed,
+        top_n: usize::MAX,
+        threads: 1,
+        ..PipetteOptions::default()
+    }
+    .latency_only();
+    options.memory.train.iterations = spec.memory_training_iterations;
+    let rec = Pipette::new(&cluster, &gpt, spec.global_batch, options)
+        .run()
+        .expect("the serve job is feasible");
+    let mut candidates: Vec<(ParallelConfig, MicrobatchPlan)> = rec
+        .alternatives
+        .iter()
+        .map(|alt| (alt.config, alt.plan))
+        .chain([(rec.config, rec.plan)])
+        .collect();
+    candidates.sort_by_key(|(c, p)| (c.pp, c.tp, c.dp, p.micro_batch));
+    let topo = *cluster.topology();
+    let mut configs: Vec<(Mapping, Vec<usize>)> = Vec::new();
+    for (i, &(cfg, _)) in candidates.iter().enumerate() {
+        match configs.last_mut() {
+            Some((mapping, plans)) if mapping.config() == cfg => plans.push(i),
+            _ => configs.push((Mapping::identity(cfg, topo), vec![i])),
+        }
+    }
+    let computes: Vec<ProfiledCompute> = candidates
+        .iter()
+        .map(|&(cfg, plan)| {
+            ComputeProfiler::default().profile(
+                cluster.bandwidth(),
+                cluster.gpu(),
+                &gpt,
+                cfg,
+                plan,
+                spec.seed,
+            )
+        })
+        .collect();
+    let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), spec.seed);
+    let model = PipetteLatencyModel::new(&profiled, &gpt);
+    // One pass over every candidate, gathered per configuration or not:
+    // its wall milliseconds and the estimates' bits.
+    let pass = |grouped: bool| {
+        let mut bits = Vec::with_capacity(candidates.len());
+        let t0 = Instant::now();
+        for (mapping, plans) in &configs {
+            let links = grouped.then(|| model.gather(mapping));
+            for &i in plans {
+                let (cfg, plan) = candidates[i];
+                let estimate = match &links {
+                    Some(links) => links.estimate(plan, &computes[i]),
+                    None => model.estimate(cfg, mapping, plan, &computes[i]),
+                };
+                bits.push(estimate.to_bits());
+            }
+        }
+        (t0.elapsed().as_secs_f64() * 1e3, bits)
+    };
+    let mut grouped = Vec::with_capacity(reps);
+    let mut per_candidate = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        // Alternate which way runs first, so neither always finds the
+        // other's warm caches.
+        let ((g_ms, g_bits), (p_ms, p_bits)) = if rep % 2 == 0 {
+            (pass(true), pass(false))
+        } else {
+            let p = pass(false);
+            (pass(true), p)
+        };
+        assert_eq!(
+            g_bits, p_bits,
+            "a gathered price diverged from its estimate"
+        );
+        grouped.push(g_ms);
+        per_candidate.push(p_ms);
+    }
+    CandidateEstimates {
+        candidates: candidates.len(),
+        configurations: configs.len(),
+        grouped_ms: median(grouped),
+        per_candidate_ms: median(per_candidate),
     }
 }
 

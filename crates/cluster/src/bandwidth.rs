@@ -93,7 +93,7 @@ impl BandwidthMatrix {
 
     /// [`Self::from_raw`] checking only the shape: `data` must hold
     /// `num_gpus²` entries, whatever their values.
-    fn with_data(
+    pub(crate) fn with_data(
         topology: ClusterTopology,
         intra_spec: LinkSpec,
         inter_spec: LinkSpec,

@@ -9,7 +9,7 @@
 use crate::bandwidth::BandwidthMatrix;
 use crate::error::ClusterError;
 use crate::link::LinkSpec;
-use crate::topology::{ClusterTopology, GpuId};
+use crate::topology::ClusterTopology;
 
 /// Parses an mpiGraph-style send-bandwidth table.
 ///
@@ -29,10 +29,12 @@ use crate::topology::{ClusterTopology, GpuId};
 ///
 /// # Errors
 ///
-/// Returns [`ClusterError::MalformedMatrix`] when the table is ragged,
-/// empty, or contains an unparseable, non-finite or non-positive
-/// off-diagonal entry, and [`ClusterError::InvalidParameter`] when
-/// `gpus_per_node` is zero.
+/// Returns [`ClusterError::MalformedMatrix`] when the table is ragged or
+/// empty, when an off-diagonal cell does not parse or does not convert
+/// to a finite positive GiB/s value (the error names the first such node
+/// pair in row-major order and its table value), or when
+/// `intra_spec`'s bandwidth is not finite and positive; and
+/// [`ClusterError::InvalidParameter`] when `gpus_per_node` is zero.
 pub fn parse_mpigraph(
     text: &str,
     gpus_per_node: usize,
@@ -83,43 +85,52 @@ pub fn parse_mpigraph(
             reason: format!("table is not square ({n} rows)"),
         });
     }
-    for (i, row) in rows.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            if i != j && !(v.is_finite() && v > 0.0) {
-                return Err(ClusterError::MalformedMatrix {
-                    reason: format!("bandwidth at ({i},{j}) is {v}, must be finite and positive"),
-                });
-            }
-        }
-    }
 
+    // Expand to GPUs: every pair across two nodes inherits the node
+    // pair's cell, converted to GiB/s, and intra-node pairs run at the
+    // nominal speed. The one link check then runs on the values the
+    // matrix stores, so a cell that converts to infinity or to zero is
+    // caught as surely as a bad cell.
     let topology = ClusterTopology::try_new(n, gpus_per_node)?;
-    let mut matrix = BandwidthMatrix::homogeneous(topology, intra_spec, inter_spec);
+    let gpus = n * gpus_per_node;
     const MB: f64 = 1e6;
-    for (i, row) in rows.iter().enumerate() {
-        for (j, &mb_s) in row.iter().enumerate() {
-            if i == j {
-                continue;
+    let mut data = Vec::with_capacity(gpus * gpus);
+    for from in 0..gpus {
+        let i = from / gpus_per_node;
+        let row = &rows[i];
+        data.extend((0..gpus).map(|to| {
+            let j = to / gpus_per_node;
+            if to == from {
+                f64::INFINITY
+            } else if j == i {
+                intra_spec.bandwidth_gib_s
+            } else {
+                row[j] * MB / crate::link::GIB
             }
-            let gib_s = mb_s * MB / crate::link::GIB;
-            for a in 0..gpus_per_node {
-                for b in 0..gpus_per_node {
-                    matrix.set(
-                        GpuId(i * gpus_per_node + a),
-                        GpuId(j * gpus_per_node + b),
-                        gib_s,
-                    );
-                }
-            }
+        }));
+    }
+    let matrix = BandwidthMatrix::with_data(topology, intra_spec, inter_spec, data)?;
+    match matrix.first_invalid_link() {
+        None => Ok(matrix),
+        Some((from, to, value)) => {
+            let (i, j) = (from / gpus_per_node, to / gpus_per_node);
+            let reason = if i == j {
+                format!("intra-node bandwidth is {value:?} GiB/s, must be finite and positive")
+            } else {
+                format!(
+                    "bandwidth at ({i},{j}) is {:?} MB/s, not a finite positive GiB/s value",
+                    rows[i][j]
+                )
+            };
+            Err(ClusterError::MalformedMatrix { reason })
         }
     }
-    Ok(matrix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::NodeId;
+    use crate::topology::{GpuId, NodeId};
 
     fn specs() -> (LinkSpec, LinkSpec) {
         (LinkSpec::new(279.0, 3e-6), LinkSpec::new(11.64, 6e-6))
@@ -184,6 +195,55 @@ node2   11700   10000   -
     fn rejects_infinite_cells() {
         assert!(off_diagonal_error("inf").contains("(0,1) is inf"));
         assert!(off_diagonal_error("-inf").contains("(0,1) is -inf"));
+    }
+
+    /// The error for `table` at `gpus_per_node`, which must be a
+    /// malformed matrix.
+    fn malformed(table: &str, gpus_per_node: usize, intra: LinkSpec) -> String {
+        let (_, inter) = specs();
+        match parse_mpigraph(table, gpus_per_node, intra, inter) {
+            Err(e @ ClusterError::MalformedMatrix { .. }) => e.to_string(),
+            other => panic!("{table:?} must be a malformed matrix, got {other:?}"),
+        }
+    }
+
+    /// A cell that overflows to infinity or underflows to zero in GiB/s
+    /// is as unusable as NaN, zero or a negative cell, on either side of
+    /// the diagonal and at any node width: the error names the node pair
+    /// and the cell as the table wrote it.
+    #[test]
+    fn rejects_cells_that_do_not_convert_to_a_usable_link() {
+        let (intra, _) = specs();
+        for cell in ["1e308", "5e-324", "nan", "0", "-1"] {
+            let value: f64 = cell.parse().unwrap();
+            let above = format!("- {cell} 100\n100 - 100\n100 100 -\n");
+            let below = format!("- 100 100\n100 - 100\n100 {cell} -\n");
+            for (table, pair) in [(above, "(0,1)"), (below, "(2,1)")] {
+                for gpus_per_node in [1, 4] {
+                    let err = malformed(&table, gpus_per_node, intra);
+                    let expected = format!("bandwidth at {pair} is {value:?} MB/s");
+                    assert!(err.contains(&expected), "{cell} at {pair}: {err}");
+                }
+            }
+        }
+    }
+
+    /// The first bad node pair in row-major order is the one named, and a
+    /// bad nominal intra-node speed is caught by the same scan.
+    #[test]
+    fn names_the_first_bad_pair_and_a_bad_intra_node_speed() {
+        let (intra, _) = specs();
+        let err = malformed("- 100 0\n-1 - 100\n100 100 -\n", 2, intra);
+        assert!(err.contains("bandwidth at (0,2) is 0.0 MB/s"), "{err}");
+        let nan_intra = LinkSpec {
+            bandwidth_gib_s: f64::NAN,
+            latency_s: 3e-6,
+        };
+        let err = malformed("0 100\n100 0\n", 2, nan_intra);
+        assert!(err.contains("intra-node bandwidth is NaN GiB/s"), "{err}");
+        // One GPU per node has no intra-node link to check.
+        let (_, inter) = specs();
+        assert!(parse_mpigraph("0 100\n100 0\n", 1, nan_intra, inter).is_ok());
     }
 
     #[test]

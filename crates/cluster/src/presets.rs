@@ -7,7 +7,7 @@ use crate::hardware::GpuSpec;
 use crate::heterogeneity::HeterogeneityModel;
 use crate::link::{gbps_to_gib_s, LinkSpec};
 use crate::profiler::NetworkProfiler;
-use crate::topology::{ClusterTopology, NodeId};
+use crate::topology::{ClusterTopology, GpuId, NodeId};
 use pipette_obs::json::{self, DecodeError, Fields, JsonValue, Schema};
 use std::fmt;
 
@@ -19,22 +19,38 @@ pub struct Cluster {
     gpu: GpuSpec,
     bandwidth: BandwidthMatrix,
     profiler: NetworkProfiler,
+    /// The matrix's first invalid link as `(from, to)`, found once at
+    /// construction: a cluster never changes afterwards. Indices, not
+    /// the value, so that equality never compares a NaN.
+    invalid_link: Option<(usize, usize)>,
 }
 
 impl Cluster {
-    /// Assembles a cluster from parts.
+    /// Assembles a cluster from parts. Scans the matrix once for its
+    /// first invalid link ([`Self::first_invalid_link`]).
     pub fn new(
         name: impl Into<String>,
         gpu: GpuSpec,
         bandwidth: BandwidthMatrix,
         profiler: NetworkProfiler,
     ) -> Self {
+        let invalid_link = bandwidth
+            .first_invalid_link()
+            .map(|(from, to, _)| (from, to));
         Self {
             name: name.into(),
             gpu,
             bandwidth,
             profiler,
+            invalid_link,
         }
+    }
+
+    /// [`BandwidthMatrix::first_invalid_link`] of the cluster's matrix,
+    /// recorded when the cluster was built, so reading it costs nothing.
+    pub fn first_invalid_link(&self) -> Option<(usize, usize, f64)> {
+        self.invalid_link
+            .map(|(from, to)| (from, to, self.bandwidth.between(GpuId(from), GpuId(to))))
     }
 
     /// Human-readable cluster name, e.g. "mid-range".
@@ -70,12 +86,12 @@ impl Cluster {
     ///
     /// Panics if `nodes` is zero or exceeds the node count.
     pub fn truncated(&self, nodes: usize) -> Self {
-        Self {
-            name: format!("{} ({} nodes)", self.name, nodes),
-            gpu: self.gpu.clone(),
-            bandwidth: self.bandwidth.truncated(nodes),
-            profiler: self.profiler,
-        }
+        Self::new(
+            format!("{} ({} nodes)", self.name, nodes),
+            self.gpu.clone(),
+            self.bandwidth.truncated(nodes),
+            self.profiler,
+        )
     }
 
     /// The cluster that remains after cordoning `failed` nodes: survivors
@@ -97,17 +113,17 @@ impl Cluster {
         }
         let survivors: Vec<NodeId> = topo.node_ids().filter(|n| !failed.contains(n)).collect();
         let bandwidth = self.bandwidth.select_nodes(&survivors)?;
-        Ok(Self {
-            name: format!(
+        Ok(Self::new(
+            format!(
                 "{} ({} of {} nodes)",
                 self.name,
                 survivors.len(),
                 topo.num_nodes()
             ),
-            gpu: self.gpu.clone(),
+            self.gpu.clone(),
             bandwidth,
-            profiler: self.profiler,
-        })
+            self.profiler,
+        ))
     }
 }
 
@@ -159,8 +175,9 @@ impl Cluster {
     /// Restores a cluster from [`Self::to_json`] output. The shape is
     /// checked — known keys of the right types, a topology with at least
     /// one node and one GPU per node, and exactly `gpus²` bandwidth
-    /// entries — but the per-pair values are not: `Pipette` rejects a bad
-    /// link before it searches.
+    /// entries — but the per-pair values are not rejected: a bad link is
+    /// recorded like any cluster's ([`Self::first_invalid_link`]), and
+    /// `Pipette` rejects it before it searches.
     ///
     /// # Errors
     ///
@@ -173,21 +190,21 @@ impl Cluster {
         let gpu = root.required("gpu", |v, p| Fields::at(v, p.to_owned(), &GPU))?;
         let profiler = root.required("profiler", |v, p| Fields::at(v, p.to_owned(), &PROFILER))?;
         let bandwidth = root.required("bandwidth", |v, _| Ok(v))?;
-        Ok(Self {
-            name: root.required("name", json::string)?.to_owned(),
-            gpu: GpuSpec {
+        Ok(Self::new(
+            root.required("name", json::string)?,
+            GpuSpec {
                 name: gpu.required("name", json::string)?.to_owned(),
                 peak_fp16_tflops: gpu.required("peak_fp16_tflops", json::float)?,
                 attainable_mfu: gpu.required("attainable_mfu", json::float)?,
                 memory_bytes: gpu.required("memory_bytes", json::uint)?,
             },
-            bandwidth: BandwidthMatrix::from_json(bandwidth, root.path("bandwidth"))?,
-            profiler: NetworkProfiler {
+            BandwidthMatrix::from_json(bandwidth, root.path("bandwidth"))?,
+            NetworkProfiler {
                 noise_sigma: profiler.required("noise_sigma", json::float)?,
                 base_seconds: profiler.required("base_seconds", json::float)?,
                 per_pair_seconds: profiler.required("per_pair_seconds", json::float)?,
             },
-        })
+        ))
     }
 }
 
@@ -335,6 +352,36 @@ mod tests {
             Cluster::from_json("{not json"),
             Err(ClusterError::InvalidParameter { .. })
         ));
+    }
+
+    /// Every constructor records the first invalid link of the matrix it
+    /// ends up with: a bad value smuggled in through JSON, kept or
+    /// dropped by truncation, and renumbered by node exclusion.
+    #[test]
+    fn every_constructor_records_the_first_invalid_link() {
+        let c = mid_range(3).build(2);
+        assert_eq!(c.first_invalid_link(), None);
+        let mut matrix = c.bandwidth().clone();
+        matrix.set(GpuId(17), GpuId(3), 123456.75);
+        let tagged = Cluster::new("tagged", c.gpu().clone(), matrix, c.profiler()).to_json();
+        let poisoned = Cluster::from_json(&edited(&tagged, "123456.75", "-2.5")).unwrap();
+        assert_eq!(poisoned.first_invalid_link(), Some((17, 3, -2.5)));
+        assert_eq!(
+            poisoned.first_invalid_link(),
+            poisoned.bandwidth().first_invalid_link()
+        );
+        // The record leaves the serialized bytes and equality alone.
+        assert_eq!(Cluster::from_json(&poisoned.to_json()).unwrap(), poisoned);
+        assert_eq!(
+            poisoned.truncated(3).first_invalid_link(),
+            Some((17, 3, -2.5))
+        );
+        assert_eq!(poisoned.truncated(2).first_invalid_link(), None);
+        // Node 2's GPU 17 is GPU 9 once node 1 is cordoned.
+        let survivors = poisoned.excluding_nodes(&[NodeId(1)]).unwrap();
+        assert_eq!(survivors.first_invalid_link(), Some((9, 3, -2.5)));
+        let healthy = poisoned.excluding_nodes(&[NodeId(2)]).unwrap();
+        assert_eq!(healthy.first_invalid_link(), None);
     }
 
     /// `json` with the first occurrence of `from` replaced by `to`.

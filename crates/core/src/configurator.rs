@@ -32,6 +32,7 @@ use pipette_cluster::{Cluster, ProfiledBandwidth, ProfilingCost};
 use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::{CostUnit, EventKind, Metrics, Trace, SCHEMA_VERSION};
 use pipette_sim::{ClusterRun, ComputeProfiler, Mapping, MemorySim, ProfiledCompute};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -403,11 +404,12 @@ impl<'a> Pipette<'a> {
     }
 
     /// Rejects unusable inputs before any search work: a bandwidth matrix
-    /// carrying NaN/zero/negative links, or a GPU spec with no memory.
-    /// Catching these up front turns what would be silent nonsense deep in
-    /// the cost model into typed [`ConfigureError`]s.
+    /// carrying NaN/zero/negative links (found once, when the cluster was
+    /// built), or a GPU spec with no memory. Catching these up front turns
+    /// what would be silent nonsense deep in the cost model into typed
+    /// [`ConfigureError`]s.
     fn validate_inputs(&self) -> Result<(), ConfigureError> {
-        if let Some((from, to, value)) = self.cluster.bandwidth().first_invalid_link() {
+        if let Some((from, to, value)) = self.cluster.first_invalid_link() {
             return Err(ConfigureError::InvalidBandwidth { from, to, value });
         }
         if self.cluster.gpu().memory_bytes == 0 {
@@ -667,9 +669,10 @@ impl<'a> Pipette<'a> {
 
         // Lines 3-7: enumerate the candidate space (cheap), then
         // memory-filter + profile + estimate every entry on the worker
-        // pool. Each unit of work depends only on its own `(cfg, plan)`,
-        // so the fold below reproduces the sequential result exactly.
+        // pool. `work` holds each configuration's plans together, and
+        // `configs` names each configuration's run of it.
         let mut work: Vec<(ParallelConfig, MicrobatchPlan)> = Vec::new();
+        let mut configs: Vec<Range<usize>> = Vec::new();
         let mut any_split = false;
         for cfg in
             ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), self.gpt.n_layers)
@@ -678,11 +681,13 @@ impl<'a> Pipette<'a> {
                 continue;
             };
             any_split = true;
+            let start = work.len();
             work.extend(
                 MicrobatchPlan::enumerate(mini, self.options.max_micro)
                     .into_iter()
                     .map(|plan| (cfg, plan)),
             );
+            configs.push(start..work.len());
         }
         let examined = work.len();
 
@@ -729,53 +734,58 @@ impl<'a> Pipette<'a> {
             }
         }
 
-        // When tracing, the closure computes the term breakdown instead of
-        // the bare estimate; `breakdown.total_seconds` is bit-identical to
-        // `estimate()` (see `latency::terms`), so the search is unchanged.
+        // The plans of one configuration differ only in message size, so
+        // each unit of work is one configuration: it gathers the identity
+        // mapping's links once, then profiles and prices each runnable
+        // plan. When tracing, pricing computes the term breakdown instead
+        // of the bare estimate; `breakdown.total_seconds` is bit-identical
+        // to `estimate()` (see `latency::terms`), so the search is
+        // unchanged. A unit depends only on its own configuration, and the
+        // results flatten back into work order, so the fold below
+        // reproduces the sequential one-plan-at-a-time result exactly.
         let tracing = trace.is_some();
         let estimate_span = trace.as_deref_mut().map(|t| t.open_span("estimates"));
-        // Candidate ring: each worker keeps one Mapping buffer and resets
-        // it in place per candidate (worker count always equals the GPU
-        // count, so the buffer length never changes). The scratch is fully
-        // overwritten by `set_identity`, so results stay thread-count
-        // invariant.
-        let evaluated = parallel::ordered_map_scratch(
-            self.options.threads,
-            &work,
-            || None::<Mapping>,
-            |ring, i, &(cfg, plan)| {
-                if !runnable[i] {
-                    return None;
-                }
-                let compute = profiler.profile(
-                    self.cluster.bandwidth(),
-                    &gpu,
-                    self.gpt,
-                    cfg,
-                    plan,
-                    self.options.seed,
-                );
-                let identity = ring.get_or_insert_with(|| Mapping::identity(cfg, *topo));
-                identity.set_identity(cfg, *topo);
-                let (est, explanation) = if tracing {
-                    let ex = latency.breakdown(cfg, identity, plan, &compute);
-                    (ex.terms.total_seconds, Some(ex))
-                } else {
-                    (latency.estimate(cfg, identity, plan, &compute), None)
-                };
-                Some(Candidate {
-                    config: cfg,
-                    plan,
-                    compute,
-                    identity_estimate: est,
-                    explanation,
+        let evaluated = parallel::ordered_map(self.options.threads, &configs, |_, range| {
+            let (plans, runnable) = (&work[range.clone()], &runnable[range.clone()]);
+            if !runnable.contains(&true) {
+                return vec![None; plans.len()];
+            }
+            let links = latency.gather(&Mapping::identity(plans[0].0, *topo));
+            plans
+                .iter()
+                .zip(runnable)
+                .map(|(&(cfg, plan), &fits)| {
+                    if !fits {
+                        return None;
+                    }
+                    let compute = profiler.profile(
+                        self.cluster.bandwidth(),
+                        &gpu,
+                        self.gpt,
+                        cfg,
+                        plan,
+                        self.options.seed,
+                    );
+                    let (est, explanation) = if tracing {
+                        let ex = links.breakdown(plan, &compute);
+                        (ex.terms.total_seconds, Some(ex))
+                    } else {
+                        (links.estimate(plan, &compute), None)
+                    };
+                    Some(Candidate {
+                        config: cfg,
+                        plan,
+                        compute,
+                        identity_estimate: est,
+                        explanation,
+                    })
                 })
-            },
-        );
+                .collect::<Vec<_>>()
+        });
 
-        let mut candidates: Vec<Candidate> = Vec::with_capacity(evaluated.len());
+        let mut candidates: Vec<Candidate> = Vec::with_capacity(work.len());
         let mut rejected = 0usize;
-        for (i, cand) in evaluated.into_iter().enumerate() {
+        for (i, cand) in evaluated.into_iter().flatten().enumerate() {
             match cand {
                 Some(c) => {
                     if let (Some(t), Some(ex)) = (trace.as_deref_mut(), c.explanation) {

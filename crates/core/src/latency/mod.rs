@@ -16,4 +16,4 @@ pub mod terms;
 pub use amp_model::{AmpLatencyModel, Eq1Flavor};
 pub use extrapolate::ComputeExtrapolator;
 pub use pipette_model::{LatencyExplanation, PipetteLatencyModel, SlowLink};
-pub use terms::LatencyBreakdown;
+pub use terms::{LatencyBreakdown, LinkGather};

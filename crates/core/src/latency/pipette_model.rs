@@ -13,10 +13,10 @@
 //! per iteration, not once. Communication terms use the *profiled*
 //! bandwidth matrix; compute terms use profiled timings.
 
-use crate::latency::terms::{LatencyBreakdown, TermTable};
+use crate::latency::terms::{LatencyBreakdown, LinkGather};
 use pipette_cluster::{BandwidthMatrix, GpuId, ProfiledBandwidth};
-use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
-use pipette_sim::{CommModel, Mapping, PipelineSchedule, ProfiledCompute};
+use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_sim::{Mapping, PipelineSchedule, ProfiledCompute};
 
 /// The slowest inter-stage pipeline link of the critical replica — the
 /// "straggler link" a cluster operator would go inspect.
@@ -76,6 +76,15 @@ impl<'a> PipetteLatencyModel<'a> {
         self.profiled
     }
 
+    /// Reads every link of `mapping` that Eqs. 3–6 use, once: the
+    /// gather each microbatch plan of the mapping's configuration is
+    /// priced from ([`LinkGather::estimate`], [`LinkGather::breakdown`]),
+    /// bit-identical to [`Self::estimate`] and [`Self::breakdown`] of
+    /// that plan.
+    pub fn gather(&self, mapping: &Mapping) -> LinkGather {
+        self.gathered(mapping.config(), mapping, PipelineSchedule::OneFOneB)
+    }
+
     /// Estimated iteration latency (seconds) of `cfg` under `mapping`.
     ///
     /// `compute` must have been profiled for the same `(cfg, micro_batch)`.
@@ -90,9 +99,8 @@ impl<'a> PipetteLatencyModel<'a> {
         plan: MicrobatchPlan,
         compute: &ProfiledCompute,
     ) -> f64 {
-        self.terms(cfg, mapping, plan, PipelineSchedule::OneFOneB, compute)
-            .reduce_latency()
-            .total_seconds
+        self.gathered(cfg, mapping, PipelineSchedule::OneFOneB)
+            .estimate(plan, compute)
     }
 
     /// [`Self::estimate`] with the full Eq. 3–6 decomposition and the
@@ -110,68 +118,23 @@ impl<'a> PipetteLatencyModel<'a> {
         plan: MicrobatchPlan,
         compute: &ProfiledCompute,
     ) -> LatencyExplanation {
-        let terms = self
-            .terms(cfg, mapping, plan, PipelineSchedule::OneFOneB, compute)
-            .reduce_latency();
-        let msg_pp = messages::pp_message_bytes(self.gpt, plan.micro_batch);
-        LatencyExplanation {
-            terms,
-            slow_link: self.slow_link(mapping, msg_pp, terms.critical_replica),
-        }
+        self.gathered(cfg, mapping, PipelineSchedule::OneFOneB)
+            .breakdown(plan, compute)
     }
 
-    /// The Eq. 3–6 term table of `mapping` under `schedule`.
-    fn terms(
+    /// The links of a mapping built for `cfg` under `schedule`.
+    fn gathered(
         &self,
         cfg: ParallelConfig,
         mapping: &Mapping,
-        plan: MicrobatchPlan,
         schedule: PipelineSchedule,
-        compute: &ProfiledCompute,
-    ) -> TermTable {
+    ) -> LinkGather {
         debug_assert_eq!(
             mapping.config(),
             cfg,
             "mapping built for another configuration"
         );
-        let mut table = TermTable::default();
-        table.fill(self.profiled, self.gpt, plan, compute, schedule, mapping);
-        table
-    }
-
-    /// The slowest `(stage → stage+1)` tensor-rank link of replica `z`,
-    /// measured as a forward+backward round trip of the pipeline message.
-    fn slow_link(&self, mapping: &Mapping, msg_pp: u64, z: usize) -> Option<SlowLink> {
-        let cfg = mapping.config();
-        if cfg.pp < 2 {
-            return None;
-        }
-        let comm = CommModel::new(self.profiled);
-        let mut worst: Option<SlowLink> = None;
-        for x in 0..cfg.pp - 1 {
-            for y in 0..cfg.tp {
-                let a = mapping.gpu_of(WorkerId {
-                    stage: x,
-                    tensor: y,
-                    data: z,
-                });
-                let b = mapping.gpu_of(WorkerId {
-                    stage: x + 1,
-                    tensor: y,
-                    data: z,
-                });
-                let seconds = comm.p2p(a, b, msg_pp) + comm.p2p(b, a, msg_pp);
-                if worst.is_none_or(|w| seconds > w.seconds) {
-                    worst = Some(SlowLink {
-                        from: a,
-                        to: b,
-                        stage: x,
-                        seconds,
-                    });
-                }
-            }
-        }
-        worst
+        LinkGather::new(self.profiled, self.gpt, schedule, mapping)
     }
 
     /// Latency estimate for the *interleaved* 1F1B schedule with `v`
@@ -205,9 +168,8 @@ impl<'a> PipetteLatencyModel<'a> {
             1 => PipelineSchedule::OneFOneB,
             chunks => PipelineSchedule::Interleaved { chunks },
         };
-        self.terms(cfg, mapping, plan, schedule, compute)
-            .reduce_latency()
-            .total_seconds
+        self.gathered(cfg, mapping, schedule)
+            .estimate(plan, compute)
     }
 }
 

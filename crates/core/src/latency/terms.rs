@@ -1,26 +1,46 @@
-//! The latency model of Eqs. 3–6 as one term table and one reduction.
+//! The latency model of Eqs. 3–6 as one link gather, one term table and
+//! one reduction.
 //!
-//! `TermTable::fill` turns a mapping into every input of Eqs. 3–6, one
-//! slot per term at its natural granularity: compute time and
-//! tensor-parallel factor per virtual stage, ring all-reduce time per
-//! tensor block, round trip per pipeline hop (the interleaved schedule's
-//! wrap-around hop included) and data-parallel all-reduce time per device.
-//! `TermTable::reduce_latency` turns a filled table into the estimate
+//! A [`LinkGather`] holds every link of a mapping that Eqs. 3–6 use,
+//! read once per configuration: the ring of each tensor block, both
+//! directed links of every tensor rank on each pipeline hop (the
+//! interleaved schedule's wrap-around hop included), and the finished
+//! data-parallel all-reduce time of each device, which does not depend
+//! on the microbatch plan. `TermTable::price` turns a gather and one plan
+//! into every input of Eqs. 3–6, one slot per term at its natural
+//! granularity: compute time and tensor-parallel factor per virtual
+//! stage, ring all-reduce time per tensor block, round trip per hop and
+//! data-parallel all-reduce time per device. Pricing runs the same float
+//! operations, in the same order, as reading each link again, so the
+//! plans of one configuration share one gather bit for bit.
+//! `TermTable::reduce_latency` turns a priced table into the estimate
 //! and its [`LatencyBreakdown`]. The schedule enters the reduction as two
 //! numbers, the chunks per device and device 0's warm-up depth
 //! ([`PipelineSchedule::warmup`]), so 1F1B and interleaved 1F1B share it.
 //!
-//! The batch estimator ([`crate::latency::PipetteLatencyModel`]) fills a
-//! table per call. The incremental SA objective
-//! ([`crate::mapping::IncrementalObjective`]) fills one when it rebuilds
-//! and then rewrites only the slots a move touched. Both reduce through
-//! the same code, so a proposal's cost equals a from-scratch estimate bit
-//! for bit.
+//! The batch estimator ([`crate::latency::PipetteLatencyModel`]) gathers
+//! and prices a table per call, or prices many plans from one gather. The
+//! incremental SA objective ([`crate::mapping::IncrementalObjective`])
+//! gathers and prices once when it rebuilds and then rewrites only the
+//! slots a move touched. Both reduce through the same code, so a
+//! proposal's cost equals a from-scratch estimate bit for bit.
 
+use crate::latency::{LatencyExplanation, SlowLink};
 use pipette_cluster::{BandwidthMatrix, GpuId};
 use pipette_model::{messages, GptConfig, MicrobatchPlan};
 use pipette_sim::iteration::OPTIMIZER_STEP_S;
-use pipette_sim::{CommModel, HierScratch, Mapping, PipelineSchedule, ProfiledCompute};
+use pipette_sim::{
+    CommModel, HierScratch, Mapping, P2pLink, PipelineSchedule, ProfiledCompute, RingLinks,
+};
+
+/// The slowest tensor rank's round trip over one hop's links, each rank's
+/// `(there, back)` pair priced for `bytes`.
+#[inline]
+fn slowest_round_trip(links: impl Iterator<Item = (P2pLink, P2pLink)>, bytes: u64) -> f64 {
+    links.fold(0.0f64, |hop, (there, back)| {
+        hop.max(there.seconds(bytes) + back.seconds(bytes))
+    })
+}
 
 /// The round trip of one pipeline hop between a block holding `a` and a
 /// block holding `b` (same tensor rank talks to same tensor rank; the
@@ -30,11 +50,11 @@ use pipette_sim::{CommModel, HierScratch, Mapping, PipelineSchedule, ProfiledCom
 pub fn t_pp_hop_between(matrix: &BandwidthMatrix, a: &[GpuId], b: &[GpuId], msg_pp: u64) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "blocks must have equal tensor width");
     let comm = CommModel::new(matrix);
-    let mut hop: f64 = 0.0;
-    for y in 0..a.len() {
-        hop = hop.max(comm.p2p(a[y], b[y], msg_pp) + comm.p2p(b[y], a[y], msg_pp));
-    }
-    hop
+    let links = a
+        .iter()
+        .zip(b)
+        .map(|(&a, &b)| (comm.link(a, b), comm.link(b, a)));
+    slowest_round_trip(links, msg_pp)
 }
 
 /// Eq. 5's hop `h = x·dp + z` of `mapping`: the round trip between
@@ -89,6 +109,166 @@ pub fn t_dp_blocks(
         worst = worst.max(comm.hierarchical_allreduce_with(scratch, group, bytes));
     }
     worst
+}
+
+/// Every link of one mapping that Eqs. 3–6 read under one schedule,
+/// gathered once: what the estimate of each microbatch plan of the
+/// mapping's configuration needs from the bandwidth matrix.
+///
+/// The plans of a configuration differ only in message size. So the
+/// gather holds each tensor block's ring ([`RingLinks`]), the two
+/// directed links ([`P2pLink`]) of every tensor rank on each pipeline
+/// hop, and each device's data-parallel all-reduce time, finished,
+/// because the gradient bytes depend only on the model, the stage count
+/// and `tp`. Gather once with
+/// [`PipetteLatencyModel::gather`](crate::latency::PipetteLatencyModel::gather),
+/// then price every plan with [`Self::estimate`] or [`Self::breakdown`]:
+/// each price equals a fresh `estimate` of that plan bit for bit.
+#[derive(Debug)]
+pub struct LinkGather {
+    gpt: GptConfig,
+    pp: usize,
+    dp: usize,
+    tp: usize,
+    chunks: usize,
+    /// Device 0's warm-up depth in chunk items.
+    warmup: u64,
+    /// The gathered mapping's worker → GPU assignment.
+    assignment: Vec<GpuId>,
+    /// `TP_ALLREDUCES_PER_LAYER · layers` per virtual stage: the
+    /// tensor-parallel all-reduces of one microbatch pass.
+    tp_factor: Vec<f64>,
+    /// The tensor group's ring at each block.
+    rings: Vec<RingLinks>,
+    /// Hop `h`'s `(there, back)` links of tensor rank `y` at `h·tp + y`.
+    hop_links: Vec<(P2pLink, P2pLink)>,
+    /// Gradient bytes each device all-reduces, summed over its chunks.
+    pub(crate) dp_bytes: Vec<u64>,
+    /// Data-parallel all-reduce time per device.
+    dp_times: Vec<f64>,
+}
+
+impl LinkGather {
+    /// Reads every link of `mapping` that Eqs. 3–6 use under `schedule`.
+    pub(crate) fn new(
+        matrix: &BandwidthMatrix,
+        gpt: &GptConfig,
+        schedule: PipelineSchedule,
+        mapping: &Mapping,
+    ) -> Self {
+        let cfg = mapping.config();
+        let (pp, dp, tp, chunks) = (cfg.pp, cfg.dp, cfg.tp, schedule.chunks());
+        let stages = pp * chunks;
+        let comm = CommModel::new(matrix);
+        let assign = mapping.as_slice();
+        let hop_rows = match pp {
+            1 => 0,
+            _ if chunks > 1 => pp,
+            _ => pp - 1,
+        };
+        let num_blocks = pp * dp;
+        let mut hop_links = Vec::with_capacity(hop_rows * dp * tp);
+        for h in 0..hop_rows * dp {
+            let to = (h + dp) % num_blocks;
+            let (a, b) = (
+                &assign[h * tp..(h + 1) * tp],
+                &assign[to * tp..(to + 1) * tp],
+            );
+            hop_links.extend(
+                a.iter()
+                    .zip(b)
+                    .map(|(&a, &b)| (comm.link(a, b), comm.link(b, a))),
+            );
+        }
+        let dp_bytes: Vec<u64> = (0..pp)
+            .map(|d| {
+                (0..chunks)
+                    .map(|c| messages::dp_gradient_bytes(gpt, stages, tp, c * pp + d))
+                    .sum()
+            })
+            .collect();
+        let (mut hier, mut group) = (HierScratch::new(), Vec::new());
+        let dp_times = assign
+            .chunks_exact(dp * tp)
+            .zip(&dp_bytes)
+            .map(|(blocks, &bytes)| t_dp_blocks(matrix, &mut hier, &mut group, blocks, tp, bytes))
+            .collect();
+        Self {
+            gpt: *gpt,
+            pp,
+            dp,
+            tp,
+            chunks,
+            warmup: schedule.warmup(pp, 0),
+            assignment: assign.to_vec(),
+            tp_factor: (0..stages)
+                .map(|s| {
+                    messages::TP_ALLREDUCES_PER_LAYER as f64 * gpt.layers_of_stage(stages, s) as f64
+                })
+                .collect(),
+            rings: assign
+                .chunks_exact(tp)
+                .map(|block| comm.ring_links(block))
+                .collect(),
+            hop_links,
+            dp_bytes,
+            dp_times,
+        }
+    }
+
+    /// The estimated iteration time of `plan` over these links (seconds),
+    /// bit-identical to
+    /// [`PipetteLatencyModel::estimate`](crate::latency::PipetteLatencyModel::estimate)
+    /// of the gathered mapping. `compute` must be profiled for the
+    /// gathered configuration at `plan`'s microbatch size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute` profiles fewer stages than the gather has.
+    pub fn estimate(&self, plan: MicrobatchPlan, compute: &ProfiledCompute) -> f64 {
+        TermTable::priced(self, plan, compute)
+            .reduce_latency()
+            .total_seconds
+    }
+
+    /// [`Self::estimate`] with its Eq. 3–6 decomposition and the slowest
+    /// pipeline link, bit-identical to
+    /// [`PipetteLatencyModel::breakdown`](crate::latency::PipetteLatencyModel::breakdown).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Self::estimate`].
+    pub fn breakdown(&self, plan: MicrobatchPlan, compute: &ProfiledCompute) -> LatencyExplanation {
+        let terms = TermTable::priced(self, plan, compute).reduce_latency();
+        let msg_pp = messages::pp_message_bytes(&self.gpt, plan.micro_batch);
+        LatencyExplanation {
+            terms,
+            slow_link: self.slow_link(msg_pp, terms.critical_replica),
+        }
+    }
+
+    /// The slowest `(stage → stage+1)` tensor-rank link of replica `z`,
+    /// as a forward+backward round trip of `msg_pp` bytes; `None` when
+    /// `pp < 2` (no inter-stage links exist).
+    fn slow_link(&self, msg_pp: u64, z: usize) -> Option<SlowLink> {
+        let (dp, tp) = (self.dp, self.tp);
+        let mut worst: Option<SlowLink> = None;
+        for x in 0..self.pp.saturating_sub(1) {
+            let h = x * dp + z;
+            for (y, (there, back)) in self.hop_links[h * tp..(h + 1) * tp].iter().enumerate() {
+                let seconds = there.seconds(msg_pp) + back.seconds(msg_pp);
+                if worst.is_none_or(|w| seconds > w.seconds) {
+                    worst = Some(SlowLink {
+                        from: self.assignment[h * tp + y],
+                        to: self.assignment[(h + dp) * tp + y],
+                        stage: x,
+                        seconds,
+                    });
+                }
+            }
+        }
+        worst
+    }
 }
 
 /// The Eq. 3–6 decomposition of one latency estimate, as recorded for
@@ -146,83 +326,66 @@ pub(crate) struct TermTable {
     pub(crate) hops: Vec<f64>,
     /// Data-parallel all-reduce time per device.
     pub(crate) dp_times: Vec<f64>,
-    /// Gradient bytes each device all-reduces, summed over its chunks.
-    pub(crate) dp_bytes: Vec<u64>,
-    /// Scratch of [`t_dp_blocks`], kept for recomputing a device's DP
-    /// time after a move.
-    pub(crate) hier: HierScratch,
-    pub(crate) group: Vec<GpuId>,
     /// Reduction scratch: each device's work in the replica at hand.
     work: Vec<f64>,
 }
 
 impl TermTable {
-    /// Fills every slot for `mapping` under `schedule`. `compute` holds
-    /// the profiled times of the `pp · chunks` virtual stages for `plan`'s
-    /// microbatch size.
+    /// The table of `plan` over `links`.
+    pub(crate) fn priced(
+        links: &LinkGather,
+        plan: MicrobatchPlan,
+        compute: &ProfiledCompute,
+    ) -> Self {
+        let mut table = Self::default();
+        table.price(links, plan, compute);
+        table
+    }
+
+    /// Prices every slot for `plan` from `links`: the message sizes of
+    /// `plan`'s microbatch enter here, and nothing else is read from the
+    /// matrix. `compute` holds the profiled times of the `pp · chunks`
+    /// virtual stages for `plan`'s microbatch size.
     ///
     /// # Panics
     ///
     /// Panics if `compute` profiles fewer than `pp · chunks` stages.
-    pub(crate) fn fill(
+    pub(crate) fn price(
         &mut self,
-        matrix: &BandwidthMatrix,
-        gpt: &GptConfig,
+        links: &LinkGather,
         plan: MicrobatchPlan,
         compute: &ProfiledCompute,
-        schedule: PipelineSchedule,
-        mapping: &Mapping,
     ) {
-        let cfg = mapping.config();
-        let (pp, dp, tp, chunks) = (cfg.pp, cfg.dp, cfg.tp, schedule.chunks());
-        let stages = pp * chunks;
+        let stages = links.pp * links.chunks;
         debug_assert_eq!(compute.num_stages(), stages, "profiled stages mismatch");
-        let comm = CommModel::new(matrix);
-        let assign = mapping.as_slice();
-        self.pp = pp;
-        self.dp = dp;
-        self.chunks = chunks;
+        self.pp = links.pp;
+        self.dp = links.dp;
+        self.chunks = links.chunks;
         self.n_microbatches = plan.n_microbatches;
-        self.warmup = schedule.warmup(pp, 0);
+        self.warmup = links.warmup;
         self.stage_compute.clear();
         self.stage_compute
             .extend((0..stages).map(|s| compute.compute(s)));
         self.tp_factor.clear();
-        self.tp_factor.extend((0..stages).map(|s| {
-            messages::TP_ALLREDUCES_PER_LAYER as f64 * gpt.layers_of_stage(stages, s) as f64
-        }));
-        let tp_bytes = messages::tp_allreduce_bytes(gpt, plan.micro_batch);
+        self.tp_factor.extend_from_slice(&links.tp_factor);
+        let tp_bytes = messages::tp_allreduce_bytes(&links.gpt, plan.micro_batch);
         self.block_allreduce.clear();
-        self.block_allreduce.extend(
-            assign
-                .chunks_exact(tp)
-                .map(|block| comm.ring_allreduce(block, tp_bytes)),
-        );
-        let msg_pp = messages::pp_message_bytes(gpt, plan.micro_batch);
-        let hop_rows = match pp {
-            1 => 0,
-            _ if chunks > 1 => pp,
-            _ => pp - 1,
-        };
+        self.block_allreduce
+            .extend(links.rings.iter().map(|ring| ring.seconds(tp_bytes)));
+        let msg_pp = messages::pp_message_bytes(&links.gpt, plan.micro_batch);
         self.hops.clear();
-        self.hops
-            .extend((0..hop_rows * dp).map(|h| t_pp_hop(matrix, mapping, msg_pp, h)));
-        self.dp_bytes.clear();
-        self.dp_bytes.extend((0..pp).map(|d| {
-            (0..chunks)
-                .map(|c| messages::dp_gradient_bytes(gpt, stages, tp, c * pp + d))
-                .sum::<u64>()
-        }));
+        self.hops.extend(
+            links
+                .hop_links
+                .chunks_exact(links.tp)
+                .map(|hop| slowest_round_trip(hop.iter().copied(), msg_pp)),
+        );
         self.dp_times.clear();
-        for (d, blocks) in assign.chunks_exact(dp * tp).enumerate() {
-            let bytes = self.dp_bytes[d];
-            let t = t_dp_blocks(matrix, &mut self.hier, &mut self.group, blocks, tp, bytes);
-            self.dp_times.push(t);
-        }
+        self.dp_times.extend_from_slice(&links.dp_times);
     }
 
     // pipette-lint: hot-path
-    /// Eqs. 3–6 over the filled table: the estimated iteration time and
+    /// Eqs. 3–6 over the priced table: the estimated iteration time and
     /// where it went. Allocation-free once the table has been reduced
     /// once.
     ///
@@ -600,10 +763,9 @@ mod tests {
                     .collect(),
                 tp_comm: vec![0.0; stages],
             };
-            let mut table = TermTable::default();
             let mapping = Mapping::identity(cfg, *c.topology());
-            let schedule = schedule(chunks);
-            table.fill(c.bandwidth(), &gpt, plan, &compute, schedule, &mapping);
+            let links = LinkGather::new(c.bandwidth(), &gpt, schedule(chunks), &mapping);
+            let mut table = TermTable::priced(&links, plan, &compute);
             if cfg.tp >= 2 {
                 for (i, t) in table.block_allreduce.iter_mut().enumerate() {
                     *t = 1e-4 * (1.0 + (i as f64).sin().abs());
@@ -687,10 +849,10 @@ mod tests {
         assert_eq!(t_tp_stage(c.bandwidth(), &m, &gpt, 2, (0, 4), 0), 0.0);
     }
 
-    /// The table filled from a mapping, reduced, against the closure form
-    /// fed by the per-worker oracles above: every breakdown field agrees
-    /// bit for bit, under 1F1B and interleaving, on identity and reversed
-    /// block orders.
+    /// The table priced from a mapping's gather, reduced, against the
+    /// closure form fed by the per-worker oracles above: every breakdown
+    /// field agrees bit for bit, under 1F1B and interleaving, on identity
+    /// and reversed block orders.
     #[test]
     fn reduce_is_bitwise_equal_to_breakdown() {
         let (c, gpt) = setup();
@@ -735,9 +897,8 @@ mod tests {
                         }
                     },
                 );
-                let mut table = TermTable::default();
-                table.fill(c.bandwidth(), &gpt, plan, &compute, schedule(chunks), &m);
-                let breakdown = table.reduce_latency();
+                let links = LinkGather::new(c.bandwidth(), &gpt, schedule(chunks), &m);
+                let breakdown = TermTable::priced(&links, plan, &compute).reduce_latency();
                 assert_eq!(
                     bits(&oracle),
                     bits(&breakdown),
@@ -747,6 +908,76 @@ mod tests {
                 assert!(breakdown.straggler_stage < cfg.pp);
                 assert!(breakdown.t_straggler > 0.0);
                 assert_eq!(breakdown.t_optimizer, OPTIMIZER_STEP_S);
+            }
+        }
+    }
+
+    /// One gather per configuration and schedule prices every plan like
+    /// the per-worker oracles read afresh for that plan: 1F1B and
+    /// interleaving at 2–4 chunks, identity and reversed block orders,
+    /// every microbatch size dividing the minibatch. A message size that
+    /// leaked into the gather would price the later plans with the first
+    /// plan's bytes.
+    #[test]
+    fn one_gather_prices_every_plan_like_the_oracle() {
+        let (c, gpt) = setup();
+        for (cfg, mini, chunks) in [
+            (ParallelConfig::new(2, 4, 4), 32u64, 1usize),
+            (ParallelConfig::new(4, 2, 4), 16, 1),
+            (ParallelConfig::new(2, 4, 4), 32, 2),
+            (ParallelConfig::new(4, 8, 1), 64, 2),
+            (ParallelConfig::new(2, 2, 8), 16, 3),
+            (ParallelConfig::new(2, 4, 4), 32, 4),
+        ] {
+            let (pp, stages) = (cfg.pp, cfg.pp * chunks);
+            let identity = Mapping::identity(cfg, *c.topology());
+            let mut reversed = identity.clone();
+            reversed.as_mut_slice().reverse();
+            for m in [identity, reversed] {
+                let links = LinkGather::new(c.bandwidth(), &gpt, schedule(chunks), &m);
+                let dp_times: Vec<f64> = (0..pp)
+                    .map(|d| {
+                        let bytes = (0..chunks)
+                            .map(|k| messages::dp_gradient_bytes(&gpt, stages, cfg.tp, k * pp + d))
+                            .sum();
+                        t_dp_stage(c.bandwidth(), &m, bytes, d)
+                    })
+                    .collect();
+                for micro in [1u64, 2, 4, 8] {
+                    // Interleaving needs pp | n_mb.
+                    if (mini / micro) % pp as u64 != 0 {
+                        continue;
+                    }
+                    let plan = MicrobatchPlan::new(mini, micro).unwrap();
+                    let compute = profile(&c, &gpt, cfg, chunks, plan);
+                    let msg_pp = messages::pp_message_bytes(&gpt, micro);
+                    let oracle = closure_breakdown(
+                        cfg,
+                        chunks,
+                        plan.n_microbatches,
+                        &compute,
+                        &dp_times,
+                        |s, z| t_tp_stage(c.bandwidth(), &m, &gpt, micro, (s, stages), z),
+                        |s, z| {
+                            let (da, db) = (s % pp, (s + 1) % pp);
+                            if da == db {
+                                0.0
+                            } else {
+                                t_hop(c.bandwidth(), &m, msg_pp, z, da, db)
+                            }
+                        },
+                    );
+                    let priced = TermTable::priced(&links, plan, &compute).reduce_latency();
+                    assert_eq!(
+                        bits(&oracle),
+                        bits(&priced),
+                        "{cfg} chunks={chunks} micro={micro}: priced plan diverged from the oracle"
+                    );
+                    assert_eq!(
+                        links.estimate(plan, &compute).to_bits(),
+                        oracle.total_seconds.to_bits()
+                    );
+                }
             }
         }
     }

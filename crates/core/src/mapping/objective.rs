@@ -5,8 +5,9 @@
 //! walks every tensor group, pipeline hop, and data-parallel ring of the
 //! mapping — `O(pp·tp·dp)` communication-model queries — even though one
 //! SA move displaces only a handful of blocks. [`IncrementalObjective`]
-//! fills the estimator's term table (`latency::terms::TermTable`) once
-//! and afterwards re-derives only the slots a move touched:
+//! gathers the mapping's links and prices the estimator's term table
+//! (`latency::terms::TermTable`) from them once, and afterwards
+//! re-derives only the slots a move touched:
 //!
 //! * **per-block ring all-reduce times** (`T_tp`'s expensive factor)
 //!   depend only on the GPUs *inside* a block, and SA moves permute whole
@@ -26,13 +27,13 @@
 //! accept/reject trace (and therefore its result for a given seed) is
 //! unchanged, only faster.
 
-use crate::latency::terms::{t_dp_blocks, t_pp_hop, t_pp_hop_between, TermTable};
+use crate::latency::terms::{t_dp_blocks, t_pp_hop, t_pp_hop_between, LinkGather, TermTable};
 use crate::latency::PipetteLatencyModel;
 use crate::mapping::arena::{DpMemo, MemoStats, TouchedSet, UndoLog};
 use crate::mapping::moves::Move;
-use pipette_cluster::BandwidthMatrix;
+use pipette_cluster::{BandwidthMatrix, GpuId};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig};
-use pipette_sim::{CommModel, Mapping, PipelineSchedule, ProfiledCompute};
+use pipette_sim::{CommModel, HierScratch, Mapping, PipelineSchedule, ProfiledCompute};
 
 /// What the annealer needs from a cost function: a full evaluation for the
 /// starting point and a propose/commit/rollback protocol for moves.
@@ -94,10 +95,17 @@ pub struct IncrementalObjective<'a> {
     cfg: ParallelConfig,
     plan: MicrobatchPlan,
     msg_pp: u64,
+    /// Gradient bytes each stage all-reduces (plan-independent, from the
+    /// last `rebuild`'s gather).
+    dp_bytes: Vec<u64>,
     /// The Eq. 3–6 inputs of the current mapping. Its block all-reduce
     /// times are permuted in lockstep with moves; its hop and DP slots
     /// are rewritten where a move touched them.
     terms: TermTable,
+    /// Scratch of [`t_dp_blocks`] for recomputing a stage's DP time
+    /// after a move.
+    hier: HierScratch,
+    group: Vec<GpuId>,
     /// Content id of the block currently at each position; permuted in
     /// lockstep with moves. Ids name the blocks of the last `rebuild`'s
     /// mapping, whose GPU tuples never change thereafter — every cached
@@ -214,7 +222,10 @@ impl<'a> IncrementalObjective<'a> {
             cfg,
             plan,
             msg_pp: messages::pp_message_bytes(gpt, plan.micro_batch),
+            dp_bytes: Vec::with_capacity(cfg.pp),
             terms: TermTable::default(),
+            hier: HierScratch::new(),
+            group: Vec::new(),
             block_ids: Vec::with_capacity(num_blocks),
             hop_table: Vec::new(),
             id_node: Vec::with_capacity(num_blocks),
@@ -257,22 +268,19 @@ impl<'a> IncrementalObjective<'a> {
         self.dp_memo.stats()
     }
 
-    /// Refills the term table for `mapping`, whose blocks become the
-    /// content ids all later proposals are tracked against.
+    /// Gathers `mapping`'s links and prices the term table from them;
+    /// the mapping's blocks become the content ids all later proposals
+    /// are tracked against.
     fn rebuild(&mut self, mapping: &Mapping) {
         debug_assert_eq!(
             mapping.config(),
             self.cfg,
             "mapping built for another configuration"
         );
-        self.terms.fill(
-            self.matrix,
-            self.gpt,
-            self.plan,
-            self.compute,
-            PipelineSchedule::OneFOneB,
-            mapping,
-        );
+        let links = LinkGather::new(self.matrix, self.gpt, PipelineSchedule::OneFOneB, mapping);
+        self.terms.price(&links, self.plan, self.compute);
+        self.dp_bytes.clear();
+        self.dp_bytes.extend_from_slice(&links.dp_bytes);
         let (pp, dp, tp) = (self.cfg.pp, self.cfg.dp, self.cfg.tp.max(1));
         let num_blocks = pp * dp;
 
@@ -425,6 +433,9 @@ impl Objective for IncrementalObjective<'_> {
             touched_stages,
             dp_undo,
             terms,
+            dp_bytes,
+            hier,
+            group,
             dp_memo,
             block_ids,
             id_node,
@@ -444,19 +455,12 @@ impl Objective for IncrementalObjective<'_> {
                     Some(v) => v,
                     None => {
                         let blocks = &candidate.as_slice()[s * width..(s + 1) * width];
-                        let bytes = terms.dp_bytes[s];
+                        let bytes = dp_bytes[s];
                         let v = if id_node.is_empty() {
-                            t_dp_blocks(
-                                matrix,
-                                &mut terms.hier,
-                                &mut terms.group,
-                                blocks,
-                                tp,
-                                bytes,
-                            )
+                            t_dp_blocks(matrix, hier, group, blocks, tp, bytes)
                         } else {
                             comm.dp_allreduce_blocks(
-                                &mut terms.hier,
+                                hier,
                                 blocks,
                                 tp,
                                 |z| id_node[ids[z] as usize] as usize,

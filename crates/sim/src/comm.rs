@@ -87,6 +87,49 @@ fn ring_time(n: usize, min_bw: f64, alpha: f64, bytes: u64) -> f64 {
     2.0 * (nf - 1.0) / nf * bytes as f64 / (min_bw * GIB) + 2.0 * (nf - 1.0) * alpha
 }
 
+/// One directed link as a transfer reads it: its α and its effective
+/// bandwidth. Gathered by [`CommModel::link`]; [`Self::seconds`] prices it
+/// for any message size, so a caller that sends several sizes over the
+/// same link reads the matrix once.
+#[derive(Debug, Clone, Copy)]
+pub struct P2pLink {
+    alpha: f64,
+    /// Effective GiB/s; infinite for loopback.
+    bandwidth: f64,
+}
+
+impl P2pLink {
+    /// Seconds to send `bytes`: `α + bytes / B`, zero for loopback.
+    #[inline]
+    pub fn seconds(&self, bytes: u64) -> f64 {
+        self.alpha + bytes as f64 / (self.bandwidth * GIB)
+    }
+}
+
+/// The links one flat ring all-reduce runs over: its member count, its
+/// slowest ring-order link and its α. Gathered by
+/// [`CommModel::ring_links`]; [`Self::seconds`] prices it for any message
+/// size.
+#[derive(Debug, Clone, Copy)]
+pub struct RingLinks {
+    members: usize,
+    /// Slowest ring-order directed link, effective GiB/s.
+    min_bandwidth: f64,
+    /// Largest pairwise α.
+    alpha: f64,
+}
+
+impl RingLinks {
+    /// Seconds to all-reduce `bytes` per rank; zero below two members.
+    #[inline]
+    pub fn seconds(&self, bytes: u64) -> f64 {
+        if self.members < 2 {
+            return 0.0;
+        }
+        ring_time(self.members, self.min_bandwidth, self.alpha, bytes)
+    }
+}
+
 /// Communication calculator bound to one bandwidth matrix.
 ///
 /// ```
@@ -150,10 +193,22 @@ impl<'a> CommModel<'a> {
     /// Time to send `bytes` from `src` to `dst` (seconds). Zero for
     /// loopback.
     pub fn p2p(&self, src: GpuId, dst: GpuId, bytes: u64) -> f64 {
+        self.link(src, dst).seconds(bytes)
+    }
+
+    /// The directed link from `src` to `dst`, which [`Self::p2p`] prices.
+    #[inline]
+    pub fn link(&self, src: GpuId, dst: GpuId) -> P2pLink {
         if src == dst {
-            return 0.0;
+            return P2pLink {
+                alpha: 0.0,
+                bandwidth: f64::INFINITY,
+            };
         }
-        self.matrix.latency_s(src, dst) + bytes as f64 / (self.effective(src, dst) * GIB)
+        P2pLink {
+            alpha: self.matrix.latency_s(src, dst),
+            bandwidth: self.effective(src, dst),
+        }
     }
 
     /// Flat ring all-reduce over `group` of `bytes` per rank, with the
@@ -167,15 +222,29 @@ impl<'a> CommModel<'a> {
     /// steering the ring away from straggler links speeds the collective
     /// up (§IV). Zero for groups of size < 2.
     pub fn ring_allreduce(&self, group: &[GpuId], bytes: u64) -> f64 {
+        self.ring_links(group).seconds(bytes)
+    }
+
+    /// The links of `group`'s ring, which [`Self::ring_allreduce`]
+    /// prices.
+    pub fn ring_links(&self, group: &[GpuId]) -> RingLinks {
         let n = group.len();
         if n < 2 {
-            return 0.0;
+            return RingLinks {
+                members: n,
+                min_bandwidth: f64::INFINITY,
+                alpha: 0.0,
+            };
         }
         let mut min_bw = f64::INFINITY;
         for i in 0..n {
             min_bw = min_bw.min(self.effective(group[i], group[(i + 1) % n]));
         }
-        ring_time(n, min_bw, self.max_latency(group), bytes)
+        RingLinks {
+            members: n,
+            min_bandwidth: min_bw,
+            alpha: self.max_latency(group),
+        }
     }
 
     /// Hierarchical-ring all-reduce over `group` of `bytes` per rank
@@ -541,6 +610,60 @@ mod tests {
                     "group {:?}", group
                 );
             }
+        }
+
+        /// A flat ring equals its definition on any group of distinct
+        /// GPUs, within one node or across nodes, with and without NIC
+        /// sharing: the slowest ring-order link and the pairwise maximum
+        /// α. A repeated GPU's loopback pair adds nothing to α.
+        #[test]
+        fn ring_allreduce_matches_its_definition(
+            nodes in 1usize..=4,
+            size in 2usize..=8,
+            one_node in proptest::bool::ANY,
+            flows in 1usize..=4,
+            seed in 0u64..1_000,
+        ) {
+            let matrix = realistic(nodes, 4, seed);
+            let topo = *matrix.topology();
+            let comm = CommModel::new(&matrix).with_inter_flows(flows);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut gpus: Vec<GpuId> = if one_node {
+                (0..4).map(GpuId).collect()
+            } else {
+                topo.gpus().collect()
+            };
+            shuffle(&mut gpus, &mut rng);
+            let mut group = gpus[..size.min(gpus.len())].to_vec();
+            let definition = |group: &[GpuId], bytes: u64| {
+                let n = group.len();
+                let mut min_bw = f64::INFINITY;
+                for i in 0..n {
+                    let (a, b) = (group[i], group[(i + 1) % n]);
+                    let raw = matrix.between(a, b);
+                    min_bw = min_bw.min(if topo.same_node(a, b) { raw } else { raw / flows as f64 });
+                }
+                let mut alpha = 0.0f64;
+                for (i, &a) in group.iter().enumerate() {
+                    for &b in &group[i + 1..] {
+                        alpha = alpha.max(matrix.latency_s(a, b));
+                    }
+                }
+                ring_time(n, min_bw, alpha, bytes)
+            };
+            for bytes in [1u64 << 16, 1 << 28] {
+                prop_assert_eq!(
+                    comm.ring_allreduce(&group, bytes).to_bits(),
+                    definition(&group, bytes).to_bits()
+                );
+            }
+            group.push(group[0]);
+            prop_assert_eq!(
+                comm.ring_links(&group).seconds(1 << 20).to_bits(),
+                definition(&group, 1 << 20).to_bits()
+            );
+            let twice = [group[0], group[0]];
+            prop_assert_eq!(comm.ring_allreduce(&twice, 1 << 20), 0.0);
         }
 
         /// The block kernel equals, bit for bit, the max over tensor ranks

@@ -55,7 +55,7 @@ pub mod run;
 pub mod schedule;
 pub mod trace;
 
-pub use comm::{CommModel, HierScratch};
+pub use comm::{CommModel, HierScratch, P2pLink, RingLinks};
 pub use error::SimError;
 pub use iteration::{IterationReport, IterationSim};
 pub use mapping::Mapping;

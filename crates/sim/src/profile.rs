@@ -117,6 +117,8 @@ impl ComputeProfiler {
         let reference_group: Vec<pipette_cluster::GpuId> =
             (0..tp).map(pipette_cluster::GpuId).collect();
         let tp_bytes = messages::tp_allreduce_bytes(gpt, plan.micro_batch);
+        // One reference ring serves every stage; only the noise differs.
+        let ar = comm.ring_allreduce(&reference_group, tp_bytes);
         let mut fwd = Vec::with_capacity(stages);
         let mut bwd = Vec::with_capacity(stages);
         let mut tp_comm = Vec::with_capacity(stages);
@@ -138,7 +140,6 @@ impl ComputeProfiler {
                 plan.micro_batch,
             )));
             let layers = gpt.layers_of_stage(stages, s) as f64;
-            let ar = comm.ring_allreduce(&reference_group, tp_bytes);
             tp_comm.push(noisy(4.0 * layers * ar));
         }
         ProfiledCompute { fwd, bwd, tp_comm }

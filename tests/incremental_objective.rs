@@ -5,7 +5,8 @@
 //!    mapping (property-tested over random move/commit/rollback streams,
 //!    at any memo capacity, and on mappings whose tensor blocks straddle
 //!    nodes), and both match an Eq. 3–6 oracle written out here on random
-//!    clusters, shapes and microbatch sizes;
+//!    clusters, shapes and microbatch sizes, as does every plan priced
+//!    from one link gather of its configuration;
 //! 2. annealing through the incremental objective returns the *same
 //!    mapping and cost, bit for bit*, as the legacy full-evaluation
 //!    closure for a given seed — the optimization changes wall-clock,
@@ -307,6 +308,65 @@ proptest! {
                 mv.inverse().apply(mapping.as_mut_slice(), block);
             }
             check(obj.cost(), &mapping)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One gather per configuration prices every microbatch plan: on
+    /// random clusters of either preset (1–8 nodes), random models and
+    /// shapes, on the identity mapping and on randomly moved ones, the
+    /// price of each plan (micro 1–8 over several minibatch sizes) equals
+    /// the oracle and a fresh per-plan `estimate` and `breakdown` bit for
+    /// bit. The gather is taken once, before the first plan, so a message
+    /// size that leaked into it (the tensor-parallel bytes or the pipeline
+    /// message) would misprice every plan of another microbatch size.
+    #[test]
+    fn one_gather_prices_every_plan_on_random_clusters(
+        high_end in proptest::bool::ANY,
+        nodes in 1usize..=8,
+        build_seed in 0u64..100_000,
+        layers in 8usize..=13,
+        hidden_pick in 0usize..3,
+        seq_log2 in 8u32..12,
+        small_vocab in proptest::bool::ANY,
+        shape_pick in 0usize..1_000,
+        move_seed in 0u64..100_000,
+        moves in 0usize..=12,
+    ) {
+        let preset = if high_end { presets::high_end(nodes) } else { presets::mid_range(nodes) };
+        let cluster = preset.build(build_seed);
+        let hidden = [512, 1024, 2048][hidden_pick];
+        let vocab = if small_vocab { 1024 } else { 51200 };
+        let gpt = GptConfig::new(layers, hidden, 16, 1 << seq_log2, vocab);
+        let topo = *cluster.topology();
+        let shapes = ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), gpt.n_layers);
+        let cfg = shapes[shape_pick % shapes.len()];
+        let mut mapping = Mapping::identity(cfg, topo);
+        let mut rng = ChaCha8Rng::seed_from_u64(move_seed);
+        if cfg.pp * cfg.dp >= 2 {
+            for _ in 0..moves {
+                Move::random(&mut rng, cfg.pp * cfg.dp).apply(mapping.as_mut_slice(), cfg.tp);
+            }
+        }
+        let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), build_seed);
+        let model = PipetteLatencyModel::new(&profiled, &gpt);
+        let links = model.gather(&mapping);
+        for mini in [16u64, 24, 40, 56] {
+            for plan in MicrobatchPlan::enumerate(mini, 8) {
+                let compute = ComputeProfiler::default()
+                    .profile(cluster.bandwidth(), cluster.gpu(), &gpt, cfg, plan, 9);
+                let price = links.estimate(plan, &compute);
+                let oracle = eq36_oracle(profiled.matrix(), &gpt, plan, &compute, &mapping);
+                prop_assert_eq!(price.to_bits(), oracle.to_bits(), "{} vs oracle {} at {:?}", price, oracle, plan);
+                let fresh = model.estimate(cfg, &mapping, plan, &compute);
+                prop_assert_eq!(price.to_bits(), fresh.to_bits());
+                let explained = links.breakdown(plan, &compute);
+                prop_assert_eq!(explained.terms.total_seconds.to_bits(), price.to_bits());
+                prop_assert_eq!(explained, model.breakdown(cfg, &mapping, plan, &compute));
+            }
         }
     }
 }
