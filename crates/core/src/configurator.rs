@@ -18,8 +18,7 @@ use crate::cancel::{CancelToken, DeadlineReport};
 use crate::error::ConfigureError;
 use crate::latency::{LatencyExplanation, PipetteLatencyModel};
 use crate::mapping::{
-    AnnealStats, Annealer, AnnealerConfig, IncrementalObjective, NoOpObserver,
-    ParallelTemperingAnnealer, TemperingSchedule,
+    AnnealStats, AnnealerConfig, IncrementalObjective, ParallelTemperingAnnealer, TemperingSchedule,
 };
 use crate::memory::{
     analytic_prior, collect_samples_cancellable, collect_samples_parallel, CacheCounters,
@@ -74,14 +73,6 @@ pub struct PipetteOptions {
     pub exchange_interval: usize,
 }
 
-fn default_replicas() -> usize {
-    1
-}
-
-fn default_exchange_interval() -> usize {
-    TemperingSchedule::default().exchange_interval
-}
-
 impl Default for PipetteOptions {
     fn default() -> Self {
         Self {
@@ -93,8 +84,8 @@ impl Default for PipetteOptions {
             seed: 0,
             threads: parallel::default_threads(),
             top_n: 10,
-            replicas: default_replicas(),
-            exchange_interval: default_exchange_interval(),
+            replicas: 1,
+            exchange_interval: TemperingSchedule::default().exchange_interval,
         }
     }
 }
@@ -827,51 +818,58 @@ impl<'a> Pipette<'a> {
         let mut sa_evaluations = 0u64;
         let mut sa_accepted = 0u64;
         let mut sa_improvements = 0u64;
-        let replicas = self.options.replicas.max(1);
-        let cancel = self.cancel.as_ref();
-        let mut anneal_span = if self.options.use_worker_dedication {
-            trace.as_deref_mut().map(|t| t.open_span("anneal"))
-        } else {
-            None
-        };
 
-        if self.options.use_worker_dedication && replicas > 1 {
-            // Parallel tempering: the thread budget moves *inside* each
-            // pass (replicas spread across workers, rendezvousing at
-            // exchange rounds), so candidates run sequentially. Every
-            // chain is seeded by (candidate, replica) and exchanges are
-            // keyed by (round, pair), so the result — and the merged
-            // child-trace stream — is identical at any thread count.
-            let k = self.options.sa_top_k.max(1).min(candidates.len());
+        if self.options.use_worker_dedication {
+            // Every annealed candidate runs a tempering ladder; one rung
+            // replays the single chain draw for draw. Each candidate is
+            // seeded by its index, each rung by (candidate, rung), and
+            // exchanges are keyed by (round, pair), so the result is
+            // identical at any thread count. The thread budget splits
+            // between candidates and rungs: `outer` workers map over the
+            // candidates and each ladder runs on `threads / outer` threads,
+            // so one rung parallelizes across candidates and a ladder at
+            // least as wide as the budget parallelizes across its rungs.
+            let anneal_span = trace.as_deref_mut().map(|t| t.open_span("anneal"));
+            let replicas = self.options.replicas.max(1);
             let schedule = TemperingSchedule {
                 replicas,
                 exchange_interval: self.options.exchange_interval.max(1),
                 ..TemperingSchedule::default()
             };
-            let mut exchanges_attempted = 0usize;
-            let mut exchanges_accepted = 0usize;
-            for (i, cand) in candidates[..k].iter().enumerate() {
-                let initial = Mapping::identity(cand.config, *topo);
+            let k = self.options.sa_top_k.max(1).min(candidates.len());
+            let outer = (self.options.threads / replicas).clamp(1, k);
+            let inner = self.options.threads / outer;
+            // Deadline caps, charged sequentially in candidate order so the
+            // step budget — and thus the annealed result — never depends on
+            // worker scheduling. The remaining budget buys `remaining /
+            // replicas` steps per rung; a zero cap still runs the opening
+            // evaluations, so a fully spent budget returns the
+            // identity-mapped candidate instead of erroring.
+            let full = self.options.annealer.iterations;
+            let caps: Vec<usize> = (0..k)
+                .map(|_| {
+                    let per_rung = budget.map_or(u64::MAX, |b| {
+                        b.saturating_sub(spent_units) / replicas as u64
+                    });
+                    let cap = full.min(usize::try_from(per_rung).unwrap_or(usize::MAX));
+                    truncated |= cap < full;
+                    spent_units =
+                        spent_units.saturating_add((cap as u64).saturating_mul(replicas as u64));
+                    cap
+                })
+                .collect();
+            // Traced passes record into child traces, one per rung and one
+            // for the exchange decisions (which has no events and no span
+            // at one rung), absorbed below in candidate order.
+            let proto: Option<&Trace> = trace.as_deref();
+            let cancel = self.cancel.as_ref();
+            let annealed = parallel::ordered_map(outer, &candidates[..k], |i, cand| {
                 let mut sa_cfg = self.options.annealer;
                 sa_cfg.seed = self.options.seed.wrapping_add(i as u64);
-                // Deadline cap: the remaining budget buys `remaining /
-                // replicas` steps per chain; a zero cap still runs the
-                // opening evaluations, so a fully-spent budget returns
-                // the identity-mapped candidate instead of erroring.
-                if let Some(b) = budget {
-                    let per_replica = b.saturating_sub(spent_units) / replicas as u64;
-                    let cap = sa_cfg
-                        .iterations
-                        .min(usize::try_from(per_replica).unwrap_or(usize::MAX));
-                    if cap < sa_cfg.iterations {
-                        truncated = true;
-                    }
-                    sa_cfg.iterations = cap;
-                }
-                spent_units = spent_units
-                    .saturating_add((sa_cfg.iterations as u64).saturating_mul(replicas as u64));
-                let pt = ParallelTemperingAnnealer::new(sa_cfg, schedule);
-                let make_objective = |_replica: usize, init: &Mapping| {
+                sa_cfg.iterations = caps[i];
+                let ladder = ParallelTemperingAnnealer::new(sa_cfg, schedule);
+                let initial = Mapping::identity(cand.config, *topo);
+                let make_objective = |_rung: usize, init: &Mapping| {
                     IncrementalObjective::new(
                         latency.matrix(),
                         self.gpt,
@@ -880,46 +878,44 @@ impl<'a> Pipette<'a> {
                         init,
                     )
                 };
-                let (mapping, cost, stats) = match trace.as_deref_mut() {
-                    Some(t) => {
-                        let mut children: Vec<Trace> = (0..replicas).map(|_| t.child()).collect();
-                        let mut exchange_child = t.child();
-                        let exchange_span = exchange_child.open_span("exchange");
-                        let mut observers: Vec<SaTraceObserver> = children
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(r, c)| SaTraceObserver::for_replica(c, i, r))
-                            .collect();
-                        let result = pt.anneal_cancellable_observed(
-                            self.options.threads,
-                            &initial,
-                            make_objective,
-                            &mut observers,
-                            |rec| telemetry::push_pt_exchange(&mut exchange_child, i, rec),
-                            cancel,
-                        );
-                        for (observer, rstats) in observers.into_iter().zip(&result.2.replica_stats)
-                        {
-                            observer.finish(rstats);
-                        }
-                        exchange_child.close_span(
-                            exchange_span,
-                            CostUnit::Rounds,
-                            result.2.exchanges_attempted as u64,
-                        );
-                        for child in children {
-                            t.absorb(child);
-                        }
-                        t.absorb(exchange_child);
-                        result
-                    }
-                    None => pt.anneal_cancellable(
-                        self.options.threads,
-                        &initial,
-                        make_objective,
-                        cancel,
-                    ),
+                let Some(proto) = proto else {
+                    let result = ladder.anneal_cancellable(inner, &initial, make_objective, cancel);
+                    return (result, Vec::new());
                 };
+                let mut children: Vec<Trace> = (0..replicas).map(|_| proto.child()).collect();
+                let mut exchange = proto.child();
+                let exchange_span = (replicas > 1).then(|| exchange.open_span("exchange"));
+                let mut observers: Vec<SaTraceObserver> = children
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(r, c)| SaTraceObserver::for_replica(c, i, r))
+                    .collect();
+                let result = ladder.anneal_cancellable_observed(
+                    inner,
+                    &initial,
+                    make_objective,
+                    &mut observers,
+                    |rec| telemetry::push_pt_exchange(&mut exchange, i, rec),
+                    cancel,
+                );
+                for (observer, stats) in observers.into_iter().zip(&result.2.replica_stats) {
+                    observer.finish(stats);
+                }
+                if let Some(g) = exchange_span {
+                    let rounds = result.2.exchanges_attempted as u64;
+                    exchange.close_span(g, CostUnit::Rounds, rounds);
+                }
+                children.push(exchange);
+                (result, children)
+            });
+
+            let (mut exchanges_attempted, mut exchanges_accepted) = (0usize, 0usize);
+            for (i, ((mapping, cost, stats), children)) in annealed.into_iter().enumerate() {
+                if let Some(t) = trace.as_deref_mut() {
+                    for child in children {
+                        t.absorb(child);
+                    }
+                }
                 sa_time += stats.elapsed;
                 exchanges_attempted += stats.exchanges_attempted;
                 exchanges_accepted += stats.exchanges_accepted;
@@ -934,101 +930,15 @@ impl<'a> Pipette<'a> {
                     best_stats = Some(merged);
                 }
             }
-            tempering_summary = Some(TemperingSummary {
-                replicas,
-                exchange_interval: schedule.exchange_interval,
-                exchanges_attempted,
-                exchanges_accepted,
-            });
-        } else if self.options.use_worker_dedication {
-            // Each pass is seeded by its candidate index and evaluated
-            // through the incremental objective (bit-identical to the
-            // closure path, see `mapping::objective`), so the annealed
-            // results are independent of thread count and identical to the
-            // old one-candidate-at-a-time loop. Traced passes record into
-            // child traces that are absorbed below in candidate order —
-            // the merged stream never depends on thread scheduling.
-            let k = self.options.sa_top_k.max(1).min(candidates.len());
-            // Deadline caps, precomputed sequentially in candidate order so
-            // the per-candidate step budget — and thus the annealed result
-            // — never depends on worker scheduling.
-            let caps: Vec<usize> = (0..k)
-                .map(|_| {
-                    let full = self.options.annealer.iterations;
-                    let cap = match budget {
-                        Some(b) => full.min(
-                            usize::try_from(b.saturating_sub(spent_units)).unwrap_or(usize::MAX),
-                        ),
-                        None => full,
-                    };
-                    if cap < full {
-                        truncated = true;
-                    }
-                    spent_units = spent_units.saturating_add(cap as u64);
-                    cap
-                })
-                .collect();
-            let proto: Option<&Trace> = trace.as_deref();
-            let annealed = parallel::ordered_map_scratch(
-                self.options.threads,
-                &candidates[..k],
-                || None::<Mapping>,
-                |ring, i, cand| {
-                    let initial = ring.get_or_insert_with(|| Mapping::identity(cand.config, *topo));
-                    initial.set_identity(cand.config, *topo);
-                    let mut objective = IncrementalObjective::new(
-                        latency.matrix(),
-                        self.gpt,
-                        cand.plan,
-                        &cand.compute,
-                        initial,
-                    );
-                    let mut sa_cfg = self.options.annealer;
-                    sa_cfg.seed = self.options.seed.wrapping_add(i as u64);
-                    sa_cfg.iterations = caps[i];
-                    let annealer = Annealer::new(sa_cfg);
-                    match proto.map(|p| p.child()) {
-                        Some(mut child) => {
-                            let mut observer = SaTraceObserver::new(&mut child, i);
-                            let result = annealer.anneal_cancellable(
-                                initial,
-                                &mut objective,
-                                &mut observer,
-                                cancel,
-                            );
-                            observer.finish(&result.2);
-                            (result, Some(child))
-                        }
-                        None => {
-                            let result = annealer.anneal_cancellable(
-                                initial,
-                                &mut objective,
-                                &mut NoOpObserver,
-                                cancel,
-                            );
-                            (result, None)
-                        }
-                    }
-                },
-            );
-            for (i, ((mapping, cost, stats), child)) in annealed.into_iter().enumerate() {
-                if let (Some(t), Some(child)) = (trace.as_deref_mut(), child) {
-                    t.absorb(child);
-                }
-                sa_time += stats.elapsed;
-                sa_evaluations += stats.evaluations as u64;
-                sa_accepted += stats.accepted as u64;
-                sa_improvements += stats.improvements as u64;
-                if cost < best_t {
-                    best_idx = i;
-                    best_mapping = mapping;
-                    best_t = cost;
-                    best_stats = Some(stats);
-                }
+            if replicas > 1 {
+                tempering_summary = Some(TemperingSummary {
+                    replicas,
+                    exchange_interval: schedule.exchange_interval,
+                    exchanges_attempted,
+                    exchanges_accepted,
+                });
             }
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            if let Some(g) = anneal_span.take() {
+            if let (Some(t), Some(g)) = (trace.as_deref_mut(), anneal_span) {
                 t.close_span(g, CostUnit::Evals, sa_evaluations);
             }
         }

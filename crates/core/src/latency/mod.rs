@@ -9,11 +9,9 @@
 //! numbers.
 
 mod amp_model;
-pub mod extrapolate;
 mod pipette_model;
 pub mod terms;
 
 pub use amp_model::{AmpLatencyModel, Eq1Flavor};
-pub use extrapolate::ComputeExtrapolator;
 pub use pipette_model::{LatencyExplanation, PipetteLatencyModel, SlowLink};
 pub use terms::{LatencyBreakdown, LinkGather};

@@ -4,14 +4,12 @@
 
 mod analytic;
 mod cache;
-mod calibration;
 mod dataset;
 mod estimator;
 mod mmap_index;
 
 pub use analytic::AnalyticMemoryEstimator;
 pub use cache::{estimator_fingerprint, CacheCounters, SweepReport, TrainedEstimatorCache};
-pub use calibration::{calibrate, CalibrationReport};
 pub use dataset::{
     collect_samples, collect_samples_cancellable, collect_samples_parallel, MemorySample,
     SampleSpec,

@@ -15,8 +15,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// Per-worker result-buffer capacity for the counter-based pools below:
-/// the balanced share of the items. Workers pull from a shared counter,
+/// Per-worker result-buffer capacity for [`ordered_map`]'s counter-based
+/// pool: the balanced share of the items. Workers pull from a shared counter,
 /// so a worker that never stalls can exceed its share (the `Vec` then
 /// grows normally); in the steady state every worker lands within one
 /// item of this bound.
@@ -80,73 +80,10 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`ordered_map`] with a per-worker scratch value — the *candidate ring*
-/// of the parallel evaluator. `init()` builds one scratch per worker
-/// (once, at fork time) and `f(scratch, i, &items[i])` reuses it for every
-/// item that worker pulls, so per-candidate buffers (mappings, objective
-/// state) are recycled instead of reallocated per item.
-///
-/// Determinism contract: `f` must leave no *observable* state in the
-/// scratch — each call must reset whatever it reads — because which items
-/// share a scratch depends on thread count and scheduling. Under that
-/// contract the output is bit-identical to the sequential path at any
-/// thread count (tested in `tests/incremental_objective.rs`).
-///
-/// # Panics
-///
-/// Re-raises the first observed panic from `init` or `f`.
-pub fn ordered_map_scratch<I, R, S, F, N>(threads: usize, items: &[I], init: N, f: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    N: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &I) -> R + Sync,
-{
-    if threads <= 1 || items.len() < 2 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut scratch, i, item))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(items.len());
-    let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut out = Vec::with_capacity(per_worker_capacity(items.len(), workers));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&mut scratch, i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(items.len());
-        for h in handles {
-            match h.join() {
-                Ok(part) => all.extend(part),
-                Err(payload) => panic::resume_unwind(payload),
-            }
-        }
-        all
-    });
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Round-based fork-join over a set of persistent states — the engine of
 /// the parallel-tempering annealer.
 ///
-/// Unlike [`ordered_map_scratch`]'s counter-based work stealing, every
+/// Unlike [`ordered_map`]'s counter-based work stealing, every
 /// worker here *owns a fixed subset* of the states (worker `w` owns
 /// indices `w, w + W, w + 2W, …`): state `i` is stepped by the same
 /// worker every round, and rounds are separated by a barrier. Between
@@ -354,45 +291,6 @@ mod tests {
         assert!(default_threads() >= 1);
     }
 
-    #[test]
-    fn scratch_map_matches_plain_map_at_any_thread_count() {
-        let items: Vec<usize> = (0..53).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [0, 1, 2, 7, 64] {
-            // Scratch is a reusable buffer; each call fully overwrites the
-            // part it reads, as the determinism contract requires.
-            let got = ordered_map_scratch(
-                threads,
-                &items,
-                || vec![0usize; 1],
-                |scratch, _, &x| {
-                    scratch[0] = x * 3 + 1;
-                    scratch[0]
-                },
-            );
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn scratch_is_built_once_per_worker_not_per_item() {
-        use std::sync::atomic::AtomicUsize;
-        let builds = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..40).collect();
-        let threads = 4;
-        let _ = ordered_map_scratch(
-            threads,
-            &items,
-            || builds.fetch_add(1, Ordering::Relaxed),
-            |_, _, &x| x,
-        );
-        let built = builds.load(Ordering::Relaxed);
-        assert!(
-            built <= threads && built >= 1,
-            "{built} scratches for {threads} workers"
-        );
-    }
-
     /// Deterministic reference model for the barrier tests: state `i`
     /// accumulates a mix of its index and the round, and the exchange
     /// swaps adjacent pairs (alternating parity) whenever the lower slot
@@ -504,22 +402,6 @@ mod tests {
                 },
             );
         }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn scratch_map_propagates_panics() {
-        let result = panic::catch_unwind(|| {
-            ordered_map_scratch(
-                4,
-                &[0u32, 1, 2, 3, 4, 5, 6, 7],
-                || (),
-                |_, _, &x| {
-                    assert_ne!(x, 5, "boom");
-                    x
-                },
-            )
-        });
         assert!(result.is_err());
     }
 }

@@ -38,21 +38,6 @@ impl Mapping {
         }
     }
 
-    /// Resets this mapping in place to [`Self::identity`] for a (possibly
-    /// different) configuration over the same GPU count — the candidate-
-    /// ring reuse path: the assignment buffer is recycled, never
-    /// reallocated, as long as the worker count is unchanged.
-    pub fn set_identity(&mut self, config: ParallelConfig, topology: ClusterTopology) {
-        debug_assert_eq!(
-            config.num_workers(),
-            topology.num_gpus(),
-            "mapping requires as many workers as GPUs"
-        );
-        self.config = config;
-        self.assign.clear();
-        self.assign.extend(topology.gpus());
-    }
-
     /// Builds a mapping from an explicit assignment vector indexed by the
     /// worker linear index.
     ///

@@ -17,7 +17,6 @@
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::latency::{terms, PipetteLatencyModel};
 use pipette::mapping::{Annealer, AnnealerConfig, DpMemo, IncrementalObjective, Move, Objective};
-use pipette::parallel::{ordered_map, ordered_map_scratch};
 use pipette_cluster::{presets, BandwidthMatrix, ClusterTopology, GpuId, HeterogeneityModel};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
 use pipette_sim::iteration::OPTIMIZER_STEP_S;
@@ -415,58 +414,6 @@ fn straddling_blocks_take_the_per_rank_path() {
     let accepts: Vec<bool> = (0..60).map(|i| i % 3 != 0).collect();
     track_batch_estimator(&model, &compute, plan, &mut obj, &mut mapping, 5, &accepts)
         .expect("incremental objective tracks the batch estimator");
-}
-
-/// The candidate ring (`ordered_map_scratch`) is bit-identical to the
-/// plain `ordered_map` path at every thread count: scratch reuse must be
-/// invisible in the results, because each call fully overwrites the
-/// mapping buffer it inherits from whatever item previously ran on that
-/// worker.
-#[test]
-fn candidate_ring_is_thread_count_bit_identical() {
-    let (cluster, gpt) = setup();
-    let plan = MicrobatchPlan::new(64, 2).unwrap();
-    let gpu = cluster.gpu().clone();
-    let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 9);
-    let model = PipetteLatencyModel::new(&profiled, &gpt);
-    let topo = *cluster.topology();
-    let configs = [
-        ParallelConfig::new(4, 2, 2),
-        ParallelConfig::new(2, 2, 4),
-        ParallelConfig::new(2, 4, 2),
-        ParallelConfig::new(8, 2, 1),
-        ParallelConfig::new(4, 4, 1),
-        ParallelConfig::new(1, 2, 8),
-    ];
-    let computes: Vec<_> = configs
-        .iter()
-        .map(|&cfg| {
-            ComputeProfiler::default().profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 9)
-        })
-        .collect();
-    let work: Vec<usize> = (0..configs.len()).collect();
-
-    // Reference: a fresh Mapping per item, no scratch.
-    let baseline: Vec<u64> = ordered_map(1, &work, |_, &i| {
-        let m = Mapping::identity(configs[i], topo);
-        model.estimate(configs[i], &m, plan, &computes[i]).to_bits()
-    });
-
-    for threads in [1, 2, 3, 8] {
-        let ringed: Vec<u64> = ordered_map_scratch(
-            threads,
-            &work,
-            || None::<Mapping>,
-            |ring, _, &i| {
-                let m = ring.get_or_insert_with(|| Mapping::identity(configs[i], topo));
-                m.set_identity(configs[i], topo);
-                model
-                    .estimate(configs[i], &*m, plan, &computes[i])
-                    .to_bits()
-            },
-        );
-        assert_eq!(baseline, ringed, "threads = {threads}");
-    }
 }
 
 /// The tentpole's safety property: swapping the full re-evaluation for the

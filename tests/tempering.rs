@@ -4,14 +4,16 @@
 //! key its exchange decisions on logical indices only.
 
 use pipette::configurator::{Pipette, PipetteOptions};
+use pipette::latency::PipetteLatencyModel;
 use pipette::mapping::{
-    exchange_accepts, Annealer, AnnealerConfig, ParallelTemperingAnnealer, TemperingSchedule,
+    exchange_accepts, AnnealStats, Annealer, AnnealerConfig, FnObjective, IncrementalObjective,
+    Objective, ParallelTemperingAnnealer, TemperingSchedule,
 };
 use pipette_cluster::{presets, ClusterTopology};
-use pipette_model::{GptConfig, ParallelConfig};
+use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::analysis::first_divergence;
 use pipette_obs::{EventTag, SpanTree, Trace, TraceConfig};
-use pipette_sim::Mapping;
+use pipette_sim::{ComputeProfiler, Mapping};
 
 fn small_gpt() -> GptConfig {
     GptConfig::new(8, 1024, 16, 2048, 51200)
@@ -106,15 +108,20 @@ fn tempered_trace_records_replicas_and_exchanges() {
 
 #[test]
 fn replicas_one_is_bit_identical_to_the_legacy_single_chain() {
-    // Through the full configurator: a replicas=1 "tempering" run and the
-    // stock single-chain run must be indistinguishable, trace included.
+    // Through the full configurator: both runs have one rung and differ
+    // only in the exchange interval (the default 512 against 64), so this
+    // checks that the round cadence of a one-rung ladder changes nothing,
+    // trace included. That the one-rung ladder replays the single chain
+    // itself is checked below on the annealers directly, and through the
+    // configurator by the `BENCH_trace.jsonl` pin in
+    // `tests/trace_analysis.rs`.
     let cluster = presets::mid_range(2).build(5);
     let gpt = small_gpt();
     let mut legacy_options = PipetteOptions::fast_test();
     legacy_options.seed = 21;
     legacy_options.threads = 2;
+    assert_eq!(legacy_options.replicas, 1);
     let mut single_options = legacy_options;
-    single_options.replicas = 1;
     single_options.exchange_interval = 64;
 
     let mut legacy_trace = Trace::new(TraceConfig::full());
@@ -139,8 +146,42 @@ fn replicas_one_is_bit_identical_to_the_legacy_single_chain() {
     );
 }
 
+/// Runs `Annealer` and a one-rung ladder (at an exchange interval that
+/// does not divide the budget, on eight threads) from the same seed and
+/// asserts the same mapping, cost and counters, bit for bit.
+fn assert_one_rung_replays_annealer<O: Objective + Send>(
+    sa_cfg: AnnealerConfig,
+    initial: &Mapping,
+    make_objective: impl Fn() -> O,
+) -> AnnealStats {
+    let (legacy_map, legacy_cost, legacy_stats) =
+        Annealer::new(sa_cfg).anneal_with(initial, &mut make_objective());
+    let pt = ParallelTemperingAnnealer::new(
+        sa_cfg,
+        TemperingSchedule {
+            replicas: 1,
+            exchange_interval: 97, // deliberately not a divisor of the budget
+            ..Default::default()
+        },
+    );
+    let (pt_map, pt_cost, pt_stats) = pt.anneal(8, initial, |_, _| make_objective());
+    assert_eq!(legacy_map, pt_map);
+    assert_eq!(legacy_cost.to_bits(), pt_cost.to_bits());
+    let merged = pt_stats.merged();
+    assert_eq!(legacy_stats.evaluations, merged.evaluations);
+    assert_eq!(legacy_stats.accepted, merged.accepted);
+    assert_eq!(legacy_stats.improvements, merged.improvements);
+    assert_eq!(
+        legacy_stats.initial_cost.to_bits(),
+        merged.initial_cost.to_bits()
+    );
+    assert_eq!(legacy_stats.best_cost.to_bits(), merged.best_cost.to_bits());
+    legacy_stats
+}
+
 #[test]
 fn replicas_one_annealer_matches_legacy_annealer_directly() {
+    // A closure objective on a toy topology.
     let cfg = ParallelConfig::new(4, 2, 2);
     let initial = Mapping::identity(cfg, ClusterTopology::new(4, 4));
     let target: Vec<usize> = (0..16).rev().collect();
@@ -156,24 +197,26 @@ fn replicas_one_annealer_matches_legacy_annealer_directly() {
         seed: 17,
         ..Default::default()
     };
-    let (legacy_map, legacy_cost, legacy_stats) =
-        Annealer::new(sa_cfg).anneal(&initial, &objective);
-    let pt = ParallelTemperingAnnealer::new(
-        sa_cfg,
-        TemperingSchedule {
-            replicas: 1,
-            exchange_interval: 97, // deliberately not a divisor of the budget
-            ..Default::default()
-        },
+    assert_one_rung_replays_annealer(sa_cfg, &initial, || FnObjective::new(&objective));
+
+    // The configurator's objective on a real cluster: every accepted move
+    // goes through `IncrementalObjective::commit` and every rejected one
+    // through `rollback`.
+    let cluster = presets::mid_range(2).build(5);
+    let gpt = small_gpt();
+    let initial = Mapping::identity(cfg, *cluster.topology());
+    let plan = MicrobatchPlan::new(64, 2).unwrap();
+    let compute =
+        ComputeProfiler::default().profile(cluster.bandwidth(), cluster.gpu(), &gpt, cfg, plan, 9);
+    let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 9);
+    let model = PipetteLatencyModel::new(&profiled, &gpt);
+    let stats = assert_one_rung_replays_annealer(sa_cfg, &initial, || {
+        IncrementalObjective::from_model(&model, &gpt, plan, &compute, &initial)
+    });
+    assert!(
+        stats.accepted > 0 && stats.accepted + 1 < stats.evaluations,
+        "the run must both commit and roll back: {stats:?}"
     );
-    let (pt_map, pt_cost, pt_stats) = pt.anneal_closure(8, &initial, &objective);
-    assert_eq!(legacy_map, pt_map);
-    assert_eq!(legacy_cost.to_bits(), pt_cost.to_bits());
-    let merged = pt_stats.merged();
-    assert_eq!(legacy_stats.evaluations, merged.evaluations);
-    assert_eq!(legacy_stats.accepted, merged.accepted);
-    assert_eq!(legacy_stats.improvements, merged.improvements);
-    assert_eq!(legacy_stats.best_cost.to_bits(), merged.best_cost.to_bits());
 }
 
 /// Property: the exchange verdict is a deterministic function of

@@ -7,7 +7,7 @@ use pipette::configurator::{Pipette, PipetteOptions};
 use pipette_cluster::presets;
 use pipette_model::GptConfig;
 use pipette_obs::analysis::{
-    diff_jsonl, render_diff, span_tree_from_jsonl, BudgetManifest, ParsedTrace,
+    diff_jsonl, first_divergence, render_diff, span_tree_from_jsonl, BudgetManifest, ParsedTrace,
 };
 use pipette_obs::json::JsonValue;
 use pipette_obs::{Trace, TraceConfig};
@@ -16,15 +16,37 @@ use pipette_obs::{Trace, TraceConfig};
 /// `perf_baseline`'s `BENCH_trace.jsonl` producer, so the committed
 /// budget manifest is exercised against the exact trace CI gates on.
 fn reference_run() -> Trace {
+    reference_run_on(pipette::parallel::default_threads())
+}
+
+/// [`reference_run`] on `threads` worker threads.
+fn reference_run_on(threads: usize) -> Trace {
     let cluster = presets::mid_range(2).build(5);
     let gpt = GptConfig::new(8, 1024, 16, 2048, 51200);
     let mut options = PipetteOptions::fast_test();
     options.seed = 21;
+    options.threads = threads;
     let mut trace = Trace::new(TraceConfig::default());
     Pipette::new(&cluster, &gpt, 64, options)
         .run_traced(&mut trace)
         .expect("feasible space");
     trace
+}
+
+/// The committed `BENCH_trace.jsonl` is the reference job's trace, byte
+/// for byte, at any thread count. Any change that moves one SA draw, one
+/// estimate or one event fails here; the CI perf job rewrites the file
+/// before it checks the budgets, so it cannot see such drift.
+#[test]
+fn reference_run_renders_the_committed_trace() {
+    let committed = include_str!("../BENCH_trace.jsonl");
+    for threads in [1, 2, 8] {
+        let rendered = reference_run_on(threads).to_jsonl();
+        if let Some(d) = first_divergence(committed, &rendered) {
+            panic!("threads = {threads}: the reference trace drifted from BENCH_trace.jsonl\n{d}");
+        }
+        assert_eq!(rendered, committed, "threads = {threads}");
+    }
 }
 
 #[test]
