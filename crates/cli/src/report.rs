@@ -599,6 +599,7 @@ pub fn run_compare(spec: &JobSpec) -> Result<Vec<CompareRow>, Box<dyn Error>> {
 mod tests {
     use super::*;
     use crate::spec::{ClusterSpec, ModelSpec};
+    use pipette_obs::EventTag;
 
     fn small_spec() -> JobSpec {
         JobSpec {
@@ -668,9 +669,9 @@ mod tests {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
         // The traced run recorded the recommendation it explains.
-        assert_eq!(trace.count_kind("run_start"), 1);
-        assert_eq!(trace.count_kind("recommendation"), 1);
-        assert!(trace.count_kind("latency_estimate") > 0);
+        assert_eq!(trace.count_tag(EventTag::RunStart), 1);
+        assert_eq!(trace.count_tag(EventTag::Recommendation), 1);
+        assert!(trace.count_tag(EventTag::LatencyEstimate) > 0);
     }
 
     #[test]

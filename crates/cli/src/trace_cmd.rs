@@ -19,6 +19,7 @@ use pipette_obs::analysis::{
     span_tree_from_jsonl, BudgetManifest, ParsedTrace,
 };
 use pipette_obs::json::JsonValue;
+use pipette_obs::EventTag;
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -57,7 +58,8 @@ pub fn trace_summarize(path: &str, top: usize) -> Result<TraceCmdOutput, Box<dyn
 /// sorted by name; empty when the trace carries none.
 fn render_counters(trace: &ParsedTrace) -> String {
     let mut counters: Vec<(String, u64)> = Vec::new();
-    for event in trace.events().iter().filter(|e| e.kind == "counter") {
+    let counter = EventTag::Counter.name();
+    for event in trace.events().iter().filter(|e| e.kind == counter) {
         if let (Some(JsonValue::String(name)), Some(JsonValue::Number(value))) =
             (event.field("name"), event.field("value"))
         {

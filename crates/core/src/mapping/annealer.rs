@@ -6,7 +6,6 @@
 //! analogous to NoC core mapping [17, 18], for which SA is the standard
 //! tool.
 
-use crate::cancel::CancelToken;
 use crate::mapping::moves::{Move, MoveKind};
 use crate::mapping::objective::{FnObjective, Objective};
 use pipette_sim::Mapping;
@@ -344,22 +343,6 @@ impl Annealer {
         objective: &mut O,
         observer: &mut Obs,
     ) -> (Mapping, f64, AnnealStats) {
-        self.anneal_cancellable(initial, objective, observer, None)
-    }
-
-    /// [`Annealer::anneal_observed`] polling a [`CancelToken`] at the
-    /// wall-clock checkpoint cadence ([`TIME_CHECK_INTERVAL`] iterations).
-    /// A cancelled run breaks out of the loop and returns best-so-far —
-    /// the same contract as an expired `time_limit`, never an error. An
-    /// un-cancelled token changes nothing: the trajectory is bit-identical
-    /// to the token-less run.
-    pub fn anneal_cancellable<O: Objective, Obs: SaObserver>(
-        &self,
-        initial: &Mapping,
-        objective: &mut O,
-        observer: &mut Obs,
-        cancel: Option<&CancelToken>,
-    ) -> (Mapping, f64, AnnealStats) {
         // pipette-lint: allow(D1) -- opt-in wall-clock budget for operators; deterministic runs leave it unset and replay from the seed alone
         let start = Instant::now();
         let block = initial.config().tp.max(1);
@@ -393,9 +376,6 @@ impl Annealer {
 
         for it in 0..self.config.iterations {
             if it % TIME_CHECK_INTERVAL == 0 {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    break;
-                }
                 if let Some(limit) = self.config.time_limit {
                     if start.elapsed() >= limit {
                         break;
@@ -648,48 +628,6 @@ mod tests {
         }
         let last = rec.records.last().unwrap();
         assert_eq!(last.best_cost, observed.2.best_cost);
-    }
-
-    #[test]
-    fn cancelled_token_returns_best_so_far_quickly() {
-        use crate::cancel::CancelToken;
-        let initial = setup(4, 2, 2);
-        let target: Vec<usize> = (0..16).rev().collect();
-        let cfg = AnnealerConfig {
-            iterations: 100_000,
-            seed: 7,
-            ..Default::default()
-        };
-        // Pre-cancelled: the loop must stop at the first checkpoint
-        // (iteration 0) having evaluated only the initial mapping.
-        let token = CancelToken::new();
-        token.cancel();
-        let (best, cost, stats) = Annealer::new(cfg).anneal_cancellable(
-            &initial,
-            &mut FnObjective::new(displacement_cost(&target)),
-            &mut NoOpObserver,
-            Some(&token),
-        );
-        assert_eq!(best, initial, "no move was ever taken");
-        assert_eq!(stats.evaluations, 1);
-        assert_eq!(cost.to_bits(), stats.initial_cost.to_bits());
-
-        // An un-cancelled token is bit-identical to no token at all.
-        let live = CancelToken::new();
-        let cfg = AnnealerConfig {
-            iterations: 2_000,
-            seed: 7,
-            ..Default::default()
-        };
-        let with_token = Annealer::new(cfg).anneal_cancellable(
-            &initial,
-            &mut FnObjective::new(displacement_cost(&target)),
-            &mut NoOpObserver,
-            Some(&live),
-        );
-        let without = Annealer::new(cfg).anneal(&initial, displacement_cost(&target));
-        assert_eq!(with_token.0, without.0);
-        assert_eq!(with_token.1.to_bits(), without.1.to_bits());
     }
 
     #[test]

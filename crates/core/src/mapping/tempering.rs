@@ -423,12 +423,12 @@ impl ParallelTemperingAnnealer {
     }
 
     /// [`Self::anneal_observed`] polling a [`CancelToken`] inside each
-    /// chain's step loop (same [`TIME_CHECK_INTERVAL`] cadence as the
-    /// wall-clock budget) and at exchange rounds. Cancellation marks every
-    /// chain done, so the run rendezvous at the next exchange interval and
-    /// returns the ladder's best-so-far — never an error, never a block
-    /// past one exchange interval. An un-cancelled token is bit-identical
-    /// to the token-less run.
+    /// chain's step loop (every `TIME_CHECK_INTERVAL` iterations, the
+    /// wall-clock budget's cadence) and at exchange rounds. Cancellation
+    /// marks every chain done, so the run rendezvous at the next exchange
+    /// interval and returns the ladder's best-so-far — never an error,
+    /// never a block past one exchange interval. An un-cancelled token is
+    /// bit-identical to the token-less run.
     pub fn anneal_cancellable_observed<O, MkO, Obs>(
         &self,
         threads: usize,

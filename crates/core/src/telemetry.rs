@@ -3,9 +3,10 @@
 //!
 //! Everything here is glue: the annealer exposes an [`SaObserver`] hook,
 //! the latency model a [`LatencyExplanation`], the memory estimator a
-//! [`TrainSummary`] — this module turns each into [`EventKind`]s on a
-//! [`Trace`]. Keeping the conversions in one place means the event schema
-//! (documented in DESIGN.md §7d) has a single producer per kind.
+//! [`TrainSummary`](crate::memory::TrainSummary) — this module turns
+//! each into [`EventKind`]s on a [`Trace`]. Keeping the conversions in
+//! one place means the event schema (documented in DESIGN.md §7d) has a
+//! single producer per kind.
 
 use crate::latency::LatencyExplanation;
 use crate::mapping::{AnnealStats, PtExchangeRecord, SaMoveRecord, SaObserver};
@@ -193,7 +194,7 @@ mod tests {
     use super::*;
     use crate::mapping::{Annealer, AnnealerConfig};
     use pipette_cluster::ClusterTopology;
-    use pipette_obs::TraceConfig;
+    use pipette_obs::{EventTag, TraceConfig};
     use pipette_sim::Mapping;
 
     fn toy_anneal(trace: &mut Trace) -> AnnealStats {
@@ -230,9 +231,9 @@ mod tests {
             ..TraceConfig::default()
         });
         let stats = toy_anneal(&mut trace);
-        assert_eq!(trace.count_kind("sa_move"), 2_048 / 64);
-        assert_eq!(trace.count_kind("sa_summary"), 2);
-        assert_eq!(trace.count_kind("sa_result"), 1);
+        assert_eq!(trace.count_tag(EventTag::SaMove), 2_048 / 64);
+        assert_eq!(trace.count_tag(EventTag::SaSummary), 2);
+        assert_eq!(trace.count_tag(EventTag::SaResult), 1);
         // The sa_result event carries the run's final statistics.
         let jsonl = trace.to_jsonl();
         let result_line = jsonl
@@ -251,9 +252,9 @@ mod tests {
             ..TraceConfig::default()
         });
         toy_anneal(&mut trace);
-        assert_eq!(trace.count_kind("sa_move"), 0);
-        assert_eq!(trace.count_kind("sa_summary"), 0);
-        assert_eq!(trace.count_kind("sa_result"), 1);
+        assert_eq!(trace.count_tag(EventTag::SaMove), 0);
+        assert_eq!(trace.count_tag(EventTag::SaSummary), 0);
+        assert_eq!(trace.count_tag(EventTag::SaResult), 1);
     }
 
     #[test]
@@ -291,7 +292,7 @@ mod tests {
                 accepted: true,
             },
         );
-        assert_eq!(trace.count_kind("pt_exchange"), 1);
+        assert_eq!(trace.count_tag(EventTag::PtExchange), 1);
         for line in trace.to_jsonl().lines() {
             if line.contains(r#""kind":"sa_"#) {
                 assert!(line.contains(r#""replica":3"#), "untagged event: {line}");
@@ -313,7 +314,7 @@ mod tests {
             ..TraceConfig::default()
         });
         toy_anneal(&mut trace);
-        assert_eq!(trace.count_kind("sa_summary"), 4);
+        assert_eq!(trace.count_tag(EventTag::SaSummary), 4);
         for line in trace.to_jsonl().lines() {
             if line.contains(r#""kind":"sa_summary""#) {
                 // Rate is a fraction in [0, 1].

@@ -14,6 +14,7 @@
 //! - deterministic plain-text renderers for the `pipette trace`
 //!   subcommands.
 
+use crate::event::EventTag;
 use crate::json::{self, JsonError, JsonValue};
 use crate::span::{SpanError, SpanTree, TraceLine};
 use std::fmt;
@@ -163,11 +164,11 @@ impl ParsedTrace {
         let mut lines = Vec::with_capacity(self.events.len());
         for event in &self.events {
             lines.push(match event.kind.as_str() {
-                "span_open" => TraceLine::Open {
+                k if k == EventTag::SpanOpen.name() => TraceLine::Open {
                     name: event.str_field("name")?,
                     wall_ms: event.wall_ms,
                 },
-                "span_close" => TraceLine::Close {
+                k if k == EventTag::SpanClose.name() => TraceLine::Close {
                     name: event.str_field("name")?,
                     unit: event.str_field("unit")?,
                     cost: event.u64_field("cost")?,

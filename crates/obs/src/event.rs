@@ -26,13 +26,151 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Everything the Pipette pipeline can report. Logical coordinates
-/// (candidate rank, SA iteration, training iteration, …) live inside the
-/// payload; the global sequence number is the JSONL line index.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+/// Writes one payload field as the [`Obj`] member its type maps to.
+trait FieldValue {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str);
+}
+
+impl FieldValue for u32 {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.uint(key, u64::from(*self));
+    }
+}
+
+impl FieldValue for u64 {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.uint(key, *self);
+    }
+}
+
+impl FieldValue for usize {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.uint(key, *self as u64);
+    }
+}
+
+impl FieldValue for f64 {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.float(key, *self);
+    }
+}
+
+impl FieldValue for bool {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.boolean(key, *self);
+    }
+}
+
+impl FieldValue for &str {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.string(key, self);
+    }
+}
+
+impl FieldValue for String {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        o.string(key, self);
+    }
+}
+
+/// `None` writes `null`.
+impl<T: FieldValue> FieldValue for Option<T> {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        match self {
+            Some(v) => v.write_to(o, key),
+            None => o.raw(key, "null"),
+        }
+    }
+}
+
+/// Histogram buckets write as `[[exp,n],…]`.
+impl FieldValue for Vec<(i32, u64)> {
+    fn write_to(&self, o: &mut Obj<'_>, key: &str) {
+        let mut pairs = String::from("[");
+        for (i, (exp, n)) in self.iter().enumerate() {
+            if i > 0 {
+                pairs.push(',');
+            }
+            let _ = write!(pairs, "[{exp},{n}]");
+        }
+        pairs.push(']');
+        o.raw(key, &pairs);
+    }
+}
+
+/// Expands the one event table below into [`EventKind`], [`EventTag`],
+/// [`EventTag::name`], [`EventKind::tag`] and the payload writer. An
+/// entry is a variant with its doc comments, `= "tag"`, and its fields in
+/// output order; a field's JSON key is its name unless the entry says
+/// `field as "key": Type`.
+macro_rules! event_table {
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal {
+            $($(#[$field_doc:meta])* $field:ident $(as $key:literal)?: $ty:ty,)*
+        },
+    )*) => {
+        /// Everything the Pipette pipeline can report. Logical coordinates
+        /// (candidate rank, SA iteration, training iteration, …) live inside the
+        /// payload; the global sequence number is the JSONL line index.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        /// Fieldless discriminant of [`EventKind`] — the typed form of the
+        /// `kind` tag. Asserting on `EventTag` variants instead of `"sa_move"`
+        /// strings means a renamed event breaks at compile time, not silently
+        /// in a `count_kind` that starts returning zero.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[allow(missing_docs)]
+        pub enum EventTag {
+            $($variant,)*
+        }
+
+        impl EventTag {
+            /// The tag as written to JSONL (`"kind"` field).
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(EventTag::$variant => $tag,)*
+                }
+            }
+        }
+
+        impl EventKind {
+            /// The typed discriminant of this event.
+            pub const fn tag(&self) -> EventTag {
+                match self {
+                    $(EventKind::$variant { .. } => EventTag::$variant,)*
+                }
+            }
+
+            /// The event's `kind` tag as written to JSONL.
+            pub const fn kind(&self) -> &'static str {
+                self.tag().name()
+            }
+
+            /// Writes the payload fields, in table order.
+            fn write_fields(&self, o: &mut Obj<'_>) {
+                match self {
+                    $(EventKind::$variant { $($field),* } => {
+                        $(FieldValue::write_to($field, o, event_table!(@key $field $($key)?));)*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+event_table! {
     /// A configurator run began.
-    RunStart {
+    RunStart = "run_start" {
         /// Telemetry schema version ([`SCHEMA_VERSION`]).
         schema: u32,
         /// Search seed of the run.
@@ -43,7 +181,7 @@ pub enum EventKind {
         global_batch: u64,
     },
     /// The memory estimator finished training (or loaded from cache).
-    MemTrain {
+    MemTrain = "mem_train" {
         /// Profiled samples in the training corpus.
         samples: usize,
         /// Adam iterations taken.
@@ -55,14 +193,14 @@ pub enum EventKind {
         cached: bool,
     },
     /// One recorded point of the memory-estimator training loss curve.
-    MemLoss {
+    MemLoss = "mem_loss" {
         /// Training iteration the loss was sampled at.
         iteration: usize,
         /// Minibatch loss at that iteration.
         loss: f64,
     },
     /// Outcome of the batched memory screen over the candidate space.
-    MemScreen {
+    MemScreen = "mem_screen" {
         /// Candidates examined (Algorithm 1 loop trips).
         examined: usize,
         /// Candidates that passed the screen.
@@ -71,7 +209,7 @@ pub enum EventKind {
         rejected: usize,
     },
     /// Predicted memory headroom of the final recommendation.
-    MemHeadroom {
+    MemHeadroom = "mem_headroom" {
         /// Estimator-predicted peak bytes of the recommended config.
         predicted_bytes: u64,
         /// Per-GPU memory capacity.
@@ -83,7 +221,7 @@ pub enum EventKind {
         headroom_fraction: f64,
     },
     /// Trained-estimator cache counters at the end of the run.
-    CacheStats {
+    CacheStats = "cache_stats" {
         /// Lookups answered from memory or disk.
         hits: u64,
         /// Lookups that had to train.
@@ -93,7 +231,7 @@ pub enum EventKind {
     },
     /// Eq. 3–6 term breakdown of one screened candidate under the
     /// identity mapping.
-    LatencyEstimate {
+    LatencyEstimate = "latency_estimate" {
         /// Candidate index in enumeration order.
         candidate: usize,
         /// Pipeline ways.
@@ -121,7 +259,7 @@ pub enum EventKind {
     },
     /// One simulated-annealing move (sampled every
     /// [`crate::TraceConfig::sa_move_sample_every`] iterations).
-    SaMove {
+    SaMove = "sa_move" {
         /// Candidate rank (0 = best identity estimate) this SA pass
         /// belongs to.
         candidate: usize,
@@ -130,7 +268,7 @@ pub enum EventKind {
         /// SA iteration within the pass.
         iteration: usize,
         /// Move kind (`"migration"`, `"swap"`, `"reverse"`).
-        kind: &'static str,
+        kind as "move": &'static str,
         /// Objective delta of the proposal (ΔJ, seconds).
         delta: f64,
         /// Temperature at the decision.
@@ -140,7 +278,7 @@ pub enum EventKind {
     },
     /// Rolling SA convergence summary (every
     /// [`crate::TraceConfig::sa_summary_every`] iterations).
-    SaSummary {
+    SaSummary = "sa_summary" {
         /// Candidate rank this SA pass belongs to.
         candidate: usize,
         /// Tempering replica the chain runs as (0 for single-chain SA).
@@ -157,7 +295,7 @@ pub enum EventKind {
         temperature: f64,
     },
     /// Final statistics of one SA pass.
-    SaResult {
+    SaResult = "sa_result" {
         /// Candidate rank this SA pass belongs to.
         candidate: usize,
         /// Tempering replica the chain ran as (0 for single-chain SA).
@@ -175,7 +313,7 @@ pub enum EventKind {
     },
     /// One parallel-tempering replica-exchange decision between the
     /// adjacent ladder rungs `replica_lo` (colder) and `replica_hi`.
-    PtExchange {
+    PtExchange = "pt_exchange" {
         /// Candidate rank this tempering pass belongs to.
         candidate: usize,
         /// Exchange round (one per `exchange_interval` iterations).
@@ -196,7 +334,7 @@ pub enum EventKind {
         accepted: bool,
     },
     /// The winning configuration with its full Eq. 3–6 breakdown.
-    Recommendation {
+    Recommendation = "recommendation" {
         /// Pipeline ways.
         pp: usize,
         /// Tensor ways.
@@ -229,7 +367,7 @@ pub enum EventKind {
         slow_link_seconds: Option<f64>,
     },
     /// One ranked runner-up configuration.
-    Alternative {
+    Alternative = "alternative" {
         /// Rank (1 = first runner-up).
         rank: usize,
         /// Pipeline ways.
@@ -246,11 +384,11 @@ pub enum EventKind {
         delta_seconds: f64,
     },
     /// One executed pipeline task exported from the simulator's trace.
-    SimTask {
+    SimTask = "sim_task" {
         /// Pipeline stage (device) the task ran on.
         stage: usize,
         /// `"F"` (forward) or `"B"` (backward).
-        kind: &'static str,
+        kind as "task": &'static str,
         /// Microbatch index.
         microbatch: u64,
         /// Start time, simulated seconds.
@@ -260,7 +398,7 @@ pub enum EventKind {
     },
     /// A fault plan was applied to the run (counts only; the full plan
     /// lives in the caller's `--faults` file).
-    FaultPlanApplied {
+    FaultPlanApplied = "fault_plan" {
         /// Plan seed.
         plan_seed: u64,
         /// Degraded node-to-node links.
@@ -279,7 +417,7 @@ pub enum EventKind {
         sample_loss_rate: f64,
     },
     /// A profiled pair needed retries and/or discarded corrupt samples.
-    ProfilerRetry {
+    ProfilerRetry = "profiler_retry" {
         /// Source GPU.
         from: usize,
         /// Destination GPU.
@@ -294,7 +432,7 @@ pub enum EventKind {
     },
     /// A profiled pair exhausted its retries and was imputed from
     /// topology priors.
-    PairImputed {
+    PairImputed = "pair_imputed" {
         /// Source GPU.
         from: usize,
         /// Destination GPU.
@@ -305,14 +443,14 @@ pub enum EventKind {
         retries: usize,
     },
     /// A GPU was excluded from configuration (its node is cordoned).
-    GpuExcluded {
+    GpuExcluded = "gpu_excluded" {
         /// The excluded GPU.
         gpu: usize,
         /// Its (cordoned) host node.
         node: usize,
     },
     /// A pipeline component degraded to a simpler fallback.
-    Fallback {
+    Fallback = "fallback" {
         /// The component that degraded (e.g. `"memory_estimator"`).
         component: String,
         /// Why the fallback was taken.
@@ -320,7 +458,7 @@ pub enum EventKind {
     },
     /// Diff between the healthy-cluster recommendation and the one
     /// recomputed for the surviving subcluster.
-    Reconfiguration {
+    Reconfiguration = "reconfiguration" {
         /// Healthy pipeline ways.
         healthy_pp: usize,
         /// Healthy tensor ways.
@@ -348,7 +486,7 @@ pub enum EventKind {
     },
     /// A day-indexed temporal-drift episode perturbed the ground-truth
     /// bandwidth matrix before the rest of the fault plan applied.
-    DriftApplied {
+    DriftApplied = "drift_applied" {
         /// Drift day applied (0 = the base matrix, no perturbation).
         day: usize,
         /// Per-day log-space noise scale of the drift walk.
@@ -358,7 +496,7 @@ pub enum EventKind {
     },
     /// Logical-deadline accounting of a budgeted run, recorded in the
     /// finalize phase.
-    Deadline {
+    Deadline = "deadline" {
         /// Budget the run was given (Table II logical units).
         budget_units: u64,
         /// Units actually charged across all phases.
@@ -368,16 +506,16 @@ pub enum EventKind {
     },
     /// A serve request was admitted (sequence numbers are the logical
     /// clock: admission order, never wall time).
-    RequestStart {
+    RequestStart = "request_start" {
         /// Logical sequence number of the request.
-        seq: u64,
+        seq as "request": u64,
         /// Requested operation (`"configure"`, `"drill"`, …).
         op: String,
     },
     /// A serve request's response was committed to the output stream.
-    RequestDone {
+    RequestDone = "request_done" {
         /// Logical sequence number of the request.
-        seq: u64,
+        seq as "request": u64,
         /// Response status (`"ok"`, `"deadline"`, `"shed"`, `"error"`).
         outcome: String,
         /// Whether the request was served in breaker-degraded
@@ -385,9 +523,9 @@ pub enum EventKind {
         degraded: bool,
     },
     /// A serve request was rejected at admission by the bounded queue.
-    RequestShed {
+    RequestShed = "request_shed" {
         /// Logical sequence number of the request.
-        seq: u64,
+        seq as "request": u64,
         /// Queue occupancy observed at admission.
         queue_len: u64,
         /// Configured queue bound.
@@ -396,7 +534,7 @@ pub enum EventKind {
         retry_after_units: u64,
     },
     /// The estimator circuit breaker changed state.
-    BreakerTransition {
+    BreakerTransition = "breaker_transition" {
         /// State left (`"closed"`, `"open"`, `"half_open"`).
         from: &'static str,
         /// State entered.
@@ -405,14 +543,14 @@ pub enum EventKind {
         failures: u64,
     },
     /// A named monotonic counter, flushed from [`crate::Metrics`].
-    Counter {
+    Counter = "counter" {
         /// Counter name.
         name: String,
         /// Final value.
         value: u64,
     },
     /// A named histogram summary, flushed from [`crate::Metrics`].
-    Histogram {
+    Histogram = "histogram" {
         /// Histogram name.
         name: String,
         /// Values recorded.
@@ -430,14 +568,14 @@ pub enum EventKind {
     /// purely structural: a span's parent is the nearest enclosing
     /// unclosed `span_open` in the stream, so the tree is recoverable
     /// from the JSONL alone and is as deterministic as the stream.
-    SpanOpen {
+    SpanOpen = "span_open" {
         /// Phase name (stable identifier, aggregated across instances).
         name: &'static str,
     },
     /// The matching close of the innermost open span, carrying the
     /// span's logical cost (evals, iterations, bytes, …) and the number
     /// of events it enclosed.
-    SpanClose {
+    SpanClose = "span_close" {
         /// Phase name; must equal the innermost open span's.
         name: &'static str,
         /// Unit of `cost` ([`crate::span::CostUnit`] tag).
@@ -451,126 +589,6 @@ pub enum EventKind {
     },
 }
 
-/// Fieldless discriminant of [`EventKind`] — the typed form of the
-/// `kind` tag. Asserting on `EventTag` variants instead of `"sa_move"`
-/// strings means a renamed event breaks at compile time, not silently
-/// in a `count_kind` that starts returning zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)]
-pub enum EventTag {
-    RunStart,
-    MemTrain,
-    MemLoss,
-    MemScreen,
-    MemHeadroom,
-    CacheStats,
-    LatencyEstimate,
-    SaMove,
-    SaSummary,
-    SaResult,
-    PtExchange,
-    Recommendation,
-    Alternative,
-    SimTask,
-    FaultPlanApplied,
-    ProfilerRetry,
-    PairImputed,
-    GpuExcluded,
-    Fallback,
-    Reconfiguration,
-    DriftApplied,
-    Deadline,
-    RequestStart,
-    RequestDone,
-    RequestShed,
-    BreakerTransition,
-    Counter,
-    Histogram,
-    SpanOpen,
-    SpanClose,
-}
-
-impl EventTag {
-    /// The tag as written to JSONL (`"kind"` field).
-    pub const fn name(self) -> &'static str {
-        match self {
-            EventTag::RunStart => "run_start",
-            EventTag::MemTrain => "mem_train",
-            EventTag::MemLoss => "mem_loss",
-            EventTag::MemScreen => "mem_screen",
-            EventTag::MemHeadroom => "mem_headroom",
-            EventTag::CacheStats => "cache_stats",
-            EventTag::LatencyEstimate => "latency_estimate",
-            EventTag::SaMove => "sa_move",
-            EventTag::SaSummary => "sa_summary",
-            EventTag::SaResult => "sa_result",
-            EventTag::PtExchange => "pt_exchange",
-            EventTag::Recommendation => "recommendation",
-            EventTag::Alternative => "alternative",
-            EventTag::SimTask => "sim_task",
-            EventTag::FaultPlanApplied => "fault_plan",
-            EventTag::ProfilerRetry => "profiler_retry",
-            EventTag::PairImputed => "pair_imputed",
-            EventTag::GpuExcluded => "gpu_excluded",
-            EventTag::Fallback => "fallback",
-            EventTag::Reconfiguration => "reconfiguration",
-            EventTag::DriftApplied => "drift_applied",
-            EventTag::Deadline => "deadline",
-            EventTag::RequestStart => "request_start",
-            EventTag::RequestDone => "request_done",
-            EventTag::RequestShed => "request_shed",
-            EventTag::BreakerTransition => "breaker_transition",
-            EventTag::Counter => "counter",
-            EventTag::Histogram => "histogram",
-            EventTag::SpanOpen => "span_open",
-            EventTag::SpanClose => "span_close",
-        }
-    }
-}
-
-impl EventKind {
-    /// The typed discriminant of this event.
-    pub const fn tag(&self) -> EventTag {
-        match self {
-            EventKind::RunStart { .. } => EventTag::RunStart,
-            EventKind::MemTrain { .. } => EventTag::MemTrain,
-            EventKind::MemLoss { .. } => EventTag::MemLoss,
-            EventKind::MemScreen { .. } => EventTag::MemScreen,
-            EventKind::MemHeadroom { .. } => EventTag::MemHeadroom,
-            EventKind::CacheStats { .. } => EventTag::CacheStats,
-            EventKind::LatencyEstimate { .. } => EventTag::LatencyEstimate,
-            EventKind::SaMove { .. } => EventTag::SaMove,
-            EventKind::SaSummary { .. } => EventTag::SaSummary,
-            EventKind::SaResult { .. } => EventTag::SaResult,
-            EventKind::PtExchange { .. } => EventTag::PtExchange,
-            EventKind::Recommendation { .. } => EventTag::Recommendation,
-            EventKind::Alternative { .. } => EventTag::Alternative,
-            EventKind::SimTask { .. } => EventTag::SimTask,
-            EventKind::FaultPlanApplied { .. } => EventTag::FaultPlanApplied,
-            EventKind::ProfilerRetry { .. } => EventTag::ProfilerRetry,
-            EventKind::PairImputed { .. } => EventTag::PairImputed,
-            EventKind::GpuExcluded { .. } => EventTag::GpuExcluded,
-            EventKind::Fallback { .. } => EventTag::Fallback,
-            EventKind::Reconfiguration { .. } => EventTag::Reconfiguration,
-            EventKind::DriftApplied { .. } => EventTag::DriftApplied,
-            EventKind::Deadline { .. } => EventTag::Deadline,
-            EventKind::RequestStart { .. } => EventTag::RequestStart,
-            EventKind::RequestDone { .. } => EventTag::RequestDone,
-            EventKind::RequestShed { .. } => EventTag::RequestShed,
-            EventKind::BreakerTransition { .. } => EventTag::BreakerTransition,
-            EventKind::Counter { .. } => EventTag::Counter,
-            EventKind::Histogram { .. } => EventTag::Histogram,
-            EventKind::SpanOpen { .. } => EventTag::SpanOpen,
-            EventKind::SpanClose { .. } => EventTag::SpanClose,
-        }
-    }
-
-    /// The event's `kind` tag as written to JSONL.
-    pub const fn kind(&self) -> &'static str {
-        self.tag().name()
-    }
-}
-
 impl Event {
     /// Appends this event as one JSON line (no trailing newline) with the
     /// given sequence number. With `strip_wall`, the wall-clock annotation
@@ -579,400 +597,7 @@ impl Event {
         let mut o = Obj::open(out);
         o.uint("seq", seq as u64);
         o.string("kind", self.kind.kind());
-        match &self.kind {
-            EventKind::RunStart {
-                schema,
-                seed,
-                gpus,
-                global_batch,
-            } => {
-                o.uint("schema", u64::from(*schema));
-                o.uint("seed", *seed);
-                o.uint("gpus", *gpus as u64);
-                o.uint("global_batch", *global_batch);
-            }
-            EventKind::MemTrain {
-                samples,
-                iterations,
-                final_loss,
-                cached,
-            } => {
-                o.uint("samples", *samples as u64);
-                o.uint("iterations", *iterations as u64);
-                o.float("final_loss", *final_loss);
-                o.boolean("cached", *cached);
-            }
-            EventKind::MemLoss { iteration, loss } => {
-                o.uint("iteration", *iteration as u64);
-                o.float("loss", *loss);
-            }
-            EventKind::MemScreen {
-                examined,
-                accepted,
-                rejected,
-            } => {
-                o.uint("examined", *examined as u64);
-                o.uint("accepted", *accepted as u64);
-                o.uint("rejected", *rejected as u64);
-            }
-            EventKind::MemHeadroom {
-                predicted_bytes,
-                limit_bytes,
-                soft_margin,
-                headroom_fraction,
-            } => {
-                o.uint("predicted_bytes", *predicted_bytes);
-                o.uint("limit_bytes", *limit_bytes);
-                o.float("soft_margin", *soft_margin);
-                o.float("headroom_fraction", *headroom_fraction);
-            }
-            EventKind::CacheStats {
-                hits,
-                misses,
-                corrupt,
-            } => {
-                o.uint("hits", *hits);
-                o.uint("misses", *misses);
-                o.uint("corrupt", *corrupt);
-            }
-            EventKind::LatencyEstimate {
-                candidate,
-                pp,
-                tp,
-                dp,
-                micro_batch,
-                n_microbatches,
-                seconds,
-                t_bubble,
-                t_straggler,
-                t_hidden,
-                t_dp,
-                straggler_stage,
-            } => {
-                o.uint("candidate", *candidate as u64);
-                o.uint("pp", *pp as u64);
-                o.uint("tp", *tp as u64);
-                o.uint("dp", *dp as u64);
-                o.uint("micro_batch", *micro_batch);
-                o.uint("n_microbatches", *n_microbatches);
-                o.float("seconds", *seconds);
-                o.float("t_bubble", *t_bubble);
-                o.float("t_straggler", *t_straggler);
-                o.float("t_hidden", *t_hidden);
-                o.float("t_dp", *t_dp);
-                o.uint("straggler_stage", *straggler_stage as u64);
-            }
-            EventKind::SaMove {
-                candidate,
-                replica,
-                iteration,
-                kind,
-                delta,
-                temperature,
-                accepted,
-            } => {
-                o.uint("candidate", *candidate as u64);
-                o.uint("replica", *replica as u64);
-                o.uint("iteration", *iteration as u64);
-                o.string("move", kind);
-                o.float("delta", *delta);
-                o.float("temperature", *temperature);
-                o.boolean("accepted", *accepted);
-            }
-            EventKind::SaSummary {
-                candidate,
-                replica,
-                iteration,
-                acceptance_rate,
-                current_cost,
-                best_cost,
-                temperature,
-            } => {
-                o.uint("candidate", *candidate as u64);
-                o.uint("replica", *replica as u64);
-                o.uint("iteration", *iteration as u64);
-                o.float("acceptance_rate", *acceptance_rate);
-                o.float("current_cost", *current_cost);
-                o.float("best_cost", *best_cost);
-                o.float("temperature", *temperature);
-            }
-            EventKind::SaResult {
-                candidate,
-                replica,
-                evaluations,
-                accepted,
-                improvements,
-                initial_cost,
-                best_cost,
-            } => {
-                o.uint("candidate", *candidate as u64);
-                o.uint("replica", *replica as u64);
-                o.uint("evaluations", *evaluations as u64);
-                o.uint("accepted", *accepted as u64);
-                o.uint("improvements", *improvements as u64);
-                o.float("initial_cost", *initial_cost);
-                o.float("best_cost", *best_cost);
-            }
-            EventKind::PtExchange {
-                candidate,
-                round,
-                replica_lo,
-                replica_hi,
-                temp_lo,
-                temp_hi,
-                cost_lo,
-                cost_hi,
-                accepted,
-            } => {
-                o.uint("candidate", *candidate as u64);
-                o.uint("round", *round as u64);
-                o.uint("replica_lo", *replica_lo as u64);
-                o.uint("replica_hi", *replica_hi as u64);
-                o.float("temp_lo", *temp_lo);
-                o.float("temp_hi", *temp_hi);
-                o.float("cost_lo", *cost_lo);
-                o.float("cost_hi", *cost_hi);
-                o.boolean("accepted", *accepted);
-            }
-            EventKind::Recommendation {
-                pp,
-                tp,
-                dp,
-                micro_batch,
-                n_microbatches,
-                seconds,
-                t_bubble,
-                t_straggler,
-                t_hidden,
-                t_dp,
-                t_optimizer,
-                straggler_stage,
-                slow_link_from,
-                slow_link_to,
-                slow_link_seconds,
-            } => {
-                o.uint("pp", *pp as u64);
-                o.uint("tp", *tp as u64);
-                o.uint("dp", *dp as u64);
-                o.uint("micro_batch", *micro_batch);
-                o.uint("n_microbatches", *n_microbatches);
-                o.float("seconds", *seconds);
-                o.float("t_bubble", *t_bubble);
-                o.float("t_straggler", *t_straggler);
-                o.float("t_hidden", *t_hidden);
-                o.float("t_dp", *t_dp);
-                o.float("t_optimizer", *t_optimizer);
-                o.uint("straggler_stage", *straggler_stage as u64);
-                match slow_link_from {
-                    Some(g) => o.uint("slow_link_from", *g as u64),
-                    None => o.raw("slow_link_from", "null"),
-                }
-                match slow_link_to {
-                    Some(g) => o.uint("slow_link_to", *g as u64),
-                    None => o.raw("slow_link_to", "null"),
-                }
-                match slow_link_seconds {
-                    Some(s) => o.float("slow_link_seconds", *s),
-                    None => o.raw("slow_link_seconds", "null"),
-                }
-            }
-            EventKind::Alternative {
-                rank,
-                pp,
-                tp,
-                dp,
-                micro_batch,
-                seconds,
-                delta_seconds,
-            } => {
-                o.uint("rank", *rank as u64);
-                o.uint("pp", *pp as u64);
-                o.uint("tp", *tp as u64);
-                o.uint("dp", *dp as u64);
-                o.uint("micro_batch", *micro_batch);
-                o.float("seconds", *seconds);
-                o.float("delta_seconds", *delta_seconds);
-            }
-            EventKind::SimTask {
-                stage,
-                kind,
-                microbatch,
-                start,
-                finish,
-            } => {
-                o.uint("stage", *stage as u64);
-                o.string("task", kind);
-                o.uint("microbatch", *microbatch);
-                o.float("start", *start);
-                o.float("finish", *finish);
-            }
-            EventKind::FaultPlanApplied {
-                plan_seed,
-                degraded_links,
-                straggler_gpus,
-                failed_gpus,
-                failed_nodes,
-                corrupt_pairs,
-                measurement_failure_rate,
-                sample_loss_rate,
-            } => {
-                o.uint("plan_seed", *plan_seed);
-                o.uint("degraded_links", *degraded_links as u64);
-                o.uint("straggler_gpus", *straggler_gpus as u64);
-                o.uint("failed_gpus", *failed_gpus as u64);
-                o.uint("failed_nodes", *failed_nodes as u64);
-                o.uint("corrupt_pairs", *corrupt_pairs as u64);
-                o.float("measurement_failure_rate", *measurement_failure_rate);
-                o.float("sample_loss_rate", *sample_loss_rate);
-            }
-            EventKind::ProfilerRetry {
-                from,
-                to,
-                retries,
-                corrupt_samples,
-                recovered,
-            } => {
-                o.uint("from", *from as u64);
-                o.uint("to", *to as u64);
-                o.uint("retries", *retries as u64);
-                o.uint("corrupt_samples", *corrupt_samples as u64);
-                o.boolean("recovered", *recovered);
-            }
-            EventKind::PairImputed {
-                from,
-                to,
-                gib_s,
-                retries,
-            } => {
-                o.uint("from", *from as u64);
-                o.uint("to", *to as u64);
-                o.float("gib_s", *gib_s);
-                o.uint("retries", *retries as u64);
-            }
-            EventKind::GpuExcluded { gpu, node } => {
-                o.uint("gpu", *gpu as u64);
-                o.uint("node", *node as u64);
-            }
-            EventKind::Fallback { component, reason } => {
-                o.string("component", component);
-                o.string("reason", reason);
-            }
-            EventKind::Reconfiguration {
-                healthy_pp,
-                healthy_tp,
-                healthy_dp,
-                healthy_micro,
-                healthy_seconds,
-                degraded_pp,
-                degraded_tp,
-                degraded_dp,
-                degraded_micro,
-                degraded_seconds,
-                healthy_gpus,
-                surviving_gpus,
-            } => {
-                o.uint("healthy_pp", *healthy_pp as u64);
-                o.uint("healthy_tp", *healthy_tp as u64);
-                o.uint("healthy_dp", *healthy_dp as u64);
-                o.uint("healthy_micro", *healthy_micro);
-                o.float("healthy_seconds", *healthy_seconds);
-                o.uint("degraded_pp", *degraded_pp as u64);
-                o.uint("degraded_tp", *degraded_tp as u64);
-                o.uint("degraded_dp", *degraded_dp as u64);
-                o.uint("degraded_micro", *degraded_micro);
-                o.float("degraded_seconds", *degraded_seconds);
-                o.uint("healthy_gpus", *healthy_gpus as u64);
-                o.uint("surviving_gpus", *surviving_gpus as u64);
-            }
-            EventKind::DriftApplied {
-                day,
-                daily_sigma,
-                reversion,
-            } => {
-                o.uint("day", *day as u64);
-                o.float("daily_sigma", *daily_sigma);
-                o.float("reversion", *reversion);
-            }
-            EventKind::Deadline {
-                budget_units,
-                spent_units,
-                truncated,
-            } => {
-                o.uint("budget_units", *budget_units);
-                o.uint("spent_units", *spent_units);
-                o.boolean("truncated", *truncated);
-            }
-            EventKind::RequestStart { seq: rseq, op } => {
-                o.uint("request", *rseq);
-                o.string("op", op);
-            }
-            EventKind::RequestDone {
-                seq: rseq,
-                outcome,
-                degraded,
-            } => {
-                o.uint("request", *rseq);
-                o.string("outcome", outcome);
-                o.boolean("degraded", *degraded);
-            }
-            EventKind::RequestShed {
-                seq: rseq,
-                queue_len,
-                limit,
-                retry_after_units,
-            } => {
-                o.uint("request", *rseq);
-                o.uint("queue_len", *queue_len);
-                o.uint("limit", *limit);
-                o.uint("retry_after_units", *retry_after_units);
-            }
-            EventKind::BreakerTransition { from, to, failures } => {
-                o.string("from", from);
-                o.string("to", to);
-                o.uint("failures", *failures);
-            }
-            EventKind::Counter { name, value } => {
-                o.string("name", name);
-                o.uint("value", *value);
-            }
-            EventKind::Histogram {
-                name,
-                count,
-                sum,
-                min,
-                max,
-                buckets,
-            } => {
-                o.string("name", name);
-                o.uint("count", *count);
-                o.float("sum", *sum);
-                o.float("min", *min);
-                o.float("max", *max);
-                let mut pairs = String::from("[");
-                for (i, (exp, n)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        pairs.push(',');
-                    }
-                    let _ = write!(pairs, "[{exp},{n}]");
-                }
-                pairs.push(']');
-                o.raw("buckets", &pairs);
-            }
-            EventKind::SpanOpen { name } => {
-                o.string("name", name);
-            }
-            EventKind::SpanClose {
-                name,
-                unit,
-                cost,
-                events,
-            } => {
-                o.string("name", name);
-                o.string("unit", unit);
-                o.uint("cost", *cost);
-                o.uint("events", *events as u64);
-            }
-        }
+        self.kind.write_fields(&mut o);
         if !strip_wall {
             if let Some(w) = self.wall_ms {
                 o.float("wall_ms", w);
@@ -1232,6 +857,369 @@ mod tests {
             let mut out = String::new();
             e.write_json(0, false, &mut out);
             assert_eq!(out, expect);
+        }
+    }
+
+    /// One event of every kind with its exact canonical line at `seq` 5.
+    /// Every field holds a value no other field of its event holds, so a
+    /// swapped field order or a renamed key changes the bytes.
+    fn golden_lines() -> Vec<(EventKind, &'static str)> {
+        vec![
+            (
+                EventKind::RunStart {
+                    schema: 1,
+                    seed: 42,
+                    gpus: 128,
+                    global_batch: 512,
+                },
+                r#"{"seq":5,"kind":"run_start","schema":1,"seed":42,"gpus":128,"global_batch":512}"#,
+            ),
+            (
+                EventKind::MemTrain {
+                    samples: 300,
+                    iterations: 4000,
+                    final_loss: f64::NAN,
+                    cached: true,
+                },
+                r#"{"seq":5,"kind":"mem_train","samples":300,"iterations":4000,"final_loss":null,"cached":true}"#,
+            ),
+            (
+                EventKind::MemLoss {
+                    iteration: 17,
+                    loss: 0.0000003,
+                },
+                r#"{"seq":5,"kind":"mem_loss","iteration":17,"loss":0.0000003}"#,
+            ),
+            (
+                EventKind::MemScreen {
+                    examined: 90,
+                    accepted: 60,
+                    rejected: 30,
+                },
+                r#"{"seq":5,"kind":"mem_screen","examined":90,"accepted":60,"rejected":30}"#,
+            ),
+            (
+                EventKind::MemHeadroom {
+                    predicted_bytes: 68_719_476_736,
+                    limit_bytes: 85_899_345_920,
+                    soft_margin: 0.05,
+                    headroom_fraction: 0.2,
+                },
+                r#"{"seq":5,"kind":"mem_headroom","predicted_bytes":68719476736,"limit_bytes":85899345920,"soft_margin":0.05,"headroom_fraction":0.2}"#,
+            ),
+            (
+                EventKind::CacheStats {
+                    hits: 3,
+                    misses: 1,
+                    corrupt: 2,
+                },
+                r#"{"seq":5,"kind":"cache_stats","hits":3,"misses":1,"corrupt":2}"#,
+            ),
+            (
+                EventKind::LatencyEstimate {
+                    candidate: 4,
+                    pp: 8,
+                    tp: 2,
+                    dp: 16,
+                    micro_batch: 1,
+                    n_microbatches: 32,
+                    seconds: 1.5,
+                    t_bubble: 0.25,
+                    t_straggler: 0.75,
+                    t_hidden: 0.125,
+                    t_dp: 0.375,
+                    straggler_stage: 7,
+                },
+                r#"{"seq":5,"kind":"latency_estimate","candidate":4,"pp":8,"tp":2,"dp":16,"micro_batch":1,"n_microbatches":32,"seconds":1.5,"t_bubble":0.25,"t_straggler":0.75,"t_hidden":0.125,"t_dp":0.375,"straggler_stage":7}"#,
+            ),
+            (
+                EventKind::SaMove {
+                    candidate: 2,
+                    replica: 1,
+                    iteration: 640,
+                    kind: "swap",
+                    delta: -0.015625,
+                    temperature: 0.001,
+                    accepted: false,
+                },
+                r#"{"seq":5,"kind":"sa_move","candidate":2,"replica":1,"iteration":640,"move":"swap","delta":-0.015625,"temperature":0.001,"accepted":false}"#,
+            ),
+            (
+                EventKind::SaSummary {
+                    candidate: 3,
+                    replica: 0,
+                    iteration: 1024,
+                    acceptance_rate: 0.4375,
+                    current_cost: 2.5,
+                    best_cost: 2.25,
+                    temperature: 0.0625,
+                },
+                r#"{"seq":5,"kind":"sa_summary","candidate":3,"replica":0,"iteration":1024,"acceptance_rate":0.4375,"current_cost":2.5,"best_cost":2.25,"temperature":0.0625}"#,
+            ),
+            (
+                EventKind::SaResult {
+                    candidate: 1,
+                    replica: 2,
+                    evaluations: 5001,
+                    accepted: 1200,
+                    improvements: 37,
+                    initial_cost: 3.5,
+                    best_cost: 3.0,
+                },
+                r#"{"seq":5,"kind":"sa_result","candidate":1,"replica":2,"evaluations":5001,"accepted":1200,"improvements":37,"initial_cost":3.5,"best_cost":3}"#,
+            ),
+            (
+                EventKind::PtExchange {
+                    candidate: 6,
+                    round: 11,
+                    replica_lo: 2,
+                    replica_hi: 3,
+                    temp_lo: 0.5,
+                    temp_hi: 0.75,
+                    cost_lo: 1.0625,
+                    cost_hi: 1.125,
+                    accepted: true,
+                },
+                r#"{"seq":5,"kind":"pt_exchange","candidate":6,"round":11,"replica_lo":2,"replica_hi":3,"temp_lo":0.5,"temp_hi":0.75,"cost_lo":1.0625,"cost_hi":1.125,"accepted":true}"#,
+            ),
+            (
+                EventKind::Recommendation {
+                    pp: 4,
+                    tp: 8,
+                    dp: 2,
+                    micro_batch: 2,
+                    n_microbatches: 16,
+                    seconds: 1.75,
+                    t_bubble: 0.5,
+                    t_straggler: 0.625,
+                    t_hidden: 0.0625,
+                    t_dp: 0.4375,
+                    t_optimizer: 0.03125,
+                    straggler_stage: 3,
+                    slow_link_from: Some(24),
+                    slow_link_to: Some(40),
+                    slow_link_seconds: Some(0.0009765625),
+                },
+                r#"{"seq":5,"kind":"recommendation","pp":4,"tp":8,"dp":2,"micro_batch":2,"n_microbatches":16,"seconds":1.75,"t_bubble":0.5,"t_straggler":0.625,"t_hidden":0.0625,"t_dp":0.4375,"t_optimizer":0.03125,"straggler_stage":3,"slow_link_from":24,"slow_link_to":40,"slow_link_seconds":0.0009765625}"#,
+            ),
+            (
+                EventKind::Recommendation {
+                    pp: 1,
+                    tp: 8,
+                    dp: 8,
+                    micro_batch: 4,
+                    n_microbatches: 2,
+                    seconds: 0.875,
+                    t_bubble: 0.0,
+                    t_straggler: 0.8125,
+                    t_hidden: 0.0,
+                    t_dp: 0.046875,
+                    t_optimizer: 0.015625,
+                    straggler_stage: 0,
+                    slow_link_from: None,
+                    slow_link_to: None,
+                    slow_link_seconds: None,
+                },
+                r#"{"seq":5,"kind":"recommendation","pp":1,"tp":8,"dp":8,"micro_batch":4,"n_microbatches":2,"seconds":0.875,"t_bubble":0,"t_straggler":0.8125,"t_hidden":0,"t_dp":0.046875,"t_optimizer":0.015625,"straggler_stage":0,"slow_link_from":null,"slow_link_to":null,"slow_link_seconds":null}"#,
+            ),
+            (
+                EventKind::Alternative {
+                    rank: 1,
+                    pp: 2,
+                    tp: 4,
+                    dp: 16,
+                    micro_batch: 8,
+                    seconds: 1.875,
+                    delta_seconds: 0.125,
+                },
+                r#"{"seq":5,"kind":"alternative","rank":1,"pp":2,"tp":4,"dp":16,"micro_batch":8,"seconds":1.875,"delta_seconds":0.125}"#,
+            ),
+            (
+                EventKind::SimTask {
+                    stage: 3,
+                    kind: "B",
+                    microbatch: 9,
+                    start: 0.5,
+                    finish: 0.5625,
+                },
+                r#"{"seq":5,"kind":"sim_task","stage":3,"task":"B","microbatch":9,"start":0.5,"finish":0.5625}"#,
+            ),
+            (
+                EventKind::FaultPlanApplied {
+                    plan_seed: 99,
+                    degraded_links: 4,
+                    straggler_gpus: 2,
+                    failed_gpus: 1,
+                    failed_nodes: 3,
+                    corrupt_pairs: 5,
+                    measurement_failure_rate: 0.1,
+                    sample_loss_rate: 0.02,
+                },
+                r#"{"seq":5,"kind":"fault_plan","plan_seed":99,"degraded_links":4,"straggler_gpus":2,"failed_gpus":1,"failed_nodes":3,"corrupt_pairs":5,"measurement_failure_rate":0.1,"sample_loss_rate":0.02}"#,
+            ),
+            (
+                EventKind::ProfilerRetry {
+                    from: 12,
+                    to: 13,
+                    retries: 2,
+                    corrupt_samples: 1,
+                    recovered: false,
+                },
+                r#"{"seq":5,"kind":"profiler_retry","from":12,"to":13,"retries":2,"corrupt_samples":1,"recovered":false}"#,
+            ),
+            (
+                EventKind::PairImputed {
+                    from: 7,
+                    to: 30,
+                    gib_s: 11.6,
+                    retries: 3,
+                },
+                r#"{"seq":5,"kind":"pair_imputed","from":7,"to":30,"gib_s":11.6,"retries":3}"#,
+            ),
+            (
+                EventKind::GpuExcluded { gpu: 9, node: 1 },
+                r#"{"seq":5,"kind":"gpu_excluded","gpu":9,"node":1}"#,
+            ),
+            (
+                EventKind::Fallback {
+                    component: "memory_estimator".into(),
+                    reason: "only \"3\" samples\n".into(),
+                },
+                r#"{"seq":5,"kind":"fallback","component":"memory_estimator","reason":"only \"3\" samples\n"}"#,
+            ),
+            (
+                EventKind::Reconfiguration {
+                    healthy_pp: 4,
+                    healthy_tp: 8,
+                    healthy_dp: 4,
+                    healthy_micro: 2,
+                    healthy_seconds: 1.25,
+                    degraded_pp: 2,
+                    degraded_tp: 4,
+                    degraded_dp: 6,
+                    degraded_micro: 1,
+                    degraded_seconds: 2.125,
+                    healthy_gpus: 128,
+                    surviving_gpus: 120,
+                },
+                r#"{"seq":5,"kind":"reconfiguration","healthy_pp":4,"healthy_tp":8,"healthy_dp":4,"healthy_micro":2,"healthy_seconds":1.25,"degraded_pp":2,"degraded_tp":4,"degraded_dp":6,"degraded_micro":1,"degraded_seconds":2.125,"healthy_gpus":128,"surviving_gpus":120}"#,
+            ),
+            (
+                EventKind::DriftApplied {
+                    day: 3,
+                    daily_sigma: 0.03,
+                    reversion: 0.25,
+                },
+                r#"{"seq":5,"kind":"drift_applied","day":3,"daily_sigma":0.03,"reversion":0.25}"#,
+            ),
+            (
+                EventKind::Deadline {
+                    budget_units: 5000,
+                    spent_units: 4321,
+                    truncated: true,
+                },
+                r#"{"seq":5,"kind":"deadline","budget_units":5000,"spent_units":4321,"truncated":true}"#,
+            ),
+            (
+                EventKind::RequestStart {
+                    seq: 7,
+                    op: "configure".into(),
+                },
+                r#"{"seq":5,"kind":"request_start","request":7,"op":"configure"}"#,
+            ),
+            (
+                EventKind::RequestDone {
+                    seq: 8,
+                    outcome: "deadline".into(),
+                    degraded: true,
+                },
+                r#"{"seq":5,"kind":"request_done","request":8,"outcome":"deadline","degraded":true}"#,
+            ),
+            (
+                EventKind::RequestShed {
+                    seq: 9,
+                    queue_len: 4,
+                    limit: 6,
+                    retry_after_units: 2048,
+                },
+                r#"{"seq":5,"kind":"request_shed","request":9,"queue_len":4,"limit":6,"retry_after_units":2048}"#,
+            ),
+            (
+                EventKind::BreakerTransition {
+                    from: "open",
+                    to: "half_open",
+                    failures: 3,
+                },
+                r#"{"seq":5,"kind":"breaker_transition","from":"open","to":"half_open","failures":3}"#,
+            ),
+            (
+                EventKind::Counter {
+                    name: "serve_breaker_trips".into(),
+                    value: 2,
+                },
+                r#"{"seq":5,"kind":"counter","name":"serve_breaker_trips","value":2}"#,
+            ),
+            (
+                EventKind::Histogram {
+                    name: "request_units".into(),
+                    count: 3,
+                    sum: 13.5,
+                    min: 0.5,
+                    max: 9.0,
+                    buckets: vec![(-1, 1), (2, 1), (3, 1)],
+                },
+                r#"{"seq":5,"kind":"histogram","name":"request_units","count":3,"sum":13.5,"min":0.5,"max":9,"buckets":[[-1,1],[2,1],[3,1]]}"#,
+            ),
+            (
+                EventKind::Histogram {
+                    name: "empty".into(),
+                    count: 0,
+                    sum: 0.0,
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                    buckets: Vec::new(),
+                },
+                r#"{"seq":5,"kind":"histogram","name":"empty","count":0,"sum":0,"min":null,"max":null,"buckets":[]}"#,
+            ),
+            (
+                EventKind::SpanOpen { name: "anneal" },
+                r#"{"seq":5,"kind":"span_open","name":"anneal"}"#,
+            ),
+            (
+                EventKind::SpanClose {
+                    name: "anneal",
+                    unit: "evals",
+                    cost: 4800,
+                    events: 12,
+                },
+                r#"{"seq":5,"kind":"span_close","name":"anneal","unit":"evals","cost":4800,"events":12}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_variant_writes_its_pinned_line() {
+        let cases = golden_lines();
+        let tags: std::collections::BTreeSet<EventTag> =
+            cases.iter().map(|(kind, _)| kind.tag()).collect();
+        assert_eq!(tags.len(), 30, "one pinned line per EventKind variant");
+        for (kind, expect) in cases {
+            let mut e = Event {
+                wall_ms: None,
+                kind,
+            };
+            let mut out = String::new();
+            e.write_json(5, false, &mut out);
+            assert_eq!(out, expect);
+
+            e.wall_ms = Some(2.5);
+            let mut with = String::new();
+            e.write_json(5, false, &mut with);
+            let body = expect.strip_suffix('}').unwrap();
+            assert_eq!(with, format!(r#"{body},"wall_ms":2.5}}"#));
+            let mut stripped = String::new();
+            e.write_json(5, true, &mut stripped);
+            assert_eq!(stripped, expect);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! annotation, and a span's wall duration is recovered at analysis time
 //! as `close.wall_ms - open.wall_ms`.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, EventTag};
 use crate::Trace;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -259,9 +259,14 @@ impl SpanTree {
         let mut total_lines = 0usize;
         for (seq, line) in lines.enumerate() {
             total_lines = seq + 1;
+            let kind = match line {
+                TraceLine::Open { .. } => EventTag::SpanOpen.name(),
+                TraceLine::Close { .. } => EventTag::SpanClose.name(),
+                TraceLine::Other { kind } => kind,
+            };
+            *kind_counts.entry(kind.to_string()).or_insert(0) += 1;
             match line {
                 TraceLine::Open { name, wall_ms } => {
-                    *kind_counts.entry("span_open".to_string()).or_insert(0) += 1;
                     let parent = stack.last().map(|&(idx, _)| idx);
                     let depth = stack.len();
                     let idx = nodes.len();
@@ -290,7 +295,6 @@ impl SpanTree {
                     cost,
                     wall_ms,
                 } => {
-                    *kind_counts.entry("span_close".to_string()).or_insert(0) += 1;
                     let Some((idx, open_wall)) = stack.pop() else {
                         return Err(SpanError::CloseWithoutOpen {
                             seq,
@@ -321,9 +325,7 @@ impl SpanTree {
                         _ => None,
                     };
                 }
-                TraceLine::Other { kind } => {
-                    *kind_counts.entry(kind.to_string()).or_insert(0) += 1;
-                }
+                TraceLine::Other { .. } => {}
             }
         }
         if !stack.is_empty() {

@@ -162,14 +162,8 @@ impl Trace {
         std::fs::write(path, self.to_jsonl())
     }
 
-    /// How many recorded events have the given `kind` tag.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.kind.kind() == kind).count()
-    }
-
-    /// How many recorded events have the given typed discriminant.
-    /// Prefer this over [`Self::count_kind`] in Rust call sites: a
-    /// renamed event then fails to compile instead of silently counting
+    /// How many recorded events have the given typed discriminant. A
+    /// renamed event fails to compile here instead of silently counting
     /// zero.
     pub fn count_tag(&self, tag: EventTag) -> usize {
         self.events.iter().filter(|e| e.kind.tag() == tag).count()
@@ -285,8 +279,8 @@ mod tests {
             name: "x".into(),
             value: 3,
         });
-        assert_eq!(t.count_kind("mem_loss"), 2);
-        assert_eq!(t.count_kind("counter"), 1);
-        assert_eq!(t.count_kind("sa_move"), 0);
+        assert_eq!(t.count_tag(EventTag::MemLoss), 2);
+        assert_eq!(t.count_tag(EventTag::Counter), 1);
+        assert_eq!(t.count_tag(EventTag::SaMove), 0);
     }
 }

@@ -462,6 +462,7 @@ where
 mod tests {
     use super::*;
     use crate::request::Execution;
+    use pipette_obs::EventTag;
 
     /// Echo handler: `job:<n>` responds `ok:<seq>:<n>`, `fail:<n>`
     /// reports an estimator failure, `bad` fails to parse.
@@ -585,7 +586,7 @@ mod tests {
         );
         let summary = server.into_summary();
         assert_eq!(summary.shed, 3);
-        assert_eq!(summary.trace.count_kind("request_shed"), 3);
+        assert_eq!(summary.trace.count_tag(EventTag::RequestShed), 3);
     }
 
     #[test]
@@ -637,7 +638,7 @@ mod tests {
         );
         assert_eq!(summary.breaker_trips, 1);
         assert_eq!(summary.degraded_requests, 2);
-        assert_eq!(summary.trace.count_kind("breaker_transition"), 3);
+        assert_eq!(summary.trace.count_tag(EventTag::BreakerTransition), 3);
     }
 
     #[test]
@@ -665,8 +666,8 @@ mod tests {
             &["job:a", "bad", "job:b"],
         );
         assert_eq!(summary.trace.open_span_count(), 0);
-        assert_eq!(summary.trace.count_kind("request_start"), 3);
-        assert_eq!(summary.trace.count_kind("request_done"), 3);
+        assert_eq!(summary.trace.count_tag(EventTag::RequestStart), 3);
+        assert_eq!(summary.trace.count_tag(EventTag::RequestDone), 3);
         let jsonl = summary.trace.to_jsonl_stripped();
         assert!(jsonl.contains(r#""name":"serve""#));
         assert!(jsonl.contains(r#""name":"serve_degraded_requests""#));

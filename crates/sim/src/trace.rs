@@ -150,6 +150,7 @@ mod tests {
     use super::*;
     use crate::engine::ChainSpec;
     use crate::schedule::PipelineSchedule;
+    use pipette_obs::EventTag;
 
     fn spec(schedule: PipelineSchedule) -> ChainSpec {
         let stages = 3 * schedule.chunks();
@@ -244,7 +245,7 @@ mod tests {
         let mut trace = Trace::new(pipette_obs::TraceConfig::default());
         export_task_events(&events, &mut trace);
         assert_eq!(trace.len(), events.len());
-        assert_eq!(trace.count_kind("sim_task"), events.len());
+        assert_eq!(trace.count_tag(EventTag::SimTask), events.len());
         let jsonl = trace.to_jsonl();
         let first = jsonl.lines().next().expect("one line per event");
         assert!(first.contains("\"kind\":\"sim_task\""), "{first}");
