@@ -1,16 +1,14 @@
 //! Configurator performance baseline — writes `BENCH_configurator.json`.
 //!
-//! Measures, without criterion (so it runs in seconds and emits one JSON
-//! artifact CI and future sessions can diff):
+//! Measures, in seconds, and emits one JSON artifact that CI and later
+//! runs can diff:
 //!
 //! * SA objective throughput (evaluations/second) for the full-estimate
 //!   path and the incremental objective, and the resulting speedup, on
 //!   the paper's 128-GPU mid-range cluster (pp = 8, tp = 8, dp = 2);
 //! * end-to-end `Pipette::run` wall-clock on that cluster;
-//! * the SA improvement reached within a fixed 1-second budget through
-//!   the incremental objective (the paper's budget is 10 s; 1 s keeps
-//!   the baseline cheap while still running hundreds of thousands of
-//!   incremental evaluations);
+//! * the SA improvement reached by a fixed number of iterations through
+//!   the incremental objective, and their rate;
 //! * annealer-driven SA throughput across data-parallel widths (dp 2 to
 //!   32 on the same 128 GPUs), with each shape's final cost bits;
 //! * the memory-estimator fast path: blocked-kernel training vs. the

@@ -87,7 +87,7 @@ impl Default for Fig6Options {
 }
 
 impl Fig6Options {
-    /// Reduced budget for criterion benches and CI.
+    /// Reduced budget for `--quick` runs and tests.
     pub fn quick() -> Self {
         Self {
             sa_iterations: 4_000,

@@ -5,8 +5,9 @@
 //! `print(...)` that renders the same rows/series the paper reports,
 //! side by side with the paper's published numbers where applicable.
 //!
-//! Binaries in `src/bin/` (one per experiment) drive these; criterion
-//! benches in `benches/` time reduced versions of the same code paths.
+//! Binaries in `src/bin/` (one per experiment) drive these; most accept
+//! `--quick` for a reduced budget. `perf_baseline` times the
+//! configurator's kernels and phases.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@ use pipette::memory::CacheCounters;
 use pipette_cluster::{FaultPlan, RobustProfilingPolicy};
 use pipette_obs::json::Obj;
 use pipette_obs::{EventKind, Trace};
-use pipette_sim::ClusterRun;
+use pipette_sim::{ClusterRun, Measured};
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -45,6 +45,27 @@ pub struct CliReport {
     /// Trained-estimator cache traffic (absent when no cache directory
     /// was configured).
     pub estimator_cache: Option<CacheCounters>,
+}
+
+impl CliReport {
+    /// The report of a recommendation and its verification run.
+    pub(crate) fn new(rec: &Recommendation, measured: &Measured) -> Self {
+        Self {
+            pp: rec.config.pp,
+            tp: rec.config.tp,
+            dp: rec.config.dp,
+            micro_batch: rec.plan.micro_batch,
+            n_microbatches: rec.plan.n_microbatches,
+            estimated_seconds: rec.estimated_seconds,
+            measured_seconds: measured.iteration_seconds,
+            peak_memory_gib: measured.peak_memory_bytes as f64 / (1u64 << 30) as f64,
+            examined: rec.examined,
+            memory_rejected: rec.memory_rejected,
+            mapping: rec.mapping.as_slice().iter().map(|g| g.0).collect(),
+            replicas: rec.tempering.map_or(1, |t| t.replicas),
+            estimator_cache: rec.cache_counters,
+        }
+    }
 }
 
 pub(crate) fn options_for(spec: &JobSpec) -> PipetteOptions {
@@ -101,22 +122,7 @@ pub fn run_configure_traced(
     };
     let runner = ClusterRun::new(&cluster, &gpt);
     let measured = runner.execute(rec.config, &rec.mapping, rec.plan)?;
-    let report = CliReport {
-        pp: rec.config.pp,
-        tp: rec.config.tp,
-        dp: rec.config.dp,
-        micro_batch: rec.plan.micro_batch,
-        n_microbatches: rec.plan.n_microbatches,
-        estimated_seconds: rec.estimated_seconds,
-        measured_seconds: measured.iteration_seconds,
-        peak_memory_gib: measured.peak_memory_bytes as f64 / (1u64 << 30) as f64,
-        examined: rec.examined,
-        memory_rejected: rec.memory_rejected,
-        mapping: rec.mapping.as_slice().iter().map(|g| g.0).collect(),
-        replicas: rec.tempering.map_or(1, |t| t.replicas),
-        estimator_cache: rec.cache_counters,
-    };
-    Ok((report, rec))
+    Ok((CliReport::new(&rec, &measured), rec))
 }
 
 /// Machine-readable result of a `drill` run: the degraded
@@ -245,21 +251,7 @@ pub fn run_drill_traced(
     let runner = ClusterRun::new(&outcome.survivor, &gpt);
     let measured = runner.execute(rec.config, &rec.mapping, rec.plan)?;
     let report = DrillReport {
-        recommendation: CliReport {
-            pp: rec.config.pp,
-            tp: rec.config.tp,
-            dp: rec.config.dp,
-            micro_batch: rec.plan.micro_batch,
-            n_microbatches: rec.plan.n_microbatches,
-            estimated_seconds: rec.estimated_seconds,
-            measured_seconds: measured.iteration_seconds,
-            peak_memory_gib: measured.peak_memory_bytes as f64 / (1u64 << 30) as f64,
-            examined: rec.examined,
-            memory_rejected: rec.memory_rejected,
-            mapping: rec.mapping.as_slice().iter().map(|g| g.0).collect(),
-            replicas: rec.tempering.map_or(1, |t| t.replicas),
-            estimator_cache: rec.cache_counters,
-        },
+        recommendation: CliReport::new(rec, &measured),
         healthy_gpus: cluster.topology().num_gpus(),
         surviving_gpus: outcome.survivor.topology().num_gpus(),
         excluded_gpus: outcome.excluded_gpus.iter().map(|g| g.0).collect(),

@@ -202,21 +202,7 @@ impl PipetteHandler {
                     Ok(m) => m,
                     Err(e) => return exec_error(job, ctx, &format!("verification: {e}")),
                 };
-                let result = CliReport {
-                    pp: rec.config.pp,
-                    tp: rec.config.tp,
-                    dp: rec.config.dp,
-                    micro_batch: rec.plan.micro_batch,
-                    n_microbatches: rec.plan.n_microbatches,
-                    estimated_seconds: rec.estimated_seconds,
-                    measured_seconds: measured.iteration_seconds,
-                    peak_memory_gib: measured.peak_memory_bytes as f64 / (1u64 << 30) as f64,
-                    examined: rec.examined,
-                    memory_rejected: rec.memory_rejected,
-                    mapping: rec.mapping.as_slice().iter().map(|g| g.0).collect(),
-                    replicas: rec.tempering.map_or(1, |t| t.replicas),
-                    estimator_cache: rec.cache_counters,
-                };
+                let result = CliReport::new(&rec, &measured);
                 let truncated = rec.deadline.as_ref().is_some_and(|d| d.truncated);
                 let status = if truncated { "deadline" } else { "ok" };
                 let response = respond(

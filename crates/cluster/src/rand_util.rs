@@ -1,9 +1,9 @@
 //! Minimal distribution sampling helpers.
 //!
-//! The workspace deliberately keeps its dependency set to the offline crates
-//! (`rand`, `rand_chacha`, `proptest`, `criterion`), so Gaussian and log-normal
-//! sampling are implemented here via the Box–Muller transform instead of
-//! pulling in `rand_distr`.
+//! The workspace deliberately keeps its dependency set to the vendored
+//! offline crates (`rand`, `rand_chacha`, `proptest`), so Gaussian and
+//! log-normal sampling are implemented here via the Box–Muller transform
+//! instead of pulling in `rand_distr`.
 
 use rand::Rng;
 

@@ -14,18 +14,17 @@
 //! memory estimators, identity mapping) and `PPT-LF` (adding fine-grained
 //! worker dedication).
 
-use crate::cancel::{CancelToken, DeadlineReport};
 use crate::error::ConfigureError;
 use crate::latency::{LatencyExplanation, PipetteLatencyModel};
 use crate::mapping::{
     AnnealStats, AnnealerConfig, IncrementalObjective, ParallelTemperingAnnealer, TemperingSchedule,
 };
 use crate::memory::{
-    analytic_prior, collect_samples_cancellable, collect_samples_parallel, CacheCounters,
-    MemoryEstimator, MemoryEstimatorConfig, MemorySample, SampleSpec, TrainedEstimatorCache,
+    analytic_prior, collect_samples_parallel, CacheCounters, MemoryEstimator,
+    MemoryEstimatorConfig, MemorySample, SampleSpec, TrainedEstimatorCache,
 };
 use crate::parallel;
-use crate::report::OverheadReport;
+use crate::report::{DeadlineReport, OverheadReport};
 use crate::telemetry::{self, SaTraceObserver};
 use pipette_cluster::{Cluster, ProfiledBandwidth, ProfilingCost};
 use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
@@ -66,7 +65,7 @@ pub struct PipetteOptions {
     /// the classic single chain, bit-identical to every earlier release.
     /// Deliberately *not* defaulted from `threads`: the recommendation
     /// must never depend on the machine's core count, so widening the
-    /// ladder is an explicit opt-in ([`PipetteOptions::with_tempering`]).
+    /// ladder is an explicit opt-in.
     pub replicas: usize,
     /// Iterations each tempering chain runs between replica-exchange
     /// rounds. Ignored when `replicas == 1`.
@@ -117,17 +116,6 @@ impl PipetteOptions {
     /// dedication.
     pub fn latency_only(mut self) -> Self {
         self.use_worker_dedication = false;
-        self
-    }
-
-    /// Opts into parallel tempering with a ladder sized for `threads`
-    /// workers ([`TemperingSchedule::for_threads`]). The result is still
-    /// bit-identical at any *runtime* thread count — only this explicit
-    /// replica choice changes the search trajectory.
-    pub fn with_tempering(mut self, threads: usize) -> Self {
-        let schedule = TemperingSchedule::for_threads(threads);
-        self.replicas = schedule.replicas;
-        self.exchange_interval = schedule.exchange_interval;
         self
     }
 }
@@ -297,9 +285,6 @@ pub struct Pipette<'a> {
     /// Logical deadline budget (Table II units); phases charge against it
     /// and the SA passes are truncated deterministically when it runs low.
     deadline_units: Option<u64>,
-    /// Cooperative cancellation, polled by the SA step loops and the
-    /// profiling sweep.
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> Pipette<'a> {
@@ -320,7 +305,6 @@ impl<'a> Pipette<'a> {
             profiled_override: None,
             analytic_memory: false,
             deadline_units: None,
-            cancel: None,
         }
     }
 
@@ -380,17 +364,6 @@ impl<'a> Pipette<'a> {
     /// return).
     pub fn with_deadline_units(mut self, budget_units: u64) -> Self {
         self.deadline_units = Some(budget_units);
-        self
-    }
-
-    /// Attaches a cooperative [`CancelToken`], polled by the SA step
-    /// loops (at their existing wall-clock checkpoint cadence) and by the
-    /// profiling sweep. Cancellation is best-so-far, never an error: SA
-    /// passes return the best mapping found, and a sweep cancelled before
-    /// training falls back to the analytic memory model. An un-cancelled
-    /// token leaves the run bit-identical.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -532,12 +505,6 @@ impl<'a> Pipette<'a> {
             && self.pretrained.is_none()
             && budget.is_some_and(|b| spent_units.saturating_add(train_cost_units) > b);
 
-        let analytic_model = || MemoryModel::Analytic {
-            margin: self.options.memory.soft_margin,
-            seq_len: self.gpt.seq_len,
-            vocab: self.gpt.vocab,
-        };
-
         // Memory model: pretrained > cached > trained now — or the
         // analytic fallback, which skips training entirely.
         let (memory_model, training_time) = if self.analytic_memory || train_over_budget {
@@ -553,104 +520,69 @@ impl<'a> Pipette<'a> {
                     });
                 }
             }
-            (analytic_model(), Duration::ZERO)
+            let analytic = MemoryModel::Analytic {
+                margin: self.options.memory.soft_margin,
+                seq_len: self.gpt.seq_len,
+                vocab: self.gpt.vocab,
+            };
+            (analytic, Duration::ZERO)
         } else {
-            let mut mem_span = trace.as_deref_mut().map(|t| t.open_span("mem_train"));
-            // `None` means the profiling sweep observed cancellation: a
-            // partial corpus must never train, so the run drops to the
-            // analytic rung below.
-            let trained: Option<(MemoryEstimator, Duration, bool)> =
-                match (&self.pretrained, self.estimator_cache) {
-                    (Some(e), _) => Some((e.clone(), Duration::ZERO, true)),
-                    (None, Some(cache)) => {
-                        // pipette-lint: allow(D1) -- wall time feeds the cache-timing extra only; the recommendation depends on the seed alone
-                        let start = Instant::now();
-                        let (spec, truth) = self.profiling_spec();
-                        let hits_before = cache.hits();
-                        let e = cache.get_or_train(
-                            &spec,
-                            self.gpt,
-                            &self.options.memory,
-                            &truth,
-                            self.options.threads,
-                        );
-                        Some((e, start.elapsed(), cache.hits() > hits_before))
-                    }
-                    (None, None) => match &self.cancel {
-                        Some(token) => {
-                            // pipette-lint: allow(D1) -- wall time feeds the report's training_seconds only; the trained weights depend on the seed alone
-                            let start = Instant::now();
-                            let (spec, truth) = self.profiling_spec();
-                            collect_samples_cancellable(
-                                &spec,
-                                &truth,
-                                self.options.threads,
-                                Some(token),
-                            )
-                            .map(|samples| {
-                                let e = MemoryEstimator::train_with_threads(
-                                    &samples,
-                                    &self.options.memory,
-                                    self.options.threads,
-                                );
-                                (e, start.elapsed(), false)
-                            })
-                        }
-                        None => {
-                            let (e, t, _) = self.train_memory_estimator();
-                            Some((e, t, false))
-                        }
-                    },
-                };
-            match trained {
-                Some((estimator, training_time, cached)) => {
-                    if !cached {
-                        // Reused estimators (pretrained or cache hit) cost
-                        // nothing — that is the point of reuse.
-                        spent_units =
-                            spent_units.saturating_add(estimator.train_summary().iterations as u64);
-                    }
-                    if let Some(t) = trace.as_deref_mut() {
-                        let summary = estimator.train_summary();
-                        t.push(EventKind::MemTrain {
-                            samples: summary.samples,
-                            iterations: summary.iterations,
-                            final_loss: summary.final_loss,
-                            cached,
-                        });
-                        for (i, &loss) in summary.loss_curve.iter().enumerate() {
-                            t.push(EventKind::MemLoss {
-                                iteration: i * summary.record_every,
-                                loss,
-                            });
-                        }
-                        if let Some(cache) = self.estimator_cache {
-                            let c = cache.counters();
-                            t.push(EventKind::CacheStats {
-                                hits: c.hits,
-                                misses: c.misses,
-                                corrupt: c.corrupt,
-                            });
-                        }
-                        if let Some(g) = mem_span.take() {
-                            t.close_span(g, CostUnit::Iterations, summary.iterations as u64);
-                        }
-                    }
-                    (MemoryModel::Learned(estimator), training_time)
+            let mem_span = trace.as_deref_mut().map(|t| t.open_span("mem_train"));
+            let (estimator, training_time, cached) = match (&self.pretrained, self.estimator_cache)
+            {
+                (Some(e), _) => (e.clone(), Duration::ZERO, true),
+                (None, Some(cache)) => {
+                    // pipette-lint: allow(D1) -- wall time feeds the cache-timing extra only; the recommendation depends on the seed alone
+                    let start = Instant::now();
+                    let (spec, truth) = self.profiling_spec();
+                    let hits_before = cache.hits();
+                    let e = cache.get_or_train(
+                        &spec,
+                        self.gpt,
+                        &self.options.memory,
+                        &truth,
+                        self.options.threads,
+                    );
+                    (e, start.elapsed(), cache.hits() > hits_before)
                 }
-                None => {
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(EventKind::Fallback {
-                            component: "memory_estimator".to_string(),
-                            reason: "profiling sweep cancelled before training".to_string(),
-                        });
-                        if let Some(g) = mem_span.take() {
-                            t.close_span(g, CostUnit::Iterations, 0);
-                        }
-                    }
-                    (analytic_model(), Duration::ZERO)
+                (None, None) => {
+                    let (e, t, _) = self.train_memory_estimator();
+                    (e, t, false)
+                }
+            };
+            if !cached {
+                // Reused estimators (pretrained or cache hit) cost nothing
+                // — that is the point of reuse.
+                spent_units =
+                    spent_units.saturating_add(estimator.train_summary().iterations as u64);
+            }
+            if let Some(t) = trace.as_deref_mut() {
+                let summary = estimator.train_summary();
+                t.push(EventKind::MemTrain {
+                    samples: summary.samples,
+                    iterations: summary.iterations,
+                    final_loss: summary.final_loss,
+                    cached,
+                });
+                for (i, &loss) in summary.loss_curve.iter().enumerate() {
+                    t.push(EventKind::MemLoss {
+                        iteration: i * summary.record_every,
+                        loss,
+                    });
+                }
+                if let Some(cache) = self.estimator_cache {
+                    let c = cache.counters();
+                    t.push(EventKind::CacheStats {
+                        hits: c.hits,
+                        misses: c.misses,
+                        corrupt: c.corrupt,
+                    });
+                }
+                if let Some(g) = mem_span {
+                    t.close_span(g, CostUnit::Iterations, summary.iterations as u64);
                 }
             }
+            (MemoryModel::Learned(estimator), training_time)
         };
 
         let limit = self.cluster.gpu().memory_bytes;
@@ -862,7 +794,6 @@ impl<'a> Pipette<'a> {
             // for the exchange decisions (which has no events and no span
             // at one rung), absorbed below in candidate order.
             let proto: Option<&Trace> = trace.as_deref();
-            let cancel = self.cancel.as_ref();
             let annealed = parallel::ordered_map(outer, &candidates[..k], |i, cand| {
                 let mut sa_cfg = self.options.annealer;
                 sa_cfg.seed = self.options.seed.wrapping_add(i as u64);
@@ -879,8 +810,7 @@ impl<'a> Pipette<'a> {
                     )
                 };
                 let Some(proto) = proto else {
-                    let result = ladder.anneal_cancellable(inner, &initial, make_objective, cancel);
-                    return (result, Vec::new());
+                    return (ladder.anneal(inner, &initial, make_objective), Vec::new());
                 };
                 let mut children: Vec<Trace> = (0..replicas).map(|_| proto.child()).collect();
                 let mut exchange = proto.child();
@@ -890,13 +820,12 @@ impl<'a> Pipette<'a> {
                     .enumerate()
                     .map(|(r, c)| SaTraceObserver::for_replica(c, i, r))
                     .collect();
-                let result = ladder.anneal_cancellable_observed(
+                let result = ladder.anneal_observed(
                     inner,
                     &initial,
                     make_objective,
                     &mut observers,
                     |rec| telemetry::push_pt_exchange(&mut exchange, i, rec),
-                    cancel,
                 );
                 for (observer, stats) in observers.into_iter().zip(&result.2.replica_stats) {
                     observer.finish(stats);

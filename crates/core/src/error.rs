@@ -51,7 +51,7 @@ pub enum ConfigureError {
     /// estimated — there is no best-so-far recommendation to return.
     /// (Budgets that expire *after* estimation truncate the SA passes and
     /// still return a recommendation, flagged in
-    /// [`crate::cancel::DeadlineReport::truncated`].)
+    /// [`crate::report::DeadlineReport::truncated`].)
     DeadlineExpired {
         /// The logical budget the run was given.
         budget_units: u64,

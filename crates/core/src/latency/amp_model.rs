@@ -76,11 +76,6 @@ impl<'a> AmpLatencyModel<'a> {
         )
     }
 
-    /// The homogeneous matrix the model believes in.
-    pub fn nominal_matrix(&self) -> &BandwidthMatrix {
-        &self.nominal
-    }
-
     /// Estimated iteration latency (seconds) for `cfg`. The model is
     /// placement-unaware: it always assumes the identity mapping.
     ///

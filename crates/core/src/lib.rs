@@ -38,14 +38,10 @@
 //! # Ok::<(), pipette::ConfigureError>(())
 //! ```
 
-// `deny` rather than `forbid`: exactly one module opts out —
-// `memory::mmap_index` wraps `mmap(2)` behind a safe API for the binary
-// estimator-cache read path. Every other module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod cancel;
 pub mod configurator;
 pub mod degraded;
 pub mod error;
@@ -56,11 +52,10 @@ pub mod parallel;
 pub mod report;
 pub mod telemetry;
 
-pub use cancel::{CancelToken, DeadlineReport};
 pub use configurator::{Alternative, MemoryHeadroom, Pipette, PipetteOptions, Recommendation};
 pub use degraded::{run_under_faults, DegradedOutcome, ReconfigurationPlan};
 pub use error::ConfigureError;
 pub use latency::{AmpLatencyModel, Eq1Flavor, PipetteLatencyModel};
 pub use mapping::{AnnealStats, Annealer, AnnealerConfig};
 pub use memory::{AnalyticMemoryEstimator, MemoryEstimator, MemorySample};
-pub use report::OverheadReport;
+pub use report::{DeadlineReport, OverheadReport};

@@ -274,22 +274,6 @@ impl UndoLog {
             .zip(&self.old[..self.len])
             .map(|(&i, &v)| (i as usize, v))
     }
-
-    // pipette-lint: hot-path
-    /// The journaled index at position `i` (`i < len`).
-    #[inline]
-    pub fn index_at(&self, i: usize) -> usize {
-        debug_assert!(i < self.len, "undo journal read past len");
-        self.idx[i] as usize
-    }
-
-    // pipette-lint: hot-path
-    /// The journaled old value at position `i` (`i < len`).
-    #[inline]
-    pub fn value_at(&self, i: usize) -> f64 {
-        debug_assert!(i < self.len, "undo journal read past len");
-        self.old[i]
-    }
 }
 
 /// Fixed-domain dirty-index set with O(1) dedup on push — the

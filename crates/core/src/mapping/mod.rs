@@ -17,7 +17,6 @@ pub use annealer::{AnnealStats, Annealer, AnnealerConfig, NoOpObserver, SaMoveRe
 pub use arena::{DpMemo, MemoStats, TouchedSet, UndoLog};
 pub use moves::{Move, MoveKind};
 pub use objective::{FnObjective, IncrementalObjective, Objective};
-pub use search::{greedy_swap, random_search};
 pub use tempering::{
     exchange_accepts, ParallelTemperingAnnealer, PtExchangeRecord, TemperingSchedule,
     TemperingStats,

@@ -1,9 +1,9 @@
-//! Alternative mapping-search strategies, for comparing against the
-//! paper's simulated annealing.
+//! Reference mapping-search strategies: test oracles that the paper's
+//! simulated annealing is compared against.
 //!
-//! * [`random_search`] — sample uniformly random block permutations and
+//! * `random_search` — sample uniformly random block permutations and
 //!   keep the best; the "is SA even doing anything" control.
-//! * [`greedy_swap`] — steepest-descent over the swap neighbourhood;
+//! * `greedy_swap` — steepest-descent over the swap neighbourhood;
 //!   fast, deterministic, but stops at the first local optimum.
 //!
 //! Both respect the same tensor-group block granularity as the annealer.
@@ -12,89 +12,87 @@
 //! equal-per-chain-budget comparison against the single chain is tested
 //! here alongside the other baselines.
 
-use crate::mapping::moves::Move;
-use pipette_sim::Mapping;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-/// Samples `budget` random block permutations of `initial` and returns
-/// the best (including `initial` itself).
-pub fn random_search<F>(initial: &Mapping, objective: F, budget: usize, seed: u64) -> (Mapping, f64)
-where
-    F: Fn(&Mapping) -> f64,
-{
-    let block = initial.config().tp.max(1);
-    let num_blocks = initial.as_slice().len() / block;
-    let mut best = initial.clone();
-    let mut best_cost = objective(initial);
-    if num_blocks < 2 {
-        return (best, best_cost);
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    for _ in 0..budget {
-        let mut candidate = initial.clone();
-        // Fisher-Yates over blocks.
-        let slice = candidate.as_mut_slice();
-        for i in (1..num_blocks).rev() {
-            let j = rng.gen_range(0..=i);
-            if i != j {
-                Move::Swap { a: i, b: j }.apply(slice, block);
-            }
-        }
-        let cost = objective(&candidate);
-        if cost < best_cost {
-            best = candidate;
-            best_cost = cost;
-        }
-    }
-    (best, best_cost)
-}
-
-/// Steepest-descent over block swaps: repeatedly applies the best
-/// improving swap until none exists or `max_rounds` passes complete.
-/// Evaluates `O(num_blocks²)` candidates per round.
-pub fn greedy_swap<F>(initial: &Mapping, objective: F, max_rounds: usize) -> (Mapping, f64)
-where
-    F: Fn(&Mapping) -> f64,
-{
-    let block = initial.config().tp.max(1);
-    let num_blocks = initial.as_slice().len() / block;
-    let mut current = initial.clone();
-    let mut current_cost = objective(initial);
-    if num_blocks < 2 {
-        return (current, current_cost);
-    }
-    for _ in 0..max_rounds {
-        let mut best_move: Option<(usize, usize)> = None;
-        let mut best_cost = current_cost;
-        for a in 0..num_blocks {
-            for b in (a + 1)..num_blocks {
-                let mut candidate = current.clone();
-                Move::Swap { a, b }.apply(candidate.as_mut_slice(), block);
-                let cost = objective(&candidate);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_move = Some((a, b));
-                }
-            }
-        }
-        match best_move {
-            Some((a, b)) => {
-                Move::Swap { a, b }.apply(current.as_mut_slice(), block);
-                current_cost = best_cost;
-            }
-            None => break,
-        }
-    }
-    (current, current_cost)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mapping::moves::Move;
     use crate::mapping::{Annealer, AnnealerConfig};
     use pipette_cluster::ClusterTopology;
     use pipette_model::ParallelConfig;
+    use pipette_sim::Mapping;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Samples `budget` random block permutations of `initial` and returns
+    /// the best (including `initial` itself).
+    fn random_search<F>(initial: &Mapping, objective: F, budget: usize, seed: u64) -> (Mapping, f64)
+    where
+        F: Fn(&Mapping) -> f64,
+    {
+        let block = initial.config().tp.max(1);
+        let num_blocks = initial.as_slice().len() / block;
+        let mut best = initial.clone();
+        let mut best_cost = objective(initial);
+        if num_blocks < 2 {
+            return (best, best_cost);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..budget {
+            let mut candidate = initial.clone();
+            // Fisher-Yates over blocks.
+            let slice = candidate.as_mut_slice();
+            for i in (1..num_blocks).rev() {
+                let j = rng.gen_range(0..=i);
+                if i != j {
+                    Move::Swap { a: i, b: j }.apply(slice, block);
+                }
+            }
+            let cost = objective(&candidate);
+            if cost < best_cost {
+                best = candidate;
+                best_cost = cost;
+            }
+        }
+        (best, best_cost)
+    }
+
+    /// Steepest-descent over block swaps: repeatedly applies the best
+    /// improving swap until none exists or `max_rounds` passes complete.
+    /// Evaluates `O(num_blocks²)` candidates per round.
+    fn greedy_swap<F>(initial: &Mapping, objective: F, max_rounds: usize) -> (Mapping, f64)
+    where
+        F: Fn(&Mapping) -> f64,
+    {
+        let block = initial.config().tp.max(1);
+        let num_blocks = initial.as_slice().len() / block;
+        let mut current = initial.clone();
+        let mut current_cost = objective(initial);
+        if num_blocks < 2 {
+            return (current, current_cost);
+        }
+        for _ in 0..max_rounds {
+            let mut best_move: Option<(usize, usize)> = None;
+            let mut best_cost = current_cost;
+            for a in 0..num_blocks {
+                for b in (a + 1)..num_blocks {
+                    let mut candidate = current.clone();
+                    Move::Swap { a, b }.apply(candidate.as_mut_slice(), block);
+                    let cost = objective(&candidate);
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best_move = Some((a, b));
+                    }
+                }
+            }
+            match best_move {
+                Some((a, b)) => {
+                    Move::Swap { a, b }.apply(current.as_mut_slice(), block);
+                    current_cost = best_cost;
+                }
+                None => break,
+            }
+        }
+        (current, current_cost)
+    }
 
     fn setup() -> Mapping {
         let cfg = ParallelConfig::new(4, 2, 2);

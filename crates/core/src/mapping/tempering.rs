@@ -28,10 +28,8 @@
 //! trajectory is bit-identical to [`crate::mapping::Annealer`]
 //! (`tests/tempering.rs` asserts this).
 
-use crate::cancel::CancelToken;
 use crate::mapping::annealer::{
     enabled_moves, AnnealStats, Annealer, AnnealerConfig, ChainCore, NoOpObserver, SaObserver,
-    TIME_CHECK_INTERVAL,
 };
 use crate::mapping::arena::splitmix64;
 use crate::mapping::objective::{FnObjective, Objective};
@@ -74,19 +72,6 @@ impl Default for TemperingSchedule {
 }
 
 impl TemperingSchedule {
-    /// A ladder sized for a thread budget: one replica per worker, capped
-    /// at 8 (rungs beyond that add more random walk than refinement at
-    /// this move set). Note this is an explicit *opt-in* constructor —
-    /// [`crate::configurator::PipetteOptions`] deliberately defaults to
-    /// `replicas = 1` because the recommendation must not depend on the
-    /// machine's core count.
-    pub fn for_threads(threads: usize) -> Self {
-        Self {
-            replicas: threads.clamp(1, 8),
-            ..Self::default()
-        }
-    }
-
     /// The ladder's temperature multiplier for `replica`.
     pub fn temperature_scale(&self, replica: usize) -> f64 {
         self.temp_ratio.powi(replica as i32)
@@ -217,8 +202,6 @@ struct Chain<'o, O, Obs> {
     /// Busy time inside this chain's own segments (two `Instant` reads
     /// per round, amortized over `exchange_interval` iterations).
     busy: Duration,
-    /// Set when the chain exhausted its iterations or its time budget.
-    done: bool,
 }
 
 /// One exchange pass over adjacent pairs: even-offset pairs on even
@@ -347,30 +330,6 @@ impl ParallelTemperingAnnealer {
         self.anneal_observed(threads, initial, make_objective, &mut observers, |_| {})
     }
 
-    /// [`Self::anneal`] polling a [`CancelToken`] at the step loop's
-    /// checkpoint cadence (see [`Self::anneal_cancellable_observed`]).
-    pub fn anneal_cancellable<O, MkO>(
-        &self,
-        threads: usize,
-        initial: &Mapping,
-        make_objective: MkO,
-        cancel: Option<&CancelToken>,
-    ) -> (Mapping, f64, TemperingStats)
-    where
-        O: Objective + Send,
-        MkO: FnMut(usize, &Mapping) -> O,
-    {
-        let mut observers = vec![NoOpObserver; self.schedule.replicas];
-        self.anneal_cancellable_observed(
-            threads,
-            initial,
-            make_objective,
-            &mut observers,
-            |_| {},
-            cancel,
-        )
-    }
-
     /// [`Self::anneal`] over a plain cost closure (each replica wraps a
     /// shared reference to it in its own [`FnObjective`]) — the
     /// counterpart of [`Annealer::anneal`] for baseline comparisons.
@@ -403,40 +362,9 @@ impl ParallelTemperingAnnealer {
         &self,
         threads: usize,
         initial: &Mapping,
-        make_objective: MkO,
-        observers: &mut [Obs],
-        on_exchange: impl FnMut(&PtExchangeRecord),
-    ) -> (Mapping, f64, TemperingStats)
-    where
-        O: Objective + Send,
-        MkO: FnMut(usize, &Mapping) -> O,
-        Obs: SaObserver + Send,
-    {
-        self.anneal_cancellable_observed(
-            threads,
-            initial,
-            make_objective,
-            observers,
-            on_exchange,
-            None,
-        )
-    }
-
-    /// [`Self::anneal_observed`] polling a [`CancelToken`] inside each
-    /// chain's step loop (every `TIME_CHECK_INTERVAL` iterations, the
-    /// wall-clock budget's cadence) and at exchange rounds. Cancellation
-    /// marks every chain done, so the run rendezvous at the next exchange
-    /// interval and returns the ladder's best-so-far — never an error,
-    /// never a block past one exchange interval. An un-cancelled token is
-    /// bit-identical to the token-less run.
-    pub fn anneal_cancellable_observed<O, MkO, Obs>(
-        &self,
-        threads: usize,
-        initial: &Mapping,
         mut make_objective: MkO,
         observers: &mut [Obs],
         mut on_exchange: impl FnMut(&PtExchangeRecord),
-        cancel: Option<&CancelToken>,
     ) -> (Mapping, f64, TemperingStats)
     where
         O: Objective + Send,
@@ -451,7 +379,7 @@ impl ParallelTemperingAnnealer {
             replicas,
             "one observer per replica required"
         );
-        // pipette-lint: allow(D1) -- opt-in wall-clock budget + busy-time accounting; neither feeds a decision on deterministic runs
+        // pipette-lint: allow(D1) -- wall time feeds TemperingStats::elapsed and per-chain busy time only; no search decision reads it
         let start = Instant::now();
         let block = initial.config().tp.max(1);
         let num_blocks = initial.as_slice().len() / block;
@@ -476,7 +404,6 @@ impl ParallelTemperingAnnealer {
                 objective,
                 observer,
                 busy: Duration::ZERO,
-                done: false,
             });
         }
 
@@ -491,7 +418,6 @@ impl ParallelTemperingAnnealer {
         let interval = self.schedule.exchange_interval;
         let rounds = total_iterations.div_ceil(interval).max(1);
         let alpha = config.alpha;
-        let time_limit = config.time_limit;
         let exchange_seed = config.seed;
         let mut exchanges_attempted = 0usize;
         let mut exchanges_accepted = 0usize;
@@ -501,28 +427,11 @@ impl ParallelTemperingAnnealer {
             &mut chains,
             rounds,
             |_, round, chain| {
-                if chain.done {
-                    return;
-                }
                 // pipette-lint: allow(D1) -- segment busy-time accounting; never read by a search decision
                 let segment_start = Instant::now();
                 let seg_from = round.saturating_mul(interval);
                 let seg_to = seg_from.saturating_add(interval).min(total_iterations);
                 for it in seg_from..seg_to {
-                    if it % TIME_CHECK_INTERVAL == 0 {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            chain.done = true;
-                            chain.busy += segment_start.elapsed();
-                            return;
-                        }
-                        if let Some(limit) = time_limit {
-                            if start.elapsed() >= limit {
-                                chain.done = true;
-                                chain.busy += segment_start.elapsed();
-                                return;
-                            }
-                        }
-                    }
                     chain.core.step(
                         it,
                         enabled,
@@ -533,13 +442,12 @@ impl ParallelTemperingAnnealer {
                         chain.observer,
                     );
                 }
-                if seg_to >= total_iterations {
-                    chain.done = true;
-                }
                 chain.busy += segment_start.elapsed();
             },
             |round, chains| {
-                if chains.iter().all(|c| c.done) {
+                // Every chain runs the same iterations, so all of them
+                // finish in the last round, which needs no exchange.
+                if round + 1 == rounds {
                     return false;
                 }
                 exchange_pass(
@@ -637,14 +545,6 @@ mod tests {
             assert!((ratio - 1.7).abs() < 1e-12);
             assert!(sched.temperature_scale(r) > sched.temperature_scale(r - 1));
         }
-    }
-
-    #[test]
-    fn for_threads_clamps_to_ladder_bounds() {
-        assert_eq!(TemperingSchedule::for_threads(0).replicas, 1);
-        assert_eq!(TemperingSchedule::for_threads(1).replicas, 1);
-        assert_eq!(TemperingSchedule::for_threads(6).replicas, 6);
-        assert_eq!(TemperingSchedule::for_threads(64).replicas, 8);
     }
 
     #[test]
@@ -887,61 +787,6 @@ mod tests {
         assert_eq!(cost, 42.0);
         assert_eq!(stats.merged().evaluations, 4); // one opening eval per replica
         assert_eq!(stats.exchanges_attempted, 0);
-    }
-
-    #[test]
-    fn cancelled_tempering_returns_best_so_far() {
-        let initial = setup(4, 2, 2);
-        let target: Vec<usize> = (0..16).rev().collect();
-        let pt = ParallelTemperingAnnealer::new(
-            AnnealerConfig {
-                iterations: 1_000_000,
-                seed: 6,
-                ..Default::default()
-            },
-            TemperingSchedule {
-                replicas: 3,
-                exchange_interval: 64,
-                ..Default::default()
-            },
-        );
-        let token = CancelToken::new();
-        token.cancel();
-        let (best, cost, stats) = pt.anneal_cancellable(
-            2,
-            &initial,
-            |_, _| FnObjective::new(displacement_cost(&target)),
-            Some(&token),
-        );
-        // Pre-cancelled: every chain stops at its first checkpoint, so
-        // only the opening evaluations happen.
-        assert_eq!(stats.merged().evaluations, 3);
-        assert!(best.is_permutation());
-        assert_eq!(cost.to_bits(), stats.merged().initial_cost.to_bits());
-
-        // An un-cancelled token is bit-identical to no token at all.
-        let live = CancelToken::new();
-        let pt = ParallelTemperingAnnealer::new(
-            AnnealerConfig {
-                iterations: 2_000,
-                seed: 6,
-                ..Default::default()
-            },
-            TemperingSchedule {
-                replicas: 3,
-                exchange_interval: 64,
-                ..Default::default()
-            },
-        );
-        let with_token = pt.anneal_cancellable(
-            1,
-            &initial,
-            |_, _| FnObjective::new(displacement_cost(&target)),
-            Some(&live),
-        );
-        let without = pt.anneal_closure(1, &initial, displacement_cost(&target));
-        assert_eq!(with_token.0, without.0);
-        assert_eq!(with_token.1.to_bits(), without.1.to_bits());
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //!
 //! Entries live in memory and, when a directory is configured, on disk as
 //! one checksummed PIPMEMIX snapshot per fingerprint,
-//! `pipette-mem-estimator-<fp>.idx` (see [`mmap_index`]). The snapshot
+//! `pipette-mem-estimator-<fp>.idx` (see [`index`]). The snapshot
 //! stores every `f64` as its bits, so a reloaded estimator is
 //! **bit-exact**: warm-cache recommendations are identical to cold ones
 //! (see `tests/estimator_cache.rs`).
 
 use crate::memory::dataset::{collect_samples_parallel, SampleSpec};
 use crate::memory::estimator::{MemoryEstimator, MemoryEstimatorConfig};
-use crate::memory::mmap_index::{self, Builder};
+use crate::memory::index::{self, Builder};
 use pipette_mlp::TrainConfig;
 use pipette_model::GptConfig;
 use pipette_sim::{ActivationMode, MemorySim, PipelineSchedule, TrainingOptions};
@@ -127,7 +127,7 @@ pub fn estimator_fingerprint(
     w.u64(u64::from(zero1));
     w.u64(u64::from(nic_contention));
     w.u64(truth.seed());
-    mmap_index::fnv1a(&w.bytes)
+    index::fnv1a(&w.bytes)
 }
 
 /// Snapshot of a cache's lookup counters, for reports and telemetry.
@@ -254,7 +254,7 @@ impl TrainedEstimatorCache {
         if !path.exists() {
             return None;
         }
-        let loaded = mmap_index::read_index(&path, fp);
+        let loaded = index::read_index(&path, fp);
         if loaded.is_none() {
             self.quarantine(&path);
         }
@@ -277,7 +277,7 @@ impl TrainedEstimatorCache {
             std::process::id(),
             TEMP_FILES.fetch_add(1, Ordering::Relaxed)
         ));
-        if mmap_index::write_index(&temp, fp, estimator).is_err()
+        if index::write_index(&temp, fp, estimator).is_err()
             || std::fs::rename(&temp, &path).is_err()
         {
             let _ = std::fs::remove_file(&temp);
@@ -312,7 +312,7 @@ impl TrainedEstimatorCache {
                 continue;
             };
             report.scanned += 1;
-            if mmap_index::read_index(&path, fp).is_none() {
+            if index::read_index(&path, fp).is_none() {
                 self.quarantine(&path);
                 report.quarantined += 1;
             }
@@ -498,7 +498,7 @@ mod tests {
             damaged,
             "quarantine file preserves the corrupt bytes"
         );
-        assert_eq!(mmap_index::read_index(&entry, fp), Some(trained));
+        assert_eq!(index::read_index(&entry, fp), Some(trained));
         // A third cache now hits the retrained entry cleanly.
         let warm = TrainedEstimatorCache::with_dir(&dir);
         let _ = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
@@ -606,7 +606,7 @@ mod tests {
         );
         // ...and the good snapshot still round-trips its estimator.
         let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        assert_eq!(mmap_index::read_index(&idx, fp), Some(trained));
+        assert_eq!(index::read_index(&idx, fp), Some(trained));
         // A second sweep finds a fully healthy directory.
         assert_eq!(
             cache.sweep(),

@@ -6,7 +6,6 @@
 //! configuration of a handful of subcluster sizes and model scales, which
 //! plays the role of those profiling jobs.
 
-use crate::cancel::CancelToken;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::MemorySim;
 
@@ -65,20 +64,6 @@ pub struct SampleSpec {
     pub max_micro: u64,
 }
 
-impl SampleSpec {
-    /// The paper's protocol on a 8-GPU-per-node cluster: subclusters of
-    /// 1–4 nodes, a small ladder of model scales, two global batches.
-    pub fn paper_default(models: Vec<GptConfig>) -> Self {
-        Self {
-            gpu_counts: vec![8, 16, 24, 32],
-            gpus_per_node: 8,
-            models,
-            global_batches: vec![128, 256],
-            max_micro: 8,
-        }
-    }
-}
-
 /// Runs the sweep against the ground-truth memory simulator `truth`.
 ///
 /// Only structurally valid configurations are emitted (divisible batches,
@@ -99,22 +84,6 @@ pub fn collect_samples_parallel(
     truth: &MemorySim,
     threads: usize,
 ) -> Vec<MemorySample> {
-    // With no token the sweep cannot be cancelled, so `None` (an empty
-    // corpus) is unreachable.
-    collect_samples_cancellable(spec, truth, threads, None).unwrap_or_default()
-}
-
-/// [`collect_samples_parallel`] polling a [`CancelToken`] before each
-/// grid point. Returns `None` if cancellation was observed at any point:
-/// a *partial* corpus would make the trained estimator depend on when the
-/// cancel landed, so the sweep is all-or-nothing and a cancelled caller
-/// falls back to the analytic memory model instead.
-pub fn collect_samples_cancellable(
-    spec: &SampleSpec,
-    truth: &MemorySim,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Option<Vec<MemorySample>> {
     // Enumerate the (cheap) outer grid sequentially, then fan the
     // simulator runs out over the pool.
     let mut grid: Vec<(&GptConfig, usize, ParallelConfig, u64, u64)> = Vec::new();
@@ -130,31 +99,20 @@ pub fn collect_samples_cancellable(
             }
         }
     }
-    let samples: Vec<MemorySample> =
-        crate::parallel::ordered_map(threads, &grid, |_, &(gpt, g, cfg, global, mini)| {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                // Skip the (expensive) simulation; the partial result is
-                // discarded below anyway.
-                return Vec::new();
-            }
-            MicrobatchPlan::enumerate(mini, spec.max_micro)
-                .into_iter()
-                .map(|plan| MemorySample {
-                    features: MemorySample::features_for(gpt, g, cfg, plan, global),
-                    peak_bytes: truth.report(gpt, cfg, plan).peak_bytes,
-                    seq_len: gpt.seq_len,
-                    vocab: gpt.vocab,
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        None
-    } else {
-        Some(samples)
-    }
+    crate::parallel::ordered_map(threads, &grid, |_, &(gpt, g, cfg, global, mini)| {
+        MicrobatchPlan::enumerate(mini, spec.max_micro)
+            .into_iter()
+            .map(|plan| MemorySample {
+                features: MemorySample::features_for(gpt, g, cfg, plan, global),
+                peak_bytes: truth.report(gpt, cfg, plan).peak_bytes,
+                seq_len: gpt.seq_len,
+                vocab: gpt.vocab,
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -222,23 +180,5 @@ mod tests {
             let par = collect_samples_parallel(&small_spec(), &MemorySim::new(1), threads);
             assert_eq!(par, seq, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn cancelled_sweep_yields_no_corpus() {
-        let token = CancelToken::new();
-        token.cancel();
-        assert_eq!(
-            collect_samples_cancellable(&small_spec(), &MemorySim::new(1), 2, Some(&token)),
-            None,
-            "a cancelled sweep must not surface a partial corpus"
-        );
-        let live = CancelToken::new();
-        let full = collect_samples_cancellable(&small_spec(), &MemorySim::new(1), 1, Some(&live));
-        assert_eq!(
-            full,
-            Some(collect_samples(&small_spec(), &MemorySim::new(1))),
-            "an un-cancelled token must not perturb the corpus"
-        );
     }
 }

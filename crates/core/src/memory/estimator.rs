@@ -330,7 +330,7 @@ impl MemoryEstimator {
     }
 
     /// Every field of the estimator, for the binary cache-index writer
-    /// (`memory::mmap_index`). Order: network, feature scaler,
+    /// (`memory::index`). Order: network, feature scaler,
     /// `(y_mean, y_std, soft_margin)`, `(seq_len, vocab)`, train summary.
     #[allow(clippy::type_complexity)]
     pub(crate) fn index_parts(

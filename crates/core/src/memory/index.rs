@@ -1,14 +1,14 @@
-//! Binary, mmap-readable snapshots of trained memory estimators: the one
-//! on-disk format of the estimator cache (see [`super::cache`]).
+//! Binary snapshots of trained memory estimators: the one on-disk format
+//! of the estimator cache (see [`super::cache`]).
 //!
 //! Each `.idx` file has a *fixed layout*, so readers (many concurrent
 //! configurator workers, the `pipette serve` daemon) load an estimator
-//! with no text parsing at all: the file is mapped (or read) once, the
-//! header is validated, and every weight is copied straight out of the
-//! little-endian payload at a known offset. Numbers survive bit-exactly
-//! by construction — `f64::to_le_bytes` round-trips — so a reloaded
-//! estimator predicts byte-identically to the one that was trained
-//! (test-covered in `tests/estimator_cache.rs`).
+//! with no text parsing at all: the file is read once, the header is
+//! validated, and every weight is copied out of the little-endian payload
+//! through a bounds-checked cursor. Numbers survive bit-exactly by
+//! construction — `f64::to_le_bytes` round-trips — so a reloaded estimator
+//! predicts byte-identically to the one that was trained (test-covered in
+//! `tests/estimator_cache.rs`).
 //!
 //! ## Layout (all little-endian)
 //!
@@ -38,11 +38,6 @@
 //! cache quarantines the file as `.idx.corrupt` and retrains, so a
 //! defect costs one training run, never a wrong answer.
 
-// The crate denies unsafe_code; this module is the single opt-out — two
-// audited unsafe blocks (the mmap syscall and the slice view over the
-// mapping) live in `mmap_sys` below, each with a SAFETY comment.
-#![allow(unsafe_code)]
-
 use crate::memory::estimator::MemoryEstimator;
 use pipette_mlp::{Dense, Matrix, Mlp, StandardScaler};
 use std::path::Path;
@@ -61,120 +56,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Read-only view of a file: memory-mapped on unix, buffered elsewhere
-/// (and whenever mapping fails — empty files, exotic filesystems).
-enum FileBytes {
-    #[cfg(unix)]
-    Mapped(mmap_sys::MappedFile),
-    Owned(Vec<u8>),
-}
-
-impl FileBytes {
-    fn open(path: &Path) -> Option<Self> {
-        #[cfg(unix)]
-        {
-            if let Some(mapped) = mmap_sys::MappedFile::open(path) {
-                return Some(FileBytes::Mapped(mapped));
-            }
-        }
-        std::fs::read(path).ok().map(FileBytes::Owned)
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            FileBytes::Mapped(m) => m.bytes(),
-            FileBytes::Owned(v) => v,
-        }
-    }
-}
-
-/// `mmap(2)` via direct `extern "C"` bindings: the toolchain vendors no
-/// `libc`/`memmap2` crate, but std already links the platform libc, so
-/// the two symbols we need are available to declare by hand.
-#[cfg(unix)]
-mod mmap_sys {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    /// A whole file mapped read-only private; unmapped on drop.
-    pub(super) struct MappedFile {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // The mapping is read-only and owned: sharing a `&MappedFile` across
-    // threads only ever reads immutable pages.
-    unsafe impl Send for MappedFile {}
-    unsafe impl Sync for MappedFile {}
-
-    impl MappedFile {
-        /// Maps `path` read-only, or `None` when anything fails (missing
-        /// file, zero length — `mmap` rejects empty ranges — or platform
-        /// refusal); the caller then falls back to a buffered read.
-        pub(super) fn open(path: &Path) -> Option<Self> {
-            let file = File::open(path).ok()?;
-            let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
-            if len == 0 {
-                return None;
-            }
-            // SAFETY: fd is a valid open file for the duration of the
-            // call; we request a fresh read-only private mapping (addr
-            // null, offset 0) of exactly the file's length and check for
-            // MAP_FAILED before use. The fd may close after mmap returns;
-            // the mapping survives it (POSIX).
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 || ptr.is_null() {
-                return None;
-            }
-            Some(Self {
-                ptr: ptr as *const u8,
-                len,
-            })
-        }
-
-        pub(super) fn bytes(&self) -> &[u8] {
-            // SAFETY: ptr/len describe a live read-only mapping owned by
-            // self; it is unmapped only in Drop, after every borrow ends.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for MappedFile {
-        fn drop(&mut self) {
-            // SAFETY: exactly the range mmap returned; called once.
-            unsafe {
-                munmap(self.ptr as *mut core::ffi::c_void, self.len);
-            }
-        }
-    }
 }
 
 /// Bounds-checked little-endian reader over the payload.
@@ -371,8 +252,7 @@ pub(crate) fn write_index(
 /// written for `fingerprint`. Any defect returns `None` (see the module
 /// docs' corruption policy).
 pub(crate) fn read_index(path: &Path, fingerprint: u64) -> Option<MemoryEstimator> {
-    let file = FileBytes::open(path)?;
-    let bytes = file.bytes();
+    let bytes = std::fs::read(path).ok()?;
     if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
         return None;
     }
@@ -434,7 +314,7 @@ mod tests {
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("pipette-mmap-index-test");
+        let dir = std::env::temp_dir().join("pipette-index-test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }

@@ -6,14 +6,11 @@ mod analytic;
 mod cache;
 mod dataset;
 mod estimator;
-mod mmap_index;
+mod index;
 
 pub use analytic::AnalyticMemoryEstimator;
 pub use cache::{estimator_fingerprint, CacheCounters, SweepReport, TrainedEstimatorCache};
-pub use dataset::{
-    collect_samples, collect_samples_cancellable, collect_samples_parallel, MemorySample,
-    SampleSpec,
-};
+pub use dataset::{collect_samples, collect_samples_parallel, MemorySample, SampleSpec};
 pub use estimator::{EstimatorDegeneracy, MemoryEstimator, MemoryEstimatorConfig, TrainSummary};
 
 pub(crate) use estimator::analytic_prior;

@@ -4,6 +4,14 @@
 //! profiling, simulated annealing, and memory-estimator inference. Table
 //! II shows they total minutes against training runs of weeks — under
 //! 0.05 % — while the better configuration saves days.
+//!
+//! A run may also be given a *logical* deadline: [`crate::Pipette`]
+//! charges each phase in the units its trace span reports (profiled
+//! pairs, training iterations, candidates, SA evaluations — the Table II
+//! cost model) against a fixed budget, and shortens the SA passes
+//! deterministically when the budget runs low. Identical request, budget
+//! and seed therefore produce an identical [`DeadlineReport`] at any
+//! thread count.
 
 use std::fmt;
 use std::time::Duration;
@@ -53,6 +61,21 @@ impl fmt::Display for OverheadReport {
             self.memory_training.as_secs_f64(),
         )
     }
+}
+
+/// How a logical deadline budget was spent (attached to
+/// [`crate::Recommendation::deadline`] when a budget was set).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadlineReport {
+    /// The logical budget the run was given.
+    pub budget_units: u64,
+    /// Logical units charged across all phases (profiling pairs +
+    /// training iterations + screened/estimated candidates + SA
+    /// iterations).
+    pub spent_units: u64,
+    /// Whether any phase was cut short (SA passes shortened or skipped,
+    /// or estimator training skipped) to fit the budget.
+    pub truncated: bool,
 }
 
 /// Days of wall-clock for `iterations` training steps at `seconds` each —

@@ -58,11 +58,12 @@ fn every_waiver_carries_a_justification() {
 
 /// The lint burn-down dropped the waiver count from 45 to 33, merging the
 /// two pipeline engines into one removed a deadlock-guard waiver, the
-/// shared JSON parser in `pipette-obs` needs no waiver, and deleting the
-/// uncalled compute extrapolator removed its D2 waiver. This is a ratchet:
-/// new waivers need either a removed one elsewhere or a deliberate bump
-/// here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 30;
+/// shared JSON parser in `pipette-obs` needs no waiver, deleting the
+/// uncalled compute extrapolator removed its D2 waiver, and deleting the
+/// cancellable estimator-training branch removed its D1 waiver. This is a
+/// ratchet: new waivers need either a removed one elsewhere or a
+/// deliberate bump here, reviewed like any other budget change.
+const WAIVER_CEILING: usize = 29;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

@@ -4,7 +4,7 @@
 //! The configurator itself is a pure function of its inputs; this crate
 //! adds the operational shell a real cluster deployment needs (§robust
 //! serving): a bounded admission queue with deterministic load-shedding,
-//! per-request logical deadlines with cooperative cancellation, a
+//! per-request logical deadlines that shorten the search replayably, a
 //! circuit breaker that degrades estimator failures into analytic-mode
 //! responses, crash-only startup, and graceful drain on shutdown.
 //!

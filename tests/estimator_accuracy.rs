@@ -5,13 +5,15 @@ use pipette::latency::{AmpLatencyModel, Eq1Flavor, PipetteLatencyModel};
 use pipette::memory::{
     collect_samples, AnalyticMemoryEstimator, MemoryEstimator, MemoryEstimatorConfig, SampleSpec,
 };
-use pipette_cluster::presets;
+use pipette_cluster::{presets, BandwidthMatrix, ProfiledBandwidth};
 use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::{ClusterRun, ComputeProfiler, IterationSim, Mapping, MemorySim};
 
 /// Sweep every runnable configuration of a small cluster and return
-/// `(pipette_errs, amp_errs)` against the simulator.
-fn latency_error_population(nodes: usize, flavor: Eq1Flavor) -> (Vec<f64>, Vec<f64>) {
+/// `(pipette_errs, amp_errs, datasheet_errs)` against the simulator. The
+/// third population is Pipette's own estimator fed the datasheet link
+/// speeds instead of the profiled matrix.
+fn latency_error_population(nodes: usize, flavor: Eq1Flavor) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let cluster = presets::mid_range(nodes).build(31);
     let gpt = GptConfig::new(16, 2048, 16, 2048, 51200);
     let runner = ClusterRun::new(&cluster, &gpt);
@@ -19,10 +21,17 @@ fn latency_error_population(nodes: usize, flavor: Eq1Flavor) -> (Vec<f64>, Vec<f
     let (profiled, _) = cluster.profiler().profile(cluster.bandwidth(), 4);
     let ppt = PipetteLatencyModel::new(&profiled, &gpt);
     let amp = AmpLatencyModel::from_specs_of(cluster.bandwidth(), &gpt).with_flavor(flavor);
+    let datasheet = ProfiledBandwidth::exact(BandwidthMatrix::homogeneous(
+        *cluster.topology(),
+        cluster.bandwidth().intra_spec(),
+        cluster.bandwidth().inter_spec(),
+    ));
+    let datasheet_ppt = PipetteLatencyModel::new(&datasheet, &gpt);
     let profiler = ComputeProfiler::default();
     let topo = cluster.topology();
     let mut ppt_errs = Vec::new();
     let mut amp_errs = Vec::new();
+    let mut datasheet_errs = Vec::new();
     for cfg in ParallelConfig::enumerate(topo.num_gpus(), 8, gpt.n_layers) {
         let Ok(mini) = BatchConfig::new(128).minibatch(cfg.dp) else {
             continue;
@@ -38,9 +47,11 @@ fn latency_error_population(nodes: usize, flavor: Eq1Flavor) -> (Vec<f64>, Vec<f
             let compute = profiler.profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 8);
             ppt_errs.push((ppt.estimate(cfg, &mapping, plan, &compute) - truth).abs() / truth);
             amp_errs.push((amp.estimate(cfg, plan, &compute) - truth).abs() / truth);
+            let est = datasheet_ppt.estimate(cfg, &mapping, plan, &compute);
+            datasheet_errs.push((est - truth).abs() / truth);
         }
     }
-    (ppt_errs, amp_errs)
+    (ppt_errs, amp_errs, datasheet_errs)
 }
 
 fn mean(v: &[f64]) -> f64 {
@@ -49,7 +60,7 @@ fn mean(v: &[f64]) -> f64 {
 
 #[test]
 fn pipette_latency_mape_is_single_digit() {
-    let (ppt, _) = latency_error_population(4, Eq1Flavor::Scalar);
+    let (ppt, _, _) = latency_error_population(4, Eq1Flavor::Scalar);
     assert!(ppt.len() >= 10, "population too small: {}", ppt.len());
     let mape = mean(&ppt);
     assert!(
@@ -64,7 +75,7 @@ fn pipette_latency_mape_is_single_digit() {
 #[test]
 fn eq1_scalar_flavor_is_much_worse_than_pipette() {
     // Fig. 5a's comparison: Eq. 1 as written vs Eqs. 3-6.
-    let (ppt, amp) = latency_error_population(4, Eq1Flavor::Scalar);
+    let (ppt, amp, _) = latency_error_population(4, Eq1Flavor::Scalar);
     assert!(
         mean(&amp) > 3.0 * mean(&ppt),
         "Eq.1 scalar MAPE {:.3} should dwarf Pipette's {:.3}",
@@ -75,12 +86,25 @@ fn eq1_scalar_flavor_is_much_worse_than_pipette() {
 
 #[test]
 fn eq1_per_stage_flavor_still_loses_to_pipette() {
-    let (ppt, amp) = latency_error_population(4, Eq1Flavor::PerStage);
+    let (ppt, amp, _) = latency_error_population(4, Eq1Flavor::PerStage);
     assert!(
         mean(&amp) > mean(&ppt),
         "even the charitable Eq.1 reading ({:.4}) should lose to Pipette ({:.4})",
         mean(&amp),
         mean(&ppt)
+    );
+}
+
+#[test]
+fn profiled_links_beat_datasheet_links_inside_pipettes_estimator() {
+    // The profiled-bandwidth ablation: the same Eq. 3-6 estimator, fed the
+    // link speeds the datasheet promises instead of the ones profiled.
+    let (ppt, _, datasheet) = latency_error_population(4, Eq1Flavor::Scalar);
+    assert!(
+        mean(&ppt) < mean(&datasheet),
+        "profiled links (MAPE {:.4}) should beat datasheet links ({:.4})",
+        mean(&ppt),
+        mean(&datasheet)
     );
 }
 
