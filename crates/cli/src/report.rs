@@ -6,7 +6,7 @@ use pipette::configurator::{Pipette, PipetteOptions, Recommendation};
 use pipette::degraded::{run_under_faults, DegradedOutcome};
 use pipette::mapping::AnnealerConfig;
 use pipette::memory::CacheCounters;
-use pipette_cluster::{FaultPlan, RobustProfilingPolicy};
+use pipette_cluster::FaultPlan;
 use pipette_obs::json::Obj;
 use pipette_obs::{EventKind, Trace};
 use pipette_sim::{ClusterRun, Measured};
@@ -244,7 +244,6 @@ pub fn run_drill_traced(
         spec.global_batch,
         options_for(spec),
         plan,
-        &RobustProfilingPolicy::default(),
         trace,
     )?;
     let rec = &outcome.recommendation;

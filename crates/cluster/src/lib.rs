@@ -50,8 +50,8 @@ pub use import::parse_mpigraph;
 pub use link::{LinkClass, LinkSpec, GIB};
 pub use presets::{Cluster, ClusterPreset};
 pub use profiler::{
-    Aggregation, MeasurementQuality, MeasurementReport, NetworkProfiler, PairIncident,
-    ProfiledBandwidth, ProfilingCost, RobustProfilingPolicy,
+    MeasurementQuality, MeasurementReport, NetworkProfiler, PairIncident, ProfiledBandwidth,
+    ProfilingCost,
 };
 pub use temporal::TemporalDrift;
 pub use topology::{ClusterTopology, GpuId, NodeId};

@@ -9,34 +9,39 @@
 //! model for Table II's "Bandwidth Profiling" row.
 //!
 //! Real benchmarks also *fail*: processes crash (NaN), transfers time out
-//! (zero), units get confused (wild outliers). [`NetworkProfiler::profile_robust`]
-//! survives all of that under an injected [`FaultPlan`] via a degradation
-//! ladder — repeat, retry with backoff, aggregate robustly, and finally
-//! impute from topology priors — while reporting per-pair
-//! [`MeasurementQuality`] and charging the retries to the Table II cost
-//! model. With a zero-fault plan and one repeat it is bit-identical to
-//! [`NetworkProfiler::profile`].
+//! (zero), units get confused (wild outliers). One loop measures every
+//! pair and survives all of that under an injected [`FaultPlan`]: an
+//! implausible reading is retried, each retry charged to the Table II
+//! cost model, and a pair that never reads plausibly is imputed from
+//! topology priors. The pairs that needed either land in a
+//! [`MeasurementReport`]. [`NetworkProfiler::profile`] is the loop's
+//! zero-fault case and [`NetworkProfiler::profile_robust`] runs it under a
+//! plan.
 
 use crate::bandwidth::BandwidthMatrix;
 use crate::error::ClusterError;
 use crate::faults::{CorruptionKind, FaultPlan};
-use crate::link::LinkClass;
 use crate::rand_util::normal;
 use crate::topology::{ClusterTopology, GpuId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// How a single pair's bandwidth was obtained by the robust profiler.
+/// Attempts a pair gets after its first implausible reading.
+const MAX_RETRIES: usize = 3;
+/// Seconds each retry adds to the Table II profiling cost.
+const RETRY_BACKOFF_SECONDS: f64 = 0.25;
+/// A reading is plausible iff it lies within `[nominal / band, nominal *
+/// band]` of its link class's nominal spec bandwidth.
+const PLAUSIBILITY_BAND: f64 = 16.0;
+
+/// Why a pair appears in a [`MeasurementReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MeasurementQuality {
-    /// All requested samples came back valid on the first try.
-    Clean,
-    /// The pair needed retries and/or discarded corrupt samples, but a
-    /// valid aggregate was eventually measured.
+    /// The pair read implausibly at first, but a retry measured it.
     Recovered {
-        /// Extra attempts beyond the requested repeat count.
+        /// Attempts after the first.
         retries: usize,
-        /// Samples discarded as NaN/zero/implausible.
+        /// Readings discarded as NaN/zero/implausible.
         corrupt_samples: usize,
     },
     /// Every attempt failed; the value was imputed from topology priors
@@ -60,7 +65,7 @@ pub struct PairIncident {
     pub quality: MeasurementQuality,
 }
 
-/// Aggregate quality accounting of one robust profiling run.
+/// Aggregate quality accounting of one profiling run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MeasurementReport {
     /// Directed GPU pairs measured (or imputed).
@@ -69,9 +74,9 @@ pub struct MeasurementReport {
     pub retries: usize,
     /// Pairs whose value had to be imputed.
     pub imputed: usize,
-    /// Samples discarded as corrupt across all pairs.
+    /// Readings discarded as corrupt across all pairs.
     pub corrupt_samples: usize,
-    /// The non-clean pairs, in measurement order.
+    /// The non-clean pairs, in pair order.
     pub incidents: Vec<PairIncident>,
 }
 
@@ -82,90 +87,16 @@ impl MeasurementReport {
     }
 }
 
-/// How repeated samples of one pair are collapsed to a single value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Aggregation {
-    /// The median (average of the two middle samples for even counts).
-    /// Robust to up to half the samples being wild; the median of a
-    /// single sample is that sample, preserving zero-fault bit-identity.
-    #[default]
-    Median,
-    /// Mean after dropping the minimum and maximum (plain mean for fewer
-    /// than three samples).
-    TrimmedMean,
-    /// The arithmetic mean.
-    Mean,
-}
-
-impl Aggregation {
-    fn collapse(self, samples: &mut [f64]) -> f64 {
-        debug_assert!(!samples.is_empty());
-        match self {
-            Aggregation::Median => {
-                samples.sort_by(f64::total_cmp);
-                let n = samples.len();
-                if n % 2 == 1 {
-                    samples[n / 2]
-                } else {
-                    (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-                }
-            }
-            Aggregation::TrimmedMean => {
-                if samples.len() < 3 {
-                    return Aggregation::Mean.collapse(samples);
-                }
-                samples.sort_by(f64::total_cmp);
-                let inner = &samples[1..samples.len() - 1];
-                inner.iter().sum::<f64>() / inner.len() as f64
-            }
-            Aggregation::Mean => samples.iter().sum::<f64>() / samples.len() as f64,
-        }
-    }
-}
-
-/// Knobs of the robust profiling ladder: how many samples to take, how to
-/// aggregate them, how hard to retry, and what counts as plausible.
-///
-/// The default (`repeats: 1`, median, 3 retries) makes the zero-fault
-/// path identical to [`NetworkProfiler::profile`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustProfilingPolicy {
-    /// Valid samples requested per pair.
-    pub repeats: usize,
-    /// How repeated samples collapse to one value.
-    pub aggregation: Aggregation,
-    /// Extra attempts allowed per pair beyond `repeats`.
-    pub max_retries: usize,
-    /// Wall-clock charged per retry attempt (seconds), feeding the
-    /// Table II cost model.
-    pub retry_backoff_seconds: f64,
-    /// A reading is plausible iff within `[nominal/band, nominal*band]`
-    /// of its link class's nominal spec bandwidth.
-    pub plausibility_band: f64,
-}
-
-impl Default for RobustProfilingPolicy {
-    fn default() -> Self {
-        Self {
-            repeats: 1,
-            aggregation: Aggregation::Median,
-            max_retries: 3,
-            retry_backoff_seconds: 0.25,
-            plausibility_band: 16.0,
-        }
-    }
-}
-
 /// Measured bandwidth matrix, as Pipette's estimator sees it.
 ///
 /// Wraps a [`BandwidthMatrix`] so the type system distinguishes profiled
-/// (noisy) bandwidths from ground truth, and — when produced by
-/// [`NetworkProfiler::profile_robust`] — carries the per-pair
-/// [`MeasurementReport`] (in-memory metadata only).
+/// (noisy) bandwidths from ground truth, and carries the per-pair
+/// [`MeasurementReport`] of the run that measured it (in-memory metadata
+/// only; empty for [`Self::exact`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfiledBandwidth {
     matrix: BandwidthMatrix,
-    report: Option<MeasurementReport>,
+    report: MeasurementReport,
 }
 
 impl ProfiledBandwidth {
@@ -183,28 +114,13 @@ impl ProfiledBandwidth {
     pub fn exact(matrix: BandwidthMatrix) -> Self {
         Self {
             matrix,
-            report: None,
+            report: MeasurementReport::default(),
         }
     }
 
-    /// The measurement-quality report, if this came from a robust
-    /// profiling run.
-    pub fn report(&self) -> Option<&MeasurementReport> {
-        self.report.as_ref()
-    }
-
-    /// The quality of one directed pair's measurement. `Clean` for pairs
-    /// with no recorded incident (including matrices without a report).
-    pub fn quality(&self, from: GpuId, to: GpuId) -> MeasurementQuality {
-        self.report
-            .as_ref()
-            .and_then(|r| {
-                r.incidents
-                    .iter()
-                    .find(|i| i.from == from && i.to == to)
-                    .map(|i| i.quality)
-            })
-            .unwrap_or(MeasurementQuality::Clean)
+    /// The measurement-quality report of the run that measured this.
+    pub fn report(&self) -> &MeasurementReport {
+        &self.report
     }
 }
 
@@ -215,8 +131,7 @@ pub struct ProfilingCost {
     pub seconds: f64,
     /// Number of directed node pairs measured.
     pub node_pairs: usize,
-    /// Retry attempts charged on top of the base sweep (zero for the
-    /// non-robust profiler).
+    /// Retry attempts charged on top of the base sweep.
     pub retries: usize,
 }
 
@@ -257,6 +172,7 @@ impl NetworkProfiler {
     }
 
     /// Measures the cluster: returns the noisy matrix and the time it took.
+    /// This is [`Self::profile_robust`] under the zero-fault plan.
     ///
     /// Deterministic in `seed`.
     pub fn profile(
@@ -264,213 +180,130 @@ impl NetworkProfiler {
         truth: &BandwidthMatrix,
         seed: u64,
     ) -> (ProfiledBandwidth, ProfilingCost) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut measured = truth.clone();
-        let topo = *truth.topology();
-        for a in topo.gpus() {
-            for b in topo.gpus() {
-                if a == b {
-                    continue;
-                }
-                let factor = normal(&mut rng, 1.0, self.noise_sigma).clamp(0.8, 1.2);
-                measured.set(GpuId(a.0), GpuId(b.0), truth.between(a, b) * factor);
-            }
-        }
-        (
-            ProfiledBandwidth {
-                matrix: measured,
-                report: None,
-            },
-            self.cost(&topo),
-        )
+        self.measure(truth, seed, &FaultPlan::default())
     }
 
     /// Measures the cluster under an injected [`FaultPlan`], surviving
     /// corrupt and failed readings.
     ///
-    /// The degradation ladder per directed pair:
-    ///
-    /// 1. take `policy.repeats` samples (each noisy, possibly corrupted
-    ///    or failed by the plan);
-    /// 2. retry failed/implausible samples up to `policy.max_retries`
-    ///    extra attempts, each charged `retry_backoff_seconds`;
-    /// 3. collapse the valid samples with `policy.aggregation`;
-    /// 4. if no attempt ever succeeded — or the pair touches a cordoned
-    ///    node, which cannot be measured at all — impute the value from
-    ///    the link class's mean valid measurement, falling back to the
-    ///    nominal spec bandwidth.
+    /// `truth` is the healthy cluster's matrix: the plan's ground-truth
+    /// faults (drift, degraded links, stragglers) are applied here, once.
+    /// Then each directed pair takes one noisy reading per attempt, which
+    /// the plan may corrupt or fail. A reading that is not finite and
+    /// positive, or lies outside `[nominal / 16, nominal * 16]` of its
+    /// link class's nominal spec, is discarded and the pair retried, at
+    /// most 3 times, each retry charged 0.25 s to the Table II cost. A
+    /// pair that never reads plausibly, or touches a cordoned node (which
+    /// cannot be measured at all), is imputed from its link class's mean
+    /// measured bandwidth, falling back to the nominal spec.
     ///
     /// Deterministic in `seed` (the plan's own decisions hash from
-    /// `plan.seed`, independent of the noise stream). With a zero-fault
-    /// plan and `repeats == 1` the returned matrix is bit-identical to
-    /// [`Self::profile`] at the same seed.
+    /// `plan.seed`, independent of the noise stream).
     ///
     /// # Errors
     ///
     /// [`ClusterError::InvalidFaultPlan`] if the plan does not fit the
-    /// topology, [`ClusterError::InvalidParameter`] if the policy is
-    /// degenerate (`repeats == 0`, non-positive plausibility band).
+    /// topology.
     pub fn profile_robust(
         &self,
         truth: &BandwidthMatrix,
         seed: u64,
         plan: &FaultPlan,
-        policy: &RobustProfilingPolicy,
     ) -> Result<(ProfiledBandwidth, ProfilingCost), ClusterError> {
-        let topo = *truth.topology();
-        plan.validate(&topo)?;
-        if policy.repeats == 0 {
-            return Err(ClusterError::InvalidParameter {
-                name: "repeats".into(),
-                reason: "must take at least one sample per pair".into(),
-            });
-        }
-        if !(policy.plausibility_band.is_finite() && policy.plausibility_band >= 1.0) {
-            return Err(ClusterError::InvalidParameter {
-                name: "plausibility_band".into(),
-                reason: format!("{} must be finite and >= 1", policy.plausibility_band),
-            });
-        }
-        if !(policy.retry_backoff_seconds.is_finite() && policy.retry_backoff_seconds >= 0.0) {
-            return Err(ClusterError::InvalidParameter {
-                name: "retry_backoff_seconds".into(),
-                reason: format!(
-                    "{} must be finite and non-negative",
-                    policy.retry_backoff_seconds
-                ),
-            });
-        }
+        plan.validate(truth.topology())?;
+        Ok(self.measure(truth, seed, plan))
+    }
 
-        let degraded = plan.apply_to_truth(truth);
-        let mut measured = degraded.clone();
+    /// The one measurement loop behind [`Self::profile`] and
+    /// [`Self::profile_robust`], for a plan that fits the topology.
+    fn measure(
+        &self,
+        truth: &BandwidthMatrix,
+        seed: u64,
+        plan: &FaultPlan,
+    ) -> (ProfiledBandwidth, ProfilingCost) {
+        let topo = *truth.topology();
+        // Each pair reads its true value here before overwriting it with
+        // the measurement, so one matrix serves as both.
+        let mut measured = plan.apply_to_truth(truth);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut report = MeasurementReport::default();
-        // Per-link-class running mean of valid aggregates, the first rung
-        // of the imputation prior.
-        let mut class_sum = [0.0f64; 2];
-        let mut class_count = [0usize; 2];
-        let class_idx = |c: LinkClass| match c {
-            LinkClass::IntraNode => 0,
-            LinkClass::InterNode => 1,
-            // pipette-lint: allow(D2) -- the profiling loops below visit only
-            // a != b pairs, so a loopback class here is a broken iteration
-            LinkClass::Loopback => unreachable!("loopback pairs are skipped"),
+        let n = topo.num_gpus();
+        let mut report = MeasurementReport {
+            pairs_measured: n * n.saturating_sub(1),
+            ..MeasurementReport::default()
         };
         let cordoned: Vec<GpuId> = plan.excluded_gpu_ids(&topo);
-        let mut to_impute: Vec<(GpuId, GpuId, usize)> = Vec::new();
+        let mut to_impute: Vec<(GpuId, GpuId)> = Vec::new();
 
         for a in topo.gpus() {
             for b in topo.gpus() {
                 if a == b {
                     continue;
                 }
-                report.pairs_measured += 1;
                 if cordoned.contains(&a) || cordoned.contains(&b) {
                     // A dead endpoint: every attempt would time out. Charge
                     // the full retry budget, draw nothing from the noise
                     // stream, and impute below.
-                    report.retries += policy.max_retries;
-                    to_impute.push((a, b, policy.max_retries));
+                    report.retries += MAX_RETRIES;
+                    to_impute.push((a, b));
                     continue;
                 }
-                let true_bw = degraded.between(a, b);
-                let nominal = match degraded.link_class(a, b) {
-                    LinkClass::IntraNode => degraded.intra_spec().bandwidth_gib_s,
-                    _ => degraded.inter_spec().bandwidth_gib_s,
-                };
-                let (lo, hi) = (
-                    nominal / policy.plausibility_band,
-                    nominal * policy.plausibility_band,
-                );
-                let mut samples: Vec<f64> = Vec::with_capacity(policy.repeats);
-                let mut corrupt = 0usize;
-                let mut attempts = 0usize;
-                while samples.len() < policy.repeats
-                    && attempts < policy.repeats + policy.max_retries
-                {
+                let true_bw = measured.between(a, b);
+                let nominal = nominal_gib_s(&measured, a, b);
+                let plausible = nominal / PLAUSIBILITY_BAND..=nominal * PLAUSIBILITY_BAND;
+                let mut attempt = 0;
+                let reading = loop {
                     let factor = normal(&mut rng, 1.0, self.noise_sigma).clamp(0.8, 1.2);
-                    let mut reading = true_bw * factor;
-                    if let Some(kind) = plan.corruption_for(a.0, b.0, attempts) {
-                        reading = match kind {
-                            CorruptionKind::Nan => f64::NAN,
-                            CorruptionKind::Zero => 0.0,
-                            CorruptionKind::WildOutlier => reading * 1000.0,
-                        };
-                    } else if plan.measurement_fails(a.0, b.0, attempts) {
-                        reading = f64::NAN;
+                    let reading = match plan.corruption_for(a.0, b.0, attempt) {
+                        Some(CorruptionKind::Nan) => f64::NAN,
+                        Some(CorruptionKind::Zero) => 0.0,
+                        Some(CorruptionKind::WildOutlier) => true_bw * factor * 1000.0,
+                        None if plan.measurement_fails(a.0, b.0, attempt) => f64::NAN,
+                        None => true_bw * factor,
+                    };
+                    if reading.is_finite() && reading > 0.0 && plausible.contains(&reading) {
+                        break Some(reading);
                     }
-                    attempts += 1;
-                    if reading.is_finite() && reading > 0.0 && (lo..=hi).contains(&reading) {
-                        samples.push(reading);
-                    } else {
-                        corrupt += 1;
+                    report.corrupt_samples += 1;
+                    if attempt == MAX_RETRIES {
+                        break None;
                     }
-                }
-                let retries = attempts.saturating_sub(policy.repeats);
-                report.retries += retries;
-                report.corrupt_samples += corrupt;
-                if samples.is_empty() {
-                    to_impute.push((a, b, retries));
-                    continue;
-                }
-                let value = policy.aggregation.collapse(&mut samples);
-                measured.set(a, b, value);
-                let ci = class_idx(degraded.link_class(a, b));
-                class_sum[ci] += value;
-                class_count[ci] += 1;
-                if retries > 0 || corrupt > 0 {
-                    report.incidents.push(PairIncident {
-                        from: a,
-                        to: b,
-                        quality: MeasurementQuality::Recovered {
-                            retries,
-                            corrupt_samples: corrupt,
-                        },
-                    });
+                    attempt += 1;
+                };
+                report.retries += attempt;
+                match reading {
+                    Some(value) => {
+                        measured.set(a, b, value);
+                        if attempt > 0 {
+                            report.incidents.push(PairIncident {
+                                from: a,
+                                to: b,
+                                quality: MeasurementQuality::Recovered {
+                                    retries: attempt,
+                                    corrupt_samples: attempt,
+                                },
+                            });
+                        }
+                    }
+                    None => to_impute.push((a, b)),
                 }
             }
         }
 
-        // Imputation pass: pairs that exhausted the ladder take the mean
-        // valid measurement of their link class, else the nominal spec.
-        report.imputed = to_impute.len();
-        for (a, b, retries) in to_impute {
-            let ci = class_idx(measured.link_class(a, b));
-            let gib_s = if class_count[ci] > 0 {
-                class_sum[ci] / class_count[ci] as f64
-            } else {
-                match measured.link_class(a, b) {
-                    LinkClass::IntraNode => measured.intra_spec().bandwidth_gib_s,
-                    _ => measured.inter_spec().bandwidth_gib_s,
-                }
-            };
-            measured.set(a, b, gib_s);
-            report.incidents.push(PairIncident {
-                from: a,
-                to: b,
-                quality: MeasurementQuality::Imputed { gib_s, retries },
-            });
+        // Imputing sums every measured pair by class; a clean run skips it.
+        if !to_impute.is_empty() {
+            impute(&mut measured, &mut report, &to_impute);
         }
-        // Incident order: recovered pairs are pushed in measurement order,
-        // imputed pairs afterwards. Re-sort into pair order so consumers
-        // see one deterministic ordering regardless of ladder rung.
-        report.incidents.sort_by_key(|i| (i.from.0, i.to.0));
-
-        let base = self.cost(&topo);
-        let cost = ProfilingCost {
-            seconds: self.base_seconds
-                + self.per_pair_seconds * (base.node_pairs * policy.repeats) as f64
-                + report.retries as f64 * policy.retry_backoff_seconds,
-            node_pairs: base.node_pairs,
-            retries: report.retries,
-        };
-        Ok((
+        let mut cost = self.cost(&topo);
+        cost.retries = report.retries;
+        cost.seconds += report.retries as f64 * RETRY_BACKOFF_SECONDS;
+        (
             ProfiledBandwidth {
                 matrix: measured,
-                report: Some(report),
+                report,
             },
             cost,
-        ))
+        )
     }
 
     /// Cost of profiling a cluster of the given shape, without running it.
@@ -483,6 +316,60 @@ impl NetworkProfiler {
             retries: 0,
         }
     }
+}
+
+/// The nominal spec bandwidth of the link class joining two distinct GPUs.
+fn nominal_gib_s(matrix: &BandwidthMatrix, a: GpuId, b: GpuId) -> f64 {
+    if matrix.topology().same_node(a, b) {
+        matrix.intra_spec().bandwidth_gib_s
+    } else {
+        matrix.inter_spec().bandwidth_gib_s
+    }
+}
+
+/// Gives each pair of `to_impute` (in pair order) its link class's mean
+/// measured bandwidth, else the nominal spec, and records it in `report`,
+/// whose incidents it leaves in pair order.
+fn impute(
+    measured: &mut BandwidthMatrix,
+    report: &mut MeasurementReport,
+    to_impute: &[(GpuId, GpuId)],
+) {
+    let topo = *measured.topology();
+    // Per-class sums of the measured pairs, indexed by `same_node`, added
+    // in pair order.
+    let mut class_sum = [0.0f64; 2];
+    let mut class_count = [0usize; 2];
+    let mut pending = to_impute.iter().peekable();
+    for a in topo.gpus() {
+        for b in topo.gpus() {
+            if a == b || pending.next_if_eq(&&(a, b)).is_some() {
+                continue;
+            }
+            let class = usize::from(topo.same_node(a, b));
+            class_sum[class] += measured.between(a, b);
+            class_count[class] += 1;
+        }
+    }
+    report.imputed = to_impute.len();
+    for &(a, b) in to_impute {
+        let class = usize::from(topo.same_node(a, b));
+        let gib_s = if class_count[class] > 0 {
+            class_sum[class] / class_count[class] as f64
+        } else {
+            nominal_gib_s(measured, a, b)
+        };
+        measured.set(a, b, gib_s);
+        report.incidents.push(PairIncident {
+            from: a,
+            to: b,
+            quality: MeasurementQuality::Imputed {
+                gib_s,
+                retries: MAX_RETRIES,
+            },
+        });
+    }
+    report.incidents.sort_by_key(|i| (i.from.0, i.to.0));
 }
 
 #[cfg(test)]
@@ -500,6 +387,113 @@ mod tests {
             LinkSpec::new(11.64, 5e-6),
             21,
         )
+    }
+
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &byte in bytes {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The digest of every entry's bit pattern, in row-major order.
+    fn matrix_digest(m: &BandwidthMatrix) -> u64 {
+        let gpus = m.topology().gpus();
+        gpus.flat_map(|a| m.topology().gpus().map(move |b| (a, b)))
+            .fold(0xcbf2_9ce4_8422_2325, |h, (a, b)| {
+                fnv(h, &m.between(a, b).to_bits().to_le_bytes())
+            })
+    }
+
+    /// A robust run as its pin reads it: the matrix digest, the digest of
+    /// the report as `Debug` prints it (every counter and incident), the
+    /// retry and imputation counters, and the bits of the charged seconds.
+    fn robust_pin(plan: &FaultPlan, seed: u64) -> (u64, u64, usize, usize, u64) {
+        let (p, cost) = NetworkProfiler::default()
+            .profile_robust(&truth(), seed, plan)
+            .unwrap();
+        let report = p.report();
+        (
+            matrix_digest(p.matrix()),
+            fnv(0xcbf2_9ce4_8422_2325, format!("{report:?}").as_bytes()),
+            report.retries,
+            report.imputed,
+            cost.seconds.to_bits(),
+        )
+    }
+
+    fn corrupt_pair_plan() -> FaultPlan {
+        let pair = |from_gpu, to_gpu, kind: &str| CorruptPair {
+            from_gpu,
+            to_gpu,
+            kind: kind.into(),
+        };
+        FaultPlan {
+            corrupt_pairs: vec![
+                pair(0, 5, "nan"),
+                pair(1, 9, "zero"),
+                pair(2, 13, "outlier"),
+            ],
+            ..FaultPlan::default()
+        }
+    }
+
+    fn total_failure_plan() -> FaultPlan {
+        FaultPlan {
+            measurement_failure_rate: 1.0,
+            ..FaultPlan::default()
+        }
+    }
+
+    fn cordoned_node_plan() -> FaultPlan {
+        FaultPlan {
+            failed_nodes: vec![3],
+            ..FaultPlan::default()
+        }
+    }
+
+    #[test]
+    fn plain_profile_bits_are_pinned() {
+        for (seed, digest) in [(1, 0x3c9f_8f44_d15d_729d), (7, 0x5724_7c9c_ee71_7db6)] {
+            let (p, _) = NetworkProfiler::default().profile(&truth(), seed);
+            assert_eq!(matrix_digest(p.matrix()), digest, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn robust_profile_bits_are_pinned_on_the_fault_plans() {
+        assert_eq!(
+            robust_pin(&corrupt_pair_plan(), 3),
+            (
+                0x31bf_3670_3f4d_370e,
+                0xa58d_b010_f9ea_aae4,
+                3,
+                0,
+                0x4046_5ae1_47ae_147b
+            )
+        );
+        assert_eq!(
+            robust_pin(&total_failure_plan(), 3),
+            (
+                0xf731_a067_2057_0ca5,
+                0x6810_3f5e_b887_121d,
+                720,
+                240,
+                0x406b_feb8_51eb_851f
+            )
+        );
+        assert_eq!(
+            robust_pin(&cordoned_node_plan(), 11),
+            (
+                0x0c58_435f_04f2_bfc8,
+                0x2d8a_6858_eff2_8c73,
+                324,
+                108,
+                0x405f_3d70_a3d7_0a3e
+            )
+        );
     }
 
     #[test]
@@ -544,8 +538,7 @@ mod tests {
         let t = truth();
         let p = ProfiledBandwidth::exact(t.clone());
         assert_eq!(p.matrix(), &t);
-        assert!(p.report().is_none());
-        assert_eq!(p.quality(GpuId(0), GpuId(1)), MeasurementQuality::Clean);
+        assert_eq!(p.report(), &MeasurementReport::default());
         assert_eq!(p.into_matrix(), t);
     }
 
@@ -568,17 +561,12 @@ mod tests {
         let prof = NetworkProfiler::default();
         let (plain, plain_cost) = prof.profile(&t, 7);
         let (robust, robust_cost) = prof
-            .profile_robust(
-                &t,
-                7,
-                &FaultPlan::default(),
-                &RobustProfilingPolicy::default(),
-            )
+            .profile_robust(&t, 7, &FaultPlan::default())
             .expect("zero-fault plan is valid");
         assert_eq!(robust.matrix(), plain.matrix());
         assert_eq!(robust_cost.seconds, plain_cost.seconds);
         assert_eq!(robust_cost.retries, 0);
-        let report = robust.report().expect("robust runs carry a report");
+        let report = robust.report();
         assert!(report.is_clean());
         assert_eq!(report.imputed, 0);
         assert_eq!(report.pairs_measured, 16 * 15);
@@ -590,45 +578,28 @@ mod tests {
             let t = truth();
             let prof = NetworkProfiler::default();
             let (plain, _) = prof.profile(&t, seed);
-            let (robust, _) = prof
-                .profile_robust(
-                    &t,
-                    seed,
-                    &FaultPlan::default(),
-                    &RobustProfilingPolicy::default(),
-                )
-                .unwrap();
+            let (robust, _) = prof.profile_robust(&t, seed, &FaultPlan::default()).unwrap();
             prop_assert_eq!(robust.matrix(), plain.matrix());
         }
+    }
+
+    /// The incident recorded for `from -> to`, if any.
+    fn incident(p: &ProfiledBandwidth, from: usize, to: usize) -> Option<MeasurementQuality> {
+        p.report()
+            .incidents
+            .iter()
+            .find(|i| i.from == GpuId(from) && i.to == GpuId(to))
+            .map(|i| i.quality)
     }
 
     #[test]
     fn corrupt_pairs_are_recovered_by_retry() {
         let t = truth();
-        let plan = FaultPlan {
-            corrupt_pairs: vec![
-                CorruptPair {
-                    from_gpu: 0,
-                    to_gpu: 5,
-                    kind: "nan".into(),
-                },
-                CorruptPair {
-                    from_gpu: 1,
-                    to_gpu: 9,
-                    kind: "zero".into(),
-                },
-                CorruptPair {
-                    from_gpu: 2,
-                    to_gpu: 13,
-                    kind: "outlier".into(),
-                },
-            ],
-            ..FaultPlan::default()
-        };
+        let plan = corrupt_pair_plan();
         let (p, cost) = NetworkProfiler::default()
-            .profile_robust(&t, 3, &plan, &RobustProfilingPolicy::default())
+            .profile_robust(&t, 3, &plan)
             .unwrap();
-        let report = p.report().unwrap();
+        let report = p.report();
         assert_eq!(report.incidents.len(), 3);
         assert_eq!(report.imputed, 0);
         assert_eq!(report.corrupt_samples, 3);
@@ -636,14 +607,14 @@ mod tests {
         assert!(cost.retries == 3 && cost.seconds > 0.0);
         // Each corrupted pair recovered to a plausible value on retry.
         for c in &plan.corrupt_pairs {
-            let (a, b) = (GpuId(c.from_gpu), GpuId(c.to_gpu));
-            assert!(matches!(
-                p.quality(a, b),
-                MeasurementQuality::Recovered {
+            assert_eq!(
+                incident(&p, c.from_gpu, c.to_gpu),
+                Some(MeasurementQuality::Recovered {
                     retries: 1,
                     corrupt_samples: 1
-                }
-            ));
+                })
+            );
+            let (a, b) = (GpuId(c.from_gpu), GpuId(c.to_gpu));
             let ratio = p.matrix().between(a, b) / t.between(a, b);
             assert!((ratio - 1.0).abs() < 0.21, "ratio {ratio}");
         }
@@ -653,15 +624,10 @@ mod tests {
     fn always_failing_pairs_are_imputed_from_class_prior() {
         let t = truth();
         // Total measurement failure: every attempt of every pair dies.
-        let plan = FaultPlan {
-            measurement_failure_rate: 1.0,
-            ..FaultPlan::default()
-        };
         let (p, _) = NetworkProfiler::default()
-            .profile_robust(&t, 3, &plan, &RobustProfilingPolicy::default())
+            .profile_robust(&t, 3, &total_failure_plan())
             .unwrap();
-        let report = p.report().unwrap();
-        assert_eq!(report.imputed, 16 * 15);
+        assert_eq!(p.report().imputed, 16 * 15);
         // No class has any valid measurement, so imputation lands on the
         // nominal spec bandwidths.
         assert_eq!(p.matrix().between(GpuId(0), GpuId(1)), 300.0);
@@ -671,29 +637,21 @@ mod tests {
     #[test]
     fn cordoned_pairs_skip_measurement_and_get_imputed() {
         let t = truth();
-        let plan = FaultPlan {
-            failed_nodes: vec![3],
-            ..FaultPlan::default()
-        };
-        let policy = RobustProfilingPolicy::default();
         let (p, cost) = NetworkProfiler::default()
-            .profile_robust(&t, 11, &plan, &policy)
+            .profile_robust(&t, 11, &cordoned_node_plan())
             .unwrap();
-        let report = p.report().unwrap();
+        let report = p.report();
         // 4 dead GPUs: pairs touching them = 2 * 4 * 12 (cross) + 4*3 (among dead).
         let dead_pairs = 2 * 4 * 12 + 4 * 3;
         assert_eq!(report.imputed, dead_pairs);
-        assert_eq!(report.retries, dead_pairs * policy.max_retries);
+        assert_eq!(report.retries, dead_pairs * MAX_RETRIES);
         assert_eq!(cost.retries, report.retries);
         assert!(matches!(
-            p.quality(GpuId(0), GpuId(12)),
-            MeasurementQuality::Imputed { .. }
+            incident(&p, 0, 12),
+            Some(MeasurementQuality::Imputed { .. })
         ));
-        // Healthy pairs are untouched by the cordon and stay plausible.
-        assert!(matches!(
-            p.quality(GpuId(0), GpuId(4)),
-            MeasurementQuality::Clean
-        ));
+        // Healthy pairs are untouched by the cordon and read cleanly.
+        assert_eq!(incident(&p, 0, 4), None);
     }
 
     #[test]
@@ -708,66 +666,20 @@ mod tests {
             ..FaultPlan::default()
         };
         let (p, _) = NetworkProfiler::new(0.0, 0.0, 0.0)
-            .profile_robust(&t, 1, &plan, &RobustProfilingPolicy::default())
+            .profile_robust(&t, 1, &plan)
             .unwrap();
         let measured = p.matrix().between(GpuId(0), GpuId(4));
         assert!((measured - t.between(GpuId(0), GpuId(4)) * 0.5).abs() < 1e-9);
     }
 
     #[test]
-    fn repeats_tighten_the_estimate() {
-        let t = truth();
-        let prof = NetworkProfiler::new(0.1, 0.0, 0.0);
-        let policy_many = RobustProfilingPolicy {
-            repeats: 9,
-            ..RobustProfilingPolicy::default()
-        };
-        let err = |p: &ProfiledBandwidth| {
-            let mut worst: f64 = 0.0;
-            for a in t.topology().gpus() {
-                for b in t.topology().gpus() {
-                    if a != b {
-                        worst = worst.max((p.matrix().between(a, b) / t.between(a, b) - 1.0).abs());
-                    }
-                }
-            }
-            worst
-        };
-        // Median-of-9 beats a single noisy sample on worst-case error for
-        // this fixed seed (and costs 9x the per-pair time).
-        let (p1, c1) = prof
-            .profile_robust(
-                &t,
-                5,
-                &FaultPlan::default(),
-                &RobustProfilingPolicy::default(),
-            )
-            .unwrap();
-        let (p9, c9) = prof
-            .profile_robust(&t, 5, &FaultPlan::default(), &policy_many)
-            .unwrap();
-        assert!(err(&p9) < err(&p1));
-        assert!(c9.seconds >= c1.seconds);
-    }
-
-    #[test]
-    fn invalid_policy_and_plan_are_rejected() {
-        let t = truth();
-        let prof = NetworkProfiler::default();
-        let bad_policy = RobustProfilingPolicy {
-            repeats: 0,
-            ..RobustProfilingPolicy::default()
-        };
-        assert!(matches!(
-            prof.profile_robust(&t, 0, &FaultPlan::default(), &bad_policy),
-            Err(ClusterError::InvalidParameter { .. })
-        ));
+    fn invalid_plan_is_rejected() {
         let bad_plan = FaultPlan {
             failed_nodes: vec![99],
             ..FaultPlan::default()
         };
         assert!(matches!(
-            prof.profile_robust(&t, 0, &bad_plan, &RobustProfilingPolicy::default()),
+            NetworkProfiler::default().profile_robust(&truth(), 0, &bad_plan),
             Err(ClusterError::InvalidFaultPlan { .. })
         ));
     }

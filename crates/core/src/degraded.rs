@@ -4,7 +4,7 @@
 //! [`run_under_faults`] walks the degradation ladder end to end:
 //!
 //! 1. **Retry** — the robust profiler re-measures pairs whose readings
-//!    come back corrupt or failed (bounded by the policy's retry budget).
+//!    come back corrupt or failed (at most three retries per pair).
 //! 2. **Impute** — pairs that never produce a valid reading get the
 //!    link-class mean of the valid measurements, else the nominal spec.
 //! 3. **Exclude** — dead GPUs cordon their host node; the configurator
@@ -23,7 +23,6 @@ use crate::error::ConfigureError;
 use crate::memory::{collect_samples_parallel, MemoryEstimator};
 use pipette_cluster::{
     Cluster, FaultPlan, MeasurementQuality, MeasurementReport, ProfiledBandwidth,
-    RobustProfilingPolicy,
 };
 use pipette_cluster::{GpuId, NodeId};
 use pipette_model::GptConfig;
@@ -70,9 +69,8 @@ pub struct DegradedOutcome {
 /// Runs Algorithm 1 under a [`FaultPlan`], degrading gracefully instead
 /// of panicking: retry → impute → exclude → analytic fallback.
 ///
-/// The zero-fault plan with the default policy reproduces
-/// [`Pipette::run`] bit for bit (same profiler RNG draws, same training
-/// corpus, same search).
+/// The zero-fault plan reproduces [`Pipette::run`] bit for bit (same
+/// profiler RNG draws, same training corpus, same search).
 ///
 /// # Errors
 ///
@@ -85,7 +83,6 @@ pub fn run_under_faults(
     global_batch: u64,
     options: PipetteOptions,
     plan: &FaultPlan,
-    policy: &RobustProfilingPolicy,
     mut trace: Option<&mut Trace>,
 ) -> Result<DegradedOutcome, ConfigureError> {
     let topo = cluster.topology();
@@ -129,15 +126,15 @@ pub fn run_under_faults(
         });
     }
 
-    // Rungs 1–2: robust profiling of the *full* degraded cluster (the
-    // plan's fault coordinates reference original GPU indices), with
-    // retries and imputation handled inside the profiler.
-    let degraded_truth = plan.apply_to_truth(cluster.bandwidth());
+    // Rungs 1–2: robust profiling of the *full* cluster (the plan's fault
+    // coordinates reference original GPU indices). The profiler applies
+    // the plan's ground-truth faults itself and handles retries and
+    // imputation.
     let robust_span = trace.as_deref_mut().map(|t| t.open_span("robust_profile"));
     let (profiled, cost) =
         match cluster
             .profiler()
-            .profile_robust(&degraded_truth, options.seed, plan, policy)
+            .profile_robust(cluster.bandwidth(), options.seed, plan)
         {
             Ok(result) => result,
             Err(e) => {
@@ -147,11 +144,10 @@ pub fn run_under_faults(
                 return Err(e.into());
             }
         };
-    let report = profiled.report().cloned().unwrap_or_default();
+    let report = profiled.report().clone();
     if let Some(t) = trace.as_deref_mut() {
         for incident in &report.incidents {
             match incident.quality {
-                MeasurementQuality::Clean => {}
                 MeasurementQuality::Recovered {
                     retries,
                     corrupt_samples,

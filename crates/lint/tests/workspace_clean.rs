@@ -59,11 +59,13 @@ fn every_waiver_carries_a_justification() {
 /// The lint burn-down dropped the waiver count from 45 to 33, merging the
 /// two pipeline engines into one removed a deadlock-guard waiver, the
 /// shared JSON parser in `pipette-obs` needs no waiver, deleting the
-/// uncalled compute extrapolator removed its D2 waiver, and deleting the
-/// cancellable estimator-training branch removed its D1 waiver. This is a
+/// uncalled compute extrapolator removed its D2 waiver, deleting the
+/// cancellable estimator-training branch removed its D1 waiver, and the
+/// network profiler's one loop indexes link classes without the D2
+/// `unreachable!` waiver its robust loop needed. This is a
 /// ratchet: new waivers need either a removed one elsewhere or a
 /// deliberate bump here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 29;
+const WAIVER_CEILING: usize = 28;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

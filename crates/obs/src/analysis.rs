@@ -15,7 +15,7 @@
 //!   subcommands.
 
 use crate::event::EventTag;
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, DecodeError, Fields, JsonError, JsonValue, Schema};
 use crate::span::{SpanError, SpanTree, TraceLine};
 use std::fmt;
 use std::fmt::Write as _;
@@ -435,125 +435,67 @@ pub struct BudgetManifest {
 /// The keys each manifest level accepts. Anything else is an error, so a
 /// misspelled ceiling fails the gate instead of silently switching its
 /// check off.
-const MANIFEST_FIELDS: [&str; 5] = ["schema", "comment", "max_total_lines", "spans", "events"];
-const SPAN_FIELDS: [&str; 6] = [
-    "span",
-    "unit",
-    "max_count",
-    "max_cost",
-    "max_total_events",
-    "require",
-];
-const EVENT_FIELDS: [&str; 2] = ["kind", "max_count"];
-
-/// Rejects a manifest level that is not an object or has a key outside
-/// `allowed`.
-fn check_manifest_keys(
-    value: &JsonValue,
-    context: &str,
-    allowed: &[&str],
-) -> Result<(), AnalysisError> {
-    if !matches!(value, JsonValue::Object(_)) {
-        return Err(AnalysisError::Manifest(format!(
-            "{context} must be an object, got {}",
-            value.type_name()
-        )));
-    }
-    match json::first_unknown_key(value, allowed) {
-        Some(key) => Err(AnalysisError::Manifest(format!(
-            "{context}: unknown field {key:?} (allowed: {})",
-            allowed.join(", ")
-        ))),
-        None => Ok(()),
-    }
-}
-
-/// An optional manifest field: `None` when absent, an error naming
-/// `what` it must be when `read` rejects its type.
-fn optional<'v, T>(
-    item: &'v JsonValue,
-    field: &str,
-    context: &str,
-    what: &str,
-    read: impl Fn(&'v JsonValue) -> Option<T>,
-) -> Result<Option<T>, AnalysisError> {
-    item.get(field)
-        .map(|v| {
-            read(v)
-                .ok_or_else(|| AnalysisError::Manifest(format!("{context}{field} must be {what}")))
-        })
-        .transpose()
-}
+const MANIFEST: Schema = Schema {
+    keys: &["schema", "comment", "max_total_lines", "spans", "events"],
+    accepted: "schema, comment, max_total_lines, spans, events",
+    required: &["schema"],
+};
+const SPAN: Schema = Schema {
+    keys: &[
+        "span",
+        "unit",
+        "max_count",
+        "max_cost",
+        "max_total_events",
+        "require",
+    ],
+    accepted: "span, unit, max_count, max_cost, max_total_events, require",
+    required: &["span"],
+};
+const EVENT: Schema = Schema {
+    keys: &["kind", "max_count"],
+    accepted: "kind, max_count",
+    required: &["kind", "max_count"],
+};
 
 impl BudgetManifest {
     /// Parses the manifest JSON, validating the schema tag and rejecting
-    /// unknown or mistyped fields at every level.
+    /// unknown, missing or mistyped fields at every level.
     pub fn parse(text: &str) -> Result<Self, AnalysisError> {
         let value = json::parse(text)
             .map_err(|error| AnalysisError::Manifest(format!("invalid JSON: {error}")))?;
-        check_manifest_keys(&value, "top level", &MANIFEST_FIELDS)?;
-        let schema = value
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| AnalysisError::Manifest("missing string field 'schema'".into()))?;
+        Self::decode(&value).map_err(|error| AnalysisError::Manifest(error.to_string()))
+    }
+
+    /// Decodes a parsed manifest in one strict walk.
+    fn decode(value: &JsonValue) -> Result<Self, DecodeError> {
+        let manifest = Fields::root(value, "top level", &MANIFEST)?;
+        let schema = manifest.required("schema", json::string)?;
         if schema != BUDGET_SCHEMA {
-            return Err(AnalysisError::Manifest(format!(
+            return Err(DecodeError::Malformed(format!(
                 "unsupported schema '{schema}' (expected '{BUDGET_SCHEMA}')"
             )));
         }
-        let uint = "a non-negative integer";
-        let max_total_lines = optional(&value, "max_total_lines", "", uint, JsonValue::as_u64)?;
-        let list = |key: &str| -> Result<&[JsonValue], AnalysisError> {
-            Ok(optional(&value, key, "", "an array", JsonValue::as_array)?.unwrap_or_default())
-        };
-        let mut spans = Vec::new();
-        for (i, item) in list("spans")?.iter().enumerate() {
-            check_manifest_keys(item, &format!("spans[{i}]"), &SPAN_FIELDS)?;
-            let span = item
-                .get("span")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| {
-                    AnalysisError::Manifest(format!("spans[{i}]: missing string field 'span'"))
-                })?
-                .to_string();
-            let context = format!("spans[{i}].");
-            let ceiling = |field| optional(item, field, &context, uint, JsonValue::as_u64);
-            spans.push(SpanBudget {
-                span,
-                unit: optional(item, "unit", &context, "a string", JsonValue::as_str)?
-                    .map(str::to_string),
-                max_count: ceiling("max_count")?,
-                max_cost: ceiling("max_cost")?,
-                max_total_events: ceiling("max_total_events")?,
-                require: optional(item, "require", &context, "a boolean", JsonValue::as_bool)?
-                    .unwrap_or(false),
-            });
-        }
-        let mut events = Vec::new();
-        for (i, item) in list("events")?.iter().enumerate() {
-            check_manifest_keys(item, &format!("events[{i}]"), &EVENT_FIELDS)?;
-            events.push(EventBudget {
-                kind: item
-                    .get("kind")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| {
-                        AnalysisError::Manifest(format!("events[{i}]: missing string field 'kind'"))
-                    })?
-                    .to_string(),
-                max_count: item
-                    .get("max_count")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| {
-                        AnalysisError::Manifest(format!(
-                            "events[{i}]: missing integer field 'max_count'"
-                        ))
-                    })?,
-            });
-        }
         Ok(Self {
-            max_total_lines,
-            spans,
-            events,
+            max_total_lines: manifest.optional("max_total_lines", json::uint)?,
+            spans: manifest.list("spans", |item, path| {
+                let span = Fields::at(item, path, &SPAN)?;
+                Ok(SpanBudget {
+                    span: span.required("span", json::string)?.to_owned(),
+                    unit: span.optional("unit", json::string)?.map(str::to_owned),
+                    max_count: span.optional("max_count", json::uint)?,
+                    max_cost: span.optional("max_cost", json::uint)?,
+                    max_total_events: span.optional("max_total_events", json::uint)?,
+                    require: span.optional("require", json::boolean)?.unwrap_or(false),
+                })
+            })?,
+            events: manifest.list("events", |item, path| {
+                let event = Fields::at(item, path, &EVENT)?;
+                Ok(EventBudget {
+                    kind: event.required("kind", json::string)?.to_owned(),
+                    max_count: event.required("max_count", json::uint)?,
+                })
+            })?,
         })
     }
 

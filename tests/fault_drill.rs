@@ -9,7 +9,7 @@ use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::degraded::run_under_faults;
 use pipette::ConfigureError;
 use pipette_cluster::{
-    presets, Cluster, CorruptPair, FaultPlan, GpuId, RobustProfilingPolicy, StragglerGpu,
+    presets, Cluster, CorruptPair, DegradedLink, FaultPlan, GpuId, StragglerGpu,
 };
 use pipette_model::GptConfig;
 use pipette_obs::Trace;
@@ -32,16 +32,8 @@ fn zero_fault_drill_is_bit_identical_to_plain_run() {
     let plain = Pipette::new(&cluster, &gpt, 64, options(7))
         .run()
         .expect("plain run");
-    let outcome = run_under_faults(
-        &cluster,
-        &gpt,
-        64,
-        options(7),
-        &FaultPlan::default(),
-        &RobustProfilingPolicy::default(),
-        None,
-    )
-    .expect("zero-fault drill");
+    let outcome = run_under_faults(&cluster, &gpt, 64, options(7), &FaultPlan::default(), None)
+        .expect("zero-fault drill");
 
     let rec = &outcome.recommendation;
     assert_eq!(rec.config, plain.config);
@@ -76,16 +68,8 @@ fn node_dropout_reconfigures_on_the_survivors() {
         ..FaultPlan::default()
     };
     let mut trace = Trace::default();
-    let outcome = run_under_faults(
-        &cluster,
-        &gpt,
-        64,
-        options(3),
-        &plan,
-        &RobustProfilingPolicy::default(),
-        Some(&mut trace),
-    )
-    .expect("degraded run");
+    let outcome = run_under_faults(&cluster, &gpt, 64, options(3), &plan, Some(&mut trace))
+        .expect("degraded run");
 
     assert_eq!(outcome.excluded_gpus.len(), 8);
     assert_eq!(outcome.survivor.topology().num_nodes(), 2);
@@ -119,16 +103,8 @@ fn total_sample_loss_falls_back_to_the_analytic_estimator() {
         ..FaultPlan::default()
     };
     let mut trace = Trace::default();
-    let outcome = run_under_faults(
-        &cluster,
-        &gpt,
-        64,
-        options(1),
-        &plan,
-        &RobustProfilingPolicy::default(),
-        Some(&mut trace),
-    )
-    .expect("fallback run still completes");
+    let outcome = run_under_faults(&cluster, &gpt, 64, options(1), &plan, Some(&mut trace))
+        .expect("fallback run still completes");
 
     assert!(outcome.used_analytic_fallback);
     let kinds: Vec<&str> = trace.events().iter().map(|e| e.kind.kind()).collect();
@@ -141,6 +117,38 @@ fn total_sample_loss_falls_back_to_the_analytic_estimator() {
     assert!(measured.peak_memory_bytes <= cluster.gpu().memory_bytes);
 }
 
+/// A degraded link is a ground-truth fault that the profiler applies
+/// once: a ×0.25 link reads at its degraded bandwidth, inside the
+/// plausibility band, so nothing is retried or imputed. Applied twice it
+/// would read ×0.0625, under the band, and be imputed as a healthy link.
+#[test]
+fn degraded_link_is_measured_once_not_imputed() {
+    let cluster = presets::mid_range(4).build(5);
+    let plan = FaultPlan {
+        degraded_links: vec![DegradedLink {
+            from_node: 0,
+            to_node: 1,
+            factor: 0.25,
+        }],
+        ..FaultPlan::default()
+    };
+    let outcome = run_under_faults(&cluster, &small_gpt(), 64, options(5), &plan, None)
+        .expect("degraded run");
+    assert_eq!(outcome.report.imputed, 0);
+    assert_eq!(outcome.report.retries, 0);
+
+    let (profiled, _) = cluster
+        .profiler()
+        .profile_robust(cluster.bandwidth(), 5, &plan)
+        .expect("plan fits");
+    let (a, b) = (GpuId(0), GpuId(8));
+    let ratio = profiled.matrix().between(a, b) / (0.25 * cluster.bandwidth().between(a, b));
+    assert!(
+        (0.8..=1.2).contains(&ratio),
+        "degraded link read at {ratio} x its truth"
+    );
+}
+
 #[test]
 fn exhausting_every_node_is_a_typed_error() {
     let cluster = presets::mid_range(2).build(5);
@@ -149,16 +157,8 @@ fn exhausting_every_node_is_a_typed_error() {
         failed_nodes: vec![0, 1],
         ..FaultPlan::default()
     };
-    let err = run_under_faults(
-        &cluster,
-        &gpt,
-        64,
-        options(1),
-        &plan,
-        &RobustProfilingPolicy::default(),
-        None,
-    )
-    .expect_err("no survivors");
+    let err =
+        run_under_faults(&cluster, &gpt, 64, options(1), &plan, None).expect_err("no survivors");
     assert!(matches!(
         err,
         ConfigureError::ClusterExhausted {
@@ -180,16 +180,8 @@ fn malformed_plans_surface_as_cluster_errors() {
         }],
         ..FaultPlan::default()
     };
-    let err = run_under_faults(
-        &cluster,
-        &gpt,
-        64,
-        options(1),
-        &plan,
-        &RobustProfilingPolicy::default(),
-        None,
-    )
-    .expect_err("unknown corruption kind");
+    let err = run_under_faults(&cluster, &gpt, 64, options(1), &plan, None)
+        .expect_err("unknown corruption kind");
     assert!(matches!(err, ConfigureError::Cluster(_)));
     assert!(err.to_string().contains("gamma-ray"));
 }
@@ -290,7 +282,6 @@ fn fault_plan_fuzz_seeds_never_panic() {
             64,
             options(plan.seed),
             plan,
-            &RobustProfilingPolicy::default(),
             Some(&mut trace),
         );
         match result {
