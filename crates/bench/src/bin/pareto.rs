@@ -3,7 +3,7 @@
 //! where do the tools' choices sit on it?
 
 use pipette_bench::context::ClusterKind;
-use pipette_model::{throughput, BatchConfig, MicrobatchPlan, ParallelConfig};
+use pipette_model::{candidate_space, throughput, ParallelConfig};
 use pipette_sim::{ClusterRun, Mapping};
 
 fn main() {
@@ -19,11 +19,15 @@ fn main() {
 
         // Measure everything runnable.
         let mut points: Vec<(ParallelConfig, u64, f64, u64)> = Vec::new();
-        for cfg in ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), gpt.n_layers) {
-            let Ok(mini) = BatchConfig::new(global).minibatch(cfg.dp) else {
-                continue;
-            };
-            for plan in MicrobatchPlan::enumerate(mini, 8) {
+        let space = candidate_space(
+            topo.num_gpus(),
+            topo.gpus_per_node(),
+            gpt.n_layers,
+            global,
+            8,
+        );
+        for (cfg, plans) in space {
+            for plan in plans {
                 let mapping = Mapping::identity(cfg, *topo);
                 if let Ok(m) = runner.execute(cfg, &mapping, plan) {
                     points.push((

@@ -8,7 +8,7 @@
 use crate::context::ClusterKind;
 use crate::util;
 use pipette::latency::{AmpLatencyModel, Eq1Flavor, PipetteLatencyModel};
-use pipette_model::{BatchConfig, MicrobatchPlan, ParallelConfig};
+use pipette_model::{candidate_space, ParallelConfig};
 use pipette_sim::{ClusterRun, ComputeProfiler, IterationSim, Mapping};
 
 /// One estimated configuration.
@@ -65,11 +65,15 @@ pub fn run(kind: ClusterKind, nodes: usize, global_batch: u64, seed: u64) -> Fig
     let topo = cluster.topology();
 
     let mut points = Vec::new();
-    for cfg in ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), gpt.n_layers) {
-        let Ok(mini) = BatchConfig::new(global_batch).minibatch(cfg.dp) else {
-            continue;
-        };
-        for plan in MicrobatchPlan::enumerate(mini, 8) {
+    let space = candidate_space(
+        topo.num_gpus(),
+        topo.gpus_per_node(),
+        gpt.n_layers,
+        global_batch,
+        8,
+    );
+    for (cfg, plans) in space {
+        for plan in plans {
             if runner.peak_memory(cfg, plan).peak_bytes > cluster.gpu().memory_bytes {
                 continue;
             }

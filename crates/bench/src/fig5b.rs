@@ -7,7 +7,7 @@
 
 use crate::context::ClusterKind;
 use crate::util;
-use pipette::baselines::{count_oom_in_top_k, AmpConfigurator, VarunaConfigurator};
+use pipette::baselines::{count_oom_in_top_k, AmpConfigurator};
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette_model::{MicrobatchPlan, ParallelConfig};
 use pipette_sim::ClusterRun;
@@ -57,12 +57,9 @@ pub fn run_with_training(
 
     // The run seed drives every stochastic component: the baselines'
     // compute-profiling noise as well as Pipette's own options below.
-    let amp = AmpConfigurator::new(&cluster, &gpt, global_batch)
-        .with_seed(seed)
-        .top_k(k);
-    let varuna = VarunaConfigurator::new(&cluster, &gpt, global_batch)
-        .with_seed(seed)
-        .top_k(k);
+    let baseline = AmpConfigurator::new(&cluster, &gpt, global_batch).with_seed(seed);
+    let amp = baseline.rank();
+    let varuna = baseline.rank_where(|cfg| cfg.tp == 1);
 
     // Pipette's top-k: the configurator's own ranked list (winner first,
     // then its alternatives, already ordered by the latency estimate and

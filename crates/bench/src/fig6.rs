@@ -11,7 +11,7 @@
 
 use crate::context::ClusterKind;
 use crate::util;
-use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner, VarunaConfigurator};
+use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner};
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::mapping::AnnealerConfig;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
@@ -146,8 +146,10 @@ pub fn run_on(
         None => none_row("MLM"),
     });
 
-    // Varuna: pipeline-only ranking, walks its list with recomputation on.
-    let vr_ranked = VarunaConfigurator::new(cluster, gpt, global_batch).rank();
+    // Varuna: AMP's ranking over the pipeline-only (tp = 1) configurations,
+    // walked with recomputation on.
+    let amp = AmpConfigurator::new(cluster, gpt, global_batch);
+    let vr_ranked = amp.rank_where(|cfg| cfg.tp == 1);
     rows.push(match first_runnable(&vr_ranked, &run_recompute) {
         Some(hit) => MethodResult {
             method: "VR".into(),
@@ -160,7 +162,7 @@ pub fn run_on(
     });
 
     // AMP: Eq. 1 ranking, manually tested top-down.
-    let amp_ranked = AmpConfigurator::new(cluster, gpt, global_batch).rank();
+    let amp_ranked = amp.rank();
     rows.push(match first_runnable(&amp_ranked, &run) {
         Some(hit) => MethodResult {
             method: "AMP".into(),
@@ -209,7 +211,11 @@ fn none_row(method: &str) -> MethodResult {
     }
 }
 
-fn execute_recommendation(
+/// Launches a Pipette recommendation under its own mapping; on the (rare)
+/// OOM miss of the memory estimator, walks the runner-up list like any
+/// practitioner would. `launches` records the attempts, comparable to the
+/// baselines'.
+pub(crate) fn execute_recommendation(
     method: &str,
     rec: Result<pipette::Recommendation, pipette::ConfigureError>,
     run: &ClusterRun<'_>,
@@ -217,17 +223,23 @@ fn execute_recommendation(
     let Ok(rec) = rec else {
         return none_row(method);
     };
-    // Launch the top recommendation; on the (rare) OOM miss of the memory
-    // estimator, walk the rest of the list like any practitioner would —
-    // `launches` records the attempts, comparable to the baselines'.
-    match crate::util::launch_recommendation(&rec, run) {
-        Some((cfg, plan, m, launches)) => MethodResult {
-            method: method.to_owned(),
-            config: Some(cfg),
-            plan: Some(plan),
-            iteration_seconds: m.iteration_seconds,
-            launches,
-        },
+    let row = |config, plan, seconds, launches| MethodResult {
+        method: method.to_owned(),
+        config: Some(config),
+        plan: Some(plan),
+        iteration_seconds: seconds,
+        launches,
+    };
+    if let Ok(m) = run.execute(rec.config, &rec.mapping, rec.plan) {
+        return row(rec.config, rec.plan, m.iteration_seconds, 1);
+    }
+    match first_runnable(&rec.alternatives, run) {
+        Some(hit) => row(
+            hit.candidate.config,
+            hit.candidate.plan,
+            hit.measured.iteration_seconds,
+            hit.attempts + 1,
+        ),
         None => none_row(method),
     }
 }

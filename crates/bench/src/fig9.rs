@@ -9,6 +9,7 @@
 //! The paper reports a stable 1.14–1.44× speedup across all settings.
 
 use crate::context::ClusterKind;
+use crate::fig6::execute_recommendation;
 use crate::util;
 use pipette::baselines::{first_runnable, AmpConfigurator};
 use pipette::configurator::{Pipette, PipetteOptions};
@@ -78,12 +79,8 @@ fn run_pinned(
         memory,
         ..PipetteOptions::default()
     };
-    let pipette_seconds = match Pipette::new(&cluster, &gpt, global_batch, opts).run() {
-        Ok(rec) => crate::util::launch_recommendation(&rec, &runner)
-            .map(|(_, _, m, _)| m.iteration_seconds)
-            .unwrap_or(f64::INFINITY),
-        Err(_) => f64::INFINITY,
-    };
+    let rec = Pipette::new(&cluster, &gpt, global_batch, opts).run();
+    let pipette_seconds = execute_recommendation("PPT-LF", rec, &runner).iteration_seconds;
     (amp_seconds, pipette_seconds)
 }
 

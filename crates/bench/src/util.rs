@@ -1,30 +1,5 @@
 //! Small shared helpers for experiment output.
 
-use pipette::Recommendation;
-use pipette_model::{MicrobatchPlan, ParallelConfig};
-use pipette_sim::{ClusterRun, Mapping, Measured};
-
-/// Launches a Pipette recommendation, falling back to its runner-up list
-/// on OOM (the practitioner protocol; `launches` counts attempts).
-pub fn launch_recommendation(
-    rec: &Recommendation,
-    run: &ClusterRun<'_>,
-) -> Option<(ParallelConfig, MicrobatchPlan, Measured, usize)> {
-    if let Ok(m) = run.execute(rec.config, &rec.mapping, rec.plan) {
-        return Some((rec.config, rec.plan, m, 1));
-    }
-    let mut launches = 1;
-    for alt in &rec.alternatives {
-        let (cfg, plan) = (alt.config, alt.plan);
-        launches += 1;
-        let mapping = Mapping::identity(cfg, *run.cluster().topology());
-        if let Ok(m) = run.execute(cfg, &mapping, plan) {
-            return Some((cfg, plan, m, launches));
-        }
-    }
-    None
-}
-
 /// Mean absolute percentage error between predictions and truths.
 ///
 /// # Panics

@@ -60,7 +60,7 @@ const EXAMPLE_FAULT_PLAN: &str = r#"{
   "seed": 1,
   "degraded_links": [ { "from_node": 0, "to_node": 1, "factor": 0.25 } ],
   "straggler_gpus": [ { "gpu": 3, "slowdown": 2.0 } ],
-  "failed_gpus": [ 12 ],
+  "failed_gpus": [ 20 ],
   "failed_nodes": [],
   "corrupt_pairs": [ { "from_gpu": 0, "to_gpu": 8, "kind": "nan" } ],
   "measurement_failure_rate": 0.05,

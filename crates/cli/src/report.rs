@@ -1,7 +1,7 @@
 //! Running a job spec and rendering the outcome.
 
 use crate::spec::JobSpec;
-use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner, VarunaConfigurator};
+use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner};
 use pipette::configurator::{Pipette, PipetteOptions, Recommendation};
 use pipette::degraded::{run_under_faults, DegradedOutcome};
 use pipette::mapping::AnnealerConfig;
@@ -542,10 +542,12 @@ pub fn run_compare(spec: &JobSpec) -> Result<Vec<CompareRow>, Box<dyn Error>> {
         });
     }
 
+    // Varuna is AMP's ranking over the pipeline-only (tp = 1)
+    // configurations, walked with recomputation on.
+    let amp =
+        AmpConfigurator::new(&cluster, &gpt, spec.global_batch).with_max_micro(spec.max_micro);
     let vr_runner = ClusterRun::new(&cluster, &gpt).with_recompute(true);
-    let vr = VarunaConfigurator::new(&cluster, &gpt, spec.global_batch)
-        .with_max_micro(spec.max_micro)
-        .rank();
+    let vr = amp.rank_where(|cfg| cfg.tp == 1);
     if let Some(hit) = first_runnable(&vr, &vr_runner) {
         rows.push(CompareRow {
             method: "varuna".into(),
@@ -558,10 +560,7 @@ pub fn run_compare(spec: &JobSpec) -> Result<Vec<CompareRow>, Box<dyn Error>> {
         });
     }
 
-    let amp = AmpConfigurator::new(&cluster, &gpt, spec.global_batch)
-        .with_max_micro(spec.max_micro)
-        .rank();
-    if let Some(hit) = first_runnable(&amp, &runner) {
+    if let Some(hit) = first_runnable(&amp.rank(), &runner) {
         rows.push(CompareRow {
             method: "amp".into(),
             config: format!(

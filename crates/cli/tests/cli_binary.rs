@@ -469,8 +469,51 @@ fn example_fault_plan_round_trips_through_the_strict_parser() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     let plan = pipette_cli::parse_fault_plan_strict(&text).expect("example plan is valid");
-    assert_eq!(plan.failed_gpus, vec![12]);
+    assert_eq!(plan.failed_gpus, vec![20]);
     assert_eq!(plan.corrupt_pairs.len(), 1);
+}
+
+/// The starter drill exercises every fault it prints: a failed GPU
+/// cordons its whole node, so a degraded link or corrupt pair on that
+/// node would be imputed unmeasured instead of measured.
+#[test]
+fn example_fault_plan_cordons_no_node_its_other_faults_touch() {
+    let text = |args: &[&str]| {
+        let out = bin().args(args).output().expect("binary runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let spec = pipette_cli::JobSpec::parse_strict(&text(&["example-spec"])).expect("spec");
+    let gpus_per_node = spec
+        .build_cluster()
+        .expect("example cluster")
+        .topology()
+        .gpus_per_node();
+    let plan = pipette_cli::parse_fault_plan_strict(&text(&["example-spec", "--faults"]))
+        .expect("example plan is valid");
+    let cordoned: Vec<usize> = plan
+        .failed_gpus
+        .iter()
+        .map(|gpu| gpu / gpus_per_node)
+        .chain(plan.failed_nodes.iter().copied())
+        .collect();
+    let touched: Vec<usize> = plan
+        .degraded_links
+        .iter()
+        .flat_map(|l| [l.from_node, l.to_node])
+        .chain(
+            plan.corrupt_pairs
+                .iter()
+                .flat_map(|p| [p.from_gpu / gpus_per_node, p.to_gpu / gpus_per_node]),
+        )
+        .collect();
+    assert!(!cordoned.is_empty() && !touched.is_empty());
+    for node in &cordoned {
+        assert!(
+            !touched.contains(node),
+            "node {node} is cordoned and also carries a degraded link or corrupt pair"
+        );
+    }
 }
 
 #[test]

@@ -1,15 +1,20 @@
-//! AMP (NeurIPS '22), the paper's main automatic baseline.
+//! AMP (NeurIPS '22), the paper's main automatic baseline, and Varuna
+//! (EuroSys '22), which is AMP's ranking over the pipeline-only part of
+//! the space.
 //!
 //! AMP profiles compute, then exhaustively scores `(pp, tp, dp,
 //! microbatch)` with the Eq. 1 latency model over document-specified
 //! bandwidths and returns its ranking. It performs no memory check — the
 //! paper shows 8 of its top-10 recommendations OOM (Fig. 5b) — and no
-//! placement search.
+//! placement search. Varuna "emphasizes using the pipeline parallel-only
+//! configuration for LLM training": it runs the same ranking over the
+//! tp = 1 configurations only, `rank_where(|cfg| cfg.tp == 1)`, and OOMs
+//! just as often.
 
-use crate::baselines::RankedCandidate;
+use crate::configurator::Alternative;
 use crate::latency::AmpLatencyModel;
 use pipette_cluster::Cluster;
-use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_model::{candidate_space, GptConfig, ParallelConfig};
 use pipette_sim::ComputeProfiler;
 
 /// The AMP configurator.
@@ -47,19 +52,29 @@ impl<'a> AmpConfigurator<'a> {
     }
 
     /// Scores every candidate and returns them best-first.
-    pub fn rank(&self) -> Vec<RankedCandidate> {
+    pub fn rank(&self) -> Vec<Alternative> {
+        self.rank_where(|_| true)
+    }
+
+    /// Scores the candidates whose configuration `keep` accepts and
+    /// returns them best-first.
+    pub fn rank_where(&self, keep: impl Fn(ParallelConfig) -> bool) -> Vec<Alternative> {
         let topo = self.cluster.topology();
         let model = AmpLatencyModel::from_specs_of(self.cluster.bandwidth(), self.gpt);
         let profiler = ComputeProfiler::default();
         let gpu = self.cluster.gpu().clone();
         let mut out = Vec::new();
-        for cfg in
-            ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), self.gpt.n_layers)
-        {
-            let Ok(mini) = BatchConfig::new(self.global_batch).minibatch(cfg.dp) else {
+        for (cfg, plans) in candidate_space(
+            topo.num_gpus(),
+            topo.gpus_per_node(),
+            self.gpt.n_layers,
+            self.global_batch,
+            self.max_micro,
+        ) {
+            if !keep(cfg) {
                 continue;
-            };
-            for plan in MicrobatchPlan::enumerate(mini, self.max_micro) {
+            }
+            for plan in plans {
                 let compute = profiler.profile(
                     self.cluster.bandwidth(),
                     &gpu,
@@ -68,11 +83,10 @@ impl<'a> AmpConfigurator<'a> {
                     plan,
                     self.seed,
                 );
-                let est = model.estimate(cfg, plan, &compute);
-                out.push(RankedCandidate {
+                out.push(Alternative {
                     config: cfg,
                     plan,
-                    estimated_seconds: est,
+                    estimated_seconds: model.estimate(cfg, plan, &compute),
                 });
             }
         }
@@ -81,7 +95,7 @@ impl<'a> AmpConfigurator<'a> {
     }
 
     /// The top `k` recommendations (Fig. 5b examines the top 10).
-    pub fn top_k(&self, k: usize) -> Vec<RankedCandidate> {
+    pub fn top_k(&self, k: usize) -> Vec<Alternative> {
         let mut ranked = self.rank();
         ranked.truncate(k);
         ranked
@@ -125,6 +139,28 @@ mod tests {
         let (cluster, gpt) = setup();
         let ranked = AmpConfigurator::new(&cluster, &gpt, 64).rank();
         assert!(ranked.iter().any(|c| c.plan.micro_batch >= 4));
+    }
+
+    #[test]
+    fn varuna_ranks_only_pipeline_parallel_configs() {
+        let cluster = presets::mid_range(2).build(9);
+        let gpt = GptConfig::new(16, 1024, 16, 2048, 51200);
+        let ranked = AmpConfigurator::new(&cluster, &gpt, 64).rank_where(|cfg| cfg.tp == 1);
+        assert!(!ranked.is_empty());
+        assert!(ranked.iter().all(|c| c.config.tp == 1));
+        assert!(ranked.iter().any(|c| c.config.pp > 1));
+    }
+
+    #[test]
+    fn varuna_ranking_is_sorted() {
+        let cluster = presets::mid_range(2).build(9);
+        let gpt = GptConfig::new(16, 1024, 16, 2048, 51200);
+        let ranked = AmpConfigurator::new(&cluster, &gpt, 64)
+            .with_max_micro(4)
+            .rank_where(|cfg| cfg.tp == 1);
+        assert!(ranked
+            .windows(2)
+            .all(|w| w[0].estimated_seconds <= w[1].estimated_seconds));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! trials use the real (memory-efficient) schedule.
 
 use pipette_cluster::Cluster;
-use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_model::{candidate_space, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::{ClusterRun, Mapping, Measured};
 
 /// Result of the manual-tuning session.
@@ -55,19 +55,17 @@ impl<'a> MegatronTuner<'a> {
     pub fn candidates(&self) -> Vec<(ParallelConfig, MicrobatchPlan)> {
         let topo = self.cluster.topology();
         let tp = topo.gpus_per_node();
-        let mut out = Vec::new();
-        for cfg in ParallelConfig::enumerate(topo.num_gpus(), tp, self.gpt.n_layers) {
-            if cfg.tp != tp {
-                continue;
-            }
-            let Ok(mini) = BatchConfig::new(self.global_batch).minibatch(cfg.dp) else {
-                continue;
-            };
-            for plan in MicrobatchPlan::enumerate(mini, self.max_micro) {
-                out.push((cfg, plan));
-            }
-        }
-        out
+        candidate_space(
+            topo.num_gpus(),
+            tp,
+            self.gpt.n_layers,
+            self.global_batch,
+            self.max_micro,
+        )
+        .into_iter()
+        .filter(|(cfg, _)| cfg.tp == tp)
+        .flat_map(|(cfg, plans)| plans.into_iter().map(move |plan| (cfg, plan)))
+        .collect()
     }
 
     /// Runs the manual-tuning session on the cluster: launch every

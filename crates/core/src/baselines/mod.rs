@@ -4,32 +4,24 @@
 //!   ranking candidates with Eq. 1 over datasheet bandwidths, memory-
 //!   unaware ("we manually tested them one by one from the top
 //!   recommendation until we reached a runnable configuration");
-//! * [`VarunaConfigurator`] — pipeline-parallel-only search (tp = 1);
+//! * Varuna — pipeline-parallel-only search: AMP's ranking over the
+//!   tp = 1 configurations, [`AmpConfigurator::rank_where`];
 //! * [`MegatronTuner`] — the hand-tuned Megatron-LM practice: fix tensor
 //!   parallelism to the node size (tp = 8) and let an expert try the
 //!   remaining pp/dp/microbatch combinations on the cluster.
+//!
+//! Every baseline searches the same candidate space as Pipette
+//! ([`pipette_model::candidate_space`]). AMP's and Varuna's rankings are
+//! lists of [`Alternative`], the type of Pipette's own runner-up list.
 
 mod amp;
 mod megatron;
-mod varuna;
 
 pub use amp::AmpConfigurator;
 pub use megatron::{MegatronTuner, TunedResult};
-pub use varuna::VarunaConfigurator;
 
-use pipette_model::{MicrobatchPlan, ParallelConfig};
+use crate::configurator::Alternative;
 use pipette_sim::{ClusterRun, Mapping, Measured};
-
-/// One entry of a baseline's ranked recommendation list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RankedCandidate {
-    /// Recommended `(pp, tp, dp)`.
-    pub config: ParallelConfig,
-    /// Recommended microbatch plan.
-    pub plan: MicrobatchPlan,
-    /// The baseline's own latency estimate (seconds).
-    pub estimated_seconds: f64,
-}
 
 /// Outcome of walking a ranked list against the real cluster: the first
 /// runnable candidate, how many launches were attempted (OOM failures
@@ -37,7 +29,7 @@ pub struct RankedCandidate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FirstRunnable {
     /// The candidate that ran.
-    pub candidate: RankedCandidate,
+    pub candidate: Alternative,
     /// Its rank in the list (0-based).
     pub rank: usize,
     /// Launch attempts consumed, including the successful one.
@@ -49,7 +41,7 @@ pub struct FirstRunnable {
 /// Walks a ranked list top-down, launching each candidate on the cluster
 /// (identity mapping — baselines are placement-unaware) until one does not
 /// OOM. Returns `None` if every candidate fails.
-pub fn first_runnable(ranked: &[RankedCandidate], run: &ClusterRun<'_>) -> Option<FirstRunnable> {
+pub fn first_runnable(ranked: &[Alternative], run: &ClusterRun<'_>) -> Option<FirstRunnable> {
     for (rank, cand) in ranked.iter().enumerate() {
         let mapping = Mapping::identity(cand.config, *run.cluster().topology());
         match run.execute(cand.config, &mapping, cand.plan) {
@@ -69,7 +61,7 @@ pub fn first_runnable(ranked: &[RankedCandidate], run: &ClusterRun<'_>) -> Optio
 
 /// Counts how many of the first `k` candidates would OOM on the cluster —
 /// the Fig. 5b metric.
-pub fn count_oom_in_top_k(ranked: &[RankedCandidate], run: &ClusterRun<'_>, k: usize) -> usize {
+pub fn count_oom_in_top_k(ranked: &[Alternative], run: &ClusterRun<'_>, k: usize) -> usize {
     ranked
         .iter()
         .take(k)
@@ -84,7 +76,7 @@ pub fn count_oom_in_top_k(ranked: &[RankedCandidate], run: &ClusterRun<'_>, k: u
 mod tests {
     use super::*;
     use pipette_cluster::presets;
-    use pipette_model::GptConfig;
+    use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 
     #[test]
     fn first_runnable_skips_oom_entries() {
@@ -94,12 +86,12 @@ mod tests {
         // First candidate is a deliberate OOM (huge microbatch), second is
         // sane.
         let ranked = vec![
-            RankedCandidate {
+            Alternative {
                 config: ParallelConfig::new(2, 8, 1),
                 plan: MicrobatchPlan::new(64, 64).unwrap(),
                 estimated_seconds: 1.0,
             },
-            RankedCandidate {
+            Alternative {
                 config: ParallelConfig::new(2, 8, 1),
                 plan: MicrobatchPlan::new(64, 1).unwrap(),
                 estimated_seconds: 2.0,
@@ -116,7 +108,7 @@ mod tests {
         let cluster = presets::mid_range(2).build(1);
         let gpt = GptConfig::gpt_3_1b();
         let run = ClusterRun::new(&cluster, &gpt);
-        let ranked = vec![RankedCandidate {
+        let ranked = vec![Alternative {
             config: ParallelConfig::new(1, 8, 2),
             plan: MicrobatchPlan::new(32, 32).unwrap(),
             estimated_seconds: 1.0,

@@ -27,10 +27,9 @@ use crate::parallel;
 use crate::report::{DeadlineReport, OverheadReport};
 use crate::telemetry::{self, SaTraceObserver};
 use pipette_cluster::{Cluster, ProfiledBandwidth, ProfilingCost};
-use pipette_model::{BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_model::{candidate_space, GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::{CostUnit, EventKind, Metrics, Trace, SCHEMA_VERSION};
 use pipette_sim::{ClusterRun, ComputeProfiler, Mapping, MemorySim, ProfiledCompute};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,14 +131,16 @@ struct Candidate {
     explanation: Option<LatencyExplanation>,
 }
 
-/// One ranked runner-up configuration (identity-mapping estimate).
+/// One entry of a ranked list: Pipette's runner-ups and every
+/// baseline's ranking are lists of these.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alternative {
-    /// The runner-up `(pp, tp, dp)`.
+    /// The ranked `(pp, tp, dp)`.
     pub config: ParallelConfig,
     /// Its microbatch plan.
     pub plan: MicrobatchPlan,
-    /// Its identity-mapping latency estimate (seconds).
+    /// The ranker's latency estimate (seconds): Pipette's Eqs. 3–6 under
+    /// the identity mapping, or a baseline's Eq. 1.
     pub estimated_seconds: f64,
 }
 
@@ -590,41 +591,29 @@ impl<'a> Pipette<'a> {
         let gpu = self.cluster.gpu().clone();
         let latency = PipetteLatencyModel::new(profiled, self.gpt);
 
-        // Lines 3-7: enumerate the candidate space (cheap), then
-        // memory-filter + profile + estimate every entry on the worker
-        // pool. `work` holds each configuration's plans together, and
-        // `configs` names each configuration's run of it.
-        let mut work: Vec<(ParallelConfig, MicrobatchPlan)> = Vec::new();
-        let mut configs: Vec<Range<usize>> = Vec::new();
-        let mut any_split = false;
-        for cfg in
-            ParallelConfig::enumerate(topo.num_gpus(), topo.gpus_per_node(), self.gpt.n_layers)
-        {
-            let Ok(mini) = BatchConfig::new(self.global_batch).minibatch(cfg.dp) else {
-                continue;
-            };
-            any_split = true;
-            let start = work.len();
-            work.extend(
-                MicrobatchPlan::enumerate(mini, self.options.max_micro)
-                    .into_iter()
-                    .map(|plan| (cfg, plan)),
-            );
-            configs.push(start..work.len());
-        }
-        let examined = work.len();
+        // Lines 3-7: list the candidate space (cheap), then memory-filter
+        // + profile + estimate every entry on the worker pool.
+        let space = candidate_space(
+            topo.num_gpus(),
+            topo.gpus_per_node(),
+            self.gpt.n_layers,
+            self.global_batch,
+            self.options.max_micro,
+        );
 
         // Line 5: the memory screen. All candidates go through the MLP in
         // a single batched forward pass — bit-identical to screening them
         // one row at a time (rows are independent), but one matmul per
         // layer instead of `examined` of them.
         let screen_span = trace.as_deref_mut().map(|t| t.open_span("mem_screen"));
-        let features: Vec<[f64; 10]> = work
+        let features: Vec<[f64; 10]> = space
             .iter()
-            .map(|&(cfg, plan)| {
+            .flat_map(|(cfg, plans)| plans.iter().map(move |&plan| (*cfg, plan)))
+            .map(|(cfg, plan)| {
                 MemorySample::features_for(self.gpt, topo.num_gpus(), cfg, plan, self.global_batch)
             })
             .collect();
+        let examined = features.len();
         // pipette-lint: allow(D1) -- wall time feeds the screening-latency trace extra only; the accept/reject decisions are seeded
         let t0 = Instant::now();
         let runnable = memory_model.is_runnable_batch(&features, limit, self.options.threads);
@@ -664,20 +653,29 @@ impl<'a> Pipette<'a> {
         // of the bare estimate; `breakdown.total_seconds` is bit-identical
         // to `estimate()` (see `latency::terms`), so the search is
         // unchanged. A unit depends only on its own configuration, and the
-        // results flatten back into work order, so the fold below
+        // results flatten back into candidate-space order, so the fold below
         // reproduces the sequential one-plan-at-a-time result exactly.
         let tracing = trace.is_some();
         let estimate_span = trace.as_deref_mut().map(|t| t.open_span("estimates"));
-        let evaluated = parallel::ordered_map(self.options.threads, &configs, |_, range| {
-            let (plans, runnable) = (&work[range.clone()], &runnable[range.clone()]);
+        let mut screened = runnable.as_slice();
+        let configs: Vec<(ParallelConfig, &[MicrobatchPlan], &[bool])> = space
+            .iter()
+            .map(|(cfg, plans)| {
+                let (fits, rest) = screened.split_at(plans.len());
+                screened = rest;
+                (*cfg, plans.as_slice(), fits)
+            })
+            .collect();
+        let evaluated = parallel::ordered_map(self.options.threads, &configs, |_, unit| {
+            let &(cfg, plans, runnable) = unit;
             if !runnable.contains(&true) {
                 return vec![None; plans.len()];
             }
-            let links = latency.gather(&Mapping::identity(plans[0].0, *topo));
+            let links = latency.gather(&Mapping::identity(cfg, *topo));
             plans
                 .iter()
                 .zip(runnable)
-                .map(|(&(cfg, plan), &fits)| {
+                .map(|(&plan, &fits)| {
                     if !fits {
                         return None;
                     }
@@ -706,7 +704,7 @@ impl<'a> Pipette<'a> {
                 .collect::<Vec<_>>()
         });
 
-        let mut candidates: Vec<Candidate> = Vec::with_capacity(work.len());
+        let mut candidates: Vec<Candidate> = Vec::with_capacity(examined);
         let mut rejected = 0usize;
         for (i, cand) in evaluated.into_iter().flatten().enumerate() {
             match cand {
@@ -726,7 +724,7 @@ impl<'a> Pipette<'a> {
             }
         }
 
-        if !any_split {
+        if space.is_empty() {
             return Err(ConfigureError::NoValidBatchSplit {
                 global_batch: self.global_batch,
             });
@@ -1096,6 +1094,36 @@ mod tests {
             run.execute(cfg, &mapping, MicrobatchPlan::new(512, 8).unwrap()),
             Err(SimError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn an_unsplittable_batch_and_an_empty_plan_list_are_different_errors() {
+        let (cluster, gpt) = setup();
+        let (estimator, _, _) =
+            Pipette::new(&cluster, &gpt, 64, PipetteOptions::fast_test()).train_memory_estimator();
+        // One layer allows only pp = 1, so every dp = 16 / tp is even and
+        // none divides 13.
+        let shallow = GptConfig::new(1, 1024, 16, 2048, 51200);
+        let err = Pipette::new(&cluster, &shallow, 13, PipetteOptions::fast_test())
+            .with_memory_estimator(estimator.clone())
+            .run()
+            .expect_err("no dp divides 13");
+        assert_eq!(err, ConfigureError::NoValidBatchSplit { global_batch: 13 });
+        // With `max_micro = 0` every configuration splits the batch, but
+        // none has a plan.
+        let mut opts = PipetteOptions::fast_test();
+        opts.max_micro = 0;
+        let err = Pipette::new(&cluster, &gpt, 64, opts)
+            .with_memory_estimator(estimator)
+            .run()
+            .expect_err("no plan under max_micro = 0");
+        assert_eq!(
+            err,
+            ConfigureError::NoFeasibleConfig {
+                examined: 0,
+                memory_rejected: 0
+            }
+        );
     }
 
     #[test]

@@ -9,10 +9,11 @@
 
 use crate::mapping::moves::{Move, MoveKind};
 use crate::mapping::objective::{FnObjective, Objective};
+use crate::mapping::tempering::{ParallelTemperingAnnealer, TemperingSchedule};
 use pipette_sim::Mapping;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Annealer parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,14 +146,14 @@ pub(crate) fn enabled_moves(config: &AnnealerConfig) -> ([MoveKind; 3], usize) {
     (buf, len)
 }
 
-/// The per-chain state of one annealing trajectory, shared by the
-/// single-chain [`Annealer`] loop and the parallel-tempering layer
-/// (`mapping::tempering`), which runs K of these side by side.
+/// The per-chain state of one annealing trajectory. The tempering ladder
+/// (`mapping::tempering`) runs one per rung, and [`Annealer`] is its
+/// one-rung case.
 ///
-/// One [`ChainCore::step`] consumes exactly the RNG draws the historical
-/// single-chain loop consumed per iteration, so any segmentation of a
-/// trajectory into steps replays the same moves for the same seed — that
-/// is what makes `replicas = 1` tempering bit-identical to [`Annealer`].
+/// One [`ChainCore::step`] consumes a fixed sequence of RNG draws per
+/// iteration, so any segmentation of a trajectory into steps (one
+/// exchange interval or another) replays the same moves for the same
+/// seed.
 pub(crate) struct ChainCore {
     pub(crate) current: Mapping,
     pub(crate) current_cost: f64,
@@ -240,7 +241,8 @@ impl ChainCore {
     }
 }
 
-/// Simulated-annealing searcher over mappings.
+/// Simulated-annealing searcher over mappings: a one-rung
+/// [`ParallelTemperingAnnealer`] ladder, run on the calling thread.
 ///
 /// ```
 /// use pipette::mapping::{Annealer, AnnealerConfig};
@@ -259,7 +261,7 @@ impl ChainCore {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Annealer {
-    config: AnnealerConfig,
+    ladder: ParallelTemperingAnnealer,
 }
 
 impl Annealer {
@@ -269,22 +271,18 @@ impl Annealer {
     ///
     /// Panics if `alpha` is not in `(0, 1)` or every move is disabled.
     pub fn new(config: AnnealerConfig) -> Self {
-        // pipette-lint: allow(D2) -- documented `# Panics` constructor contract on hand-written annealer configs
-        assert!(
-            config.alpha > 0.0 && config.alpha < 1.0,
-            "alpha must be in (0, 1)"
-        );
-        // pipette-lint: allow(D2) -- same documented `# Panics` contract: a config with every move disabled cannot anneal
-        assert!(
-            config.enable_migration || config.enable_swap || config.enable_reverse,
-            "at least one move kind must be enabled"
-        );
-        Self { config }
+        let schedule = TemperingSchedule {
+            replicas: 1,
+            ..TemperingSchedule::default()
+        };
+        Self {
+            ladder: ParallelTemperingAnnealer::new(config, schedule),
+        }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> AnnealerConfig {
-        self.config
+        self.ladder.config()
     }
 
     /// Minimizes `objective` starting from `initial`, moving blocks of
@@ -301,7 +299,7 @@ impl Annealer {
     /// identical accept/reject decisions and return identical mappings.
     pub fn anneal<F>(&self, initial: &Mapping, objective: F) -> (Mapping, f64, AnnealStats)
     where
-        F: Fn(&Mapping) -> f64,
+        F: Fn(&Mapping) -> f64 + Send,
     {
         self.anneal_with(initial, &mut FnObjective::new(objective))
     }
@@ -309,7 +307,7 @@ impl Annealer {
     /// [`Annealer::anneal`] over any [`Objective`] — pass an
     /// [`crate::mapping::IncrementalObjective`] to pay only for the terms
     /// each move touches instead of a full estimate per iteration.
-    pub fn anneal_with<O: Objective>(
+    pub fn anneal_with<O: Objective + Send>(
         &self,
         initial: &Mapping,
         objective: &mut O,
@@ -321,61 +319,15 @@ impl Annealer {
     /// accept/reject decision. The observer sits outside the RNG stream,
     /// so the returned mapping, cost, and stats are bit-identical to the
     /// unobserved run (`observer_does_not_change_the_search` asserts this).
-    pub fn anneal_observed<O: Objective, Obs: SaObserver>(
+    pub fn anneal_observed<O: Objective + Send, Obs: SaObserver + Send>(
         &self,
         initial: &Mapping,
         objective: &mut O,
         observer: &mut Obs,
     ) -> (Mapping, f64, AnnealStats) {
-        // pipette-lint: allow(D1) -- wall time feeds AnnealStats::elapsed only; no search decision reads it, so the run replays from the seed alone
-        let start = Instant::now();
-        let block = initial.config().tp.max(1);
-        let num_blocks = initial.as_slice().len() / block;
-        let initial_cost = objective.evaluate(initial);
-
-        let mut stats = AnnealStats {
-            evaluations: 1,
-            accepted: 0,
-            improvements: 0,
-            initial_cost,
-            best_cost: initial_cost,
-            elapsed: Duration::ZERO,
-        };
-
-        if num_blocks < 2 {
-            stats.elapsed = start.elapsed();
-            return (initial.clone(), initial_cost, stats);
-        }
-
-        let (enabled_buf, enabled_len) = enabled_moves(&self.config);
-        let enabled = &enabled_buf[..enabled_len];
-        debug_assert!(!enabled.is_empty(), "checked in Annealer::new");
-
-        let mut chain = ChainCore::new(
-            initial,
-            initial_cost,
-            initial_cost * self.config.initial_temp_fraction,
-            self.config.seed,
-        );
-
-        for it in 0..self.config.iterations {
-            chain.step(
-                it,
-                enabled,
-                num_blocks,
-                block,
-                self.config.alpha,
-                objective,
-                observer,
-            );
-        }
-
-        stats.evaluations += chain.evaluations;
-        stats.accepted = chain.accepted;
-        stats.improvements = chain.improvements;
-        stats.best_cost = chain.best_cost;
-        stats.elapsed = start.elapsed();
-        (chain.best, chain.best_cost, stats)
+        let observers = std::slice::from_mut(observer);
+        let (best, cost, stats) = self.ladder.run(1, initial, [objective], observers, |_| {});
+        (best, cost, stats.merged())
     }
 }
 

@@ -24,12 +24,11 @@
 //!   sequential `threads = 1` execution.
 //!
 //! With `replicas = 1` there are no pairs, the ladder collapses to the
-//! legacy temperature, and replica 0's seed is the base seed — the
-//! trajectory is bit-identical to [`crate::mapping::Annealer`]
-//! (`tests/tempering.rs` asserts this).
+//! single chain's temperature, and replica 0's seed is the base seed:
+//! [`crate::mapping::Annealer`] runs exactly that one-rung ladder.
 
 use crate::mapping::annealer::{
-    enabled_moves, AnnealStats, Annealer, AnnealerConfig, ChainCore, NoOpObserver, SaObserver,
+    enabled_moves, AnnealStats, AnnealerConfig, ChainCore, NoOpObserver, SaObserver,
 };
 use crate::mapping::arena::splitmix64;
 use crate::mapping::objective::{FnObjective, Objective};
@@ -118,8 +117,8 @@ pub struct TemperingStats {
 impl TemperingStats {
     /// The run folded into single-chain-shaped stats: evaluation and
     /// acceptance counts summed across replicas, `best_cost` the ladder's
-    /// best, `elapsed` the run's wall clock. For `replicas = 1` the
-    /// counts equal the legacy [`Annealer`]'s exactly.
+    /// best, `elapsed` the run's wall clock. [`crate::mapping::Annealer`]
+    /// reports its one rung this way.
     pub fn merged(&self) -> AnnealStats {
         let mut merged = AnnealStats {
             evaluations: 0,
@@ -273,7 +272,7 @@ fn exchange_pass<O: Objective, Obs: SaObserver>(
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelTemperingAnnealer {
-    annealer: Annealer,
+    config: AnnealerConfig,
     schedule: TemperingSchedule,
 }
 
@@ -282,11 +281,21 @@ impl ParallelTemperingAnnealer {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid [`AnnealerConfig`] (see [`Annealer::new`]) or
-    /// an invalid schedule: `replicas == 0`, `exchange_interval == 0`, or
-    /// a `temp_ratio` below 1 or non-finite.
+    /// Panics on an invalid [`AnnealerConfig`] (`alpha` outside `(0, 1)`,
+    /// or every move disabled) or an invalid schedule: `replicas == 0`,
+    /// `exchange_interval == 0`, or a `temp_ratio` below 1 or non-finite.
     pub fn new(config: AnnealerConfig, schedule: TemperingSchedule) -> Self {
-        // pipette-lint: allow(D2) -- documented `# Panics` constructor contract, mirroring Annealer::new
+        // pipette-lint: allow(D2) -- documented `# Panics` constructor contract on hand-written annealer configs
+        assert!(
+            config.alpha > 0.0 && config.alpha < 1.0,
+            "alpha must be in (0, 1)"
+        );
+        // pipette-lint: allow(D2) -- same documented `# Panics` contract: a config with every move disabled cannot anneal
+        assert!(
+            config.enable_migration || config.enable_swap || config.enable_reverse,
+            "at least one move kind must be enabled"
+        );
+        // pipette-lint: allow(D2) -- same documented `# Panics` contract: a ladder needs a rung
         assert!(schedule.replicas >= 1, "replicas must be at least 1");
         // pipette-lint: allow(D2) -- same documented `# Panics` contract: a zero interval would never rendezvous
         assert!(
@@ -298,15 +307,12 @@ impl ParallelTemperingAnnealer {
             schedule.temp_ratio.is_finite() && schedule.temp_ratio >= 1.0,
             "temp_ratio must be finite and >= 1"
         );
-        Self {
-            annealer: Annealer::new(config),
-            schedule,
-        }
+        Self { config, schedule }
     }
 
     /// The annealer configuration in use.
     pub fn config(&self) -> AnnealerConfig {
-        self.annealer.config()
+        self.config
     }
 
     /// The schedule in use.
@@ -332,7 +338,8 @@ impl ParallelTemperingAnnealer {
 
     /// [`Self::anneal`] over a plain cost closure (each replica wraps a
     /// shared reference to it in its own [`FnObjective`]) — the
-    /// counterpart of [`Annealer::anneal`] for baseline comparisons.
+    /// counterpart of [`crate::mapping::Annealer::anneal`] for baseline
+    /// comparisons.
     pub fn anneal_closure<F>(
         &self,
         threads: usize,
@@ -353,7 +360,7 @@ impl ParallelTemperingAnnealer {
     /// per-replica plus merged statistics.
     ///
     /// The result is bit-identical at any `threads`, and for
-    /// `replicas = 1` bit-identical to [`Annealer::anneal_observed`].
+    /// `replicas = 1` it is [`crate::mapping::Annealer::anneal_observed`].
     ///
     /// # Panics
     ///
@@ -364,14 +371,34 @@ impl ParallelTemperingAnnealer {
         initial: &Mapping,
         mut make_objective: MkO,
         observers: &mut [Obs],
-        mut on_exchange: impl FnMut(&PtExchangeRecord),
+        on_exchange: impl FnMut(&PtExchangeRecord),
     ) -> (Mapping, f64, TemperingStats)
     where
         O: Objective + Send,
         MkO: FnMut(usize, &Mapping) -> O,
         Obs: SaObserver + Send,
     {
-        let config = self.annealer.config();
+        let objectives =
+            (0..self.schedule.replicas).map(|replica| make_objective(replica, initial));
+        self.run(threads, initial, objectives, observers, on_exchange)
+    }
+
+    /// [`Self::anneal_observed`] over one ready objective per replica, in
+    /// replica order; `Annealer` runs its one rung with the caller's
+    /// borrowed objective this way.
+    pub(crate) fn run<O, Obs>(
+        &self,
+        threads: usize,
+        initial: &Mapping,
+        objectives: impl IntoIterator<Item = O>,
+        observers: &mut [Obs],
+        mut on_exchange: impl FnMut(&PtExchangeRecord),
+    ) -> (Mapping, f64, TemperingStats)
+    where
+        O: Objective + Send,
+        Obs: SaObserver + Send,
+    {
+        let config = self.config;
         let replicas = self.schedule.replicas;
         // pipette-lint: allow(D2) -- documented `# Panics` contract: one observer per replica is the API shape
         assert_eq!(
@@ -386,12 +413,11 @@ impl ParallelTemperingAnnealer {
 
         // Build the ladder on the calling thread, in replica order. Each
         // chain evaluates the initial mapping through its *own* objective
-        // (deterministically equal across replicas), mirroring the
-        // single-chain loop's opening evaluation.
+        // (deterministically equal across replicas).
         let mut chains: Vec<Chain<'_, O, Obs>> = Vec::with_capacity(replicas);
         let mut initial_cost = 0.0f64;
-        for (replica, observer) in observers.iter_mut().enumerate() {
-            let mut objective = make_objective(replica, initial);
+        for ((replica, observer), mut objective) in observers.iter_mut().enumerate().zip(objectives)
+        {
             initial_cost = objective.evaluate(initial);
             let temp = initial_cost
                 * config.initial_temp_fraction
@@ -513,6 +539,7 @@ fn collect_stats<O, Obs>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::Annealer;
     use pipette_cluster::ClusterTopology;
     use pipette_model::ParallelConfig;
 

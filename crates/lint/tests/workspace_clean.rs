@@ -62,10 +62,12 @@ fn every_waiver_carries_a_justification() {
 /// uncalled compute extrapolator removed its D2 waiver, deleting the
 /// cancellable estimator-training branch removed its D1 waiver, and the
 /// network profiler's one loop indexes link classes without the D2
-/// `unreachable!` waiver its robust loop needed. This is a
+/// `unreachable!` waiver its robust loop needed, and the single-chain
+/// annealer runs the tempering ladder's loop instead of its own timed
+/// one (one D1 waiver fewer). This is a
 /// ratchet: new waivers need either a removed one elsewhere or a
 /// deliberate bump here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 28;
+const WAIVER_CEILING: usize = 27;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

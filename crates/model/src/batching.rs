@@ -5,6 +5,7 @@
 //! microbatches that flow through the pipeline (Algorithm 1, lines 4–5).
 
 use crate::error::ModelError;
+use crate::parallel::ParallelConfig;
 
 /// Global batch configuration for one training iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,6 +89,33 @@ impl MicrobatchPlan {
     pub fn minibatch(&self) -> u64 {
         self.micro_batch * self.n_microbatches
     }
+}
+
+/// A job's candidate space (Algorithm 1, lines 3–4): every
+/// [`ParallelConfig::enumerate`] configuration whose `dp` divides
+/// `global_batch`, each with its [`MicrobatchPlan::enumerate`] plans up to
+/// `max_micro`, in enumeration order. A configuration is listed even when
+/// no plan fits under `max_micro`, so "no batch split" stays apart from
+/// "no plan".
+///
+/// # Panics
+///
+/// Panics if `n_gpus` is zero, or if `global_batch` is zero while any
+/// configuration exists.
+pub fn candidate_space(
+    n_gpus: usize,
+    max_tp: usize,
+    n_layers: usize,
+    global_batch: u64,
+    max_micro: u64,
+) -> Vec<(ParallelConfig, Vec<MicrobatchPlan>)> {
+    ParallelConfig::enumerate(n_gpus, max_tp, n_layers)
+        .into_iter()
+        .filter_map(|cfg| {
+            let mini = BatchConfig::new(global_batch).minibatch(cfg.dp).ok()?;
+            Some((cfg, MicrobatchPlan::enumerate(mini, max_micro)))
+        })
+        .collect()
 }
 
 /// All divisors of `n` in ascending order.

@@ -36,7 +36,7 @@ pub mod messages;
 pub mod parallel;
 pub mod throughput;
 
-pub use batching::{divisors, BatchConfig, MicrobatchPlan};
+pub use batching::{candidate_space, divisors, BatchConfig, MicrobatchPlan};
 pub use error::ModelError;
 pub use gpt::GptConfig;
 pub use parallel::{ParallelConfig, WorkerId};

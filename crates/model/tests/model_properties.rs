@@ -3,7 +3,8 @@
 //! configurations.
 
 use pipette_model::{
-    divisors, flops, memory, messages, BatchConfig, GptConfig, MicrobatchPlan, ParallelConfig,
+    candidate_space, divisors, flops, memory, messages, BatchConfig, GptConfig, MicrobatchPlan,
+    ParallelConfig,
 };
 use proptest::prelude::*;
 
@@ -105,6 +106,30 @@ proptest! {
         for plan in MicrobatchPlan::enumerate(mini, 8) {
             prop_assert_eq!(plan.micro_batch * plan.n_microbatches * dp as u64, global);
         }
+    }
+
+    /// The candidate space lists exactly what the nested loop every
+    /// searcher used to run lists, in the same order: each configuration
+    /// whose `dp` divides the batch, with its plans up to `max_micro`.
+    #[test]
+    fn candidate_space_matches_the_nested_loop(
+        gpus in 1usize..160,
+        gpus_per_node in 0usize..17,
+        layers in 0usize..48,
+        global in 1u64..1100,
+        max_micro in 0u64..12,
+    ) {
+        let mut expected = Vec::new();
+        for cfg in ParallelConfig::enumerate(gpus, gpus_per_node, layers) {
+            let Ok(mini) = BatchConfig::new(global).minibatch(cfg.dp) else {
+                continue;
+            };
+            expected.push((cfg, MicrobatchPlan::enumerate(mini, max_micro)));
+        }
+        prop_assert_eq!(
+            candidate_space(gpus, gpus_per_node, layers, global, max_micro),
+            expected
+        );
     }
 
     /// `divisors` is multiplicative-closed under the divisor relation.

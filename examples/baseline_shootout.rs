@@ -9,7 +9,7 @@
 //! recommendation is then launched on the simulated cluster (OOM failures
 //! count as launch attempts, exactly like a real tuning session).
 
-use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner, VarunaConfigurator};
+use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner};
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette_cluster::presets;
 use pipette_model::GptConfig;
@@ -39,9 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Varuna: pipeline-parallel only, needs activation recomputation.
+    // Varuna: AMP's ranking over the pipeline-parallel-only (tp = 1)
+    // configurations; it needs activation recomputation.
+    let amp = AmpConfigurator::new(&cluster, &gpt, global_batch);
     let vr_runner = ClusterRun::new(&cluster, &gpt).with_recompute(true);
-    let vr = VarunaConfigurator::new(&cluster, &gpt, global_batch).rank();
+    let vr = amp.rank_where(|cfg| cfg.tp == 1);
     if let Some(hit) = first_runnable(&vr, &vr_runner) {
         row(
             "Varuna (pp-only)",
@@ -53,8 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // AMP: Eq. 1 ranking over datasheet bandwidths, memory-unaware.
-    let amp = AmpConfigurator::new(&cluster, &gpt, global_batch).rank();
-    if let Some(hit) = first_runnable(&amp, &runner) {
+    if let Some(hit) = first_runnable(&amp.rank(), &runner) {
         row(
             "AMP (Eq. 1)",
             &hit.candidate.config.to_string(),

@@ -118,35 +118,38 @@ fn total_sample_loss_falls_back_to_the_analytic_estimator() {
 }
 
 /// A degraded link is a ground-truth fault that the profiler applies
-/// once: a ×0.25 link reads at its degraded bandwidth, inside the
-/// plausibility band, so nothing is retried or imputed. Applied twice it
-/// would read ×0.0625, under the band, and be imputed as a healthy link.
+/// once, and measures however slow it is: at ×0.25, ×0.05 and ×0.01 it
+/// reads at its degraded bandwidth, so nothing is retried or imputed.
+/// Applied twice, or judged against a lower plausibility bound, it would
+/// be discarded and imputed as a healthy link.
 #[test]
 fn degraded_link_is_measured_once_not_imputed() {
     let cluster = presets::mid_range(4).build(5);
-    let plan = FaultPlan {
-        degraded_links: vec![DegradedLink {
-            from_node: 0,
-            to_node: 1,
-            factor: 0.25,
-        }],
-        ..FaultPlan::default()
-    };
-    let outcome = run_under_faults(&cluster, &small_gpt(), 64, options(5), &plan, None)
-        .expect("degraded run");
-    assert_eq!(outcome.report.imputed, 0);
-    assert_eq!(outcome.report.retries, 0);
+    for factor in [0.25, 0.05, 0.01] {
+        let plan = FaultPlan {
+            degraded_links: vec![DegradedLink {
+                from_node: 0,
+                to_node: 1,
+                factor,
+            }],
+            ..FaultPlan::default()
+        };
+        let outcome = run_under_faults(&cluster, &small_gpt(), 64, options(5), &plan, None)
+            .expect("degraded run");
+        assert_eq!(outcome.report.imputed, 0, "x{factor}");
+        assert_eq!(outcome.report.retries, 0, "x{factor}");
 
-    let (profiled, _) = cluster
-        .profiler()
-        .profile_robust(cluster.bandwidth(), 5, &plan)
-        .expect("plan fits");
-    let (a, b) = (GpuId(0), GpuId(8));
-    let ratio = profiled.matrix().between(a, b) / (0.25 * cluster.bandwidth().between(a, b));
-    assert!(
-        (0.8..=1.2).contains(&ratio),
-        "degraded link read at {ratio} x its truth"
-    );
+        let (profiled, _) = cluster
+            .profiler()
+            .profile_robust(cluster.bandwidth(), 5, &plan)
+            .expect("plan fits");
+        let (a, b) = (GpuId(0), GpuId(8));
+        let ratio = profiled.matrix().between(a, b) / (factor * cluster.bandwidth().between(a, b));
+        assert!(
+            (0.8..=1.2).contains(&ratio),
+            "x{factor} link read at {ratio} x its degraded truth"
+        );
+    }
 }
 
 #[test]
