@@ -51,6 +51,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// The MLP's reference training loop, which the tests keep as the oracle
+/// of `Mlp::fit`: this binary times it as the in-run baseline of the
+/// training speedup.
+#[path = "../../../mlp/tests/support/reference.rs"]
+mod reference;
+
 /// System allocator wrapped with allocation counters, installed as the
 /// global allocator of this binary only. This is what turns "the SA hot
 /// path is allocation-free" from a code-review claim into a measured,
@@ -540,8 +546,10 @@ section! {
         measured_train_iterations: usize,
         fast_train_seconds: f64,
         reference_train_seconds: f64,
-        /// Blocked kernels + allocation-free loop vs. the naive reference loop,
-        /// identical arithmetic (the bench asserts bit-equal losses).
+        /// Blocked kernels + allocation-free loop vs. the reference loop,
+        /// which allocates every step and multiplies through the naive
+        /// triple loop; identical arithmetic (the bench asserts bit-equal
+        /// losses).
         kernel_train_speedup: f64,
         /// The kernel arm this host trains and predicts on
         /// (`pipette_mlp::kernel_isa`: `avx2` or `portable`).
@@ -1052,7 +1060,7 @@ fn main() {
     let fast_train = t0.elapsed().as_secs_f64();
     let mut ref_mlp = Mlp::paper_architecture(10, 0);
     let t0 = Instant::now();
-    let ref_report = ref_mlp.fit_reference(&x, &y, &train_cfg);
+    let ref_report = reference::fit_reference(&mut ref_mlp, &x, &y, &train_cfg);
     let ref_train = t0.elapsed().as_secs_f64();
     assert_eq!(
         fast_report.final_loss.to_bits(),

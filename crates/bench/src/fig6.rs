@@ -14,6 +14,7 @@ use crate::util;
 use pipette::baselines::{first_runnable, AmpConfigurator, MegatronTuner};
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::mapping::AnnealerConfig;
+use pipette::memory::TrainedEstimatorCache;
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_sim::ClusterRun;
 
@@ -174,22 +175,21 @@ pub fn run_on(
         None => none_row("AMP"),
     });
 
-    // Pipette ablations. Train the memory estimator once, share it.
-    let base = Pipette::new(cluster, gpt, global_batch, opts.pipette_options());
-    let (estimator, _, _) = base.train_memory_estimator();
-
+    // Pipette ablations share one memory estimator through one cache:
+    // PPT-L trains it and PPT-LF hits.
+    let cache = TrainedEstimatorCache::in_memory();
     let ppt_l = Pipette::new(
         cluster,
         gpt,
         global_batch,
         opts.pipette_options().latency_only(),
     )
-    .with_memory_estimator(estimator.clone())
+    .with_estimator_cache(&cache)
     .run();
     rows.push(execute_recommendation("PPT-L", ppt_l, &run));
 
     let ppt_lf = Pipette::new(cluster, gpt, global_batch, opts.pipette_options())
-        .with_memory_estimator(estimator)
+        .with_estimator_cache(&cache)
         .run();
     rows.push(execute_recommendation("PPT-LF", ppt_lf, &run));
 

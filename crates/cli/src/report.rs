@@ -737,4 +737,50 @@ mod tests {
         // The writer's output parses back under the strict scanner.
         assert!(pipette_obs::json::parse(&json).is_ok());
     }
+
+    /// A drill measures its recommendation on the survivors as the fault
+    /// episode leaves them, so the measured time tracks the estimate made
+    /// from their profile: within 5 % under a degraded link at ×0.5,
+    /// ×0.05 and ×0.01, a 4× straggler, and five days of drift. Measured
+    /// on the healthy cluster instead, these read 10.4, 5.9, 74, 9.0 and
+    /// 6.5 % off.
+    #[test]
+    fn drill_measures_the_faults_it_estimates() {
+        let spec = JobSpec::parse_strict(
+            r#"{
+                "cluster": { "preset": "mid-range", "nodes": 2, "seed": 3 },
+                "model": { "layers": 8, "hidden": 1024, "heads": 16 },
+                "global_batch": 64,
+                "max_micro": 2,
+                "sa_iterations": 800,
+                "memory_training_iterations": 1200,
+                "seed": 1
+            }"#,
+        )
+        .expect("spec");
+        let link = |factor: f64| {
+            format!(
+                r#"{{"degraded_links": [{{"from_node": 0, "to_node": 1, "factor": {factor}}}]}}"#
+            )
+        };
+        let plans = [
+            link(0.5),
+            link(0.05),
+            link(0.01),
+            r#"{"straggler_gpus": [{"gpu": 3, "slowdown": 4.0}]}"#.to_string(),
+            r#"{"seed": 2, "drift": {"day": 5, "daily_sigma": 0.2}}"#.to_string(),
+        ];
+        for text in &plans {
+            let plan = crate::spec::parse_fault_plan_strict(text).expect("plan");
+            let (report, _) = run_drill_traced(&spec, &plan, None).expect("drill");
+            let rec = &report.recommendation;
+            let error = (rec.measured_seconds - rec.estimated_seconds).abs() / rec.measured_seconds;
+            assert!(
+                error < 0.05,
+                "{text}: measured {} s against an estimate of {} s",
+                rec.measured_seconds,
+                rec.estimated_seconds
+            );
+        }
+    }
 }

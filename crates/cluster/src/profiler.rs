@@ -108,11 +108,6 @@ impl ProfiledBandwidth {
         &self.matrix
     }
 
-    /// Consumes the wrapper, returning the measured matrix.
-    pub fn into_matrix(self) -> BandwidthMatrix {
-        self.matrix
-    }
-
     /// Treats a matrix as "profiled" without noise (for tests/ablations).
     pub fn exact(matrix: BandwidthMatrix) -> Self {
         Self {
@@ -189,10 +184,12 @@ impl NetworkProfiler {
     /// Measures the cluster under an injected [`FaultPlan`], surviving
     /// corrupt and failed readings.
     ///
-    /// `truth` is the healthy cluster's matrix: the plan's ground-truth
-    /// faults (drift, degraded links, stragglers) are applied here, once.
-    /// Then each directed pair takes one noisy reading per attempt, which
-    /// the plan may corrupt or fail. A reading that is not finite and
+    /// `truth` is the matrix to measure, with any ground-truth faults of
+    /// the episode (drift, degraded links, stragglers) already in it:
+    /// [`FaultPlan::apply_to_truth`] puts them there once, where the
+    /// faulted cluster is built. Here the plan contributes only its
+    /// observation faults: each directed pair takes one noisy reading per
+    /// attempt, which the plan may corrupt or fail. A reading that is not finite and
     /// positive, or lies above 16× its link class's nominal spec, is
     /// discarded and the pair retried, at most 3 times, each retry charged
     /// 0.25 s to the Table II cost. A slow link is measured, however slow.
@@ -228,7 +225,7 @@ impl NetworkProfiler {
         let topo = *truth.topology();
         // Each pair reads its true value here before overwriting it with
         // the measurement, so one matrix serves as both.
-        let mut measured = plan.apply_to_truth(truth);
+        let mut measured = truth.clone();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let n = topo.num_gpus();
         let mut report = MeasurementReport {
@@ -541,7 +538,6 @@ mod tests {
         let p = ProfiledBandwidth::exact(t.clone());
         assert_eq!(p.matrix(), &t);
         assert_eq!(p.report(), &MeasurementReport::default());
-        assert_eq!(p.into_matrix(), t);
     }
 
     #[test]
@@ -656,6 +652,9 @@ mod tests {
         assert_eq!(incident(&p, 0, 4), None);
     }
 
+    /// The profiler measures the matrix it is handed: a plan's degraded
+    /// link is already in a faulted matrix (`FaultPlan::apply_to_truth`),
+    /// and measuring under the plan does not degrade it a second time.
     #[test]
     fn degraded_links_shift_the_measured_truth() {
         let t = truth();
@@ -668,7 +667,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let (p, _) = NetworkProfiler::new(0.0, 0.0, 0.0)
-            .profile_robust(&t, 1, &plan)
+            .profile_robust(&plan.apply_to_truth(&t), 1, &plan)
             .unwrap();
         let measured = p.matrix().between(GpuId(0), GpuId(4));
         assert!((measured - t.between(GpuId(0), GpuId(4)) * 0.5).abs() < 1e-9);

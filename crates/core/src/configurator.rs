@@ -20,8 +20,8 @@ use crate::mapping::{
     AnnealStats, AnnealerConfig, IncrementalObjective, ParallelTemperingAnnealer, TemperingSchedule,
 };
 use crate::memory::{
-    analytic_prior, collect_samples_parallel, CacheCounters, MemoryEstimator,
-    MemoryEstimatorConfig, MemorySample, SampleSpec, TrainedEstimatorCache,
+    analytic_prior, CacheCounters, MemoryEstimator, MemoryEstimatorConfig, MemorySample,
+    SampleSpec, TrainedEstimatorCache,
 };
 use crate::parallel;
 use crate::report::{DeadlineReport, OverheadReport};
@@ -411,21 +411,6 @@ impl<'a> Pipette<'a> {
         (spec, truth)
     }
 
-    /// Trains a memory estimator for this cluster following the paper's
-    /// protocol (≤ 4-node profiling sweep over a ladder of model scales).
-    pub fn train_memory_estimator(&self) -> (MemoryEstimator, Duration, Vec<MemorySample>) {
-        // pipette-lint: allow(D1) -- wall time feeds the report's training_seconds extra only; the trained weights depend on the seed alone
-        let start = Instant::now();
-        let (spec, truth) = self.profiling_spec();
-        let samples = collect_samples_parallel(&spec, &truth, self.options.threads);
-        let estimator = MemoryEstimator::train_with_threads(
-            &samples,
-            &self.options.memory,
-            self.options.threads,
-        );
-        (estimator, start.elapsed(), samples)
-    }
-
     /// Runs Algorithm 1.
     ///
     /// # Errors
@@ -529,10 +514,14 @@ impl<'a> Pipette<'a> {
             (analytic, Duration::ZERO)
         } else {
             let mem_span = trace.as_deref_mut().map(|t| t.open_span("mem_train"));
-            let (estimator, training_time, cached) = match (&self.pretrained, self.estimator_cache)
-            {
-                (Some(e), _) => (e.clone(), Duration::ZERO, true),
-                (None, Some(cache)) => {
+            let (estimator, training_time, cached) = match &self.pretrained {
+                Some(e) => (e.clone(), Duration::ZERO, true),
+                None => {
+                    // Without an attached cache, a throwaway one trains
+                    // (it never hits); the trace's cache counters follow
+                    // the attached cache only.
+                    let throwaway = TrainedEstimatorCache::in_memory();
+                    let cache = self.estimator_cache.unwrap_or(&throwaway);
                     // pipette-lint: allow(D1) -- wall time feeds the cache-timing extra only; the recommendation depends on the seed alone
                     let start = Instant::now();
                     let (spec, truth) = self.profiling_spec();
@@ -545,10 +534,6 @@ impl<'a> Pipette<'a> {
                         self.options.threads,
                     );
                     (e, start.elapsed(), cache.hits() > hits_before)
-                }
-                (None, None) => {
-                    let (e, t, _) = self.train_memory_estimator();
-                    (e, t, false)
                 }
             };
             if !cached {
@@ -1028,6 +1013,14 @@ mod tests {
         )
     }
 
+    /// The memory estimator `fast_test` options train for a 64-sample
+    /// batch of `gpt` on `cluster`, through a cache as `run` trains it.
+    fn trained_estimator(cluster: &Cluster, gpt: &GptConfig) -> MemoryEstimator {
+        let opts = PipetteOptions::fast_test();
+        let (spec, truth) = Pipette::new(cluster, gpt, 64, opts).profiling_spec();
+        TrainedEstimatorCache::in_memory().get_or_train(&spec, gpt, &opts.memory, &truth, 1)
+    }
+
     #[test]
     fn recommends_a_runnable_configuration() {
         let (cluster, gpt) = setup();
@@ -1070,9 +1063,10 @@ mod tests {
     #[test]
     fn pretrained_estimator_is_reused() {
         let (cluster, gpt) = setup();
-        let pip = Pipette::new(&cluster, &gpt, 64, PipetteOptions::fast_test());
-        let (est, _, _) = pip.train_memory_estimator();
-        let rec = pip.with_memory_estimator(est).run().unwrap();
+        let rec = Pipette::new(&cluster, &gpt, 64, PipetteOptions::fast_test())
+            .with_memory_estimator(trained_estimator(&cluster, &gpt))
+            .run()
+            .unwrap();
         assert_eq!(rec.overhead.memory_training, Duration::ZERO);
     }
 
@@ -1099,8 +1093,7 @@ mod tests {
     #[test]
     fn an_unsplittable_batch_and_an_empty_plan_list_are_different_errors() {
         let (cluster, gpt) = setup();
-        let (estimator, _, _) =
-            Pipette::new(&cluster, &gpt, 64, PipetteOptions::fast_test()).train_memory_estimator();
+        let estimator = trained_estimator(&cluster, &gpt);
         // One layer allows only pp = 1, so every dp = 16 / tp is even and
         // none divides 13.
         let shallow = GptConfig::new(1, 1024, 16, 2048, 51200);

@@ -51,8 +51,10 @@ pub struct ReconfigurationPlan {
 pub struct DegradedOutcome {
     /// The recommendation for the surviving subcluster.
     pub recommendation: Recommendation,
-    /// The surviving subcluster the recommendation targets (the whole
-    /// cluster when the plan fails no nodes).
+    /// The surviving subcluster the recommendation targets, with the
+    /// plan's ground-truth faults in its matrix (the whole faulted
+    /// cluster when the plan fails no nodes): where the recommendation
+    /// is measured.
     pub survivor: Cluster,
     /// Per-pair measurement-quality accounting from the robust profiler.
     pub report: MeasurementReport,
@@ -126,15 +128,26 @@ pub fn run_under_faults(
         });
     }
 
-    // Rungs 1–2: robust profiling of the *full* cluster (the plan's fault
-    // coordinates reference original GPU indices). The profiler applies
-    // the plan's ground-truth faults itself and handles retries and
-    // imputation.
+    // The cluster as the fault episode leaves it, built once: the plan's
+    // ground-truth faults (drift, degraded links, stragglers) applied to
+    // the healthy matrix. It keeps the healthy cluster's name, so the
+    // memory simulator `ClusterRun::new` seeds from it is unchanged.
+    let faulted = Cluster::new(
+        cluster.name(),
+        cluster.gpu().clone(),
+        plan.apply_to_truth(cluster.bandwidth()),
+        cluster.profiler(),
+    );
+
+    // Rungs 1–2: robust profiling of the *full* faulted cluster (the
+    // plan's fault coordinates reference original GPU indices). The
+    // profiler adds the plan's observation faults and handles retries
+    // and imputation.
     let robust_span = trace.as_deref_mut().map(|t| t.open_span("robust_profile"));
     let (profiled, cost) =
-        match cluster
+        match faulted
             .profiler()
-            .profile_robust(cluster.bandwidth(), options.seed, plan)
+            .profile_robust(faulted.bandwidth(), options.seed, plan)
         {
             Ok(result) => result,
             Err(e) => {
@@ -171,15 +184,16 @@ pub fn run_under_faults(
         }
     }
 
-    // Restrict the measured matrix to the survivors. When nothing was
-    // excluded the full profiled matrix (report and all) flows through
-    // unchanged, preserving zero-fault bit-identity.
+    // Restrict the faulted cluster and the measured matrix to the
+    // survivors. When nothing was excluded the full profiled matrix
+    // (report and all) flows through unchanged, preserving zero-fault
+    // bit-identity.
     let (survivor, survivor_profiled) = if excluded_gpus.is_empty() {
-        (cluster.clone(), profiled)
+        (faulted, profiled)
     } else {
         let matrix = profiled.matrix().select_nodes(&surviving_nodes)?;
         (
-            cluster.excluding_nodes(&plan.failed_node_ids(topo))?,
+            faulted.excluding_nodes(&plan.failed_node_ids(topo))?,
             ProfiledBandwidth::exact(matrix),
         )
     };

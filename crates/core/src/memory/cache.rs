@@ -355,6 +355,7 @@ impl TrainedEstimatorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::index::shape_mutants;
 
     fn tiny_inputs() -> (SampleSpec, GptConfig, MemoryEstimatorConfig, MemorySim) {
         let gpt = GptConfig::new(8, 1024, 16, 2048, 51200);
@@ -468,7 +469,7 @@ mod tests {
     /// `damage(intact bytes)`, and checks that the next cold lookup
     /// quarantines the damaged snapshot, retrains the identical estimator
     /// and heals the slot, so a third cache hits cleanly.
-    fn assert_damaged_index_retrains(dir_name: &str, damage: fn(&[u8]) -> Vec<u8>) {
+    fn assert_damaged_index_retrains(dir_name: &str, damage: impl Fn(&[u8]) -> Vec<u8>) {
         let (spec, gpt, config, truth) = tiny_inputs();
         let dir = std::env::temp_dir().join(dir_name);
         let _ = std::fs::remove_dir_all(&dir);
@@ -544,6 +545,23 @@ mod tests {
         });
     }
 
+    /// Seeds of `index::shape_mutants::reshaped` that cover every kind of
+    /// shape defect: the scaler width, a layer's rows, a layer's columns,
+    /// and the layer count (first dropped, last dropped, one appended).
+    const SHAPE_SEEDS: [u64; 6] = [0, 1, 3, 5, 11, 17];
+
+    /// A snapshot with a valid checksum whose network cannot run is
+    /// defective like any other: the lookup that meets it quarantines it
+    /// and retrains.
+    #[test]
+    fn reshaped_index_retrains() {
+        for seed in SHAPE_SEEDS {
+            assert_damaged_index_retrains("pipette-estimator-cache-reshaped", |intact| {
+                shape_mutants::reshaped(intact, seed).0
+            });
+        }
+    }
+
     #[test]
     fn index_snapshot_alone_serves_a_warm_lookup() {
         let (spec, gpt, config, truth) = tiny_inputs();
@@ -576,11 +594,21 @@ mod tests {
             cold.get_or_train(&spec, &gpt, &config, &truth, 1)
         };
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        // Simulate damage: a second entry's snapshot got torn. A JSON entry
-        // from an older cache format is neither read nor scanned.
+        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
+        // Simulate damage: a second entry's snapshot got torn, and a third
+        // entry's has a valid checksum over a network that cannot run. A
+        // JSON entry from an older cache format is neither read nor
+        // scanned.
         std::fs::write(
             dir.join("pipette-mem-estimator-00000000deadbeef.idx"),
             "torn",
+        )
+        .unwrap();
+        let (mut reshaped, _) = shape_mutants::reshaped(&std::fs::read(&idx).unwrap(), 0);
+        reshaped[16..24].copy_from_slice(&0xfeed_face_u64.to_le_bytes());
+        std::fs::write(
+            dir.join("pipette-mem-estimator-00000000feedface.idx"),
+            reshaped,
         )
         .unwrap();
         std::fs::write(
@@ -593,11 +621,11 @@ mod tests {
         assert_eq!(
             report,
             SweepReport {
-                scanned: 2,
-                quarantined: 1,
+                scanned: 3,
+                quarantined: 2,
             }
         );
-        assert_eq!(cache.corrupt(), 1);
+        assert_eq!(cache.corrupt(), 2);
         // The torn entry is quarantined with its bytes intact...
         assert_eq!(
             std::fs::read_to_string(dir.join("pipette-mem-estimator-00000000deadbeef.idx.corrupt"))
@@ -605,7 +633,6 @@ mod tests {
             "torn"
         );
         // ...and the good snapshot still round-trips its estimator.
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
         assert_eq!(index::read_index(&idx, fp), Some(trained));
         // A second sweep finds a fully healthy directory.
         assert_eq!(

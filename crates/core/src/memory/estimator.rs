@@ -53,19 +53,6 @@ impl Default for MemoryEstimatorConfig {
     }
 }
 
-impl MemoryEstimatorConfig {
-    /// The paper's protocol: five layers of 200 hidden units, 50,000
-    /// iterations.
-    pub fn paper() -> Self {
-        Self {
-            train: TrainConfig::paper(),
-            hidden: 200,
-            depth: 4,
-            ..Self::default()
-        }
-    }
-}
-
 /// How the estimator's MLP training went — kept on the trained estimator
 /// (and in its cache entries) so a warm run can still report the loss
 /// curve of the training that produced it.
@@ -124,6 +111,41 @@ pub struct MemoryEstimator {
 
 fn log_features(features: &[f64; 10]) -> Vec<f64> {
     features.iter().map(|&f| f.max(1.0).ln()).collect()
+}
+
+/// The estimator's training targets: each sample's log-residual over the
+/// analytic prior, `ln(actual / analytic)`, with their mean and standard
+/// deviation. Computed once per corpus, both to judge it
+/// ([`MemoryEstimator::train_checked`]) and to standardize what the
+/// network fits.
+struct Residuals {
+    log: Vec<f64>,
+    mean: f64,
+    std: f64,
+}
+
+impl Residuals {
+    /// The residuals of a non-empty corpus, whose samples share the first
+    /// one's sequence length and vocabulary.
+    fn of(samples: &[MemorySample]) -> Self {
+        let (seq_len, vocab) = (samples[0].seq_len, samples[0].vocab);
+        let log: Vec<f64> = samples
+            .iter()
+            .map(|s| {
+                (s.peak_bytes as f64 / analytic_prior(&s.features, seq_len, vocab))
+                    .max(1e-6)
+                    .ln()
+            })
+            .collect();
+        let n = log.len() as f64;
+        let mean = log.iter().sum::<f64>() / n;
+        let var = log.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        Self {
+            log,
+            mean,
+            std: var.sqrt(),
+        }
+    }
 }
 
 /// Why memory-estimator training cannot produce a trustworthy network.
@@ -215,59 +237,7 @@ impl MemoryEstimator {
         threads: usize,
     ) -> Self {
         debug_assert!(!samples.is_empty(), "need at least one training sample");
-        let seq_len = samples[0].seq_len;
-        let vocab = samples[0].vocab;
-        debug_assert!(
-            samples
-                .iter()
-                .all(|s| s.seq_len == seq_len && s.vocab == vocab),
-            "profiled samples must share sequence length and vocabulary"
-        );
-        let rows: Vec<Vec<f64>> = samples.iter().map(|s| log_features(&s.features)).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x_raw = Matrix::from_rows(&refs);
-        let x_scaler = StandardScaler::fit(&x_raw);
-        let x = x_scaler.transform(&x_raw);
-
-        let y_log: Vec<f64> = samples
-            .iter()
-            .map(|s| {
-                (s.peak_bytes as f64 / analytic_prior(&s.features, seq_len, vocab))
-                    .max(1e-6)
-                    .ln()
-            })
-            .collect();
-        let n = y_log.len() as f64;
-        let y_mean = y_log.iter().sum::<f64>() / n;
-        let y_std = {
-            let var = y_log.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n;
-            var.sqrt().max(1e-9)
-        };
-        let y_data: Vec<f64> = y_log.iter().map(|v| (v - y_mean) / y_std).collect();
-        let y = Matrix::from_vec(y_data.len(), 1, y_data);
-
-        let mut widths = vec![10usize];
-        widths.extend(std::iter::repeat_n(config.hidden, config.depth));
-        widths.push(1);
-        let mut mlp = Mlp::new(&widths, config.seed);
-        let report = mlp.fit_with_threads(&x, &y, &config.train, threads);
-
-        Self {
-            mlp,
-            x_scaler,
-            y_mean,
-            y_std,
-            soft_margin: config.soft_margin,
-            seq_len,
-            vocab,
-            train_summary: TrainSummary {
-                samples: samples.len(),
-                iterations: report.iterations,
-                record_every: config.train.record_every,
-                final_loss: report.final_loss,
-                loss_curve: report.loss_curve,
-            },
-        }
+        Self::fit(samples, Residuals::of(samples), config, threads)
     }
 
     /// Fallible variant of [`Self::train_with_threads`] for corpora that
@@ -298,24 +268,62 @@ impl MemoryEstimator {
                 need: MIN_SAMPLES,
             });
         }
-        let seq_len = samples[0].seq_len;
-        let vocab = samples[0].vocab;
-        let y_log: Vec<f64> = samples
-            .iter()
-            .map(|s| {
-                (s.peak_bytes as f64 / analytic_prior(&s.features, seq_len, vocab))
-                    .max(1e-6)
-                    .ln()
-            })
-            .collect();
-        let n = y_log.len() as f64;
-        let y_mean = y_log.iter().sum::<f64>() / n;
-        let var = y_log.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n;
-        let y_std = var.sqrt();
-        if !(y_std.is_finite() && y_std >= 1e-12) {
-            return Err(EstimatorDegeneracy::CollapsedTargets { y_std });
+        let residuals = Residuals::of(samples);
+        if !(residuals.std.is_finite() && residuals.std >= 1e-12) {
+            return Err(EstimatorDegeneracy::CollapsedTargets {
+                y_std: residuals.std,
+            });
         }
-        Ok(Self::train_with_threads(samples, config, threads))
+        Ok(Self::fit(samples, residuals, config, threads))
+    }
+
+    /// Fits the network to the standardized `residuals` of `samples`.
+    fn fit(
+        samples: &[MemorySample],
+        residuals: Residuals,
+        config: &MemoryEstimatorConfig,
+        threads: usize,
+    ) -> Self {
+        let (seq_len, vocab) = (samples[0].seq_len, samples[0].vocab);
+        debug_assert!(
+            samples
+                .iter()
+                .all(|s| s.seq_len == seq_len && s.vocab == vocab),
+            "profiled samples must share sequence length and vocabulary"
+        );
+        let rows: Vec<Vec<f64>> = samples.iter().map(|s| log_features(&s.features)).collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let x_raw = Matrix::from_rows(&refs);
+        let x_scaler = StandardScaler::fit(&x_raw);
+        let x = x_scaler.transform(&x_raw);
+
+        let y_mean = residuals.mean;
+        let y_std = residuals.std.max(1e-9);
+        let y_data: Vec<f64> = residuals.log.iter().map(|v| (v - y_mean) / y_std).collect();
+        let y = Matrix::from_vec(y_data.len(), 1, y_data);
+
+        let mut widths = vec![10usize];
+        widths.extend(std::iter::repeat_n(config.hidden, config.depth));
+        widths.push(1);
+        let mut mlp = Mlp::new(&widths, config.seed);
+        let report = mlp.fit_with_threads(&x, &y, &config.train, threads);
+
+        Self {
+            mlp,
+            x_scaler,
+            y_mean,
+            y_std,
+            soft_margin: config.soft_margin,
+            seq_len,
+            vocab,
+            train_summary: TrainSummary {
+                samples: samples.len(),
+                iterations: report.iterations,
+                record_every: config.train.record_every,
+                final_loss: report.final_loss,
+                loss_curve: report.loss_curve,
+            },
+        }
     }
 
     /// Telemetry of the training run that produced this estimator (also
@@ -378,24 +386,19 @@ impl MemoryEstimator {
         self
     }
 
-    /// Predicted peak memory in bytes for Eq. 7's feature vector.
+    /// Predicted peak memory in bytes for Eq. 7's feature vector: the
+    /// batched prediction of one row.
     pub fn predict_bytes(&self, features: &[f64; 10]) -> u64 {
-        let row = log_features(features);
-        let x = self
-            .x_scaler
-            .transform(&Matrix::from_rows(&[row.as_slice()]));
-        let out = self.mlp.predict(&x).get(0, 0);
-        let correction = (out * self.y_std + self.y_mean).exp();
-        (analytic_prior(features, self.seq_len, self.vocab) * correction.max(0.0)) as u64
+        self.predict_bytes_batch(std::slice::from_ref(features), 1)[0]
     }
 
     /// Predicted peak memory for a whole candidate set in **one** forward
     /// pass through the MLP (the batched screen Algorithm 1 uses).
     ///
-    /// Every network layer is row-independent (matmul, bias broadcast,
-    /// elementwise ReLU), so stacking the candidates into one matrix
-    /// changes nothing about the arithmetic of any single row: the result
-    /// is bit-identical to calling [`Self::predict_bytes`] per candidate
+    /// Every network layer is row-independent (matmul with its fused
+    /// bias, elementwise ReLU), so stacking the candidates into one
+    /// matrix changes nothing about the arithmetic of any single row: the
+    /// result is bit-identical to predicting each candidate alone
     /// (property-tested in `tests/estimator_cache.rs`), at any `threads`.
     pub fn predict_bytes_batch(&self, features: &[[f64; 10]], threads: usize) -> Vec<u64> {
         if features.is_empty() {
@@ -416,15 +419,15 @@ impl MemoryEstimator {
     }
 
     /// Whether a configuration is considered runnable under `limit_bytes`
-    /// per GPU, applying the soft margin.
+    /// per GPU, applying the soft margin: the batched screen of one row.
     pub fn is_runnable(&self, features: &[f64; 10], limit_bytes: u64) -> bool {
-        let predicted = self.predict_bytes(features) as f64;
-        predicted * (1.0 + self.soft_margin) <= limit_bytes as f64
+        self.is_runnable_batch(std::slice::from_ref(features), limit_bytes, 1)[0]
     }
 
-    /// Batched [`Self::is_runnable`]: one forward pass over all
-    /// candidates, same soft margin, same accepted/rejected set as the
-    /// one-row-at-a-time screen.
+    /// The memory screen: one forward pass over all candidates, each
+    /// accepted when its prediction inflated by the soft margin fits
+    /// `limit_bytes` per GPU. Bit-identical to screening one row at a
+    /// time.
     pub fn is_runnable_batch(
         &self,
         features: &[[f64; 10]],
@@ -444,12 +447,12 @@ impl MemoryEstimator {
     /// Panics if `samples` is empty.
     pub fn mape(&self, samples: &[MemorySample]) -> f64 {
         debug_assert!(!samples.is_empty(), "need samples to evaluate");
-        let sum: f64 = samples
-            .iter()
-            .map(|s| {
-                let p = self.predict_bytes(&s.features) as f64;
-                (p - s.peak_bytes as f64).abs() / s.peak_bytes as f64
-            })
+        let features: Vec<[f64; 10]> = samples.iter().map(|s| s.features).collect();
+        let sum: f64 = self
+            .predict_bytes_batch(&features, 1)
+            .into_iter()
+            .zip(samples)
+            .map(|(p, s)| (p as f64 - s.peak_bytes as f64).abs() / s.peak_bytes as f64)
             .sum();
         sum / samples.len() as f64
     }

@@ -33,10 +33,13 @@
 //!
 //! `read_index` returns `None` — never an error, never a partial value —
 //! on *any* defect: short file, bad magic, version or fingerprint
-//! mismatch, checksum mismatch, truncated payload, or counts that do not
-//! fit the remaining bytes. There is no other copy to fall back to: the
+//! mismatch, checksum mismatch, truncated payload, counts that do not
+//! fit the remaining bytes, or a network that cannot run: a scaler that
+//! is not 10 wide, or layers whose shapes do not chain 10 → … → 1 with
+//! every dimension positive. There is no other copy to fall back to: the
 //! cache quarantines the file as `.idx.corrupt` and retrains, so a
-//! defect costs one training run, never a wrong answer.
+//! defect costs one training run, never a wrong answer (or a panic at
+//! the first prediction).
 
 use crate::memory::estimator::MemoryEstimator;
 use pipette_mlp::{Dense, Matrix, Mlp, StandardScaler};
@@ -47,6 +50,9 @@ use crate::memory::estimator::TrainSummary;
 const MAGIC: [u8; 8] = *b"PIPMEMIX";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 40;
+/// Eq. 7's feature count: the width of the scaler and of the network's
+/// input.
+const FEATURES: usize = 10;
 
 /// 64-bit FNV-1a: the payload checksum, and the cache fingerprint's hash.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
@@ -171,7 +177,7 @@ fn encode_payload(estimator: &MemoryEstimator) -> Vec<u8> {
 }
 
 /// Parses a payload back into an estimator; `None` on any truncation or
-/// inconsistency.
+/// inconsistency, or when its network could not run on Eq. 7's features.
 fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
     let mut c = Cursor::new(payload);
     let y_mean = c.f64()?;
@@ -185,17 +191,24 @@ fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
     let final_loss = c.f64()?;
     let curve_len = c.usize()?;
     let loss_curve = c.f64s(curve_len)?;
-    let num_features = c.usize()?;
-    let means = c.f64s(num_features)?;
-    let stds = c.f64s(num_features)?;
-    let num_layers = c.usize()?;
-    if num_layers == 0 {
+    if c.usize()? != FEATURES {
         return None;
     }
+    let means = c.f64s(FEATURES)?;
+    let stds = c.f64s(FEATURES)?;
+    let num_layers = c.usize()?;
     let mut layers = Vec::new();
+    // Each layer must take the previous one's output (the features, for
+    // the first); the last must give the one prediction. A positive
+    // `width` and `rows == width` make every dimension positive.
+    let mut width = FEATURES;
     for _ in 0..num_layers {
         let rows = c.usize()?;
         let cols = c.usize()?;
+        if rows != width || cols == 0 {
+            return None;
+        }
+        width = cols;
         let relu = match c.u64()? {
             0 => false,
             1 => true,
@@ -210,7 +223,7 @@ fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
             relu,
         ));
     }
-    if !c.finished() {
+    if width != 1 || !c.finished() {
         return None;
     }
     Some(MemoryEstimator::from_index_parts(
@@ -271,6 +284,127 @@ pub(crate) fn read_index(path: &Path, fingerprint: u64) -> Option<MemoryEstimato
         return None;
     }
     decode_payload(payload)
+}
+
+/// Well-formed snapshots of the wrong shape, for the corruption tests:
+/// every count matches the bytes that follow it and the checksum is
+/// valid, so only `decode_payload`'s shape checks can reject them.
+#[cfg(test)]
+pub(crate) mod shape_mutants {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The parts of a payload a shape mutant rewrites: the leading fields
+    /// before the scaler (kept as they are), the scaler width, and each
+    /// layer's `(rows, cols)`.
+    pub(crate) struct Shape {
+        head: Vec<u8>,
+        width: usize,
+        layers: Vec<(usize, usize)>,
+    }
+
+    fn word(payload: &[u8], i: usize) -> usize {
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(&payload[8 * i..8 * i + 8]);
+        u64::from_le_bytes(buf) as usize
+    }
+
+    /// The shape of the intact `.idx` file `file`.
+    pub(crate) fn shape_of(file: &[u8]) -> Shape {
+        let payload = &file[HEADER_LEN..];
+        // Ten leading words, the last of them the loss curve's length,
+        // then the curve.
+        let scaler_at = 10 + word(payload, 9);
+        let width = word(payload, scaler_at);
+        let mut at = scaler_at + 1 + 2 * width;
+        let mut layers = Vec::new();
+        let num_layers = word(payload, at);
+        at += 1;
+        for _ in 0..num_layers {
+            let (rows, cols) = (word(payload, at), word(payload, at + 1));
+            layers.push((rows, cols));
+            at += 3 + rows * cols + cols;
+        }
+        Shape {
+            head: payload[..8 * scaler_at].to_vec(),
+            width,
+            layers,
+        }
+    }
+
+    /// `shape` written back as a whole `.idx` file under `file`'s header
+    /// fields, with filler statistics and weights.
+    pub(crate) fn file_of(file: &[u8], shape: &Shape) -> Vec<u8> {
+        let mut b = Builder::default();
+        b.bytes.extend_from_slice(&shape.head);
+        b.u64(shape.width as u64);
+        b.f64s(&vec![0.0; shape.width]);
+        b.f64s(&vec![1.0; shape.width]);
+        b.u64(shape.layers.len() as u64);
+        for &(rows, cols) in &shape.layers {
+            b.u64(rows as u64);
+            b.u64(cols as u64);
+            b.u64(1);
+            b.f64s(&vec![0.5; rows * cols]);
+            b.f64s(&vec![0.0; cols]);
+        }
+        let mut out = file[..24].to_vec();
+        out.extend_from_slice(&(b.bytes.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a(&b.bytes).to_le_bytes());
+        out.extend_from_slice(&b.bytes);
+        out
+    }
+
+    /// The intact `.idx` file `file` with one seeded shape defect: a
+    /// scaler that is not 10 wide, a layer whose rows or columns (zero
+    /// included) break the 10 → … → 1 chain, or a first or last layer
+    /// dropped, or a mismatched one appended. Returns the defective file
+    /// and what was done to it.
+    pub(crate) fn reshaped(file: &[u8], seed: u64) -> (Vec<u8>, String) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // A value in `0..=2v + 2` other than `v`.
+        let mut other = |v: usize| loop {
+            let x = rng.gen_range(0..=2 * v + 2);
+            if x != v {
+                break x;
+            }
+        };
+        let mut shape = shape_of(file);
+        let n = shape.layers.len();
+        let what = match seed % 6 {
+            0 => {
+                shape.width = other(FEATURES);
+                format!("scaler {} wide", shape.width)
+            }
+            1 | 2 => {
+                let i = seed as usize / 6 % n;
+                shape.layers[i].0 = other(shape.layers[i].0);
+                format!("layer {i} with {} rows", shape.layers[i].0)
+            }
+            3 | 4 => {
+                let i = seed as usize / 6 % n;
+                shape.layers[i].1 = other(shape.layers[i].1);
+                format!("layer {i} with {} columns", shape.layers[i].1)
+            }
+            _ => match seed / 6 % 3 {
+                0 => {
+                    shape.layers.remove(0);
+                    "first layer dropped".to_string()
+                }
+                1 => {
+                    shape.layers.pop();
+                    "last layer dropped".to_string()
+                }
+                _ => {
+                    let rows = other(1);
+                    shape.layers.push((rows, 1));
+                    format!("{rows}x1 layer appended")
+                }
+            },
+        };
+        (file_of(file, &shape), what)
+    }
 }
 
 #[cfg(test)]
@@ -383,6 +517,31 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 16]);
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_index(&path, 3).is_none(), "length check must catch");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A snapshot whose network cannot run on Eq. 7's ten features reads
+    /// as corrupt, whether its scaler width, a layer's rows or columns,
+    /// or its layer count is wrong — never as an estimator that panics
+    /// at its first prediction.
+    #[test]
+    fn shape_mutants_read_as_corrupt() {
+        let estimator = tiny_estimator();
+        let path = temp_path("shape.idx");
+        write_index(&path, 4, &estimator).unwrap();
+        let intact = std::fs::read(&path).unwrap();
+        // The control: the mutants' writer reproduces a loadable file.
+        let control = shape_mutants::file_of(&intact, &shape_mutants::shape_of(&intact));
+        assert!(decode_payload(&control[HEADER_LEN..]).is_some());
+        for seed in 0..48 {
+            let (mutant, what) = shape_mutants::reshaped(&intact, seed);
+            assert!(
+                decode_payload(&mutant[HEADER_LEN..]).is_none(),
+                "seed {seed}: {what} decoded"
+            );
+            std::fs::write(&path, &mutant).unwrap();
+            assert!(read_index(&path, 4).is_none(), "seed {seed}: {what} read");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

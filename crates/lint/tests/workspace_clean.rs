@@ -64,10 +64,12 @@ fn every_waiver_carries_a_justification() {
 /// network profiler's one loop indexes link classes without the D2
 /// `unreachable!` waiver its robust loop needed, and the single-chain
 /// annealer runs the tempering ladder's loop instead of its own timed
-/// one (one D1 waiver fewer). This is a
-/// ratchet: new waivers need either a removed one elsewhere or a
-/// deliberate bump here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 27;
+/// one (one D1 waiver fewer), and moving the MLP's reference layer caches
+/// into the tests took their two D2 `.expect` waivers while training the
+/// configurator's estimator through the cache alone took one D1 waiver.
+/// This is a ratchet: new waivers need either a removed one elsewhere or
+/// a deliberate bump here, reviewed like any other budget change.
+const WAIVER_CEILING: usize = 24;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

@@ -12,8 +12,8 @@
 //! compaction stores every index and advances the count by the
 //! predicate instead. `!= 0.0` is exactly the complement of the naive
 //! loop's skip test (`±0.0` skipped, NaN kept), so every output element
-//! still sums the same terms in the same ascending `k` order as
-//! [`crate::Matrix::matmul_naive`], to the bit.
+//! still sums the same terms in the same ascending `k` order as the
+//! naive triple loop (`tests/support/naive.rs`), to the bit.
 //!
 //! The loop bodies are `#[inline(always)]` and instantiated twice: once
 //! as ordinary code for the build target (the portable arm, SSE2 on
@@ -196,8 +196,8 @@ fn compact(column: impl Iterator<Item = f64>, nz: &mut [usize]) -> usize {
 }
 
 /// One output row: `out_row = Σ_{k ∈ nz} a(k) · B[k][·]`, `k` ascending,
-/// with `bias` added after the whole sum (matching `matmul` followed by
-/// `add_row` exactly).
+/// with `bias` added after the whole sum (matching the product followed
+/// by a separate bias pass exactly).
 #[inline(always)]
 fn tile_row(
     nz: &[usize],
@@ -246,13 +246,9 @@ fn tile_row(
 }
 
 #[cfg(test)]
-#[path = "../tests/support/edge_values.rs"]
-mod edge_values;
-
-#[cfg(test)]
 mod tests {
-    use super::edge_values::{same_result, skip_operand};
     use super::*;
+    use crate::edge_values::{same_result, skip_operand};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

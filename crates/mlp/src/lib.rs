@@ -36,6 +36,15 @@ pub mod optim;
 pub mod scaler;
 pub mod train;
 
+// The test oracles live with the integration tests; the unit tests of
+// the kernel and its products include them from there.
+#[cfg(test)]
+#[path = "../tests/support/edge_values.rs"]
+mod edge_values;
+#[cfg(test)]
+#[path = "../tests/support/naive.rs"]
+mod naive;
+
 pub use kernel::kernel_isa;
 pub use layer::Dense;
 pub use matrix::Matrix;

@@ -1,24 +1,22 @@
 //! Minimal dense row-major matrix used by the MLP.
 //!
-//! Two matmul kernels live here. [`Matrix::matmul_naive`] is the
-//! reference triple loop the crate started with; [`Matrix::matmul`] (and
-//! the `*_into` / fused / transposed variants) is a register-tiled
-//! rewrite of the same arithmetic, run by the crate's `kernel` module:
-//! each row of `A` first compacts the positions of its nonzeros, then a
-//! 32-wide tile accumulates their products in ascending `k`, skipping
-//! exactly the terms the reference skips (`a == 0.0`), so the results
-//! are **bit-identical** — neither the compaction, the tiling nor the
-//! vector width of the runtime-picked arm changes the sequence of
-//! floating-point operations that produces an element. `matmul_parallel`
-//! splits output rows across threads; rows are independent, so any
-//! thread count returns the same bits (property-tested in
-//! `tests/kernels.rs`).
+//! Its two products are crate-private and run the crate's `kernel`
+//! module: `Matrix::mm_into` (`A · B`, optionally with a fused bias,
+//! with output rows split over threads) and `Matrix::mm_at_into`
+//! (`Aᵀ · B`). Each row of `A` first compacts the positions of its
+//! nonzeros, then a 32-wide tile accumulates their products in
+//! ascending `k`, skipping exactly the terms the naive triple loop
+//! skips (`a == 0.0`), so the results are **bit-identical** to it —
+//! neither the compaction, the tiling, the vector width of the
+//! runtime-picked arm nor the thread count changes the sequence of
+//! floating-point operations that produces an element. The naive loop
+//! lives with the tests (`tests/support/naive.rs`); this module's unit
+//! tests check both products against it on every arm the host has.
 //!
-//! The public products allocate the kernel's index scratch (one word per
-//! inner-dimension entry) per call; [`crate::Mlp::fit`] owns one scratch
-//! for the whole run and stays allocation-free.
+//! A caller owns the kernel and its index scratch, so [`crate::Mlp::fit`]
+//! keeps one for the whole run and stays allocation-free.
 
-use crate::kernel::{Isa, Kernel};
+use crate::kernel::Kernel;
 use std::fmt;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
@@ -128,126 +126,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · rhs` through the register-tiled kernel.
-    /// Bit-identical to [`Self::matmul_naive`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Matrix product into a caller-provided output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree or `out` has the wrong shape.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
-        self.mm_into(kernel, rhs, None, out, 1);
-    }
-
-    /// Fused `self · rhs + bias` (bias broadcast over rows), into a
-    /// caller-provided buffer. The bias is added after the full `k`
-    /// accumulation, so the result is bit-identical to
-    /// `matmul` followed by [`Self::add_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
-        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
-        self.mm_into(kernel, rhs, Some(bias), out, 1);
-    }
-
-    /// `selfᵀ · rhs` without materializing the transpose, into a
-    /// caller-provided buffer. Bit-identical to
-    /// `self.transpose().matmul(rhs)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transpose_a_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.mm_at_into(&mut Kernel::new(Isa::detect(), self.rows), rhs, out);
-    }
-
-    /// `selfᵀ · rhs`, allocating the output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts disagree.
-    pub fn matmul_transpose_a(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_transpose_a_into(rhs, &mut out);
-        out
-    }
-
-    /// `self · rhsᵀ` into a caller-provided buffer, using `scratch` to
-    /// hold the transposed `rhs` (rows stay contiguous for the kernel).
-    /// Bit-identical to `self.matmul(&rhs.transpose())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transpose_b_into(&self, rhs: &Matrix, scratch: &mut Matrix, out: &mut Matrix) {
-        debug_assert_eq!(self.cols, rhs.cols, "inner dimensions must agree");
-        rhs.transpose_into(scratch);
-        self.matmul_into(scratch, out);
-    }
-
-    /// `self · rhsᵀ`, allocating the output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn matmul_transpose_b(&self, rhs: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.cols, "inner dimensions must agree");
-        let mut scratch = Matrix::zeros(rhs.cols, rhs.rows);
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_transpose_b_into(rhs, &mut scratch, &mut out);
-        out
-    }
-
-    /// Matrix product with output rows computed on up to `threads` worker
-    /// threads. Every row of the product depends only on the matching row
-    /// of `self`, so the result is bit-identical to [`Self::matmul`] at
-    /// any thread count; `threads <= 1` runs inline with no
-    /// synchronization (the same ordered fork-join discipline as
-    /// `pipette::parallel::ordered_map`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_parallel(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
-        self.mm_into(kernel, rhs, None, &mut out, threads);
-        out
-    }
-
-    /// Fused `self · rhs + bias` into a caller-provided buffer with output
-    /// rows split over up to `threads` workers. Bit-identical to
-    /// [`Self::matmul_bias_into`] at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_bias_into_threaded(
-        &self,
-        rhs: &Matrix,
-        bias: &[f64],
-        out: &mut Matrix,
-        threads: usize,
-    ) {
-        let kernel = &mut Kernel::new(Isa::detect(), self.cols);
-        self.mm_into(kernel, rhs, Some(bias), out, threads);
-    }
-
     /// `self · rhs` (+ `bias` after each element's whole sum) into `out`
     /// through `kernel`, with output rows split over up to `threads`
     /// workers. Each worker owns a disjoint, contiguous block of output
@@ -300,39 +178,6 @@ impl Matrix {
         kernel.mm_at_rows(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
-    /// The reference matmul: the crate's original scalar triple loop,
-    /// kept verbatim as the ground truth the blocked/parallel kernels are
-    /// property-tested against (`tests/kernels.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let lhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(lhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// Transpose into a caller-provided buffer (no allocation).
     ///
     /// # Panics
@@ -351,29 +196,8 @@ impl Matrix {
         }
     }
 
-    /// Adds a row vector (bias) to every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != cols`.
-    pub fn add_row(&mut self, bias: &[f64]) {
-        debug_assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for row in self.data.chunks_mut(self.cols) {
-            for (cell, b) in row.iter_mut().zip(bias) {
-                *cell += b;
-            }
-        }
-    }
-
-    /// Column sums, returned as a vector of length `cols`.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
     /// Column sums into a caller-provided buffer (no allocation). Rows
-    /// accumulate in ascending order, matching [`Self::col_sums`].
+    /// accumulate in ascending order.
     ///
     /// # Panics
     ///
@@ -388,58 +212,8 @@ impl Matrix {
         }
     }
 
-    /// Element-wise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise binary combination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn zip(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
-        debug_assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
-    /// Selects a subset of rows (with repetition allowed), e.g. a minibatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or contains an out-of-range row.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        debug_assert!(!indices.is_empty(), "need at least one row");
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Copies the selected rows into a caller-provided buffer (the
-    /// allocation-free [`Self::select_rows`]).
+    /// Copies the selected rows, repeats allowed (a minibatch), into a
+    /// caller-provided buffer (no allocation).
     ///
     /// # Panics
     ///
@@ -470,84 +244,133 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge_values::{same_result, skip_operand};
+    use crate::kernel::Isa;
+    use crate::naive;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The portable arm, and the detected one when it differs.
+    fn arms() -> Vec<Isa> {
+        let mut arms = vec![Isa::PORTABLE];
+        if Isa::detect() != Isa::PORTABLE {
+            arms.push(Isa::detect());
+        }
+        arms
+    }
+
+    /// `self · rhs (+ bias)` through `mm_into` on `isa`.
+    fn mm(a: &Matrix, b: &Matrix, bias: Option<&[f64]>, isa: Isa, threads: usize) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        a.mm_into(&mut Kernel::new(isa, a.cols), b, bias, &mut out, threads);
+        out
+    }
+
+    /// `selfᵀ · rhs` through `mm_at_into` on `isa`.
+    fn mm_at(a: &Matrix, b: &Matrix, isa: Isa) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        a.mm_at_into(&mut Kernel::new(isa, a.rows), b, &mut out);
+        out
+    }
+
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, a.rows);
+        a.transpose_into(&mut out);
+        out
+    }
+
+    /// A `rows × cols` skip operand: ~`zero_pct`% signed zeros plus the
+    /// edge values of [`skip_operand`].
+    fn edge_matrix(rows: usize, cols: usize, zero_pct: u32, rng: &mut ChaCha8Rng) -> Matrix {
+        Matrix::from_vec(rows, cols, skip_operand(rows * cols, zero_pct, rng))
+    }
+
+    fn assert_same(got: &Matrix, want: &[f64], what: &str) {
+        assert_eq!(got.data.len(), want.len(), "{what}: shape");
+        for (i, (&g, &w)) in got.data.iter().zip(want).enumerate() {
+            assert!(
+                same_result(g, w),
+                "{what}: element {i}: {g} ({:#x}) vs oracle {w} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
 
     #[test]
     fn matmul_known_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-        assert_eq!(c, a.matmul_naive(&b));
+        let want = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]);
+        for isa in arms() {
+            assert_eq!(mm(&a, &b, None, isa, 1), want, "{}", isa.name());
+        }
+        assert_eq!(naive::matmul(&a.data, 2, &b.data, 2), want.data);
     }
 
     #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
+        assert_eq!(transpose(&transpose(&a)), a);
+        assert_eq!(transpose(&a).get(2, 1), 6.0);
     }
 
+    /// The fused bias adds its row to every output row (an all-zero `A`
+    /// contributes nothing), and the column sums add those rows up.
     #[test]
     fn add_row_and_col_sums() {
-        let mut a = Matrix::zeros(2, 3);
-        a.add_row(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.col_sums(), vec![2.0, 4.0, 6.0]);
+        let zeros = Matrix::zeros(2, 3);
+        let b = Matrix::from_rows(&[&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]]);
+        let a = mm(&zeros, &b, Some(&[1.0, 2.0, 3.0]), Isa::detect(), 1);
+        let mut sums = vec![f64::NAN; 3];
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![2.0, 4.0, 6.0]);
     }
 
+    /// The fused bias is added after each element's whole sum, so it is
+    /// bit-identical to the product followed by a separate bias pass —
+    /// what lets `Mlp::predict` run `fit`'s fused forward step.
     #[test]
     fn fused_bias_matches_two_step() {
         let a = Matrix::from_rows(&[&[1.0, -2.0, 0.0], &[0.5, 4.0, -1.0]]);
         let b = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, -3.0], &[1.5, 2.5]]);
         let bias = [0.25, -0.75];
-        let mut two_step = a.matmul(&b);
-        two_step.add_row(&bias);
-        let mut fused = Matrix::zeros(2, 2);
-        a.matmul_bias_into(&b, &bias, &mut fused);
-        assert_eq!(fused, two_step);
+        for isa in arms() {
+            let mut two_step = mm(&a, &b, None, isa, 1);
+            for row in two_step.data.chunks_mut(2) {
+                row.iter_mut().zip(&bias).for_each(|(cell, b)| *cell += b);
+            }
+            assert_eq!(mm(&a, &b, Some(&bias), isa, 1), two_step, "{}", isa.name());
+        }
     }
 
     #[test]
     fn transpose_variants_match_materialized() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 0.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5]]);
-        // Aᵀ·B  (2×3ᵀ = 3×2, times 2×2)
-        assert_eq!(a.matmul_transpose_a(&b), a.transpose().matmul(&b));
-        // A·Bᵀ with B sharing A's width.
-        let c = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[3.0, -1.0, 0.5]]);
-        assert_eq!(a.matmul_transpose_b(&c), a.matmul(&c.transpose()));
+        for isa in arms() {
+            // Aᵀ·B  (2×3ᵀ = 3×2, times 2×2)
+            assert_eq!(mm_at(&a, &b, isa), mm(&transpose(&a), &b, None, isa, 1));
+        }
     }
 
     #[test]
     fn gather_rows_matches_select_rows() {
-        let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
+        let a = Matrix::from_rows(&[&[1.0, -1.0], &[2.0, -2.0], &[3.0, -3.0]]);
         let idx = [2usize, 0, 2, 1];
-        let mut out = Matrix::zeros(4, 1);
+        let mut out = Matrix::zeros(4, 2);
         a.gather_rows_into(&idx, &mut out);
-        assert_eq!(out, a.select_rows(&idx));
+        let selected: Vec<&[f64]> = idx.iter().map(|&i| a.row(i)).collect();
+        assert_eq!(out, Matrix::from_rows(&selected));
     }
 
     #[test]
     fn select_rows_repeats() {
         let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let b = a.select_rows(&[2, 0, 2]);
-        assert_eq!(b, Matrix::from_rows(&[&[3.0], &[1.0], &[3.0]]));
-    }
-
-    #[test]
-    fn map_and_zip() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0]]);
-        assert_eq!(a.map(f64::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
-        let b = Matrix::from_rows(&[&[10.0, 20.0]]);
-        assert_eq!(a.zip(&b, |x, y| x + y), Matrix::from_rows(&[&[11.0, 18.0]]));
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn matmul_rejects_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        a.matmul(&b);
+        let mut out = Matrix::zeros(4, 1);
+        a.gather_rows_into(&[2, 0, 2, 1], &mut out);
+        assert_eq!(out, Matrix::from_rows(&[&[3.0], &[1.0], &[3.0], &[2.0]]));
     }
 
     proptest! {
@@ -557,14 +380,67 @@ mod tests {
             seed in 0u64..1000,
         ) {
             // (A·B)ᵀ = Bᵀ·Aᵀ
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let a = Matrix::from_vec(n, m, (0..n * m).map(|_| rng.gen_range(-1.0..1.0)).collect());
             let b = Matrix::from_vec(m, k, (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect());
-            let lhs = a.matmul(&b).transpose();
-            let rhs = b.transpose().matmul(&a.transpose());
+            let isa = Isa::detect();
+            let lhs = transpose(&mm(&a, &b, None, isa, 1));
+            let rhs = mm(&transpose(&b), &transpose(&a), None, isa, 1);
             for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
                 prop_assert!((x - y).abs() < 1e-12);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `mm_into` equals the naive triple loop (plus a separate bias
+        /// pass) bit for bit, on every arm, at every thread count
+        /// (including counts past the row count), with and without the
+        /// fused bias. Dimensions up to 70 cross the 32-wide tile
+        /// boundary at 32 and 64 and leave ragged tails in between.
+        /// Infinities and NaNs in `B` make a skipped zero of `A`
+        /// visible: `0 · inf` would turn the element into NaN.
+        #[test]
+        fn mm_into_matches_naive_on_every_arm(
+            n in 1usize..70, m in 1usize..70, p in 1usize..70,
+            zero_pct in 0u32..60, threads in 1usize..9, seed in 0u64..10_000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let a = edge_matrix(n, m, zero_pct, &mut rng);
+            let b = edge_matrix(m, p, zero_pct, &mut rng);
+            let bias = skip_operand(p, 0, &mut rng);
+            let product = naive::matmul(&a.data, m, &b.data, p);
+            let mut biased = product.clone();
+            for row in biased.chunks_mut(p) {
+                row.iter_mut().zip(&bias).for_each(|(cell, b)| *cell += b);
+            }
+            for isa in arms() {
+                let arm = isa.name();
+                assert_same(&mm(&a, &b, None, isa, threads), &product, &format!("{arm} A·B"));
+                assert_same(
+                    &mm(&a, &b, Some(&bias), isa, threads),
+                    &biased,
+                    &format!("{arm} A·B + bias"),
+                );
+            }
+        }
+
+        /// `mm_at_into` equals the naive product of the materialized
+        /// transpose, bit for bit, on every arm.
+        #[test]
+        fn mm_at_into_matches_naive_on_every_arm(
+            n in 1usize..70, m in 1usize..70, p in 1usize..70,
+            zero_pct in 0u32..60, seed in 0u64..10_000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let a = edge_matrix(n, m, zero_pct, &mut rng);
+            let b = edge_matrix(n, p, zero_pct, &mut rng);
+            let at: Vec<f64> = (0..m * n).map(|i| a.data[(i % n) * m + i / n]).collect();
+            let want = naive::matmul(&at, n, &b.data, p);
+            for isa in arms() {
+                assert_same(&mm_at(&a, &b, isa), &want, &format!("{} Aᵀ·B", isa.name()));
             }
         }
     }

@@ -1,16 +1,18 @@
 //! The multi-layer perceptron: a stack of dense layers with ReLU between.
 //!
-//! Two training entry points exist. [`Mlp::fit`] is the fast path: it
-//! preallocates every minibatch/activation/gradient buffer once and runs
-//! the whole loop allocation-free through the blocked matmul kernels.
-//! [`Mlp::fit_reference`] is the crate's original loop (fresh matrices
-//! every step, naive kernel), kept verbatim as the ground truth: the two
-//! produce **bit-identical** weights, losses, and RNG streams (see
+//! One forward step serves training and inference: each layer runs the
+//! fused product `X·W + b` through the tiled kernel, then ReLU in place.
+//! [`Mlp::fit`] preallocates every minibatch/activation/gradient buffer
+//! once and runs the whole loop allocation-free. Its oracle — the
+//! crate's original loop, with fresh matrices every step, a naive
+//! triple-loop product and layers that cache their forward pass — lives
+//! with the tests (`tests/support/reference.rs`): the two produce
+//! **bit-identical** weights, losses, and RNG streams (see
 //! `tests/kernels.rs`), so the fast path is a pure speedup, not a
 //! numerical change.
 
 use crate::kernel::{Isa, Kernel};
-use crate::layer::{Dense, DenseGrads};
+use crate::layer::Dense;
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 use crate::train::{TrainConfig, TrainReport};
@@ -75,7 +77,7 @@ impl Mlp {
         self.layers.iter().map(Dense::num_params).sum()
     }
 
-    /// Forward pass for inference (no caches).
+    /// Forward pass for inference.
     ///
     /// # Panics
     ///
@@ -100,65 +102,24 @@ impl Mlp {
     /// [`Self::predict_with_threads`] on the `isa` kernel arm.
     pub(crate) fn predict_on(&self, isa: Isa, x: &Matrix, threads: usize) -> Matrix {
         debug_assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
+        let widest = self.layers.iter().map(Dense::in_dim).fold(1, usize::max);
+        let kernel = &mut Kernel::new(isa, widest);
         let mut h = x.clone();
-        for l in &self.layers {
-            h = l.infer_on(isa, &h, threads);
+        for layer in &self.layers {
+            let mut out = Matrix::zeros(x.rows(), layer.out_dim());
+            forward_step(layer, kernel, &h, &mut out, threads);
+            h = out;
         }
         h
-    }
-
-    /// One forward+backward pass on a batch; returns the MSE loss and
-    /// applies gradients through `opt` (weights then bias per layer, in
-    /// layer order). Allocates fresh matrices throughout — only used by
-    /// [`Self::fit_reference`].
-    fn train_step(&mut self, x: &Matrix, y: &Matrix, opt: &mut Adam) -> f64 {
-        let mut h = x.clone();
-        for l in &mut self.layers {
-            h = l.forward(&h);
-        }
-        let n = (x.rows() * y.cols()) as f64;
-        let diff = h.zip(y, |p, t| p - t);
-        let loss = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-        let mut grad = diff.map(|d| 2.0 * d / n);
-        let mut layer_grads: Vec<DenseGrads> = Vec::with_capacity(self.layers.len());
-        for l in self.layers.iter_mut().rev() {
-            let (g_in, grads) = l.backward(&grad);
-            layer_grads.push(grads);
-            grad = g_in;
-        }
-        layer_grads.reverse();
-
-        // Flatten all parameter gradients in a fixed order and take one
-        // Adam step over the whole network.
-        let mut flat_params = Vec::with_capacity(self.num_params());
-        let mut flat_grads = Vec::with_capacity(self.num_params());
-        for (l, g) in self.layers.iter().zip(&layer_grads) {
-            flat_params.extend_from_slice(l.weights.as_slice());
-            flat_params.extend_from_slice(&l.bias);
-            flat_grads.extend_from_slice(g.weights.as_slice());
-            flat_grads.extend_from_slice(&g.bias);
-        }
-        opt.step(&mut flat_params, &flat_grads);
-        let mut off = 0;
-        for l in &mut self.layers {
-            let wn = l.weights.rows() * l.weights.cols();
-            l.weights
-                .as_mut_slice()
-                .copy_from_slice(&flat_params[off..off + wn]);
-            off += wn;
-            let bn = l.bias.len();
-            l.bias.copy_from_slice(&flat_params[off..off + bn]);
-            off += bn;
-        }
-        loss
     }
 
     /// Trains the network on `(x, y)` with minibatch Adam under `config`.
     ///
     /// Allocation-free after setup: minibatch gather buffers, per-layer
     /// activation/gradient scratch, and the flattened parameter vector
-    /// are built once and reused for every iteration. Bit-identical to
-    /// [`Self::fit_reference`] (same RNG stream, same arithmetic order).
+    /// are built once and reused for every iteration. Bit-identical to the
+    /// original allocating loop the tests keep as its oracle (same RNG
+    /// stream, same arithmetic order).
     ///
     /// # Panics
     ///
@@ -216,11 +177,6 @@ impl Mlp {
         let mut bx = Matrix::zeros(batch, x.cols());
         let mut by = Matrix::zeros(batch, y.cols());
         let mut idx = vec![0usize; batch];
-        let mut pres: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(batch, l.out_dim()))
-            .collect();
         let mut acts: Vec<Matrix> = self
             .layers
             .iter()
@@ -276,21 +232,11 @@ impl Mlp {
                 (&bx, &by)
             };
 
-            // Forward: fused matmul+bias into `pres`, activation into `acts`.
+            // Forward, each layer's output into `acts`.
             for l in 0..n_layers {
                 let (done, rest) = acts.split_at_mut(l);
                 let inp: &Matrix = if l == 0 { cx } else { &done[l - 1] };
-                let layer = &self.layers[l];
-                let bias = Some(layer.bias.as_slice());
-                inp.mm_into(kernel, &layer.weights, bias, &mut pres[l], threads);
-                let act = &mut rest[0];
-                if layer.relu {
-                    for (a, &p) in act.as_mut_slice().iter_mut().zip(pres[l].as_slice()) {
-                        *a = p.max(0.0);
-                    }
-                } else {
-                    act.as_mut_slice().copy_from_slice(pres[l].as_slice());
-                }
+                forward_step(&self.layers[l], kernel, inp, &mut rest[0], threads);
             }
 
             // Loss and output gradient, matching the reference exactly:
@@ -320,8 +266,11 @@ impl Mlp {
                 };
                 let layer = &self.layers[l];
                 if layer.relu {
-                    for (g, &p) in d_out.as_mut_slice().iter_mut().zip(pres[l].as_slice()) {
-                        *g = if p > 0.0 { *g } else { 0.0 };
+                    // ReLU passes the gradient where its input was
+                    // positive, which is exactly where its output is: it
+                    // maps every other input, NaN included, to zero.
+                    for (g, &a) in d_out.as_mut_slice().iter_mut().zip(acts[l].as_slice()) {
+                        *g = if a > 0.0 { *g } else { 0.0 };
                     }
                 }
                 let d_pre: &Matrix = d_out;
@@ -368,46 +317,22 @@ impl Mlp {
             loss_curve: losses,
         }
     }
+}
 
-    /// The crate's original training loop, kept verbatim (fresh matrices
-    /// every iteration, naive matmul through [`Dense::forward`] /
-    /// [`Dense::backward`]). Ground truth for the equivalence tests and
-    /// the honest baseline for `perf_baseline`'s training speedup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `y` disagree on row count or widths mismatch the
-    /// network.
-    pub fn fit_reference(&mut self, x: &Matrix, y: &Matrix, config: &TrainConfig) -> TrainReport {
-        debug_assert_eq!(
-            x.rows(),
-            y.rows(),
-            "x and y must have the same number of rows"
-        );
-        debug_assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
-        debug_assert_eq!(y.cols(), self.out_dim(), "output width mismatch");
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut opt = Adam::new(self.num_params(), config.learning_rate);
-        let batch = config.batch_size.min(x.rows()).max(1);
-        let mut losses = Vec::new();
-        let mut last = f64::INFINITY;
-        for it in 0..config.iterations {
-            let (bx, by) = if batch == x.rows() {
-                (x.clone(), y.clone())
-            } else {
-                use rand::Rng;
-                let idx: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..x.rows())).collect();
-                (x.select_rows(&idx), y.select_rows(&idx))
-            };
-            last = self.train_step(&bx, &by, &mut opt);
-            if it % config.record_every == 0 {
-                losses.push(last);
-            }
-        }
-        TrainReport {
-            iterations: config.iterations,
-            final_loss: last,
-            loss_curve: losses,
+/// One layer's forward step, shared by [`Mlp::fit`] and [`Mlp::predict`]:
+/// `out = inp · W + b` with the bias fused into the product (added after
+/// each element's whole sum), then ReLU in place.
+fn forward_step(
+    layer: &Dense,
+    kernel: &mut Kernel,
+    inp: &Matrix,
+    out: &mut Matrix,
+    threads: usize,
+) {
+    inp.mm_into(kernel, &layer.weights, Some(&layer.bias), out, threads);
+    if layer.relu {
+        for v in out.as_mut_slice() {
+            *v = v.max(0.0);
         }
     }
 }
@@ -415,6 +340,16 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-feature corpus: `xs` as a column, and `f` of each as its
+    /// target.
+    fn column(xs: &[f64], f: impl Fn(f64) -> f64) -> (Matrix, Matrix) {
+        let y = xs.iter().map(|&v| f(v)).collect();
+        (
+            Matrix::from_vec(xs.len(), 1, xs.to_vec()),
+            Matrix::from_vec(xs.len(), 1, y),
+        )
+    }
 
     #[test]
     fn paper_architecture_shape() {
@@ -430,10 +365,8 @@ mod tests {
 
     #[test]
     fn fits_linear_function() {
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 10.0]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&refs);
-        let y = x.map(|v| 3.0 * v - 1.0);
+        let xs: Vec<f64> = (0..40).map(|i| i as f64 / 10.0).collect();
+        let (x, y) = column(&xs, |v| 3.0 * v - 1.0);
         let mut mlp = Mlp::new(&[1, 32, 1], 1);
         let report = mlp.fit(
             &x,
@@ -487,37 +420,8 @@ mod tests {
     }
 
     #[test]
-    fn fit_matches_reference_bitwise() {
-        // Minibatch path (batch < rows) and full-batch path both must
-        // reproduce the original loop exactly.
-        let rows: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![(i % 10) as f64 / 5.0 - 1.0, (i / 10) as f64 / 5.0])
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&refs);
-        let y_data: Vec<f64> = rows.iter().map(|r| r[0] * 0.5 - r[1]).collect();
-        let y = Matrix::from_vec(50, 1, y_data);
-        for batch_size in [16, 64] {
-            let cfg = TrainConfig {
-                iterations: 120,
-                batch_size,
-                record_every: 10,
-                ..TrainConfig::default()
-            };
-            let mut fast = Mlp::new(&[2, 24, 24, 1], 11);
-            let mut slow = Mlp::new(&[2, 24, 24, 1], 11);
-            let rf = fast.fit(&x, &y, &cfg);
-            let rs = slow.fit_reference(&x, &y, &cfg);
-            assert_eq!(rf.final_loss, rs.final_loss, "batch {batch_size}");
-            assert_eq!(rf.loss_curve, rs.loss_curve, "batch {batch_size}");
-            assert_eq!(fast, slow, "batch {batch_size}");
-        }
-    }
-
-    #[test]
     fn fit_threads_invariant() {
-        let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5], &[2.0]]);
-        let y = x.map(|v| v * v);
+        let (x, y) = column(&[0.0, 0.5, 1.0, 1.5, 2.0], |v| v * v);
         let cfg = TrainConfig {
             iterations: 150,
             batch_size: 3,
@@ -546,8 +450,7 @@ mod tests {
 
     #[test]
     fn loss_curve_descends() {
-        let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5]]);
-        let y = x.map(|v| 2.0 * v);
+        let (x, y) = column(&[0.0, 0.5, 1.0, 1.5], |v| 2.0 * v);
         let mut mlp = Mlp::new(&[1, 16, 1], 9);
         let report = mlp.fit(
             &x,

@@ -27,16 +27,6 @@ impl Default for TrainConfig {
     }
 }
 
-impl TrainConfig {
-    /// The paper's training protocol: 50,000 iterations.
-    pub fn paper() -> Self {
-        Self {
-            iterations: 50_000,
-            ..Self::default()
-        }
-    }
-}
-
 /// Outcome of a training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
@@ -51,11 +41,6 @@ pub struct TrainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_protocol_is_50k() {
-        assert_eq!(TrainConfig::paper().iterations, 50_000);
-    }
 
     #[test]
     fn default_is_reasonable() {

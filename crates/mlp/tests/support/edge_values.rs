@@ -1,6 +1,8 @@
 //! Matmul operands that exercise every branch of the zero-skip
-//! predicate, shared by the kernel property tests (`tests/kernels.rs`)
-//! and the arm-against-arm unit test in the crate's `kernel` module.
+//! predicate, shared by the unit tests of the crate's `kernel` module
+//! (arm against arm) and `matrix` module (each product against the
+//! naive loop of `naive.rs`), and by `tests/kernels.rs` (the public
+//! forward pass against the same loop).
 
 use rand::Rng;
 

@@ -97,23 +97,6 @@ pub fn activation_bytes_1f1b(
     layers * activation_bytes_per_layer(cfg, micro_batch, tp) * inflight
 }
 
-/// Activation bytes at peak for one GPU of stage `stage` under 1F1B with
-/// full recomputation: checkpoints for every in-flight microbatch plus the
-/// transient full activations of the one layer being recomputed.
-pub fn activation_bytes_1f1b_recompute(
-    cfg: &GptConfig,
-    pp: usize,
-    tp: usize,
-    stage: usize,
-    micro_batch: u64,
-    n_microbatches: u64,
-) -> u64 {
-    let layers = cfg.layers_of_stage(pp, stage) as u64;
-    let inflight = one_f_one_b_inflight(pp, stage, n_microbatches);
-    layers * checkpoint_bytes_per_layer(cfg, micro_batch) * inflight
-        + activation_bytes_per_layer(cfg, micro_batch, tp)
-}
-
 /// Activation bytes at peak under the memory-hungry GPipe schedule
 /// (all `n_mb` microbatches in flight on every stage).
 pub fn activation_bytes_gpipe(
@@ -204,17 +187,6 @@ mod tests {
         assert!(ratio > 2.2 && ratio < 2.6, "ratio {ratio}");
         // dp = 1 degenerates to the replicated layout.
         assert_eq!(model_state_bytes_zero1(&g, 4, 8, 1, 1), plain);
-    }
-
-    #[test]
-    fn recomputation_slashes_activation_memory() {
-        let g = GptConfig::gpt_3_1b();
-        let full = activation_bytes_1f1b(&g, 8, 1, 0, 1, 64);
-        let ckpt = activation_bytes_1f1b_recompute(&g, 8, 1, 0, 1, 64);
-        assert!(
-            ckpt < full / 10,
-            "checkpointing {ckpt} should dwarf full storage {full}"
-        );
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl ParsedTrace {
         &self.events
     }
 
-    /// How many lines carry the given `kind` tag.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
-
     /// Reconstructs the span tree from the parsed lines.
     pub fn span_tree(&self) -> Result<SpanTree, AnalysisError> {
         let mut lines = Vec::with_capacity(self.events.len());
@@ -825,8 +820,9 @@ mod tests {
         let t = sample_trace(0);
         let parsed = ParsedTrace::from_jsonl(&t.to_jsonl()).expect("canonical output parses");
         assert_eq!(parsed.events().len(), t.len());
-        assert_eq!(parsed.count_kind("mem_loss"), 2);
-        assert_eq!(parsed.count_kind("span_open"), 3);
+        let count = |kind: &str| parsed.events().iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count("mem_loss"), 2);
+        assert_eq!(count("span_open"), 3);
         // seq fields match line indices.
         for event in parsed.events() {
             assert_eq!(

@@ -127,7 +127,7 @@ macro_rules! event_table {
         /// Fieldless discriminant of [`EventKind`] — the typed form of the
         /// `kind` tag. Asserting on `EventTag` variants instead of `"sa_move"`
         /// strings means a renamed event breaks at compile time, not silently
-        /// in a `count_kind` that starts returning zero.
+        /// in a string comparison that starts matching nothing.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[allow(missing_docs)]
         pub enum EventTag {

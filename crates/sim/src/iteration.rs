@@ -63,17 +63,6 @@ pub struct IterationReport {
     pub critical_busy_seconds: f64,
 }
 
-impl IterationReport {
-    /// Fraction of the slowest chain spent idle on its busiest stage — a
-    /// bubble-ratio style diagnostic.
-    pub fn bubble_fraction(&self) -> f64 {
-        if self.pipeline_seconds <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.critical_busy_seconds / self.pipeline_seconds
-    }
-}
-
 impl<'a> IterationSim<'a> {
     /// Creates a simulator over a bandwidth matrix, GPU spec, and model,
     /// using the memory-efficient 1F1B schedule (the modern default).
@@ -304,7 +293,7 @@ mod tests {
         assert!(r.dp_exposed_seconds >= 0.0);
         assert_eq!(r.chain_makespans.len(), 2);
         assert_eq!(r.stage_dp_seconds.len(), 2);
-        assert!(r.bubble_fraction() >= 0.0 && r.bubble_fraction() < 1.0);
+        assert!(r.critical_busy_seconds > 0.0 && r.critical_busy_seconds <= r.pipeline_seconds);
     }
 
     #[test]

@@ -69,15 +69,6 @@ impl Mapping {
         self.assign[self.config.index_of(w)]
     }
 
-    /// GPU hosting the worker with linear index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn gpu_at(&self, idx: usize) -> GpuId {
-        self.assign[idx]
-    }
-
     /// The raw assignment slice (worker linear index → GPU).
     pub fn as_slice(&self) -> &[GpuId] {
         &self.assign
@@ -168,7 +159,7 @@ mod tests {
         let (cfg, topo) = setup();
         let m = Mapping::identity(cfg, topo);
         for i in 0..8 {
-            assert_eq!(m.gpu_at(i), GpuId(i));
+            assert_eq!(m.as_slice()[i], GpuId(i));
         }
         assert!(m.is_permutation());
     }

@@ -33,11 +33,6 @@ impl ProfiledCompute {
         self.fwd[stage] + self.bwd[stage]
     }
 
-    /// `C + T_com^TP` for stage `s`.
-    pub fn compute_with_tp(&self, stage: usize) -> f64 {
-        self.compute(stage) + self.tp_comm[stage]
-    }
-
     /// Number of stages profiled.
     pub fn num_stages(&self) -> usize {
         self.fwd.len()
@@ -197,7 +192,6 @@ mod tests {
         let p = ComputeProfiler::new(0.0).profile(cluster.bandwidth(), &gpu, &gpt, cfg, plan, 1);
         assert_eq!(p.num_stages(), 4);
         for s in 0..4 {
-            assert!((p.compute_with_tp(s) - p.compute(s) - p.tp_comm[s]).abs() < 1e-15);
             assert!(p.compute(s) > 0.0);
         }
     }

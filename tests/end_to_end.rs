@@ -3,6 +3,7 @@
 //! the ground-truth simulator, across both cluster presets.
 
 use pipette::configurator::{Pipette, PipetteOptions, Recommendation};
+use pipette::memory::TrainedEstimatorCache;
 use pipette::ConfigureError;
 use pipette_cluster::{presets, Cluster};
 use pipette_model::GptConfig;
@@ -82,16 +83,16 @@ fn worker_dedication_is_no_worse_end_to_end() {
     options.seed = 3;
     options.annealer.iterations = 6_000;
 
-    let pip = Pipette::new(&cluster, &gpt, 64, options);
-    let (estimator, _, _) = pip.train_memory_estimator();
+    // Both runs share one trained memory estimator through one cache.
+    let cache = TrainedEstimatorCache::in_memory();
     let runner = ClusterRun::new(&cluster, &gpt);
 
     let with_sa = Pipette::new(&cluster, &gpt, 64, options)
-        .with_memory_estimator(estimator.clone())
+        .with_estimator_cache(&cache)
         .run()
         .expect("feasible");
     let without = Pipette::new(&cluster, &gpt, 64, options.latency_only())
-        .with_memory_estimator(estimator)
+        .with_estimator_cache(&cache)
         .run()
         .expect("feasible");
 

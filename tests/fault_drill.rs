@@ -11,9 +11,9 @@ use pipette::ConfigureError;
 use pipette_cluster::{
     presets, Cluster, CorruptPair, DegradedLink, FaultPlan, GpuId, StragglerGpu,
 };
-use pipette_model::GptConfig;
+use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
 use pipette_obs::Trace;
-use pipette_sim::ClusterRun;
+use pipette_sim::{ClusterRun, ComputeProfiler};
 
 fn small_gpt() -> GptConfig {
     GptConfig::new(8, 1024, 16, 2048, 51200)
@@ -117,11 +117,12 @@ fn total_sample_loss_falls_back_to_the_analytic_estimator() {
     assert!(measured.peak_memory_bytes <= cluster.gpu().memory_bytes);
 }
 
-/// A degraded link is a ground-truth fault that the profiler applies
-/// once, and measures however slow it is: at ×0.25, ×0.05 and ×0.01 it
-/// reads at its degraded bandwidth, so nothing is retried or imputed.
-/// Applied twice, or judged against a lower plausibility bound, it would
-/// be discarded and imputed as a healthy link.
+/// A degraded link is a ground-truth fault that the drill applies once,
+/// to the survivors it measures on, and that the profiler measures
+/// however slow it is: at ×0.25, ×0.05 and ×0.01 it reads at its
+/// degraded bandwidth, so nothing is retried or imputed. Applied twice,
+/// or judged against a lower plausibility bound, it would be discarded
+/// and imputed as a healthy link.
 #[test]
 fn degraded_link_is_measured_once_not_imputed() {
     let cluster = presets::mid_range(4).build(5);
@@ -139,16 +140,93 @@ fn degraded_link_is_measured_once_not_imputed() {
         assert_eq!(outcome.report.imputed, 0, "x{factor}");
         assert_eq!(outcome.report.retries, 0, "x{factor}");
 
-        let (profiled, _) = cluster
-            .profiler()
-            .profile_robust(cluster.bandwidth(), 5, &plan)
-            .expect("plan fits");
+        let survivor = &outcome.survivor;
         let (a, b) = (GpuId(0), GpuId(8));
-        let ratio = profiled.matrix().between(a, b) / (factor * cluster.bandwidth().between(a, b));
+        let degraded = survivor.bandwidth().between(a, b);
+        assert_eq!(
+            degraded,
+            cluster.bandwidth().between(a, b) * factor,
+            "x{factor}: the survivors carry the degraded link once"
+        );
+        let (profiled, _) = survivor
+            .profiler()
+            .profile_robust(survivor.bandwidth(), 5, &plan)
+            .expect("plan fits");
+        let ratio = profiled.matrix().between(a, b) / degraded;
         assert!(
             (0.8..=1.2).contains(&ratio),
             "x{factor} link read at {ratio} x its degraded truth"
         );
+    }
+}
+
+/// The configurator on the survivors profiles their faulted matrix, and
+/// the one profiled value a straggler moves there is
+/// `ProfiledCompute::tp_comm`: the reference all-reduce ring over a
+/// node's first `tp` GPUs, here through GPU 3. No estimate reads it; the
+/// latency model prices each candidate's TP all-reduce on its own links
+/// in the *measured* matrix. So from the same measurement, the faulted
+/// survivors and the healthy cluster yield the same estimates, mapping
+/// and trace, bit for bit, and the drill's recommendation is the healthy
+/// cluster's: the straggler reaches the estimates through the
+/// measurement alone, and the recommendation's measured time through the
+/// survivors' matrix.
+#[test]
+fn a_straggler_reaches_the_estimates_only_through_the_measurement() {
+    let cluster = presets::mid_range(2).build(3);
+    let gpt = small_gpt();
+    let plan = FaultPlan {
+        straggler_gpus: vec![StragglerGpu {
+            gpu: 3,
+            slowdown: 4.0,
+        }],
+        ..FaultPlan::default()
+    };
+    let outcome =
+        run_under_faults(&cluster, &gpt, 64, options(1), &plan, None).expect("straggler drill");
+    let survivor = &outcome.survivor;
+
+    let profile = |c: &Cluster| {
+        ComputeProfiler::default().profile(
+            c.bandwidth(),
+            c.gpu(),
+            &gpt,
+            ParallelConfig::new(1, 4, 4),
+            MicrobatchPlan::new(16, 1).expect("16 splits into micro 1"),
+            1,
+        )
+    };
+    let (faulted, healthy) = (profile(survivor), profile(&cluster));
+    assert_eq!((&faulted.fwd, &faulted.bwd), (&healthy.fwd, &healthy.bwd));
+    // GPU 3's links run at a quarter of their bandwidth; the ring's
+    // latency term does not scale with them.
+    let slowdown = faulted.tp_comm[0] / healthy.tp_comm[0];
+    assert!(
+        (2.0..=4.0).contains(&slowdown),
+        "the ring through the straggler runs {slowdown}x slower"
+    );
+
+    let (profiled, cost) = survivor
+        .profiler()
+        .profile_robust(survivor.bandwidth(), 1, &plan)
+        .expect("plan fits");
+    let configure = |c: &Cluster| {
+        let mut trace = Trace::default();
+        let rec = Pipette::new(c, &gpt, 64, options(1))
+            .with_profiled(profiled.clone(), cost)
+            .run_traced(&mut trace)
+            .expect("configure");
+        (rec, trace.to_jsonl_stripped())
+    };
+    let (on_survivor, survivor_trace) = configure(survivor);
+    let (on_healthy, healthy_trace) = configure(&cluster);
+    assert_eq!(survivor_trace, healthy_trace);
+    for rec in [&on_survivor, &outcome.recommendation] {
+        assert_eq!(
+            rec.estimated_seconds.to_bits(),
+            on_healthy.estimated_seconds.to_bits()
+        );
+        assert_eq!(rec.mapping, on_healthy.mapping);
     }
 }
 

@@ -17,6 +17,7 @@
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::latency::{terms, PipetteLatencyModel};
 use pipette::mapping::{Annealer, AnnealerConfig, DpMemo, IncrementalObjective, Move, Objective};
+use pipette::memory::TrainedEstimatorCache;
 use pipette_cluster::{presets, BandwidthMatrix, ClusterTopology, GpuId, HeterogeneityModel};
 use pipette_model::{messages, GptConfig, MicrobatchPlan, ParallelConfig, WorkerId};
 use pipette_sim::iteration::OPTIMIZER_STEP_S;
@@ -467,15 +468,16 @@ fn configurator_result_is_thread_count_invariant() {
     let (cluster, gpt) = setup();
     let mut opts = PipetteOptions::fast_test();
     opts.seed = 11;
-    // Train the estimator once: memory-estimator training is deliberately
-    // outside the parallel region, and reusing it keeps this test fast.
-    let (estimator, _, _) = Pipette::new(&cluster, &gpt, 64, opts).train_memory_estimator();
+    // Train the estimator once, through one cache: memory-estimator
+    // training is deliberately outside the parallel region, and reusing
+    // it keeps this test fast.
+    let cache = TrainedEstimatorCache::in_memory();
 
     let run_with = |threads: usize| {
         let mut o = opts;
         o.threads = threads;
         Pipette::new(&cluster, &gpt, 64, o)
-            .with_memory_estimator(estimator.clone())
+            .with_estimator_cache(&cache)
             .run()
             .expect("feasible space")
     };
@@ -506,10 +508,10 @@ fn alternatives_are_capped_at_top_n() {
     let (cluster, gpt) = setup();
     let mut opts = PipetteOptions::fast_test();
     opts.seed = 11;
-    let (estimator, _, _) = Pipette::new(&cluster, &gpt, 64, opts).train_memory_estimator();
+    let cache = TrainedEstimatorCache::in_memory();
 
     let rec = Pipette::new(&cluster, &gpt, 64, opts)
-        .with_memory_estimator(estimator.clone())
+        .with_estimator_cache(&cache)
         .run()
         .unwrap();
     assert!(rec.alternatives.len() <= opts.top_n);
@@ -517,7 +519,7 @@ fn alternatives_are_capped_at_top_n() {
     let mut tight = opts;
     tight.top_n = 2;
     let rec2 = Pipette::new(&cluster, &gpt, 64, tight)
-        .with_memory_estimator(estimator)
+        .with_estimator_cache(&cache)
         .run()
         .unwrap();
     assert!(rec2.alternatives.len() <= 2);
